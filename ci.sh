@@ -48,7 +48,7 @@ cargo build --examples --offline
 step "cargo test (tier-1)"
 cargo test -q --offline
 
-step "conservation audit (ledger reconciliation + differential harness)"
+step "conservation audit (machine, shard and fleet ledgers reconcile on every run)"
 cargo test -q --offline --test audit
 
 step "telemetry non-perturbation (obs suite: fact tables identical on/off)"
@@ -75,6 +75,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
 
 step "cargo test --workspace"
 cargo test -q --workspace --offline
+
+# The benchmark package sits outside the workspace (own [workspace] and
+# lock), so no step above builds it against a changed study API.
+step "benchmark package (adapter builds against the crates; quick-suite contract)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 step "bench regression gate (every *_min_ns in BENCH_streaming.json + 3 ratio gates)"
 NT_BENCH_ITERS=1 NT_BENCH_GATE=1 cargo bench -q --offline -p nt-bench --bench streaming

@@ -409,7 +409,7 @@ pub struct StreamedAnalysis {
 }
 
 /// A mergeable partial aggregate over any subset of machines — what one
-/// shard collector (or an aggregator tier above it) hands its parent.
+/// shard collector hands the fleet root.
 ///
 /// [`AnalysisSet::finish_shard`] produces one; [`ShardSummary::merge`]
 /// folds a sibling in (exact: all state is integer or min/max, so any
@@ -429,7 +429,7 @@ pub struct ShardSummary {
 }
 
 impl ShardSummary {
-    /// Absorbs a sibling shard (or aggregator) into this one.
+    /// Absorbs a sibling shard into this one.
     ///
     /// Callers that care about byte-identical fact tables and ledgers
     /// must merge siblings in machine-id order — the sketches don't care,

@@ -183,7 +183,7 @@ impl Ledger {
         Ok(())
     }
 
-    /// A one-line-per-account textual report, for `run_audited` output
+    /// A one-line-per-account textual report, for drift diagnostics
     /// and EXPERIMENTS.md examples.
     pub fn report(&self) -> String {
         use fmt::Write;

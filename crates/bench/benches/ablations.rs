@@ -10,6 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nt_analysis::{burstiness::BinnedArrivals, latency, tails};
+use nt_cache::CacheConfig;
 use nt_study::{Study, StudyConfig};
 use rand::{Rng, SeedableRng};
 
@@ -19,8 +20,18 @@ fn small_config(seed: u64) -> StudyConfig {
     c
 }
 
+/// A fixed 4 KB prefetch: no FAT/NTFS 64 KB boost, no sequential
+/// doubling.
+fn fixed_4k_cache() -> CacheConfig {
+    CacheConfig {
+        boosted_granularity: 4_096,
+        boost_threshold: u64::MAX,
+        ..CacheConfig::default()
+    }
+}
+
 fn describe_run(tag: &str, config: &StudyConfig) {
-    let data = Study::run(config);
+    let data = Study::run(config).expect("study runs");
     let p = latency::path_latencies(&data.trace_set);
     let (hits, misses, paging_w, temp_spared) =
         data.machines
@@ -54,10 +65,10 @@ fn bench_ablation_fastio(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_fastio");
     g.sample_size(10);
     g.bench_function("baseline", |b| {
-        b.iter(|| std::hint::black_box(Study::run(&baseline).total_records))
+        b.iter(|| std::hint::black_box(Study::run(&baseline).expect("study runs").total_records))
     });
     g.bench_function("irp_only", |b| {
-        b.iter(|| std::hint::black_box(Study::run(&no_fastio).total_records))
+        b.iter(|| std::hint::black_box(Study::run(&no_fastio).expect("study runs").total_records))
     });
     g.finish();
 }
@@ -73,74 +84,64 @@ fn bench_ablation_readahead(c: &mut Criterion) {
     describe_run("readahead-nt", &nt_policy);
     describe_run("readahead-off", &no_ra);
     // The fixed-4K variant needs cache-config surgery the StudyConfig
-    // doesn't expose; run it through the replay engine instead, which
-    // accepts a full CacheConfig.
+    // doesn't expose; run it through the what-if replay engine instead,
+    // which accepts a full CacheConfig.
     {
-        use nt_analysis::TraceSet;
-        use nt_cache::CacheConfig;
-        use nt_study::{replay, ReplayConfig};
-        let data = Study::run(&nt_policy);
-        let ts: &TraceSet = &data.trace_set;
-        let run = |label: &str, cache: CacheConfig| {
-            let r = replay(
-                ts,
-                &ReplayConfig {
-                    cache,
+        use nt_study::{ReplayConfig, WhatIfStudy};
+        let data = Study::run(&nt_policy).expect("study runs");
+        let report = WhatIfStudy::new(ReplayConfig::default())
+            .variant(
+                "fixed-4k",
+                ReplayConfig {
+                    cache: fixed_4k_cache(),
                     ..ReplayConfig::default()
                 },
-            );
+            )
+            .variant(
+                "none",
+                ReplayConfig {
+                    cache: CacheConfig {
+                        readahead_enabled: false,
+                        ..CacheConfig::default()
+                    },
+                    ..ReplayConfig::default()
+                },
+            )
+            .run_trace_set(&data.trace_set)
+            .expect("read-ahead variants reconcile");
+        let rows = std::iter::once(("nt", &report.baseline.total))
+            .chain(report.variants.iter().map(|v| (v.name.as_str(), &v.total)));
+        for (label, r) in rows {
             eprintln!(
                 "[ablation readahead/{label}] hit rate {:.0}%, paging reads {}, prefetched {:.1} MB",
                 100.0 * r.hit_rate(),
                 r.paging_reads,
                 r.readahead_bytes as f64 / 1.0e6
             );
-        };
-        run("nt", CacheConfig::default());
-        run(
-            "fixed-4k",
-            CacheConfig {
-                boosted_granularity: 4_096,
-                boost_threshold: u64::MAX,
-                ..CacheConfig::default()
-            },
-        );
-        run(
-            "none",
-            CacheConfig {
-                readahead_enabled: false,
-                ..CacheConfig::default()
-            },
-        );
+        }
     }
     let mut g = c.benchmark_group("ablation_readahead");
     g.sample_size(10);
     g.bench_function("nt_policy", |b| {
-        b.iter(|| std::hint::black_box(Study::run(&nt_policy).total_records))
+        b.iter(|| std::hint::black_box(Study::run(&nt_policy).expect("study runs").total_records))
     });
     g.bench_function("fixed_4k_via_replay", |b| {
-        use nt_cache::CacheConfig;
-        use nt_study::{replay, ReplayConfig};
-        let data = Study::run(&fixed_4k);
+        use nt_study::{replay_stream, ReplayConfig, ReplayStream};
+        let data = Study::run(&fixed_4k).expect("study runs");
+        let config = ReplayConfig {
+            cache: fixed_4k_cache(),
+            ..ReplayConfig::default()
+        };
         b.iter(|| {
-            std::hint::black_box(
-                replay(
-                    &data.trace_set,
-                    &ReplayConfig {
-                        cache: CacheConfig {
-                            boosted_granularity: 4_096,
-                            boost_threshold: u64::MAX,
-                            ..CacheConfig::default()
-                        },
-                        ..ReplayConfig::default()
-                    },
-                )
-                .read_hits,
-            )
+            let hits: u64 = ReplayStream::from_trace_set(&data.trace_set)
+                .iter()
+                .map(|s| replay_stream(s, &config).facts.read_hits)
+                .sum();
+            std::hint::black_box(hits)
         })
     });
     g.bench_function("demand_only", |b| {
-        b.iter(|| std::hint::black_box(Study::run(&no_ra).total_records))
+        b.iter(|| std::hint::black_box(Study::run(&no_ra).expect("study runs").total_records))
     });
     g.finish();
 }
@@ -154,10 +155,10 @@ fn bench_ablation_write_through(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_write_behind");
     g.sample_size(10);
     g.bench_function("lazy_writer", |b| {
-        b.iter(|| std::hint::black_box(Study::run(&baseline).total_records))
+        b.iter(|| std::hint::black_box(Study::run(&baseline).expect("study runs").total_records))
     });
     g.bench_function("write_through", |b| {
-        b.iter(|| std::hint::black_box(Study::run(&wt).total_records))
+        b.iter(|| std::hint::black_box(Study::run(&wt).expect("study runs").total_records))
     });
     g.finish();
 }

@@ -5,7 +5,7 @@ use nt_bench::{run_study, Scale};
 use nt_study::report;
 
 fn bench_figures(c: &mut Criterion) {
-    let data = run_study(Scale::Smoke, 42);
+    let data = run_study(Scale::Smoke, 42).expect("smoke study runs");
     let mut g = c.benchmark_group("figures");
     g.sample_size(20);
     g.bench_function("fig01_02_sequential_runs", |b| {

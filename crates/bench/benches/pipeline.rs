@@ -199,15 +199,21 @@ fn bench_fact_tables(c: &mut Criterion) {
 }
 
 fn bench_downstream(c: &mut Criterion) {
-    use nt_study::{replay, ReplayConfig, Study};
-    let data = Study::run(&StudyConfig::smoke_test(13));
+    use nt_study::{replay_stream, ReplayConfig, ReplayStream, Study};
+    let data = Study::run(&StudyConfig::smoke_test(13)).expect("study runs");
     let mut g = c.benchmark_group("downstream");
     g.sample_size(10);
     g.bench_function("replay_default_policy", |b| {
         b.iter(|| {
-            std::hint::black_box(
-                replay(&data.trace_set, &ReplayConfig::default()).replayed_requests,
-            )
+            let replayed: u64 = ReplayStream::from_trace_set(&data.trace_set)
+                .iter()
+                .map(|s| {
+                    replay_stream(s, &ReplayConfig::default())
+                        .facts
+                        .replayed_requests
+                })
+                .sum();
+            std::hint::black_box(replayed)
         })
     });
     g.bench_function("profile_fit", |b| {
@@ -274,7 +280,7 @@ fn bench_scaling(c: &mut Criterion) {
         }
         config.machines = specs;
         g.bench_function(format!("machines_{machines:02}_x_60s"), |b| {
-            b.iter(|| std::hint::black_box(Study::run(&config).total_records))
+            b.iter(|| std::hint::black_box(Study::run(&config).expect("study runs").total_records))
         });
     }
     g.finish();

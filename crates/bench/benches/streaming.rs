@@ -1,6 +1,7 @@
-//! Streaming-pipeline benchmarks: the cost of online analysis relative to
-//! materialize-then-analyze, plus the substrate operations both paths
-//! lean on (event dispatch, range coalescing, sketch ingestion).
+//! Streaming-pipeline benchmarks: the end-to-end smoke study on one and
+//! four shards, online analysis beside materialize-then-analyze on the
+//! same records, and the substrate operations the pipeline leans on
+//! (event dispatch, range coalescing, sketch ingestion).
 //!
 //! Besides the usual per-bench console lines this harness can emit a
 //! machine-readable baseline: run with `NT_BENCH_WRITE=1` and the results
@@ -38,13 +39,13 @@
 //! Off configuration stays free.
 //!
 //! The gate also covers the sharded collection tree: a 4-shard smoke
-//! study, normalised against the flat streaming study measured beside
-//! it on the same single worker thread, must stay within
+//! study, normalised against the one-shard study of the same driver
+//! measured beside it on the same single worker thread, must stay within
 //! `NT_BENCH_SHARD_TOLERANCE` percent (default 25 — the tree spawns
 //! twelve collector threads, so it wears more scheduler noise than the
 //! single-threaded telemetry gate) of the checked-in ratio. That pins
-//! the cost of the tree itself: the extra pools and the hierarchical
-//! merge, not the machines.
+//! the cost of the tree itself: the extra pools and the shard merges,
+//! not the machines.
 //!
 //! And it covers the NTT warehouse encoder: serializing 100k records
 //! into a segment, normalised against building the batch fact tables
@@ -60,7 +61,7 @@ use nt_analysis::{HistogramSketch, TraceSet};
 use nt_bench::{check_min_ns, Baseline, Verdict};
 use nt_cache::{CacheConfig, RangeSet};
 use nt_sim::{Engine, SimDuration, SimTime};
-use nt_study::{MachineRun, ReplayConfig, StreamOptions, Study, StudyConfig, WhatIfStudy};
+use nt_study::{MachineRun, ReplayConfig, ShardOptions, Study, StudyConfig, WhatIfStudy};
 use nt_trace::{CollectionServer, MachineId};
 
 /// One measurement: median-free, warm-up-free wall clock per iteration —
@@ -343,33 +344,36 @@ fn gate_measurements() -> (u128, u128) {
     ratios[ratios.len() / 2]
 }
 
-/// Times the sharded-tree gate's two measurements, interleaved like
-/// [`gate_measurements`]: a 4-shard smoke study (numerator) against the
-/// flat streaming study (reference), both on one worker thread so the
-/// only difference is the tree — four 3-server pools instead of one,
-/// plus the shard → aggregator → fleet merge.
-fn gate_sharded_measurements() -> (u128, u128) {
-    use nt_study::ShardOptions;
-    let config = StudyConfig::smoke_test(13);
-    let serial = StreamOptions {
-        workers: Some(1),
-        ..StreamOptions::default()
-    };
-    let tree = ShardOptions {
-        shards: 4,
+/// The smoke study on `shards` shard collectors and one worker thread.
+fn smoke_study(config: &StudyConfig, shards: usize) -> usize {
+    let options = ShardOptions {
+        shards,
         workers: Some(1),
         ..ShardOptions::default()
     };
+    Study::try_run_sharded(config, &options)
+        .expect("smoke study runs")
+        .data
+        .total_records
+}
+
+/// Times the sharded-tree gate's two measurements, interleaved like
+/// [`gate_measurements`]: a 4-shard smoke study (numerator) against the
+/// one-shard study of the same driver (reference), both on one worker
+/// thread so the only difference is the tree — four 3-server pools
+/// instead of one, and four shard partials merged at the fleet root.
+fn gate_sharded_measurements() -> (u128, u128) {
+    let config = StudyConfig::smoke_test(13);
     let mut ratios = Vec::new();
     for block in 0..6 {
         let mut flat_ns = u128::MAX;
         let mut tree_ns = u128::MAX;
         for _round in 0..2 {
             let start = Instant::now();
-            std::hint::black_box(Study::run_streaming(&config, &serial).total_records);
+            std::hint::black_box(smoke_study(&config, 1));
             flat_ns = flat_ns.min(start.elapsed().as_nanos());
             let start = Instant::now();
-            std::hint::black_box(Study::run_sharded(&config, &tree).data.total_records);
+            std::hint::black_box(smoke_study(&config, 4));
             tree_ns = tree_ns.min(start.elapsed().as_nanos());
         }
         if block >= 1 {
@@ -601,60 +605,36 @@ fn main() {
         }),
     });
 
-    // End to end at smoke scale: full study, batch vs streaming driver.
+    // End to end at smoke scale: the full study on one worker thread
+    // and one shard, scheduler-jitter-free.
     let config = StudyConfig::smoke_test(13);
-    {
-        let config = config.clone();
-        benches.push(Bench {
-            name: "smoke_study_batch",
-            elements: 1,
-            run: Box::new(move || {
-                std::hint::black_box(Study::run(&config).total_records);
-            }),
-        });
-    }
-    {
-        let config = config.clone();
-        benches.push(Bench {
-            name: "smoke_study_streaming",
-            elements: 1,
-            run: Box::new(move || {
-                std::hint::black_box(
-                    Study::run_streaming(&config, &StreamOptions::default()).total_records,
-                );
-            }),
-        });
-    }
-    // The same study on one worker thread: scheduler-jitter-free, so the
-    // telemetry-off overhead gate compares against this one.
     {
         let config = config.clone();
         benches.push(Bench {
             name: "smoke_study_serial",
             elements: 1,
             run: Box::new(move || {
-                std::hint::black_box(Study::run_with_workers(&config, 1).total_records);
+                std::hint::black_box(smoke_study(&config, 1));
             }),
         });
     }
     // The same study through the sharded collection tree — the whole
-    // agent → shard → aggregator → fleet reduction, auto-sized workers.
+    // agent → shard → fleet reduction, auto-sized workers.
     {
         let config = config.clone();
         benches.push(Bench {
             name: "sharded_study_smoke",
             elements: 1,
             run: Box::new(move || {
+                let options = ShardOptions {
+                    shards: 4,
+                    ..ShardOptions::default()
+                };
                 std::hint::black_box(
-                    Study::run_sharded(
-                        &config,
-                        &nt_study::ShardOptions {
-                            shards: 4,
-                            ..nt_study::ShardOptions::default()
-                        },
-                    )
-                    .data
-                    .total_records,
+                    Study::try_run_sharded(&config, &options)
+                        .expect("smoke study runs")
+                        .data
+                        .total_records,
                 );
             }),
         });
@@ -666,7 +646,7 @@ fn main() {
     // conservation audit, and the differential tables. Every trace
     // record is replayed once per matrix row.
     {
-        let trace = Study::run(&config).trace_set;
+        let trace = Study::run(&config).expect("study runs").trace_set;
         let replays = trace.records.len() as u64 * 4;
         benches.push(Bench {
             name: "whatif_matrix_smoke",
@@ -709,7 +689,9 @@ fn main() {
 
     // Context the timings need: stream volume and the streaming memory
     // footprint at this scale.
-    let streamed = Study::run_streaming(&config, &StreamOptions::default());
+    let streamed = Study::try_run_sharded(&config, &ShardOptions::default())
+        .expect("smoke study runs")
+        .data;
     let extras = [
         ("smoke_total_records", streamed.total_records as u128),
         ("smoke_stored_bytes", streamed.stored_bytes as u128),

@@ -9,7 +9,7 @@ use nt_bench::{run_study, Scale};
 use nt_study::report;
 
 fn bench_tables(c: &mut Criterion) {
-    let data = run_study(Scale::Smoke, 42);
+    let data = run_study(Scale::Smoke, 42).expect("smoke study runs");
     let mut g = c.benchmark_group("tables");
     g.sample_size(20);
     g.bench_function("table1_summary", |b| {

@@ -20,52 +20,60 @@ fn usage() -> ! {
 
 fn run_replay(data: &nt_study::StudyData) -> String {
     use nt_cache::CacheConfig;
-    use nt_study::{compare_policies, ReplayConfig};
-    let rows = compare_policies(
-        &data.trace_set,
-        [
-            ("nt-defaults", ReplayConfig::default()),
-            (
-                "no-read-ahead",
-                ReplayConfig {
-                    cache: CacheConfig {
-                        readahead_enabled: false,
-                        ..CacheConfig::default()
-                    },
-                    ..ReplayConfig::default()
+    use nt_study::{ReplayConfig, WhatIfStudy};
+    let report = WhatIfStudy::new(ReplayConfig::default())
+        .variant(
+            "no-read-ahead",
+            ReplayConfig {
+                cache: CacheConfig {
+                    readahead_enabled: false,
+                    ..CacheConfig::default()
                 },
-            ),
-            (
-                "write-through",
-                ReplayConfig {
-                    cache: CacheConfig {
-                        force_write_through: true,
-                        ..CacheConfig::default()
-                    },
-                    ..ReplayConfig::default()
+                ..ReplayConfig::default()
+            },
+        )
+        .variant(
+            "write-through",
+            ReplayConfig {
+                cache: CacheConfig {
+                    force_write_through: true,
+                    ..CacheConfig::default()
                 },
-            ),
-            (
-                "irp-only",
-                ReplayConfig {
-                    disable_fastio: true,
-                    ..ReplayConfig::default()
-                },
-            ),
-        ],
-    );
+                ..ReplayConfig::default()
+            },
+        )
+        .variant(
+            "irp-only",
+            ReplayConfig {
+                disable_fastio: true,
+                ..ReplayConfig::default()
+            },
+        )
+        .run_trace_set(&data.trace_set)
+        .unwrap_or_else(|e| {
+            eprintln!("the replay study failed: {e}");
+            std::process::exit(1);
+        });
+    let rows = std::iter::once(("nt-defaults", &report.baseline.total))
+        .chain(report.variants.iter().map(|v| (v.name.as_str(), &v.total)));
     let mut out = String::from("Trace replay under alternative cache policies\n");
     out.push_str(&format!(
         "  {:<16} {:>9} {:>7} {:>8} {:>10} {:>10}\n",
         "policy", "requests", "hit%", "fastio%", "pag.reads", "pag.writes"
     ));
-    for (label, r) in &rows {
+    for (label, r) in rows {
+        let reads = r.fastio_reads + r.irp_reads;
+        let fastio = if reads == 0 {
+            0.0
+        } else {
+            r.fastio_reads as f64 / reads as f64
+        };
         out.push_str(&format!(
             "  {:<16} {:>9} {:>6.0}% {:>7.0}% {:>10} {:>10}\n",
             label,
             r.replayed_requests,
             100.0 * r.hit_rate(),
-            100.0 * r.fastio_read_fraction(),
+            100.0 * fastio,
             r.paging_reads,
             r.paging_writes
         ));
@@ -120,7 +128,10 @@ fn main() {
 
     eprintln!("running the study at {scale:?} scale (seed {seed}) ...");
     let t0 = std::time::Instant::now();
-    let data = run_study(scale, seed);
+    let data = run_study(scale, seed).unwrap_or_else(|fault| {
+        eprintln!("the study failed: {fault}");
+        std::process::exit(1);
+    });
     eprintln!(
         "collected {} records from {} machines in {:.1}s\n",
         data.total_records,

@@ -5,7 +5,7 @@
 //! (`benches/*.rs`) measure the simulator and the analysis pipeline, and
 //! run the DESIGN.md ablations.
 
-use nt_study::{StreamOptions, StreamedStudyData, Study, StudyConfig, StudyData};
+use nt_study::{Study, StudyConfig, StudyData, StudyFault};
 
 pub mod baseline;
 pub use baseline::{check_min_ns, Baseline, BenchCheck, Verdict};
@@ -18,9 +18,12 @@ pub enum Scale {
     /// 45 machines, 1 simulated hour — the default evaluation scale.
     Evaluation,
     /// 45 machines, 4 simulated weeks — the paper's deployment. Expect a
-    /// very long run; use [`run_study_streaming`] at this scale so memory
-    /// stays bounded by analysis state instead of growing with the trace
-    /// (the batch path materializes every record and will not fit).
+    /// very long run. Memory is not bounded by analysis state here: each
+    /// machine keeps its §3.1 snapshots, and those drive resident memory
+    /// growth (3.3 GB peak at 24 simulated hours of the evaluation
+    /// roster, against 22 MB of analysis state). Measure it with the
+    /// benchmark's `peak_rss_mb` metric (`benchmark/README.md`) before
+    /// planning a run; [`run_study`] also retains every record.
     Paper,
 }
 
@@ -45,17 +48,10 @@ impl Scale {
     }
 }
 
-/// Runs a study at the given scale through the batch (materializing)
-/// pipeline.
-pub fn run_study(scale: Scale, seed: u64) -> StudyData {
+/// Runs a study at the given scale with its fact tables retained
+/// ([`Study::run`]).
+pub fn run_study(scale: Scale, seed: u64) -> Result<StudyData, StudyFault> {
     Study::run(&scale.config(seed))
-}
-
-/// Runs a study at the given scale through the streaming pipeline: online
-/// aggregates only, bounded memory, no materialized trace. The only
-/// feasible driver at [`Scale::Paper`].
-pub fn run_study_streaming(scale: Scale, seed: u64) -> StreamedStudyData {
-    Study::run_streaming(&scale.config(seed), &StreamOptions::default())
 }
 
 #[cfg(test)]
@@ -72,7 +68,7 @@ mod tests {
 
     #[test]
     fn smoke_study_runs() {
-        let data = run_study(Scale::Smoke, 5);
+        let data = run_study(Scale::Smoke, 5).expect("smoke study runs");
         assert!(data.total_records > 100);
     }
 }

@@ -1,12 +1,12 @@
-//! Conservation audits and differential cross-checks of the pipeline.
+//! Conservation audits of the pipeline.
 //!
 //! The paper's tables are accounting identities over ~190 M records, so
 //! the reproduction carries its own bookkeeping: every simulator layer
-//! posts debits and credits into [`nt_audit::Ledger`]s —
-//! one per machine plus one fleet-global — and
-//! [`Study::run_audited`] reconciles them at end of run, failing loudly
-//! with the first unbalanced account instead of silently rendering
-//! drifted tables. The accounts tie the layers to each other:
+//! posts debits and credits into [`nt_audit::Ledger`]s — one per
+//! machine, one per shard collector and one for the fleet root — and
+//! [`crate::Study::try_run_sharded`] reconciles them at end of every run,
+//! failing loudly with the first unbalanced account instead of silently
+//! rendering drifted tables. The accounts tie the layers to each other:
 //!
 //! - the I/O dispatcher's request counts against its §10 path split
 //!   (FastIO / IRP / lock conflicts / stat failures);
@@ -18,86 +18,39 @@
 //!   purge, or residue still dirty at shutdown);
 //! - trace events emitted against the agent's intake, the agent's intake
 //!   against delivery + loss, delivery against records analysed, and the
-//!   per-machine deliveries against the pool's global total.
-//!
-//! On top sits [`differential_check`]: the same configuration is run
-//! through the batch path, the streaming path (with retained fact
-//! tables), and trace replay, and the resulting fact tables and replay
-//! behaviour are compared row by row — at whatever scale (and under
-//! whatever fault plan) the caller configures.
+//!   per-machine deliveries against the pool's global total;
+//! - each shard's machines' deliveries against the shard pool's
+//!   head-count, and the shard head-counts against the fleet total.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-use nt_audit::{accounts, Imbalance, Ledger};
+use nt_audit::{accounts, Ledger};
 
-use crate::config::StudyConfig;
-use crate::replay::{replay, ReplayConfig, ReplayReport};
-use crate::shard::{ShardOptions, ShardedStudyData};
-use crate::study::{StreamOptions, StreamedStudyData, Study, StudyFault};
+use crate::shard::ShardedStudyData;
+use crate::study::StudyFault;
 
-/// A streamed study together with its reconciled conservation ledgers.
-pub struct AuditedStudy {
-    /// The study output (streaming pipeline).
-    pub data: StreamedStudyData,
-    /// One reconciled ledger per machine, in machine order.
-    pub ledgers: Vec<Ledger>,
-    /// The fleet-global ledger (pool-level record conservation).
-    pub fleet: Ledger,
-}
-
-impl AuditedStudy {
-    /// Every ledger's account-by-account report, for logging.
-    pub fn report(&self) -> String {
-        let mut out = String::new();
-        for l in &self.ledgers {
-            out.push_str(&l.report());
-        }
-        out.push_str(&self.fleet.report());
-        out
-    }
-}
-
-/// Why [`Study::run_audited`] failed.
-#[derive(Debug)]
-pub enum AuditFailure {
-    /// The run itself did not complete (worker or collector panic).
-    Study(StudyFault),
-    /// The run completed but a conservation account did not balance.
-    Drift {
-        /// The first unbalanced account.
-        imbalance: Imbalance,
-        /// The full report of the ledger that failed, for diagnosis.
-        report: String,
-    },
-}
-
-impl fmt::Display for AuditFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AuditFailure::Study(fault) => fault.fmt(f),
-            AuditFailure::Drift { imbalance, report } => {
-                write!(f, "{imbalance}\n{report}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for AuditFailure {}
-
-impl From<StudyFault> for AuditFailure {
-    fn from(fault: StudyFault) -> Self {
-        AuditFailure::Study(fault)
-    }
-}
-
-/// Builds the per-machine and fleet ledgers from a finished run by
-/// letting each layer post its own side of every account.
-fn build_ledgers(data: &StreamedStudyData) -> (Vec<Ledger>, Ledger) {
-    let analysed: BTreeMap<u32, u64> = data.summary.machine_records.iter().copied().collect();
-    let mut ledgers = Vec::with_capacity(data.machines.len());
+/// Builds the three ledger tiers of a run by letting each layer post its
+/// own side of every account. Public so callers can read the books of a
+/// finished run, and so the audit suite can rebuild ledgers from
+/// deliberately perturbed shard reports and prove the reconciliation
+/// names the offending shard.
+///
+/// - Each **machine** ledger posts the full per-layer accounts: I/O,
+///   cache, VM, the agent's loss ledger, and the records analysed.
+/// - Each **shard** ledger balances [`accounts::SHARD_RECORDS`]: the
+///   shard's machines' delivered records (debit) against the shard
+///   pool's own head-count (credit).
+/// - The **fleet** ledger balances [`accounts::POOL_RECORDS`] (every
+///   machine's deliveries vs the fleet total) and
+///   [`accounts::FLEET_ROLLUP_RECORDS`] (per-shard pool totals vs the
+///   fleet total) — the roll-up leg that makes a drifting shard visible
+///   at the root even when every machine balances.
+pub fn sharded_ledgers(data: &ShardedStudyData) -> (Vec<Ledger>, Vec<Ledger>, Ledger) {
+    let run = &data.data;
+    let analysed: BTreeMap<u32, u64> = run.summary.machine_records.iter().copied().collect();
+    let mut ledgers = Vec::with_capacity(run.machines.len());
     let mut fleet = Ledger::new("fleet");
-    for m in &data.machines {
+    for m in &run.machines {
         let mut ledger = Ledger::new(format!("machine-{}", m.id.0));
         m.io.post_conservation(&mut ledger);
         m.cache
@@ -111,308 +64,64 @@ fn build_ledgers(data: &StreamedStudyData) -> (Vec<Ledger>, Ledger) {
         fleet.debit(accounts::POOL_RECORDS, m.loss.delivered);
         ledgers.push(ledger);
     }
-    fleet.credit(accounts::POOL_RECORDS, data.total_records as u64);
-    (ledgers, fleet)
-}
-
-impl Study {
-    /// [`Study::run_streaming`] with end-of-run conservation auditing.
-    ///
-    /// Each machine's layers post their debits and credits into the
-    /// machine's ledger; the pool totals post into the fleet ledger; and
-    /// every ledger is reconciled before the data is handed back. The
-    /// first unbalanced account aborts the run with
-    /// [`AuditFailure::Drift`], carrying the offending ledger's full
-    /// report — counters that drift apart are a bug in the pipeline, not
-    /// a property of the workload, so the caller must never see them as
-    /// data.
-    pub fn run_audited(
-        config: &StudyConfig,
-        options: &StreamOptions,
-    ) -> Result<AuditedStudy, AuditFailure> {
-        let data = Self::try_run_streaming(config, options)?;
-        let (ledgers, fleet) = build_ledgers(&data);
-        for ledger in ledgers.iter().chain(std::iter::once(&fleet)) {
-            if let Err(imbalance) = ledger.reconcile() {
-                // Drift is a pipeline bug: capture the black box before
-                // surfacing it (a no-op if a loss dump already fired).
-                data.dump_flight_recorder(&format!("conservation-drift: {imbalance}"));
-                return Err(AuditFailure::Drift {
-                    imbalance,
-                    report: ledger.report(),
-                });
-            }
-        }
-        Ok(AuditedStudy {
-            data,
-            ledgers,
-            fleet,
-        })
-    }
-}
-
-/// A sharded study with reconciled conservation ledgers at every tier:
-/// machine, shard collector, and fleet root.
-pub struct ShardedAudit {
-    /// The study output (sharded streaming pipeline).
-    pub data: ShardedStudyData,
-    /// One reconciled ledger per machine, in machine order.
-    pub ledgers: Vec<Ledger>,
-    /// One reconciled ledger per shard collector, in shard order.
-    pub shard_ledgers: Vec<Ledger>,
-    /// The fleet-root ledger: the flat pool account plus the sharded
-    /// roll-up account.
-    pub fleet: Ledger,
-}
-
-/// Builds the three ledger tiers of a sharded run. Public so the audit
-/// suite can rebuild ledgers from deliberately perturbed shard reports
-/// and prove the reconciliation names the offending shard.
-///
-/// - Each **machine** ledger posts the full per-layer accounts, exactly
-///   like the flat audit.
-/// - Each **shard** ledger balances [`accounts::SHARD_RECORDS`]: the
-///   shard's machines' delivered records (debit) against the shard
-///   pool's own head-count (credit).
-/// - The **fleet** ledger balances [`accounts::POOL_RECORDS`] (every
-///   machine's deliveries vs the fleet total, as in the flat audit) and
-///   [`accounts::FLEET_ROLLUP_RECORDS`] (per-shard pool totals vs the
-///   fleet total) — the roll-up leg that makes a drifting shard visible
-///   at the root even when every machine balances.
-pub fn sharded_ledgers(data: &ShardedStudyData) -> (Vec<Ledger>, Vec<Ledger>, Ledger) {
-    let (ledgers, mut fleet) = build_ledgers(&data.data);
+    fleet.credit(accounts::POOL_RECORDS, run.total_records as u64);
     let mut shard_ledgers = Vec::with_capacity(data.shards.len());
     for report in &data.shards {
         let mut ledger = Ledger::new(format!("shard-{}", report.shard));
-        for m in &data.data.machines[report.machines.clone()] {
+        for m in &run.machines[report.machines.clone()] {
             ledger.debit(accounts::SHARD_RECORDS, m.loss.delivered);
         }
         ledger.credit(accounts::SHARD_RECORDS, report.total_records as u64);
         shard_ledgers.push(ledger);
         fleet.debit(accounts::FLEET_ROLLUP_RECORDS, report.total_records as u64);
     }
-    fleet.credit(
-        accounts::FLEET_ROLLUP_RECORDS,
-        data.data.total_records as u64,
-    );
+    fleet.credit(accounts::FLEET_ROLLUP_RECORDS, run.total_records as u64);
     (ledgers, shard_ledgers, fleet)
 }
 
-impl Study {
-    /// [`Study::run_sharded`] with end-of-run conservation auditing
-    /// across all three tiers. Reconciliation order is bottom-up —
-    /// machines, then shards, then the fleet root — so the first
-    /// [`AuditFailure::Drift`] names the lowest tier that broke.
-    pub fn run_sharded_audited(
-        config: &StudyConfig,
-        options: &ShardOptions,
-    ) -> Result<ShardedAudit, AuditFailure> {
-        let data = Self::try_run_sharded(config, options)?;
-        let (ledgers, shard_ledgers, fleet) = sharded_ledgers(&data);
-        for ledger in ledgers
-            .iter()
-            .chain(shard_ledgers.iter())
-            .chain(std::iter::once(&fleet))
-        {
-            if let Err(imbalance) = ledger.reconcile() {
-                data.data
-                    .dump_flight_recorder(&format!("conservation-drift: {imbalance}"));
-                return Err(AuditFailure::Drift {
-                    imbalance,
-                    report: ledger.report(),
-                });
-            }
+/// Reconciles every ledger of a run bottom-up — machines, then shards,
+/// then the fleet root — so the first [`StudyFault::Drift`] names the
+/// lowest tier that broke.
+pub(crate) fn reconcile(data: &ShardedStudyData) -> Result<(), StudyFault> {
+    let (machines, shards, fleet) = sharded_ledgers(data);
+    for ledger in machines.iter().chain(&shards).chain([&fleet]) {
+        if let Err(imbalance) = ledger.reconcile() {
+            return Err(StudyFault::Drift {
+                imbalance,
+                report: ledger.report(),
+            });
         }
-        Ok(ShardedAudit {
-            data,
-            ledgers,
-            shard_ledgers,
-            fleet,
-        })
     }
+    Ok(())
 }
 
-/// Row-level drift of one fact table between the batch and streaming
-/// builds.
-#[derive(Clone, Copy, Debug)]
-pub struct TableDrift {
-    /// Table name (`records`, `instances`, `names`).
-    pub table: &'static str,
-    /// Rows in the batch-built table.
-    pub batch_rows: usize,
-    /// Rows in the streaming-built table.
-    pub streaming_rows: usize,
-    /// Rows that differ (position-wise for ordered tables, key-wise for
-    /// the name map), plus rows present on only one side.
-    pub mismatches: usize,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::StudyConfig;
+    use crate::shard::ShardOptions;
+    use crate::study::Study;
 
-impl TableDrift {
-    /// True when the two builds agree exactly.
-    pub fn clean(&self) -> bool {
-        self.mismatches == 0 && self.batch_rows == self.streaming_rows
-    }
-}
-
-/// What [`differential_check`] produces.
-#[derive(Debug)]
-pub struct DifferentialReport {
-    /// Per-table drift, batch vs streaming.
-    pub tables: Vec<TableDrift>,
-    /// The batch-built tables replayed through a fresh stack.
-    pub replay_batch: ReplayReport,
-    /// The streaming-built tables replayed identically.
-    pub replay_streaming: ReplayReport,
-    /// Records collected by the batch run.
-    pub batch_records: usize,
-    /// Records collected by the streaming run.
-    pub streaming_records: usize,
-}
-
-impl DifferentialReport {
-    /// True when every table matches and the two replays behaved
-    /// identically.
-    pub fn clean(&self) -> bool {
-        self.tables.iter().all(TableDrift::clean) && self.replays_agree()
-    }
-
-    /// True when replaying either build drives the fresh stack the same
-    /// way (a drift here with clean tables means replay is order- or
-    /// content-sensitive to something the row comparison missed).
-    pub fn replays_agree(&self) -> bool {
-        let a = &self.replay_batch;
-        let b = &self.replay_streaming;
-        (
-            a.replayed_requests,
-            a.skipped_records,
-            a.read_hits,
-            a.read_misses,
-            a.fastio_reads,
-            a.irp_reads,
-            a.paging_reads,
-            a.paging_writes,
-            a.demand_read_bytes,
-            a.readahead_bytes,
-        ) == (
-            b.replayed_requests,
-            b.skipped_records,
-            b.read_hits,
-            b.read_misses,
-            b.fastio_reads,
-            b.irp_reads,
-            b.paging_reads,
-            b.paging_writes,
-            b.demand_read_bytes,
-            b.readahead_bytes,
-        )
-    }
-
-    /// One line per table plus the replay verdict, for logging.
-    pub fn render(&self) -> String {
-        use fmt::Write;
-        let mut out = String::new();
-        for t in &self.tables {
-            let state = if t.clean() { "ok" } else { "DRIFT" };
-            let _ = writeln!(
-                out,
-                "  {:<10} batch {:>9} streaming {:>9} mismatched {:>9} {state}",
-                t.table, t.batch_rows, t.streaming_rows, t.mismatches
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  replay     {}",
-            if self.replays_agree() { "ok" } else { "DRIFT" }
+    #[test]
+    fn an_over_reporting_shard_is_a_drift_fault_naming_it() {
+        let config = StudyConfig::smoke_test(406);
+        let options = ShardOptions {
+            shards: 2,
+            ..ShardOptions::default()
+        };
+        let mut data = Study::try_run_sharded(&config, &options).expect("clean run balances");
+        reconcile(&data).expect("the driver already reconciled these books");
+        data.shards[1].total_records += 3;
+        let fault = reconcile(&data).expect_err("a cooked head-count is drift");
+        let StudyFault::Drift { imbalance, report } = &fault else {
+            panic!("expected drift, got {fault}");
+        };
+        assert_eq!(
+            imbalance.scope, "shard-1",
+            "shards reconcile before the root"
         );
-        out
+        assert_eq!(imbalance.account, accounts::SHARD_RECORDS);
+        assert!(report.contains("DRIFT"), "{report}");
+        assert!(fault.to_string().contains("shard-1"), "{fault}");
     }
-}
-
-/// Positional mismatch count of two ordered tables: rows that differ at
-/// the same index, plus the length difference.
-fn slice_mismatches<T: PartialEq>(a: &[T], b: &[T]) -> usize {
-    let shared = a.len().min(b.len());
-    let differing = (0..shared).filter(|&i| a[i] != b[i]).count();
-    differing + a.len().abs_diff(b.len())
-}
-
-/// Positional mismatch count of two columnar fact tables: rows that
-/// differ at the same index, plus the length difference.
-fn fact_mismatches(a: &nt_analysis::FactTable, b: &nt_analysis::FactTable) -> usize {
-    let shared = a.len().min(b.len());
-    let differing = (0..shared)
-        .filter(|&i| a.machine_at(i) != b.machine_at(i) || a.get(i) != b.get(i))
-        .count();
-    differing + a.len().abs_diff(b.len())
-}
-
-/// Runs the same configuration through the batch pipeline, the streaming
-/// pipeline (with retained fact tables), and trace replay, and compares
-/// the three leg by leg. Scale and fault plan come from `config` — this
-/// is the harness the audit suite runs well beyond smoke scale, with
-/// fault injection active, to prove the paths agree record for record.
-pub fn differential_check(
-    config: &StudyConfig,
-    replay_config: &ReplayConfig,
-) -> Result<DifferentialReport, StudyFault> {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(config.machines.len().max(1));
-    let batch = Study::try_run_with_workers(config, workers)?;
-    let streaming = Study::try_run_streaming(
-        config,
-        &StreamOptions {
-            retain: true,
-            ..StreamOptions::default()
-        },
-    )?;
-    let streamed_tables = streaming
-        .trace_set
-        .as_ref()
-        .expect("retain mode keeps the fact tables");
-
-    let bt = &batch.trace_set;
-    let mut tables = vec![
-        TableDrift {
-            table: "records",
-            batch_rows: bt.records.len(),
-            streaming_rows: streamed_tables.records.len(),
-            mismatches: fact_mismatches(&bt.records, &streamed_tables.records),
-        },
-        TableDrift {
-            table: "instances",
-            batch_rows: bt.instances.len(),
-            streaming_rows: streamed_tables.instances.len(),
-            mismatches: slice_mismatches(&bt.instances, &streamed_tables.instances),
-        },
-    ];
-    // The name table is keyed, not ordered: count keys whose values
-    // disagree plus keys present on one side only.
-    let name_mismatches = bt
-        .names
-        .iter()
-        .filter(|(k, v)| streamed_tables.names.get(*k) != Some(*v))
-        .count()
-        + streamed_tables
-            .names
-            .keys()
-            .filter(|k| !bt.names.contains_key(*k))
-            .count();
-    tables.push(TableDrift {
-        table: "names",
-        batch_rows: bt.names.len(),
-        streaming_rows: streamed_tables.names.len(),
-        mismatches: name_mismatches,
-    });
-
-    let replay_batch = replay(bt, replay_config);
-    let replay_streaming = replay(streamed_tables, replay_config);
-    Ok(DifferentialReport {
-        tables,
-        replay_batch,
-        replay_streaming,
-        batch_records: batch.total_records,
-        streaming_records: streaming.total_records,
-    })
 }

@@ -8,7 +8,7 @@
 //! the study seed, bit-for-bit reproducibly — into concrete
 //! [`TickWindow`]s per machine and per collection server, which
 //! [`crate::MachineRun::simulate_with_faults`] and the
-//! [`nt_trace::CollectorPool`] then enact.
+//! [`nt_trace::StreamingPool`] then enact.
 //!
 //! Determinism is load-bearing: every draw comes from a dedicated fault
 //! stream (`rng_for(seed, &[FAULT_STREAM, …])`), never from the machine

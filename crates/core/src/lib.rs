@@ -14,7 +14,7 @@
 //!
 //! // A small deployment: one machine per usage category, short period.
 //! let config = StudyConfig::smoke_test(42);
-//! let data = Study::run(&config);
+//! let data = Study::run(&config).expect("a clean study balances its books");
 //! assert!(data.trace_set.records.len() > 100);
 //! let table2 = nt_study::report::table2(&data);
 //! assert!(table2.contains("10-minute"));
@@ -32,10 +32,7 @@ pub mod synthetic;
 pub mod warehouse;
 pub mod whatif;
 
-pub use audit::{
-    differential_check, sharded_ledgers, AuditFailure, AuditedStudy, DifferentialReport,
-    ShardedAudit, TableDrift,
-};
+pub use audit::sharded_ledgers;
 pub use config::{MachineSpec, StudyConfig};
 pub use fault::{FaultPlan, FaultSchedule, MachineFaults};
 pub use nt_obs::{
@@ -43,17 +40,12 @@ pub use nt_obs::{
     Phase, RecorderScope, RuntimeProfile, ShipmentTracer, Telemetry, TelemetryConfig,
     TelemetryOptions, TraceContext, Watchdog,
 };
-pub use replay::{
-    compare_policies, replay, replay_stream, MachineVariantOutcome, ReplayConfig, ReplayReport,
-    ReplayStream,
-};
+pub use replay::{replay_stream, MachineVariantOutcome, ReplayConfig, ReplayStream};
 pub use run::MachineRun;
 pub use shard::{ShardOptions, ShardReport, ShardedStudyData};
-pub use study::{
-    LossReport, MachineOutput, StreamOptions, StreamedStudyData, Study, StudyData, StudyFault,
-};
+pub use study::{LossReport, MachineOutput, StreamedStudyData, Study, StudyData, StudyFault};
 pub use synthetic::SyntheticBench;
-pub use warehouse::WarehouseIngest;
+pub use warehouse::{StreamOptions, WarehouseIngest};
 pub use whatif::{
     audit_variant, extract_streams, variant_ledgers, LiveSource, VariantRun, WhatIfError,
     WhatIfReport, WhatIfStudy,

@@ -9,8 +9,7 @@
 //! and reports how the new policies would have behaved — the §9
 //! ablation instrument. The fleet-level orchestration (variant matrices,
 //! work-stealing fan-out, conservation audits) lives in
-//! [`crate::whatif`]; the one-shot [`replay`]/[`compare_policies`]
-//! helpers below are thin wrappers kept for small interactive studies.
+//! [`crate::whatif`]; [`replay_stream`] is its unit of work.
 //!
 //! Paging records in the input are skipped: they are an *output* of the
 //! original cache policy and are regenerated by the replayed one.
@@ -57,53 +56,6 @@ impl Default for ReplayConfig {
             disable_fastio: false,
             cache_budget_bytes: m.cache_budget_bytes,
             disk: DiskParams::local_ide(),
-        }
-    }
-}
-
-/// What the replayed stack did with the trace (fleet aggregate).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReplayReport {
-    /// Application-level requests replayed (opens + reads + writes).
-    pub replayed_requests: u64,
-    /// Requests skipped (paging records, failed opens, unknown handles).
-    pub skipped_records: u64,
-    /// Copy-read hits in the replayed cache.
-    pub read_hits: u64,
-    /// Copy-read misses.
-    pub read_misses: u64,
-    /// Reads served on the FastIO path.
-    pub fastio_reads: u64,
-    /// Reads on the IRP path.
-    pub irp_reads: u64,
-    /// Paging reads the replayed stack issued.
-    pub paging_reads: u64,
-    /// Paging writes (lazy writer + write-through).
-    pub paging_writes: u64,
-    /// Bytes the replayed stack moved from disk for reads.
-    pub demand_read_bytes: u64,
-    /// Bytes prefetched by the replayed read-ahead.
-    pub readahead_bytes: u64,
-}
-
-impl ReplayReport {
-    /// Replayed copy-read hit rate in [0, 1].
-    pub fn hit_rate(&self) -> f64 {
-        let t = self.read_hits + self.read_misses;
-        if t == 0 {
-            0.0
-        } else {
-            self.read_hits as f64 / t as f64
-        }
-    }
-
-    /// FastIO share of replayed reads.
-    pub fn fastio_read_fraction(&self) -> f64 {
-        let t = self.fastio_reads + self.irp_reads;
-        if t == 0 {
-            0.0
-        } else {
-            self.fastio_reads as f64 / t as f64
         }
     }
 }
@@ -406,45 +358,12 @@ pub fn replay_stream(stream: &ReplayStream, config: &ReplayConfig) -> MachineVar
     }
 }
 
-/// Replays the application-level records of `ts` under `config`,
-/// machine by machine in ascending id order.
-pub fn replay(ts: &TraceSet, config: &ReplayConfig) -> ReplayReport {
-    let mut report = ReplayReport::default();
-    for stream in ReplayStream::from_trace_set(ts) {
-        let facts = replay_stream(&stream, config).facts;
-        report.replayed_requests += facts.replayed_requests;
-        report.skipped_records += facts.skipped_records;
-        report.read_hits += facts.read_hits;
-        report.read_misses += facts.read_misses;
-        report.demand_read_bytes += facts.demand_read_bytes;
-        report.readahead_bytes += facts.readahead_bytes;
-        report.fastio_reads += facts.fastio_reads;
-        report.irp_reads += facts.irp_reads;
-        report.paging_reads += facts.paging_reads;
-        report.paging_writes += facts.paging_writes;
-    }
-    report
-}
-
-/// Replays under several configurations, returning `(label, report)`
-/// rows — the §9 policy-comparison harness. For variant matrices with
-/// differential tables, audits and parallel scheduling, use
-/// [`crate::whatif::WhatIfStudy`].
-pub fn compare_policies<'a>(
-    ts: &TraceSet,
-    configs: impl IntoIterator<Item = (&'a str, ReplayConfig)>,
-) -> Vec<(String, ReplayReport)> {
-    configs
-        .into_iter()
-        .map(|(label, c)| (label.to_string(), replay(ts, &c)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::StudyConfig;
     use crate::study::Study;
+    use crate::whatif::WhatIfStudy;
     use std::sync::OnceLock;
 
     struct Holder {
@@ -454,14 +373,26 @@ mod tests {
     fn trace() -> &'static Holder {
         static DATA: OnceLock<Holder> = OnceLock::new();
         DATA.get_or_init(|| Holder {
-            ts: Study::run(&StudyConfig::smoke_test(55)).trace_set,
+            ts: Study::run(&StudyConfig::smoke_test(55))
+                .expect("smoke study runs")
+                .trace_set,
         })
+    }
+
+    /// The fleet-total replay facts of `ts` under `config`, machine by
+    /// machine in ascending id order.
+    fn total(ts: &TraceSet, config: &ReplayConfig) -> ReplayFacts {
+        let rows: Vec<ReplayFacts> = ReplayStream::from_trace_set(ts)
+            .iter()
+            .map(|s| replay_stream(s, config).facts)
+            .collect();
+        ReplayFacts::fleet_total(&rows)
     }
 
     #[test]
     fn replay_reproduces_comparable_traffic() {
         let ts = &trace().ts;
-        let baseline = replay(ts, &ReplayConfig::default());
+        let baseline = total(ts, &ReplayConfig::default());
         assert!(baseline.replayed_requests > 500, "{baseline:?}");
         assert!(baseline.read_hits + baseline.read_misses > 0);
         assert!(baseline.hit_rate() > 0.2, "{}", baseline.hit_rate());
@@ -470,8 +401,8 @@ mod tests {
     #[test]
     fn readahead_off_hurts_hit_rate() {
         let ts = &trace().ts;
-        let on = replay(ts, &ReplayConfig::default());
-        let off = replay(
+        let on = total(ts, &ReplayConfig::default());
+        let off = total(
             ts,
             &ReplayConfig {
                 cache: CacheConfig {
@@ -493,7 +424,7 @@ mod tests {
     #[test]
     fn fastio_disabled_moves_reads_to_irp() {
         let ts = &trace().ts;
-        let r = replay(
+        let r = total(
             ts,
             &ReplayConfig {
                 disable_fastio: true,
@@ -507,23 +438,15 @@ mod tests {
     #[test]
     fn ssd_class_disk_cuts_disk_busy_time() {
         let ts = &trace().ts;
-        let streams = ReplayStream::from_trace_set(ts);
-        let ide: u64 = streams
-            .iter()
-            .map(|s| {
-                replay_stream(s, &ReplayConfig::default())
-                    .facts
-                    .disk_busy_ticks
-            })
-            .sum();
-        let ssd_config = ReplayConfig {
-            disk: DiskParams::ssd_class(),
-            ..ReplayConfig::default()
-        };
-        let ssd: u64 = streams
-            .iter()
-            .map(|s| replay_stream(s, &ssd_config).facts.disk_busy_ticks)
-            .sum();
+        let ide = total(ts, &ReplayConfig::default()).disk_busy_ticks;
+        let ssd = total(
+            ts,
+            &ReplayConfig {
+                disk: DiskParams::ssd_class(),
+                ..ReplayConfig::default()
+            },
+        )
+        .disk_busy_ticks;
         assert!(ide > 0 && ssd > 0);
         assert!(
             ssd * 10 < ide,
@@ -532,25 +455,22 @@ mod tests {
     }
 
     #[test]
-    fn compare_policies_labels_rows() {
+    fn tiny_cache_cannot_beat_the_baseline() {
         let ts = &trace().ts;
-        let rows = compare_policies(
-            ts,
-            [
-                ("baseline", ReplayConfig::default()),
-                (
-                    "tiny-cache",
-                    ReplayConfig {
-                        cache_budget_bytes: 64 << 10,
-                        ..ReplayConfig::default()
-                    },
-                ),
-            ],
-        );
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, "baseline");
-        // A tiny budget cannot beat the baseline.
-        assert!(rows[1].1.hit_rate() <= rows[0].1.hit_rate() + 0.05);
+        let report = WhatIfStudy::new(ReplayConfig::default())
+            .variant(
+                "tiny-cache",
+                ReplayConfig {
+                    cache_budget_bytes: 64 << 10,
+                    ..ReplayConfig::default()
+                },
+            )
+            .run_trace_set(ts)
+            .expect("variants reconcile");
+        assert_eq!(report.variants.len(), 1);
+        assert_eq!(report.variants[0].name, "tiny-cache");
+        let (baseline, tiny) = (&report.baseline.total, &report.variants[0].total);
+        assert!(tiny.hit_rate() <= baseline.hit_rate() + 0.05);
     }
 
     /// The PR 1/8 nondeterminism class, closed here: with `HashMap`s for

@@ -940,7 +940,7 @@ mod tests {
 
     fn data() -> &'static StudyData {
         static DATA: OnceLock<StudyData> = OnceLock::new();
-        DATA.get_or_init(|| Study::run(&StudyConfig::smoke_test(17)))
+        DATA.get_or_init(|| Study::run(&StudyConfig::smoke_test(17)).expect("smoke study runs"))
     }
 
     #[test]

@@ -142,10 +142,16 @@ impl MachineRun {
                 let f = vol
                     .create_file(data, &format!("run{i}.mat"), SimTime::ZERO)
                     .expect("fresh file");
-                // §6.1: 100–300 MB simulation files.
-                let size = rng.gen_range(100..300u64) << 20;
+                // §6.1: 100–300 MB simulation files, clamped to what the
+                // volume has left after its initial content. The draw
+                // happens either way, so the RNG stream — and every
+                // machine that fits — is unchanged. Free space is a
+                // whole number of clusters, so the clamped size fits.
+                let stats = vol.stats();
+                let free = stats.capacity - stats.allocated_bytes;
+                let size = (rng.gen_range(100..300u64) << 20).min(free);
                 vol.set_file_size(f, size, SimTime::ZERO)
-                    .expect("capacity reserved for data sets");
+                    .expect("a data set clamped to the free space fits");
             }
         }
         // The user's share holds some documents.
@@ -619,5 +625,27 @@ mod tests {
         };
         assert_eq!(count(9), count(9), "same seed, same trace");
         assert_ne!(count(9), count(10), "different seed, different trace");
+    }
+
+    #[test]
+    fn scientific_data_sets_never_overflow_the_volume() {
+        // Seed 612 is the first evaluation seed whose scientific machine
+        // draws more data-set bytes than its volume has left after the
+        // initial content; the sizes are clamped to the free space.
+        let config = StudyConfig::evaluation(612);
+        let mut built = 0;
+        for (index, spec) in config.machines.iter().enumerate() {
+            if spec.category != UsageCategory::Scientific {
+                continue;
+            }
+            let run = MachineRun::build(&config, index, spec);
+            let ns = run.machine.namespace();
+            for id in ns.volume_ids() {
+                let stats = ns.volume(id).expect("mounted volume").stats();
+                assert!(stats.allocated_bytes <= stats.capacity, "machine {index}");
+            }
+            built += 1;
+        }
+        assert!(built > 0, "the evaluation roster has scientific machines");
     }
 }

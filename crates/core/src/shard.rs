@@ -1,5 +1,4 @@
-//! The sharded collection tree: agent → shard collector → aggregator →
-//! fleet.
+//! The study driver: agent → shard collector → fleet.
 //!
 //! The paper traced 45 desktops through three collection servers; the
 //! org-scale question is what the same pipeline looks like at 1,000 or
@@ -8,10 +7,10 @@
 //! [`AnalysisSet`] (so per-shard analysis state is bounded by the
 //! shard's machine count, not the fleet's), runs every machine
 //! simulation on one fleet-wide work-stealing pool
-//! ([`nt_trace::steal`]), and reduces the per-shard
-//! [`ShardSummary`] partials hierarchically — shards into aggregators,
-//! aggregators into the fleet root, where tail alphas and (under
-//! retain) the exact fact tables are computed once.
+//! ([`nt_trace::steal`]), and merges the per-shard [`ShardSummary`]
+//! partials at the fleet root, where tail alphas and (under retain) the
+//! exact fact tables are computed once. One shard is the paper's flat
+//! topology; it is the only pipeline the study has.
 //!
 //! The load-bearing invariant: **shard count and worker count are pure
 //! performance knobs.** Every machine derives its faults from its fleet
@@ -38,19 +37,18 @@ use crate::study::{
     Study, StudyFault,
 };
 
-/// Knobs of the sharded driver. The defaults reproduce the flat
-/// topology (one shard, auto-sized workers).
+/// Knobs of the study driver. The defaults reproduce the flat topology
+/// (one shard, auto-sized workers).
 #[derive(Clone, Debug)]
 pub struct ShardOptions {
     /// Number of shard collectors; clamped to `1..=machines`.
     pub shards: usize,
     /// Worker threads for the fleet-wide work-stealing pool; `None`
-    /// sizes like [`Study::run`].
+    /// means one per available core.
     pub workers: Option<usize>,
-    /// Shards merged per aggregator at the middle tier.
-    pub aggregator_fanout: usize,
-    /// Keep raw records and rebuild the exact fact tables (identity
-    /// testing only — defeats the memory bound).
+    /// Keep raw records and rebuild the exact fact tables — what
+    /// [`Study::run`] does for the report code; defeats the memory
+    /// bound.
     pub retain: bool,
     /// Spill directory for the tail-analysis sample runs; shared across
     /// shards (run files are namespaced by machine id).
@@ -66,7 +64,6 @@ impl Default for ShardOptions {
         ShardOptions {
             shards: 1,
             workers: None,
-            aggregator_fanout: 4,
             retain: false,
             spill_dir: None,
             warehouse: None,
@@ -95,15 +92,13 @@ pub struct ShardReport {
     pub findings: Vec<HealthFinding>,
 }
 
-/// A sharded streaming run: the fleet-level data (same shape as the
-/// flat [`Study::run_streaming`] output) plus the per-tier accounting.
+/// What the study driver produces: the fleet-level data plus the
+/// per-shard accounting.
 pub struct ShardedStudyData {
-    /// The fleet-root study data, bit-identical to a flat run.
+    /// The fleet-root study data, bit-identical for every shard count.
     pub data: StreamedStudyData,
     /// Per-shard reports, in shard order.
     pub shards: Vec<ShardReport>,
-    /// Aggregators the middle tier used (`ceil(shards / fanout)`).
-    pub aggregators: usize,
 }
 
 /// Contiguous, near-even split of `0..n` into `k` ranges (the first
@@ -124,32 +119,44 @@ pub(crate) fn shard_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 impl Study {
-    /// [`Study::run_streaming`] over the sharded collection tree.
-    pub fn run_sharded(config: &StudyConfig, options: &ShardOptions) -> ShardedStudyData {
-        Self::try_run_sharded(config, options).unwrap_or_else(|fault| panic!("{fault}"))
-    }
-
-    /// [`Study::run_sharded`], with worker and collection-server panics
-    /// surfaced as a [`StudyFault`] instead of re-raised.
+    /// Runs every machine of the deployment through the sharded
+    /// collection tree and audits the result.
+    ///
+    /// Machines are independent (separate engines, separate RNG streams)
+    /// and run on worker threads; their agents stream trace buffers to
+    /// their shard's three collection-server threads — the §3 topology —
+    /// which forward every buffer into per-machine analysis sinks
+    /// instead of storing it, so memory stays bounded by live analysis
+    /// state rather than by trace volume (unless `options.retain` keeps
+    /// the fact tables).
+    ///
+    /// Before it returns, the driver reconciles every conservation
+    /// ledger of [`crate::sharded_ledgers`] bottom-up — machines, then
+    /// shards, then the fleet root — so the first
+    /// [`StudyFault::Drift`] names the lowest tier that broke. Worker
+    /// and collection-server panics come back as a [`StudyFault`] too.
+    /// Every fault dumps the flight recorder (exactly once per run), as
+    /// does a run that lost records under `dump_on_loss`.
     pub fn try_run_sharded(
         config: &StudyConfig,
         options: &ShardOptions,
     ) -> Result<ShardedStudyData, StudyFault> {
         let instruments = Instruments::for_config(config);
-        let result = Self::sharded_run_inner(config, options, &instruments);
-        match &result {
-            Err(fault) => dump_flight_recorder(
-                &instruments.recorder,
-                config,
-                &format!("study-fault: {fault}"),
-            ),
-            Ok(sharded) if instruments.dump_on_loss && sharded.data.total_lost() > 0 => {
-                sharded.data.dump_flight_recorder(&format!(
-                    "loss-on-shutdown: {} records lost",
-                    sharded.data.total_lost()
-                ));
+        let result = Self::sharded_run_inner(config, options, &instruments)
+            .and_then(|data| crate::audit::reconcile(&data).map(|()| data));
+        let reason = match &result {
+            Err(StudyFault::Drift { imbalance, .. }) => {
+                Some(format!("conservation-drift: {imbalance}"))
             }
-            Ok(_) => {}
+            Err(fault) => Some(format!("study-fault: {fault}")),
+            Ok(run) if instruments.dump_on_loss && run.data.total_lost() > 0 => Some(format!(
+                "loss-on-shutdown: {} records lost",
+                run.data.total_lost()
+            )),
+            Ok(_) => None,
+        };
+        if let Some(reason) = reason {
+            dump_flight_recorder(&instruments.recorder, config, &reason);
         }
         result
     }
@@ -221,7 +228,7 @@ impl Study {
                     }),
                     None => Arc::clone(c) as Arc<dyn ShipmentConsumer>,
                 };
-                StreamingPool::start_traced(
+                StreamingPool::start(
                     3,
                     schedule.collectors.clone(),
                     consumer,
@@ -291,8 +298,10 @@ impl Study {
         let mut machines: Vec<MachineOutput> = outputs.into_iter().flatten().collect();
         machines.sort_by_key(|m| m.id);
 
-        // Shard tier: close each shard's sinks into a mergeable partial.
-        let mut shard_summaries: Vec<ShardSummary> = Vec::with_capacity(consumers.len());
+        // Shard tier: close each shard's sinks into a mergeable partial,
+        // and merge it straight into the fleet root. Merges are exact, so
+        // no grouping of them could show in the result.
+        let mut fleet = ShardSummary::default();
         let mut shards = Vec::with_capacity(consumers.len());
         let end_ticks = config.duration.ticks();
         for (s, consumer) in consumers.into_iter().enumerate() {
@@ -334,27 +343,7 @@ impl Study {
                 peak_state_bytes: partial.summary.peak_state_bytes,
                 findings,
             });
-            shard_summaries.push(partial);
-        }
-
-        // Aggregator tier: contiguous groups of `fanout` shards merge
-        // first, then the fleet root merges the aggregators. Exactness
-        // of the partial merge makes this tree shape (or any other)
-        // invisible in the result.
-        let fanout = options.aggregator_fanout.max(1);
-        let mut aggregators_tier: Vec<ShardSummary> = Vec::new();
-        let mut iter = shard_summaries.into_iter().peekable();
-        while iter.peek().is_some() {
-            let mut aggregator = ShardSummary::default();
-            for partial in iter.by_ref().take(fanout) {
-                aggregator.merge(partial);
-            }
-            aggregators_tier.push(aggregator);
-        }
-        let aggregators = aggregators_tier.len();
-        let mut fleet = ShardSummary::default();
-        for aggregator in aggregators_tier {
-            fleet.merge(aggregator);
+            fleet.merge(partial);
         }
         let analysis = fleet.into_analysis();
 
@@ -406,14 +395,14 @@ impl Study {
                 flight_recorder: instruments.recorder.clone(),
             },
             shards,
-            aggregators,
         })
     }
 }
 
-/// The sharded counterpart of the flat telemetry export: rows carry
-/// `shard:<k>` scopes between the category and machine scopes. Export
-/// must never fail the study; errors are reported and swallowed.
+/// Writes the fleet-aggregated `timeseries.jsonl` when telemetry is on
+/// and an artefact directory is configured: fleet, category, `shard:<k>`
+/// and machine scopes. Export must never fail the study; errors are
+/// reported and swallowed.
 fn write_sharded_telemetry(config: &StudyConfig, machines: &[MachineOutput], shard_of: &[usize]) {
     let Some(dir) = config.telemetry.options().and_then(|o| o.dir.as_ref()) else {
         return;
@@ -441,7 +430,6 @@ fn write_sharded_telemetry(config: &StudyConfig, machines: &[MachineOutput], sha
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StreamOptions;
 
     #[test]
     fn shard_ranges_cover_contiguously() {
@@ -460,27 +448,16 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_equals_the_flat_streaming_run() {
-        let config = StudyConfig::smoke_test(17);
-        let flat = Study::run_streaming(&config, &StreamOptions::default());
-        let sharded = Study::run_sharded(&config, &ShardOptions::default());
-        assert_eq!(sharded.shards.len(), 1);
-        assert_eq!(sharded.aggregators, 1);
-        assert_eq!(sharded.data.total_records, flat.total_records);
-        assert_eq!(sharded.data.stored_bytes, flat.stored_bytes);
-        assert_eq!(sharded.data.summary, flat.summary);
-    }
-
-    #[test]
     fn shard_reports_partition_the_head_count() {
         let config = StudyConfig::smoke_test(18);
-        let sharded = Study::run_sharded(
+        let sharded = Study::try_run_sharded(
             &config,
             &ShardOptions {
                 shards: 3,
                 ..ShardOptions::default()
             },
-        );
+        )
+        .expect("smoke study runs");
         assert_eq!(sharded.shards.len(), 3);
         let per_shard: usize = sharded.shards.iter().map(|s| s.total_records).sum();
         assert_eq!(per_shard, sharded.data.total_records);

@@ -1,25 +1,26 @@
-//! Running the whole deployment and collecting the study data.
-
-use std::sync::Arc;
+//! What a study run produces, and its front door.
+//!
+//! The pipeline itself — agents, shard collectors, analysis sinks, the
+//! fleet merge and the conservation audit — is the one driver in
+//! [`crate::shard`]. [`Study::run`] is that driver at the paper's shape
+//! (one shard of three collection servers) with the fact tables kept,
+//! reshaped into the [`StudyData`] the report code reads.
 
 use std::fmt;
 
-use nt_analysis::stream::{AnalysisSet, StreamConfig, StudySummary};
+use nt_analysis::stream::StudySummary;
 use nt_analysis::TraceSet;
+use nt_audit::Imbalance;
 use nt_obs::{
-    FlightRecorder, HealthFinding, HopSpan, MachineTelemetry, Phase, RuntimeProfile,
-    ShipmentTracer, Telemetry,
+    FlightRecorder, HealthFinding, HopSpan, MachineTelemetry, RuntimeProfile, ShipmentTracer,
+    Telemetry,
 };
 use nt_sim::SimDuration;
-use nt_trace::{
-    CollectionFault, CollectorPool, LossLedger, MachineId, ShipmentConsumer, Snapshot,
-    StreamingPool,
-};
+use nt_trace::{CollectionFault, LossLedger, MachineId, Snapshot};
 use nt_workload::UsageCategory;
 
 use crate::config::StudyConfig;
-use crate::fault::FaultSchedule;
-use crate::run::MachineRun;
+use crate::shard::ShardOptions;
 
 /// End-of-run artefacts of one machine.
 pub struct MachineOutput {
@@ -63,6 +64,16 @@ pub enum StudyFault {
     Collection(CollectionFault),
     /// The NTT warehouse export could not be created or written.
     Warehouse(nt_warehouse::NttError),
+    /// The run completed but a conservation account did not balance.
+    /// Counters that drift apart are a bug in the pipeline, not a
+    /// property of the workload, so the data is withheld.
+    Drift {
+        /// The first unbalanced account, searched bottom-up: machines,
+        /// then shard collectors, then the fleet root.
+        imbalance: Imbalance,
+        /// The full report of the ledger that failed, for diagnosis.
+        report: String,
+    },
 }
 
 impl fmt::Display for StudyFault {
@@ -71,6 +82,7 @@ impl fmt::Display for StudyFault {
             StudyFault::Worker(msg) => write!(f, "machine worker panicked: {msg}"),
             StudyFault::Collection(fault) => fault.fmt(f),
             StudyFault::Warehouse(e) => write!(f, "warehouse export failed: {e}"),
+            StudyFault::Drift { imbalance, report } => write!(f, "{imbalance}\n{report}"),
         }
     }
 }
@@ -238,98 +250,24 @@ pub struct Study;
 impl Study {
     /// Runs every machine of the deployment and builds the fact tables.
     ///
-    /// Machines are independent (separate engines, separate RNG streams)
-    /// and run on worker threads; their agents stream trace buffers over
-    /// channels to a pool of three collection-server threads — the §3
-    /// topology — whose stores are merged before analysis.
-    pub fn run(config: &StudyConfig) -> StudyData {
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(config.machines.len().max(1));
-        Self::run_with_workers(config, workers)
-    }
-
-    /// [`Study::run`] with an explicit worker count. `run_with_workers(c,
-    /// 1)` forces a serial study; the determinism suite asserts it equals
-    /// the parallel one, since machines share no mutable state.
-    pub fn run_with_workers(config: &StudyConfig, workers: usize) -> StudyData {
-        Self::try_run_with_workers(config, workers).unwrap_or_else(|fault| panic!("{fault}"))
-    }
-
-    /// [`Study::run_with_workers`], with worker and collection-server
-    /// panics surfaced as a [`StudyFault`] instead of re-raised.
-    pub fn try_run_with_workers(
-        config: &StudyConfig,
-        workers: usize,
-    ) -> Result<StudyData, StudyFault> {
-        // The legacy batch path stores shipments instead of forwarding
-        // them, so there is no causal chain to trace — but the flight
-        // recorder and watchdogs are agent-side and work the same.
-        let mut instruments = Instruments::for_config(config);
-        instruments.tracer = ShipmentTracer::off();
-        let result = Self::batch_run_inner(config, workers, &instruments);
-        if let Err(fault) = &result {
-            dump_flight_recorder(
-                &instruments.recorder,
-                config,
-                &format!("study-fault: {fault}"),
-            );
-        }
-        result
-    }
-
-    fn batch_run_inner(
-        config: &StudyConfig,
-        workers: usize,
-        instruments: &Instruments,
-    ) -> Result<StudyData, StudyFault> {
-        let schedule = FaultSchedule::materialize(config, 3);
-        let pool = CollectorPool::start_with_outages(3, schedule.collectors.clone());
-
-        let (mut machines, worker_fault) =
-            run_machines(config, workers, &schedule, instruments, |id| {
-                pool.handle_for(id)
-            });
-        machines.sort_by_key(|m| m.id);
-
-        // Always join the servers, even after a worker fault: the fault
-        // would otherwise leak threads blocked on their channels.
-        let server = pool.finish()?;
-        if let Some(fault) = worker_fault {
-            return Err(fault);
-        }
-        let total_records = server.total_records();
-        let stored_bytes = server.stored_bytes();
-        let streams: Vec<(u32, Vec<nt_trace::TraceRecord>, Vec<nt_trace::NameRecord>)> = machines
-            .iter()
-            .map(|m| {
-                (
-                    m.id.0,
-                    server.records_for(m.id),
-                    server.names_for(m.id).into_iter().cloned().collect(),
-                )
-            })
-            .collect();
-        // The batch path's analysis ingest happens here, not in the
-        // machine workers; give it a study-side profiler span.
-        let analysis_telemetry = match config.telemetry.is_on() {
-            true => Telemetry::profiler(),
-            false => Telemetry::off(),
+    /// This is [`Study::try_run_sharded`] with one shard — the paper's
+    /// three collection servers — auto-sized workers and the fact tables
+    /// retained: machines run on worker threads, their agents stream
+    /// trace buffers to the collection servers, and every conservation
+    /// ledger is reconciled before the data comes back.
+    pub fn run(config: &StudyConfig) -> Result<StudyData, StudyFault> {
+        let options = ShardOptions {
+            retain: true,
+            ..ShardOptions::default()
         };
-        let trace_set = {
-            let _span = analysis_telemetry.span_child(Phase::Analysis, "analysis.trace_set_build");
-            TraceSet::build(streams)
-        };
-        let profile = fleet_profile(&machines, &analysis_telemetry);
-        write_telemetry_artefacts(config, &machines);
+        let data = Self::try_run_sharded(config, &options)?.data;
         Ok(StudyData {
-            config: config.clone(),
-            trace_set,
-            machines,
-            total_records,
-            stored_bytes,
-            profile,
+            trace_set: data.trace_set.expect("retain keeps the fact tables"),
+            config: data.config,
+            machines: data.machines,
+            total_records: data.total_records,
+            stored_bytes: data.stored_bytes,
+            profile: data.profile,
         })
     }
 }
@@ -348,150 +286,28 @@ pub(crate) fn fleet_profile(machines: &[MachineOutput], analysis: &Telemetry) ->
     profile
 }
 
-/// Writes the fleet-aggregated `timeseries.jsonl` when telemetry is on
-/// and an artefact directory is configured. Telemetry export must never
-/// fail the study; write errors are reported and swallowed.
-fn write_telemetry_artefacts(config: &StudyConfig, machines: &[MachineOutput]) {
-    let Some(dir) = config.telemetry.options().and_then(|o| o.dir.as_ref()) else {
-        return;
-    };
-    let labelled: Vec<(u32, String, &MachineTelemetry)> = machines
-        .iter()
-        .filter_map(|m| {
-            m.telemetry
-                .as_ref()
-                .map(|t| (m.id.0, format!("{:?}", m.category), t))
-        })
-        .collect();
-    let borrowed: Vec<(u32, &str, &MachineTelemetry)> = labelled
-        .iter()
-        .map(|(id, cat, t)| (*id, cat.as_str(), *t))
-        .collect();
-    let rows = nt_obs::export::fleet_rows(&borrowed);
-    let path = dir.join("timeseries.jsonl");
-    if let Err(e) = nt_obs::write_timeseries_jsonl(&path, &rows) {
-        eprintln!("nt-obs: cannot write {}: {e}", path.display());
-    }
-}
-
-/// Simulates every machine on `workers` threads, shipping through the
-/// per-machine sinks `handle_for` hands out. A panicked worker becomes a
-/// [`StudyFault::Worker`] (first one wins) and the surviving workers'
-/// outputs are still returned.
-fn run_machines<S, F>(
-    config: &StudyConfig,
-    workers: usize,
-    schedule: &FaultSchedule,
-    instruments: &Instruments,
-    handle_for: F,
-) -> (Vec<MachineOutput>, Option<StudyFault>)
-where
-    S: nt_trace::RecordSink + 'static,
-    F: Fn(MachineId) -> S + Sync,
-{
-    let n = config.machines.len();
-    let mut fault = None;
-    let machines = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for chunk in partition(n, workers) {
-            let handle_for = &handle_for;
-            let schedule = &*schedule;
-            let instruments = &*instruments;
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::new();
-                for index in chunk {
-                    let spec = &config.machines[index];
-                    let faults = schedule.for_machine(index);
-                    let mut run = MachineRun::build_with_faults(config, index, spec, &faults);
-                    run.set_instruments(
-                        &instruments.tracer,
-                        &instruments.recorder,
-                        instruments.watchdogs,
-                    );
-                    let mut sink = handle_for(run.id);
-                    run.simulate_with_faults(config, &faults, &mut sink);
-                    out.push(MachineOutput {
-                        id: run.id,
-                        category: run.category,
-                        snapshots: std::mem::take(&mut run.snapshots),
-                        io: run.io_metrics(),
-                        cache: run.cache_metrics(),
-                        vm: run.vm_metrics(),
-                        loss: run.loss_ledger(),
-                        residual_dirty_bytes: run.residual_dirty_bytes(),
-                        telemetry: run.telemetry_report(),
-                        health: run.take_health(),
-                        last_delivery_ticks: run.last_delivery_ticks(),
-                    });
-                }
-                out
-            }));
-        }
-        let mut machines = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok(out) => machines.extend(out),
-                Err(payload) => {
-                    fault.get_or_insert(StudyFault::Worker(panic_message(payload)));
-                }
-            }
-        }
-        machines
-    });
-    (machines, fault)
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Options for the streaming study driver.
-#[derive(Clone, Debug, Default)]
-pub struct StreamOptions {
-    /// Keep raw records and rebuild the exact fact tables (smoke-scale
-    /// identity testing only — defeats the memory bound).
-    pub retain: bool,
-    /// Spill directory for the tail-analysis sample runs; `None` keeps
-    /// them resident.
-    pub spill_dir: Option<std::path::PathBuf>,
-    /// Worker threads; `None` sizes like [`Study::run`].
-    pub workers: Option<usize>,
-    /// Export the run as an NTT warehouse into this directory (created
-    /// if missing): every shipment is teed into a
-    /// [`nt_warehouse::WarehouseSink`] beside the live analysis, one
-    /// segment file per machine at finish.
-    pub warehouse: Option<std::path::PathBuf>,
-}
-
-/// What [`Study::run_streaming`] produces: the per-machine artefacts and
-/// the merged online aggregates, with no materialized record stream
-/// (unless retained).
+/// The fleet-level output of [`Study::try_run_sharded`]: the per-machine
+/// artefacts and the merged online aggregates, with no materialized
+/// record stream (unless retained).
 pub struct StreamedStudyData {
     /// The configuration that produced the data.
     pub config: StudyConfig,
     /// The merged streaming aggregates.
     pub summary: StudySummary,
-    /// The exact fact tables, only under [`StreamOptions::retain`].
+    /// The exact fact tables, only under [`ShardOptions::retain`].
     pub trace_set: Option<TraceSet>,
     /// Per-machine artefacts.
     pub machines: Vec<MachineOutput>,
-    /// Total records shipped through the pool.
+    /// Total records shipped through the collection servers.
     pub total_records: usize,
     /// Compressed footprint the batches would occupy on a collection
-    /// server (accounting parity with the legacy path).
+    /// server.
     pub stored_bytes: usize,
     /// Wall-clock attribution across the fleet plus the analysis ingest;
     /// all-zero with telemetry off.
     pub profile: RuntimeProfile,
-    /// Per-segment export stats, when [`StreamOptions::warehouse`] (or
-    /// the sharded twin) was set; in machine order.
+    /// Per-segment export stats, when [`ShardOptions::warehouse`] was
+    /// set; in machine order.
     pub warehouse: Option<Vec<nt_warehouse::SegmentStats>>,
     /// Every causal hop span the shipment tracer captured, sorted by
     /// (machine, batch, hop); empty with tracing off. The same spans are
@@ -499,7 +315,7 @@ pub struct StreamedStudyData {
     /// telemetry artefact directory is configured.
     pub shipment_spans: Vec<HopSpan>,
     /// Fleet-wide health findings — every machine's watchdog findings in
-    /// machine order, plus shard-level findings on the sharded path.
+    /// machine order, then the shard-level findings.
     pub health: Vec<HealthFinding>,
     /// The run's flight recorder handle, so post-run consumers (the
     /// conservation audit, diagnostics tooling) can inspect rings or
@@ -513,13 +329,6 @@ impl StreamedStudyData {
         self.machines.iter().map(|m| m.loss.lost()).sum()
     }
 
-    /// Dumps the run's flight recorder into the telemetry artefact
-    /// directory (exactly once per run; later calls are no-ops). No-op
-    /// without a directory or with the recorder off.
-    pub fn dump_flight_recorder(&self, reason: &str) {
-        dump_flight_recorder(&self.flight_recorder, &self.config, reason);
-    }
-
     /// The per-driver-layer ns/op budget from the self-profiler (see
     /// [`StudyData::layer_budget`]).
     pub fn layer_budget(&self) -> Vec<nt_obs::PhaseBudget> {
@@ -527,178 +336,14 @@ impl StreamedStudyData {
     }
 }
 
-impl Study {
-    /// [`Study::run`] on the streaming pipeline: agents ship through a
-    /// [`StreamingPool`] whose servers forward every buffer into
-    /// per-machine [`nt_analysis::MachineSink`]s instead of storing it,
-    /// so memory stays bounded by live analysis state — open sessions,
-    /// CDF sketches, spill buffers — rather than by trace volume. This
-    /// is the path that makes `Scale::Paper` feasible in-process.
-    ///
-    /// With `options.retain` the sinks additionally keep the stream and
-    /// the result carries the exact [`TraceSet`]; the determinism suite
-    /// uses that to prove the two paths produce bit-identical fact
-    /// tables at smoke scale.
-    pub fn run_streaming(config: &StudyConfig, options: &StreamOptions) -> StreamedStudyData {
-        Self::try_run_streaming(config, options).unwrap_or_else(|fault| panic!("{fault}"))
-    }
-
-    /// [`Study::run_streaming`], with worker and collection-server panics
-    /// surfaced as a [`StudyFault`] instead of re-raised.
-    pub fn try_run_streaming(
-        config: &StudyConfig,
-        options: &StreamOptions,
-    ) -> Result<StreamedStudyData, StudyFault> {
-        let instruments = Instruments::for_config(config);
-        let result = Self::streaming_run_inner(config, options, &instruments);
-        match &result {
-            Err(fault) => dump_flight_recorder(
-                &instruments.recorder,
-                config,
-                &format!("study-fault: {fault}"),
-            ),
-            Ok(data) if instruments.dump_on_loss && data.total_lost() > 0 => {
-                data.dump_flight_recorder(&format!(
-                    "loss-on-shutdown: {} records lost",
-                    data.total_lost()
-                ));
-            }
-            Ok(_) => {}
-        }
-        result
-    }
-
-    fn streaming_run_inner(
-        config: &StudyConfig,
-        options: &StreamOptions,
-        instruments: &Instruments,
-    ) -> Result<StreamedStudyData, StudyFault> {
-        let n = config.machines.len();
-        let workers = options
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(4)
-            })
-            .min(n.max(1));
-        let schedule = FaultSchedule::materialize(config, 3);
-        let machine_ids: Vec<u32> = (0..n as u32).collect();
-        let analysis_telemetry = match config.telemetry.is_on() {
-            true => Telemetry::profiler(),
-            false => Telemetry::off(),
-        };
-        let consumer = Arc::new(AnalysisSet::new(
-            &machine_ids,
-            &StreamConfig {
-                retain: options.retain,
-                spill_dir: options.spill_dir.clone(),
-                telemetry: analysis_telemetry.clone(),
-                tracer: instruments.tracer.clone(),
-                ..StreamConfig::default()
-            },
-        ));
-        let warehouse_sink = match &options.warehouse {
-            Some(dir) => Some(Arc::new(nt_warehouse::WarehouseSink::create(
-                dir,
-                &machine_ids,
-            )?)),
-            None => None,
-        };
-        let pool_consumer: Arc<dyn ShipmentConsumer> = match &warehouse_sink {
-            Some(sink) => Arc::new(crate::warehouse::Tee {
-                analysis: Arc::clone(&consumer),
-                warehouse: Arc::clone(sink),
-                tracer: instruments.tracer.clone(),
-            }),
-            None => Arc::clone(&consumer) as Arc<dyn ShipmentConsumer>,
-        };
-        let pool = StreamingPool::start_traced(
-            3,
-            schedule.collectors.clone(),
-            pool_consumer,
-            instruments.tracer.clone(),
-            instruments.recorder.clone(),
-        );
-
-        let (mut machines, worker_fault) =
-            run_machines(config, workers, &schedule, instruments, |id| {
-                pool.handle_for(id)
-            });
-        machines.sort_by_key(|m| m.id);
-
-        // Join the servers first regardless of faults — a panicked
-        // worker must not leak forwarding threads.
-        let totals = pool.finish()?;
-        if let Some(fault) = worker_fault {
-            return Err(fault);
-        }
-        let warehouse_stats = match warehouse_sink {
-            Some(sink) => {
-                let _span = analysis_telemetry.span_child(Phase::Warehouse, "warehouse.export");
-                let sink = Arc::try_unwrap(sink)
-                    .unwrap_or_else(|_| panic!("the tee still holds the warehouse after finish"));
-                Some(sink.finish()?)
-            }
-            None => None,
-        };
-        let consumer = Arc::try_unwrap(consumer)
-            .unwrap_or_else(|_| panic!("server threads still hold the consumer after finish"));
-        let analysis = consumer.finish();
-        let profile = fleet_profile(&machines, &analysis_telemetry);
-        write_telemetry_artefacts(config, &machines);
-        let shipment_spans = instruments.tracer.take_sorted();
-        write_trace_artefact(config, &instruments.tracer, &shipment_spans);
-        let health: Vec<HealthFinding> = machines
-            .iter()
-            .flat_map(|m| m.health.iter().cloned())
-            .collect();
-        Ok(StreamedStudyData {
-            config: config.clone(),
-            summary: analysis.summary,
-            trace_set: analysis.trace_set,
-            machines,
-            total_records: totals.total_records,
-            stored_bytes: totals.stored_bytes,
-            profile,
-            warehouse: warehouse_stats,
-            shipment_spans,
-            health,
-            flight_recorder: instruments.recorder.clone(),
-        })
-    }
-}
-
-/// Splits `0..n` into `workers` near-equal index chunks.
-fn partition(n: usize, workers: usize) -> Vec<Vec<usize>> {
-    let workers = workers.max(1);
-    let mut chunks = vec![Vec::new(); workers.min(n.max(1))];
-    let k = chunks.len();
-    for i in 0..n {
-        chunks[i % k].push(i);
-    }
-    chunks.retain(|c| !c.is_empty());
-    chunks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn partition_covers_everything() {
-        for (n, w) in [(10, 3), (3, 8), (0, 4), (45, 16)] {
-            let chunks = partition(n, w);
-            let mut all: Vec<usize> = chunks.into_iter().flatten().collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..n).collect::<Vec<_>>(), "n={n} w={w}");
-        }
-    }
-
-    #[test]
     fn smoke_study_produces_everything() {
         let config = StudyConfig::smoke_test(3);
-        let data = Study::run(&config);
+        let data = Study::run(&config).expect("smoke study runs");
         assert_eq!(data.machines.len(), 5);
         assert!(data.total_records > 500, "got {}", data.total_records);
         assert!(data.stored_bytes > 0);
@@ -715,7 +360,9 @@ mod tests {
     #[test]
     fn streaming_smoke_study_produces_summary() {
         let config = StudyConfig::smoke_test(3);
-        let data = Study::run_streaming(&config, &StreamOptions::default());
+        let data = Study::try_run_sharded(&config, &ShardOptions::default())
+            .expect("smoke study runs")
+            .data;
         assert_eq!(data.machines.len(), 5);
         assert!(data.total_records > 500, "got {}", data.total_records);
         assert!(data.stored_bytes > 0);

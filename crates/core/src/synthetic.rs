@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn synthetic_load_preserves_the_statistical_shape() {
         // Fit from a real study run…
-        let data = Study::run(&StudyConfig::smoke_test(31));
+        let data = Study::run(&StudyConfig::smoke_test(31)).expect("smoke study runs");
         let profile = fit_profile(&data.trace_set).expect("fit succeeds");
         let source_median_read = profile.read_sizes.median();
         let control_target = profile.control_fraction;
@@ -272,7 +272,7 @@ mod tests {
 
     #[test]
     fn synthetic_bench_compares_cache_configs() {
-        let data = Study::run(&StudyConfig::smoke_test(32));
+        let data = Study::run(&StudyConfig::smoke_test(32)).expect("smoke study runs");
         let profile = fit_profile(&data.trace_set).expect("fit succeeds");
         let run = |fastio: bool| {
             let mut bench = SyntheticBench::new(

@@ -1,12 +1,11 @@
 //! NTT warehouse integration: the live-export tee and the re-ingest
 //! driver.
 //!
-//! Export happens *during* a streaming study: [`super::study::StreamOptions::warehouse`]
-//! (or its sharded twin) tees every shipment into a
-//! [`nt_warehouse::WarehouseSink`] beside the live analysis sinks, and
-//! the segment files are serialized at study finish. Re-ingest is
-//! [`Study::ingest_warehouse`]: it opens a warehouse directory and
-//! drives the stored batches through a fresh
+//! Export happens *during* a study: [`crate::ShardOptions::warehouse`]
+//! tees every shipment into a [`nt_warehouse::WarehouseSink`] beside the
+//! live analysis sinks, and the segment files are serialized at study
+//! finish. Re-ingest is [`Study::ingest_warehouse`]: it opens a
+//! warehouse directory and drives the stored batches through a fresh
 //! [`nt_analysis::stream::AnalysisSet`] — in the segments' canonical
 //! stamp order, batch boundaries intact — so the resulting summary is
 //! bit-identical to the live run's (`tests/determinism.rs` pins this at
@@ -21,7 +20,18 @@ use nt_obs::{Hop, Phase, RuntimeProfile, ShipmentTracer, Telemetry};
 use nt_trace::{BatchMeta, MachineId, NameRecord, ShipmentConsumer, TraceRecord};
 use nt_warehouse::{NttError, TraceSource, Warehouse, WarehouseSink};
 
-use crate::study::{StreamOptions, Study};
+use crate::study::Study;
+
+/// Options for [`Study::ingest_warehouse`].
+#[derive(Clone, Debug, Default)]
+pub struct StreamOptions {
+    /// Keep raw records and rebuild the exact fact tables (defeats the
+    /// memory bound).
+    pub retain: bool,
+    /// Spill directory for the tail-analysis sample runs; `None` keeps
+    /// them resident.
+    pub spill_dir: Option<std::path::PathBuf>,
+}
 
 /// Forwards every shipment to both the live analysis sinks and the
 /// warehouse export. The warehouse copy goes first so the analysis side
@@ -88,11 +98,9 @@ impl Study {
     /// subsystems see machines ascending and each machine's batches
     /// with ascending sequence stamps in stored order, which *is* the
     /// canonical stamp order the live `MachineSink`s processed (the
-    /// export sink reassembles with the same discipline).
-    /// `options.retain` and `options.spill_dir` mean what they do for
-    /// [`Study::run_streaming`]; `workers` and `warehouse` are ignored
-    /// (ingest is sequential and re-exporting what was just read would
-    /// be a copy).
+    /// export sink reassembles with the same discipline). Ingest is
+    /// sequential; `options` mean what the same-named
+    /// [`crate::ShardOptions`] fields mean for a live run.
     pub fn ingest_warehouse(
         dir: &Path,
         options: &StreamOptions,
@@ -143,6 +151,7 @@ impl Study {
 mod tests {
     use super::*;
     use crate::config::StudyConfig;
+    use crate::shard::ShardOptions;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("nt-warehouse-{tag}-{}", std::process::id()));
@@ -154,12 +163,14 @@ mod tests {
     fn export_then_ingest_reproduces_the_live_summary() {
         let dir = temp_dir("smoke");
         let config = StudyConfig::smoke_test(7);
-        let options = StreamOptions {
+        let options = ShardOptions {
             retain: true,
             warehouse: Some(dir.clone()),
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         };
-        let live = Study::run_streaming(&config, &options);
+        let live = Study::try_run_sharded(&config, &options)
+            .expect("smoke study runs")
+            .data;
         let stats = live.warehouse.as_ref().expect("export stats present");
         assert_eq!(stats.len(), live.machines.len());
         assert_eq!(
@@ -167,7 +178,14 @@ mod tests {
             live.summary.records
         );
 
-        let ingest = Study::ingest_warehouse(&dir, &options).expect("warehouse re-ingests");
+        let ingest = Study::ingest_warehouse(
+            &dir,
+            &StreamOptions {
+                retain: true,
+                ..StreamOptions::default()
+            },
+        )
+        .expect("warehouse re-ingests");
         assert_eq!(ingest.records, live.summary.records);
         assert_eq!(ingest.machines.len(), live.machines.len());
         // The streaming aggregates must match bit-for-bit; only the

@@ -3,8 +3,9 @@
 //!
 //! The paper collected its traces so that they "could be used as input
 //! for file system simulation studies" (§1, §9). This module is that
-//! study mode, promoted from the one-shot [`crate::replay()`] helper into
-//! a subsystem that cuts through the whole stack:
+//! study mode: [`crate::replay_stream`] replays one machine under one
+//! policy, and this module makes that a subsystem that cuts through the
+//! whole stack:
 //!
 //! * **Trace sources.** A study replays from wherever the trace lives —
 //!   a live [`TraceSet`] a study just produced ([`LiveSource`]) or an
@@ -225,7 +226,7 @@ impl WhatIfReport {
 /// ```
 /// use nt_study::{LiveSource, ReplayConfig, Study, StudyConfig, WhatIfStudy};
 ///
-/// let data = Study::run(&StudyConfig::smoke_test(42));
+/// let data = Study::run(&StudyConfig::smoke_test(42)).expect("study runs");
 /// let report = WhatIfStudy::new(ReplayConfig::default())
 ///     .variant("no-readahead", {
 ///         let mut c = ReplayConfig::default();

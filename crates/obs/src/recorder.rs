@@ -117,7 +117,7 @@ pub enum FlightEvent {
         /// The live server that took the batch.
         to_server: u32,
     },
-    /// A shard finished and merged into the aggregator tier.
+    /// A shard finished and merged into the fleet root.
     MergeBoundary {
         /// Shard index.
         shard: u32,

@@ -1,6 +1,6 @@
 //! Pipeline health watchdogs.
 //!
-//! The collection pipeline (agent → shard collector → aggregator) can
+//! The collection pipeline (agent → shard collector → fleet) can
 //! degrade long before it fails: a collector outage backs batches up in
 //! the agents, a suspended agent burns through its loss budget, a shard
 //! stops hearing from its machines entirely. The watchdogs turn those

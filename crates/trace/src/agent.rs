@@ -553,12 +553,6 @@ mod tests {
             up_at: u64,
         }
         impl RecordSink for FlakySink {
-            fn ingest(&mut self, machine: MachineId, records: &[TraceRecord]) {
-                self.inner.ingest(machine, records);
-            }
-            fn ingest_name(&mut self, machine: MachineId, name: NameRecord) {
-                self.inner.ingest_name(machine, name);
-            }
             fn ingest_at(
                 &mut self,
                 machine: MachineId,

@@ -116,17 +116,14 @@ fn get_varint(buf: &mut &[u8]) -> u64 {
 
 /// A collection server holding the batches of every traced machine.
 ///
-/// Each batch carries a per-machine sequence number. Agents that fail over
-/// between servers (the fault-injection layer) stamp their own sequence so
-/// the merged pool can reassemble one machine's stream in agent order even
-/// when consecutive batches landed on different servers; batches ingested
-/// through the plain API get an arrival-order stamp, which reproduces the
-/// historical shipping order exactly.
+/// Each batch carries the agent's per-machine sequence number, so one
+/// machine's stream reassembles in agent order even when consecutive
+/// batches landed on different servers (an agent fails over during a
+/// collector outage).
 #[derive(Default)]
 pub struct CollectionServer {
     batches: Vec<(MachineId, u64, RecordBatch)>,
     names: Vec<(MachineId, u64, NameRecord)>,
-    next_arrival: u64,
 }
 
 impl CollectionServer {
@@ -135,26 +132,12 @@ impl CollectionServer {
         CollectionServer::default()
     }
 
-    /// Stores one shipped buffer in arrival order.
-    pub fn ingest(&mut self, machine: MachineId, records: &[TraceRecord]) {
-        let seq = self.next_arrival;
-        self.next_arrival += 1;
-        self.ingest_seq(machine, seq, records);
-    }
-
     /// Stores one shipped buffer with the agent's own sequence number.
     pub fn ingest_seq(&mut self, machine: MachineId, seq: u64, records: &[TraceRecord]) {
         if !records.is_empty() {
             self.batches
                 .push((machine, seq, RecordBatch::compress(records)));
         }
-    }
-
-    /// Stores a file-object name record in arrival order.
-    pub fn ingest_name(&mut self, machine: MachineId, name: NameRecord) {
-        let seq = self.next_arrival;
-        self.next_arrival += 1;
-        self.ingest_name_seq(machine, seq, name);
     }
 
     /// Stores a file-object name record with the agent's sequence number.
@@ -176,7 +159,7 @@ impl CollectionServer {
     }
 
     /// Reconstructs one machine's full record stream, in agent order
-    /// (sequence-number order; arrival order for plain ingests).
+    /// (sequence-number order).
     pub fn records_for(&self, machine: MachineId) -> Vec<TraceRecord> {
         let mut picked: Vec<(u64, &RecordBatch)> = self
             .batches
@@ -188,17 +171,6 @@ impl CollectionServer {
         let mut out = Vec::new();
         for (_, batch) in picked {
             out.extend(batch.decompress());
-        }
-        out
-    }
-
-    /// Reconstructs every machine's records, in store order.
-    pub fn all_records(&self) -> Vec<(MachineId, TraceRecord)> {
-        let mut out = Vec::new();
-        for (m, _, batch) in &self.batches {
-            for rec in batch.decompress() {
-                out.push((*m, rec));
-            }
         }
         out
     }
@@ -219,7 +191,6 @@ impl CollectionServer {
     pub fn merge(&mut self, other: CollectionServer) {
         self.batches.extend(other.batches);
         self.names.extend(other.names);
-        self.next_arrival = self.next_arrival.max(other.next_arrival);
     }
 
     /// Machines that have shipped at least one batch.
@@ -290,21 +261,21 @@ mod tests {
     #[test]
     fn server_separates_machines() {
         let mut srv = CollectionServer::new();
-        srv.ingest(MachineId(1), &[rec(1, 10), rec(2, 20)]);
-        srv.ingest(MachineId(2), &[rec(3, 30)]);
-        srv.ingest(MachineId(1), &[rec(4, 40)]);
+        srv.ingest_seq(MachineId(1), 0, &[rec(1, 10), rec(2, 20)]);
+        srv.ingest_seq(MachineId(2), 0, &[rec(3, 30)]);
+        srv.ingest_seq(MachineId(1), 1, &[rec(4, 40)]);
         assert_eq!(srv.total_records(), 4);
         assert_eq!(srv.records_for(MachineId(1)).len(), 3);
         assert_eq!(srv.records_for(MachineId(2)).len(), 1);
         assert_eq!(srv.machines(), vec![MachineId(1), MachineId(2)]);
-        assert_eq!(srv.all_records().len(), 4);
     }
 
     #[test]
     fn name_records_stored_per_machine() {
         let mut srv = CollectionServer::new();
-        srv.ingest_name(
+        srv.ingest_name_seq(
             MachineId(1),
+            0,
             NameRecord {
                 file_object: 9,
                 volume: 0,

@@ -33,8 +33,8 @@ pub use collector::{CollectionServer, MachineId, RecordBatch};
 pub use dedup::filter_paging_duplicates;
 pub use fault::{any_contains, LossLedger, TickWindow};
 pub use pool::{
-    BatchMeta, CollectionFault, CollectorHandle, CollectorPool, RecordSink, ShipmentConsumer,
-    StreamingPool, StreamingTotals,
+    BatchMeta, CollectionFault, CollectorHandle, RecordSink, ShipmentConsumer, StreamingPool,
+    StreamingTotals,
 };
 pub use record::{NameRecord, TraceRecord, RECORD_SIZE};
 pub use snapshot::{Snapshot, SnapshotDiff, SnapshotWalker, WalkRecord};

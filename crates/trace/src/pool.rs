@@ -2,9 +2,11 @@
 //!
 //! §3: "The collection servers are three dedicated file servers that take
 //! the incoming event streams and store them in compressed formats for
-//! later retrieval." [`CollectorPool`] runs one thread per server; trace
+//! later retrieval." [`StreamingPool`] runs one thread per server; trace
 //! agents ship full buffers through a channel to the server their machine
-//! is assigned to, and the pool merges the three stores at shutdown.
+//! is assigned to, and the server forwards each one to a
+//! [`ShipmentConsumer`] — the study's analysis sinks — after accounting
+//! its compressed footprint exactly as [`CollectionServer`] stores it.
 //!
 //! The pool can also simulate server outages: each server carries a set of
 //! downtime windows, and a [`CollectorHandle`] fails over to the next live
@@ -62,51 +64,29 @@ pub trait ShipmentConsumer: Send + Sync {
 /// Anything a trace agent can ship records into — a local store or a
 /// channel to a remote collection server.
 pub trait RecordSink {
-    /// Stores one shipped buffer.
-    fn ingest(&mut self, machine: MachineId, records: &[TraceRecord]);
-
-    /// Stores one file-object name record.
-    fn ingest_name(&mut self, machine: MachineId, name: NameRecord);
-
-    /// Sequence-stamped, time-aware delivery. Returns `false` when the
-    /// sink is unreachable at `now_ticks` (a collector outage); the caller
-    /// must keep the batch and retry. Sinks with no notion of downtime
-    /// accept unconditionally.
+    /// Delivers one buffer stamped with the agent's sequence number.
+    /// Returns `false` when the sink is unreachable at `now_ticks` (a
+    /// collector outage); the caller must keep the batch and retry.
+    /// Sinks with no notion of downtime accept unconditionally.
     fn ingest_at(
         &mut self,
         machine: MachineId,
         seq: u64,
         records: &[TraceRecord],
         now_ticks: u64,
-    ) -> bool {
-        let _ = (seq, now_ticks);
-        self.ingest(machine, records);
-        true
-    }
+    ) -> bool;
 
-    /// Sequence-stamped, time-aware name delivery; see [`Self::ingest_at`].
+    /// Delivers one file-object name record; see [`Self::ingest_at`].
     fn ingest_name_at(
         &mut self,
         machine: MachineId,
         seq: u64,
         name: NameRecord,
         now_ticks: u64,
-    ) -> bool {
-        let _ = (seq, now_ticks);
-        self.ingest_name(machine, name);
-        true
-    }
+    ) -> bool;
 }
 
 impl RecordSink for CollectionServer {
-    fn ingest(&mut self, machine: MachineId, records: &[TraceRecord]) {
-        CollectionServer::ingest(self, machine, records);
-    }
-
-    fn ingest_name(&mut self, machine: MachineId, name: NameRecord) {
-        CollectionServer::ingest_name(self, machine, name);
-    }
-
     fn ingest_at(
         &mut self,
         machine: MachineId,
@@ -131,10 +111,9 @@ impl RecordSink for CollectionServer {
 }
 
 enum Shipment {
-    /// `(machine, agent sequence, records, trace baggage)`; a `None`
-    /// sequence means arrival order.
-    Batch(MachineId, Option<u64>, Vec<TraceRecord>, Option<BatchMeta>),
-    Name(MachineId, Option<u64>, NameRecord),
+    /// `(machine, agent sequence, records, trace baggage)`.
+    Batch(MachineId, u64, Vec<TraceRecord>, Option<BatchMeta>),
+    Name(MachineId, u64, NameRecord),
 }
 
 /// A collection-server thread died mid-run (panicked), so the records it
@@ -160,17 +139,6 @@ impl fmt::Display for CollectionFault {
 }
 
 impl std::error::Error for CollectionFault {}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// A per-machine handle that ships to the assigned collection server,
 /// failing over to the next live server during outages.
@@ -205,23 +173,6 @@ impl CollectorHandle {
 }
 
 impl RecordSink for CollectorHandle {
-    fn ingest(&mut self, machine: MachineId, records: &[TraceRecord]) {
-        if !records.is_empty() {
-            // A closed pool drops the shipment, like an agent whose
-            // server went away (§3: the agent would suspend).
-            let _ = self.senders[self.primary].send(Shipment::Batch(
-                machine,
-                None,
-                records.to_vec(),
-                None,
-            ));
-        }
-    }
-
-    fn ingest_name(&mut self, machine: MachineId, name: NameRecord) {
-        let _ = self.senders[self.primary].send(Shipment::Name(machine, None, name));
-    }
-
     fn ingest_at(
         &mut self,
         machine: MachineId,
@@ -262,12 +213,10 @@ impl RecordSink for CollectorHandle {
                     deliver_ticks: now_ticks,
                     server: server as u32,
                 });
-            let _ = self.senders[server].send(Shipment::Batch(
-                machine,
-                Some(seq),
-                records.to_vec(),
-                meta,
-            ));
+            // A closed pool drops the shipment, like an agent whose
+            // server went away (§3: the agent would suspend).
+            let _ =
+                self.senders[server].send(Shipment::Batch(machine, seq, records.to_vec(), meta));
         }
         true
     }
@@ -285,98 +234,8 @@ impl RecordSink for CollectorHandle {
         if server != self.primary {
             self.failovers += 1;
         }
-        let _ = self.senders[server].send(Shipment::Name(machine, Some(seq), name));
+        let _ = self.senders[server].send(Shipment::Name(machine, seq, name));
         true
-    }
-}
-
-/// The pool of collection servers.
-pub struct CollectorPool {
-    senders: Vec<Sender<Shipment>>,
-    handles: Vec<JoinHandle<CollectionServer>>,
-    outages: Arc<Vec<Vec<TickWindow>>>,
-}
-
-impl CollectorPool {
-    /// Starts `servers` collection-server threads (the study ran three).
-    pub fn start(servers: usize) -> Self {
-        Self::start_with_outages(servers, Vec::new())
-    }
-
-    /// Starts the pool with per-server downtime windows. A server whose
-    /// window covers the shipment time refuses it; handles fail over.
-    /// Missing entries mean "always up".
-    pub fn start_with_outages(servers: usize, mut outages: Vec<Vec<TickWindow>>) -> Self {
-        let servers = servers.max(1);
-        outages.resize(servers, Vec::new());
-        let mut senders = Vec::with_capacity(servers);
-        let mut handles = Vec::with_capacity(servers);
-        for _ in 0..servers {
-            let (tx, rx) = unbounded::<Shipment>();
-            senders.push(tx);
-            handles.push(std::thread::spawn(move || {
-                let mut store = CollectionServer::new();
-                while let Ok(shipment) = rx.recv() {
-                    match shipment {
-                        Shipment::Batch(m, Some(seq), records, _) => {
-                            store.ingest_seq(m, seq, &records)
-                        }
-                        Shipment::Batch(m, None, records, _) => store.ingest(m, &records),
-                        Shipment::Name(m, Some(seq), name) => store.ingest_name_seq(m, seq, name),
-                        Shipment::Name(m, None, name) => store.ingest_name(m, name),
-                    }
-                }
-                store
-            }));
-        }
-        CollectorPool {
-            senders,
-            handles,
-            outages: Arc::new(outages),
-        }
-    }
-
-    /// The handle a machine's agent should ship through; machines hash to
-    /// servers for a stable assignment.
-    pub fn handle_for(&self, machine: MachineId) -> CollectorHandle {
-        CollectorHandle {
-            senders: self.senders.clone(),
-            primary: machine.0 as usize % self.senders.len(),
-            outages: Arc::clone(&self.outages),
-            failovers: 0,
-            tracer: ShipmentTracer::off(),
-            recorder: FlightRecorder::off(),
-        }
-    }
-
-    /// Closes the streams, joins the servers and merges their stores.
-    ///
-    /// Every [`CollectorHandle`] must have been dropped first — a live
-    /// handle keeps its server's channel open and `finish` would wait for
-    /// it (the agents disconnect before the servers shut down, §3).
-    ///
-    /// A panicked server thread is reported as the first
-    /// [`CollectionFault`] (the remaining servers are still joined, so no
-    /// thread is leaked) rather than propagating the panic.
-    pub fn finish(self) -> Result<CollectionServer, CollectionFault> {
-        drop(self.senders);
-        let mut merged = CollectionServer::new();
-        let mut fault = None;
-        for (server, h) in self.handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(store) => merged.merge(store),
-                Err(payload) => {
-                    fault.get_or_insert(CollectionFault {
-                        server,
-                        message: panic_message(payload),
-                    });
-                }
-            }
-        }
-        match fault {
-            Some(f) => Err(f),
-            None => Ok(merged),
-        }
     }
 }
 
@@ -394,12 +253,12 @@ pub struct StreamingTotals {
 /// A pool of collection-server threads that forward shipments into a
 /// [`ShipmentConsumer`] instead of storing them.
 ///
-/// Agents interact with it exactly like with [`CollectorPool`] — same
-/// [`CollectorHandle`], same failover and refusal behaviour, same
-/// per-shipment compression accounting — but nothing is retained: the
-/// consumer sees each buffer once and the pool's memory stays bounded by
-/// the channel backlog, which is what lets paper-scale studies run
-/// without materializing ~190 M records.
+/// Agents ship through a [`CollectorHandle`], which fails over to the
+/// next live server during an outage and refuses the shipment when
+/// every server is down. Nothing is retained: the consumer sees each
+/// buffer once and the pool's memory stays bounded by the channel
+/// backlog, which is what lets paper-scale studies run without
+/// materializing ~190 M records.
 pub struct StreamingPool {
     senders: Vec<Sender<Shipment>>,
     handles: Vec<JoinHandle<StreamingTotals>>,
@@ -409,32 +268,15 @@ pub struct StreamingPool {
 }
 
 impl StreamingPool {
-    /// Starts `servers` forwarding threads over `consumer`.
-    pub fn start(servers: usize, consumer: Arc<dyn ShipmentConsumer>) -> Self {
-        Self::start_with_outages(servers, Vec::new(), consumer)
-    }
-
-    /// Starts the pool with per-server downtime windows (semantics as
-    /// [`CollectorPool::start_with_outages`]).
-    pub fn start_with_outages(
-        servers: usize,
-        outages: Vec<Vec<TickWindow>>,
-        consumer: Arc<dyn ShipmentConsumer>,
-    ) -> Self {
-        Self::start_traced(
-            servers,
-            outages,
-            consumer,
-            ShipmentTracer::off(),
-            FlightRecorder::off(),
-        )
-    }
-
-    /// [`Self::start_with_outages`] with shipment tracing: the handles
-    /// this pool hands out emit collect-hop spans through `tracer`
-    /// (shard-stamped when the tracer is), attach [`BatchMeta`] to every
-    /// accepted batch, and record failovers into `recorder`.
-    pub fn start_traced(
+    /// Starts `servers` forwarding threads (the study ran three) over
+    /// `consumer`. Each server carries its downtime windows in
+    /// `outages`, indexed by server; a server whose window covers the
+    /// shipment time refuses it and handles fail over. Missing entries
+    /// mean "always up". The handles this pool hands out emit
+    /// collect-hop spans through `tracer` (shard-stamped when the
+    /// tracer is), attach [`BatchMeta`] to every accepted batch, and
+    /// record failovers into `recorder`; off handles make both no-ops.
+    pub fn start(
         servers: usize,
         mut outages: Vec<Vec<TickWindow>>,
         consumer: Arc<dyn ShipmentConsumer>,
@@ -454,15 +296,12 @@ impl StreamingPool {
                 while let Ok(shipment) = rx.recv() {
                     match shipment {
                         Shipment::Batch(m, seq, records, meta) => {
-                            if records.is_empty() {
-                                continue;
-                            }
                             totals.total_records += records.len();
                             totals.stored_bytes +=
                                 RecordBatch::compress(&records).compressed_bytes();
-                            consumer.batch(m, seq, records, meta);
+                            consumer.batch(m, Some(seq), records, meta);
                         }
-                        Shipment::Name(m, seq, name) => consumer.name(m, seq, name),
+                        Shipment::Name(m, seq, name) => consumer.name(m, Some(seq), name),
                     }
                 }
                 totals
@@ -477,8 +316,8 @@ impl StreamingPool {
         }
     }
 
-    /// The handle a machine's agent should ship through; the assignment
-    /// matches [`CollectorPool::handle_for`] exactly.
+    /// The handle a machine's agent should ship through; machines hash
+    /// to servers for a stable assignment.
     pub fn handle_for(&self, machine: MachineId) -> CollectorHandle {
         CollectorHandle {
             senders: self.senders.clone(),
@@ -491,9 +330,15 @@ impl StreamingPool {
     }
 
     /// Closes the streams, joins the servers and sums their accounting.
-    /// As with [`CollectorPool::finish`], every handle must be dropped
-    /// first, and a panicked forwarding thread (most likely a panic in
-    /// the [`ShipmentConsumer`]) comes back as a [`CollectionFault`].
+    ///
+    /// Every [`CollectorHandle`] must have been dropped first — a live
+    /// handle keeps its server's channel open and `finish` would wait for
+    /// it (the agents disconnect before the servers shut down, §3).
+    ///
+    /// A panicked forwarding thread (most likely a panic in the
+    /// [`ShipmentConsumer`]) is reported as the first [`CollectionFault`]
+    /// (the remaining servers are still joined, so no thread is leaked)
+    /// rather than propagating the panic.
     pub fn finish(self) -> Result<StreamingTotals, CollectionFault> {
         drop(self.senders);
         let mut totals = StreamingTotals::default();
@@ -507,7 +352,7 @@ impl StreamingPool {
                 Err(payload) => {
                     fault.get_or_insert(CollectionFault {
                         server,
-                        message: panic_message(payload),
+                        message: crate::steal::panic_text(payload.as_ref()),
                     });
                 }
             }
@@ -523,6 +368,7 @@ impl StreamingPool {
 mod tests {
     use super::*;
     use nt_io::{EventKind, MajorFunction, NtStatus};
+    use std::sync::Mutex;
 
     fn rec(i: u64) -> TraceRecord {
         TraceRecord {
@@ -547,9 +393,65 @@ mod tests {
         }
     }
 
+    fn name(m: u32) -> NameRecord {
+        NameRecord {
+            file_object: m as u64,
+            volume: 0,
+            process: 0,
+            path: format!(r"\m{m}.txt"),
+            at_ticks: 0,
+        }
+    }
+
+    /// Stores every forwarded shipment in a [`CollectionServer`], so a
+    /// test reads back what the pool delivered in the server's own
+    /// sequence-ordered terms.
+    #[derive(Default)]
+    struct Store(Mutex<CollectionServer>);
+
+    impl ShipmentConsumer for Store {
+        fn batch(
+            &self,
+            m: MachineId,
+            seq: Option<u64>,
+            records: Vec<TraceRecord>,
+            _meta: Option<BatchMeta>,
+        ) {
+            let seq = seq.expect("pools forward the agent's stamp");
+            self.0.lock().unwrap().ingest_seq(m, seq, &records);
+        }
+
+        fn name(&self, m: MachineId, seq: Option<u64>, name: NameRecord) {
+            let seq = seq.expect("pools forward the agent's stamp");
+            self.0.lock().unwrap().ingest_name_seq(m, seq, name);
+        }
+    }
+
+    /// An untraced pool of `servers` forwarding into `store`.
+    fn start_pool(
+        servers: usize,
+        outages: Vec<Vec<TickWindow>>,
+        store: &Arc<Store>,
+    ) -> StreamingPool {
+        StreamingPool::start(
+            servers,
+            outages,
+            Arc::clone(store) as Arc<dyn ShipmentConsumer>,
+            ShipmentTracer::off(),
+            FlightRecorder::off(),
+        )
+    }
+
+    /// Joins `pool` and takes what its servers forwarded into `store`.
+    fn finish(pool: StreamingPool, store: &Store) -> (StreamingTotals, CollectionServer) {
+        let totals = pool.finish().expect("no server died");
+        (totals, std::mem::take(&mut *store.0.lock().unwrap()))
+    }
+
     #[test]
     fn pool_collects_from_concurrent_agents() {
-        let pool = CollectorPool::start(3);
+        let store = Arc::new(Store::default());
+        let pool = start_pool(3, Vec::new(), &store);
         std::thread::scope(|scope| {
             for m in 0..9u32 {
                 let mut handle = pool.handle_for(MachineId(m));
@@ -557,22 +459,14 @@ mod tests {
                     for batch in 0..4u64 {
                         let records: Vec<TraceRecord> =
                             (0..50).map(|i| rec(batch * 50 + i)).collect();
-                        handle.ingest(MachineId(m), &records);
+                        assert!(handle.ingest_at(MachineId(m), batch, &records, 0));
                     }
-                    handle.ingest_name(
-                        MachineId(m),
-                        NameRecord {
-                            file_object: m as u64,
-                            volume: 0,
-                            process: 0,
-                            path: format!(r"\m{m}.txt"),
-                            at_ticks: 0,
-                        },
-                    );
+                    assert!(handle.ingest_name_at(MachineId(m), 4, name(m), 0));
                 });
             }
         });
-        let merged = pool.finish().expect("no server died");
+        let (totals, merged) = finish(pool, &store);
+        assert_eq!(totals.total_records, 9 * 4 * 50);
         assert_eq!(merged.total_records(), 9 * 4 * 50);
         assert_eq!(merged.machines().len(), 9);
         for m in 0..9u32 {
@@ -583,7 +477,8 @@ mod tests {
 
     #[test]
     fn machine_assignment_is_stable() {
-        let pool = CollectorPool::start(3);
+        let store = Arc::new(Store::default());
+        let pool = start_pool(3, Vec::new(), &store);
         let a = pool.handle_for(MachineId(4));
         let b = pool.handle_for(MachineId(4));
         assert_eq!(a.primary, b.primary, "same machine, same server");
@@ -597,11 +492,16 @@ mod tests {
 
     #[test]
     fn empty_batches_are_not_shipped() {
-        let pool = CollectorPool::start(1);
+        let store = Arc::new(Store::default());
+        let pool = start_pool(1, Vec::new(), &store);
         let mut h = pool.handle_for(MachineId(0));
-        h.ingest(MachineId(0), &[]);
+        assert!(
+            h.ingest_at(MachineId(0), 0, &[], 10),
+            "accepted, not shipped"
+        );
         drop(h);
-        let merged = pool.finish().expect("no server died");
+        let (totals, merged) = finish(pool, &store);
+        assert_eq!(totals, StreamingTotals::default());
         assert_eq!(merged.total_records(), 0);
     }
 
@@ -612,7 +512,8 @@ mod tests {
             vec![TickWindow::new(100, 200)],
             vec![TickWindow::new(0, u64::MAX)],
         ];
-        let pool = CollectorPool::start_with_outages(2, outages);
+        let store = Arc::new(Store::default());
+        let pool = start_pool(2, outages, &store);
         let mut h = pool.handle_for(MachineId(0)); // primary = server 0
         let records: Vec<TraceRecord> = (0..10).map(rec).collect();
         assert!(h.ingest_at(MachineId(0), 0, &records, 50), "before outage");
@@ -628,14 +529,13 @@ mod tests {
         assert!(h1.ingest_at(MachineId(1), 0, &records, 50));
         assert_eq!(h1.failovers(), 1);
         drop((h, h1));
-        let merged = pool.finish().expect("no server died");
+        let (totals, merged) = finish(pool, &store);
+        assert_eq!(totals.total_records, 30);
         assert_eq!(merged.total_records(), 30);
     }
 
     #[test]
     fn streaming_pool_accounts_exactly_like_storage() {
-        use std::sync::Mutex;
-
         #[derive(Default)]
         struct Counter {
             records: Mutex<usize>,
@@ -657,42 +557,37 @@ mod tests {
             }
         }
 
-        let ship = |pool_handle: &mut CollectorHandle| {
+        fn ship(sink: &mut dyn RecordSink) {
             for m in 0..4u32 {
                 for batch in 0..3u64 {
                     let records: Vec<TraceRecord> = (0..25).map(|i| rec(batch * 25 + i)).collect();
-                    assert!(pool_handle.ingest_at(MachineId(m), batch, &records, 10));
+                    assert!(sink.ingest_at(MachineId(m), batch, &records, 10));
                 }
-                assert!(pool_handle.ingest_name_at(
-                    MachineId(m),
-                    3,
-                    NameRecord {
-                        file_object: m as u64,
-                        volume: 0,
-                        process: 0,
-                        path: format!(r"\m{m}.txt"),
-                        at_ticks: 0,
-                    },
-                    10,
-                ));
+                assert!(sink.ingest_name_at(MachineId(m), 3, name(m), 10));
             }
-        };
+        }
 
-        let stored = CollectorPool::start(2);
-        let mut h = stored.handle_for(MachineId(0));
-        ship(&mut h);
-        drop(h);
-        let merged = stored.finish().expect("no server died");
+        // The same shipments stored by a collection server …
+        let mut stored = CollectionServer::new();
+        ship(&mut stored);
 
+        // … and forwarded by a streaming pool, which keeps nothing but
+        // must account the identical compressed footprint.
         let consumer = Arc::new(Counter::default());
-        let streaming = StreamingPool::start(2, consumer.clone() as Arc<dyn ShipmentConsumer>);
+        let streaming = StreamingPool::start(
+            2,
+            Vec::new(),
+            consumer.clone() as Arc<dyn ShipmentConsumer>,
+            ShipmentTracer::off(),
+            FlightRecorder::off(),
+        );
         let mut h = streaming.handle_for(MachineId(0));
         ship(&mut h);
         drop(h);
         let totals = streaming.finish().expect("no server died");
 
-        assert_eq!(totals.total_records, merged.total_records());
-        assert_eq!(totals.stored_bytes, merged.stored_bytes());
+        assert_eq!(totals.total_records, stored.total_records());
+        assert_eq!(totals.stored_bytes, stored.stored_bytes());
         assert_eq!(*consumer.records.lock().unwrap(), totals.total_records);
         assert_eq!(*consumer.names.lock().unwrap(), 4);
     }
@@ -712,10 +607,16 @@ mod tests {
             }
             fn name(&self, _m: MachineId, _seq: Option<u64>, _name: NameRecord) {}
         }
-        let pool = StreamingPool::start(1, Arc::new(Bomb));
+        let pool = StreamingPool::start(
+            1,
+            Vec::new(),
+            Arc::new(Bomb),
+            ShipmentTracer::off(),
+            FlightRecorder::off(),
+        );
         let mut h = pool.handle_for(MachineId(0));
         let records: Vec<TraceRecord> = (0..5).map(rec).collect();
-        h.ingest(MachineId(0), &records);
+        assert!(h.ingest_at(MachineId(0), 0, &records, 0));
         drop(h);
         // Before finish() returned Result, the dead thread's panic was
         // re-raised here and took the whole process down.
@@ -727,8 +628,6 @@ mod tests {
 
     #[test]
     fn traced_pool_stamps_meta_and_records_failovers() {
-        use std::sync::Mutex;
-
         #[derive(Default)]
         struct MetaLog {
             seen: Mutex<Vec<(u64, BatchMeta)>>,
@@ -754,7 +653,7 @@ mod tests {
         // Primary (server 0) down in [100, 200): batch 1 fails over.
         let outages = vec![vec![TickWindow::new(100, 200)], Vec::new()];
         let consumer = Arc::new(MetaLog::default());
-        let pool = StreamingPool::start_traced(
+        let pool = StreamingPool::start(
             2,
             outages,
             consumer.clone() as Arc<dyn ShipmentConsumer>,
@@ -805,11 +704,13 @@ mod tests {
     #[test]
     fn failover_batches_reassemble_in_sequence_order() {
         // Primary down in the middle window; the agent ships batch 1 to
-        // the secondary, then batch 2 back on the primary. The merged
-        // store must return them in sequence order regardless of which
-        // server stored what.
+        // the secondary, then batch 2 back on the primary. Every batch
+        // reaches the consumer with its agent sequence stamp, so the
+        // store returns them in sequence order regardless of which
+        // server forwarded what.
         let outages = vec![vec![TickWindow::new(100, 200)], Vec::new()];
-        let pool = CollectorPool::start_with_outages(2, outages);
+        let store = Arc::new(Store::default());
+        let pool = start_pool(2, outages, &store);
         let mut h = pool.handle_for(MachineId(0));
         let batch = |lo: u64| -> Vec<TraceRecord> { (lo..lo + 5).map(rec).collect() };
         assert!(h.ingest_at(MachineId(0), 0, &batch(0), 50));
@@ -817,7 +718,7 @@ mod tests {
         assert!(h.ingest_at(MachineId(0), 2, &batch(10), 250));
         assert_eq!(h.failovers(), 1);
         drop(h);
-        let merged = pool.finish().expect("no server died");
+        let (_, merged) = finish(pool, &store);
         let back = merged.records_for(MachineId(0));
         assert_eq!(back.len(), 15);
         let ids: Vec<u64> = back.iter().map(|r| r.file_object).collect();

@@ -119,7 +119,8 @@ fn pop_or_steal(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
     None
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+/// Best-effort rendering of a panic payload's message.
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -30,7 +30,7 @@ fn main() {
         config.duration.as_secs()
     );
     let started = std::time::Instant::now();
-    let data = Study::run(&config);
+    let data = Study::run(&config).expect("study runs");
     eprintln!(
         "collected {} records ({:.1} MB compressed) in {:.1}s wall time\n",
         data.total_records,

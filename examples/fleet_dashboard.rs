@@ -80,14 +80,15 @@ fn main() {
     let dir = std::env::temp_dir().join("nt-fleet-dashboard");
     let _ = std::fs::remove_dir_all(&dir);
     println!("running the faulted 45-machine sharded fleet with the observability stack on …");
-    let run = Study::run_sharded(
+    let run = Study::try_run_sharded(
         &config(dir.clone()),
         &ShardOptions {
             shards: 4,
             warehouse: Some(dir.join("warehouse")),
             ..ShardOptions::default()
         },
-    );
+    )
+    .unwrap_or_else(|fault| panic!("{fault}"));
     let data = &run.data;
 
     println!();
@@ -145,7 +146,7 @@ fn main() {
     }
 
     println!();
-    println!("== causal shipment tracing (agent → collector → aggregators) ==");
+    println!("== causal shipment tracing (agent → collector → analysis/export) ==");
     let spans = &data.shipment_spans;
     let traces: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.ctx.trace_id).collect();
     println!(

@@ -46,8 +46,8 @@ fn main() {
     let mut lossy_config = clean_config.clone();
     lossy_config.faults = FaultPlan::lossy();
 
-    let clean = Study::run(&clean_config);
-    let lossy = Study::run(&lossy_config);
+    let clean = Study::run(&clean_config).expect("study runs");
+    let lossy = Study::run(&lossy_config).expect("study runs");
 
     summarize("clean deployment", &clean);
     summarize("lossy deployment (FaultPlan::lossy)", &lossy);

@@ -21,7 +21,7 @@ use nt_study::{ReplayConfig, Study, StudyConfig, SyntheticBench, WhatIfStudy};
 fn main() {
     // 1. Collect a trace.
     eprintln!("collecting a trace (5 machines, 5 simulated minutes) ...");
-    let data = Study::run(&StudyConfig::smoke_test(7));
+    let data = Study::run(&StudyConfig::smoke_test(7)).expect("study runs");
     println!(
         "trace: {} records, {} open sessions\n",
         data.total_records,

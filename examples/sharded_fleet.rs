@@ -1,7 +1,7 @@
 //! An org-scale study through the sharded collection tree: machines in
 //! the paper's five-category proportions, partitioned across shard
-//! collectors, merged shard → aggregator → fleet, with the per-tier
-//! conservation ledgers reconciled at the end.
+//! collectors, merged shard → fleet, with the per-tier conservation
+//! ledgers reconciled at the end.
 //!
 //! ```text
 //! cargo run --release --example sharded_fleet                    # 450 machines, 4 shards
@@ -32,15 +32,14 @@ fn main() {
         config.duration.as_secs()
     );
     let started = std::time::Instant::now();
-    let audited = Study::run_sharded_audited(
+    let data = Study::try_run_sharded(
         &config,
         &ShardOptions {
             shards,
             ..ShardOptions::default()
         },
     )
-    .unwrap_or_else(|failure| panic!("{failure}"));
-    let data = &audited.data;
+    .unwrap_or_else(|fault| panic!("{fault}"));
     eprintln!(
         "collected {} records ({:.1} MB compressed) in {:.1}s wall time",
         data.data.total_records,
@@ -48,8 +47,7 @@ fn main() {
         started.elapsed().as_secs_f64()
     );
     println!(
-        "{} aggregators over {} shards; every machine, shard and fleet ledger balanced",
-        data.aggregators,
+        "{} shards; every machine, shard and fleet ledger balanced",
         data.shards.len()
     );
     for shard in &data.shards {

@@ -10,7 +10,7 @@
 //! ```
 
 use nt_analysis::dfg::Dfg;
-use nt_study::{StreamOptions, Study, StudyConfig};
+use nt_study::{ShardOptions, StreamOptions, Study, StudyConfig};
 use nt_warehouse::import_strace;
 
 fn main() {
@@ -20,12 +20,14 @@ fn main() {
     // --- Export: a live smoke-scale study, teed into the warehouse. ---
     eprintln!("running a smoke-scale study with warehouse export ...");
     let config = StudyConfig::smoke_test(17);
-    let options = StreamOptions {
+    let options = ShardOptions {
         retain: true,
         warehouse: Some(dir.clone()),
-        ..StreamOptions::default()
+        ..ShardOptions::default()
     };
-    let live = Study::run_streaming(&config, &options);
+    let live = Study::try_run_sharded(&config, &options)
+        .expect("smoke study runs")
+        .data;
     let stats = live.warehouse.as_ref().expect("export enabled");
     println!(
         "exported {} segments, {} records, {} bytes:",
@@ -41,6 +43,10 @@ fn main() {
     }
 
     // --- Re-ingest: the stored segments through a fresh analysis. ---
+    let options = StreamOptions {
+        retain: true,
+        ..StreamOptions::default()
+    };
     let ingest = Study::ingest_warehouse(&dir, &options).expect("warehouse re-ingests");
     println!(
         "\nre-ingested {} records from {} machines",

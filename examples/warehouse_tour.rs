@@ -16,30 +16,32 @@ use nt_analysis::dimensions::{type_cube, LeafCategory, TopCategory};
 use nt_analysis::processes::process_analysis;
 use nt_cache::CacheConfig;
 use nt_io::DiskParams;
-use nt_study::{ReplayConfig, StreamOptions, Study, StudyConfig, WhatIfStudy};
+use nt_study::{ReplayConfig, ShardOptions, Study, StudyConfig, WhatIfStudy};
 use nt_warehouse::Warehouse;
 
 fn main() {
-    // Stream the study so every shipment is teed into an NTT warehouse
-    // on disk beside the live analysis.
+    // Run the study so every shipment is teed into an NTT warehouse on
+    // disk beside the live analysis.
     let dir = std::env::temp_dir().join(format!("ntt-tour-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     eprintln!(
         "running a smoke-scale study (warehouse tee -> {}) ...",
         dir.display()
     );
-    let data = Study::run_streaming(
+    let data = Study::try_run_sharded(
         &StudyConfig::smoke_test(21),
-        &StreamOptions {
+        &ShardOptions {
             retain: true,
             warehouse: Some(dir.clone()),
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         },
-    );
+    )
+    .expect("smoke study runs")
+    .data;
     let ts = data
         .trace_set
         .as_ref()
-        .expect("retained under StreamOptions::retain");
+        .expect("retained under ShardOptions::retain");
     println!(
         "fact tables: {} trace records, {} instance rows, {} name-dimension entries\n",
         ts.records.len(),

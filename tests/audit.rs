@@ -1,18 +1,44 @@
 //! The conservation-audit suite: every layer's counters must balance
-//! against its neighbours', on clean runs and under fault injection, and
-//! the batch / streaming / replay pipelines must agree on the fact
-//! tables at beyond-smoke scale.
+//! against its neighbours', on clean runs and under fault injection, at
+//! every tier of the collection tree. The study driver reconciles the
+//! books before it returns (a drift is a `StudyFault`); these tests read
+//! them back with `sharded_ledgers` to prove the accounts saw real
+//! traffic, and cook them to prove a drift is named.
 
-use nt_study::{differential_check, ReplayConfig, StreamOptions, Study, StudyConfig};
+use nt_audit::Ledger;
+use nt_study::{sharded_ledgers, ShardOptions, ShardedStudyData, Study, StudyConfig};
+
+/// Runs `config` over `shards` shard collectors; any drift fails it.
+fn audited(config: &StudyConfig, shards: usize) -> ShardedStudyData {
+    Study::try_run_sharded(
+        config,
+        &ShardOptions {
+            shards,
+            ..ShardOptions::default()
+        },
+    )
+    .unwrap_or_else(|fault| panic!("{fault}"))
+}
+
+/// Every ledger's account-by-account report, machines first.
+fn report(data: &ShardedStudyData) -> String {
+    let (machines, shards, fleet) = sharded_ledgers(data);
+    machines
+        .iter()
+        .chain(&shards)
+        .chain([&fleet])
+        .map(Ledger::report)
+        .collect()
+}
 
 #[test]
 fn smoke_run_reconciles_every_ledger() {
     let config = StudyConfig::smoke_test(2024);
-    let audited = Study::run_audited(&config, &StreamOptions::default())
-        .unwrap_or_else(|failure| panic!("{failure}"));
-    assert_eq!(audited.ledgers.len(), audited.data.machines.len());
+    let data = audited(&config, 1);
+    let (ledgers, _, fleet) = sharded_ledgers(&data);
+    assert_eq!(ledgers.len(), data.data.machines.len());
     // The audit is only meaningful if the accounts saw real traffic.
-    let l = &audited.ledgers[0];
+    let l = &ledgers[0];
     assert!(
         l.entry(nt_audit::accounts::READ_DISPATCH)
             .expect("reads happened")
@@ -20,14 +46,13 @@ fn smoke_run_reconciles_every_ledger() {
             > 0
     );
     assert!(
-        audited
-            .fleet
+        fleet
             .entry(nt_audit::accounts::POOL_RECORDS)
             .expect("records flowed")
             .debit
             > 0
     );
-    let report = audited.report();
+    let report = report(&data);
     assert!(report.contains("ledger machine-0"));
     assert!(report.contains("ledger fleet"));
     assert!(!report.contains("DRIFT"), "{report}");
@@ -58,15 +83,14 @@ fn faulted_fleet_run_reconciles_to_zero_drift() {
     config.web_cache_files = 60;
     config.faults = nt_study::FaultPlan::lossy();
     assert_eq!(config.machines.len(), 45, "paper fleet");
-    let audited = Study::run_audited(&config, &StreamOptions::default())
-        .unwrap_or_else(|failure| panic!("{failure}"));
+    let audited = audited(&config, 1);
     // Fault injection really happened …
     assert!(
         audited.data.total_lost() > 0,
         "the lossy plan should drop records"
     );
     // … and still every account balances, fleet-wide.
-    assert!(!audited.report().contains("DRIFT"));
+    assert!(!report(&audited).contains("DRIFT"));
     // Loss shows up in the books as the gap between dispatch and intake
     // never existing: trace.events balances because suspension drops are
     // an explicit credit, not an unexplained deficit.
@@ -88,25 +112,18 @@ fn sharded_run_reconciles_every_tier() {
     // the machine, so nothing the shards forward can go missing.
     let mut config = StudyConfig::smoke_test(404);
     config.faults = nt_study::FaultPlan::lossy();
-    let audited = Study::run_sharded_audited(
-        &config,
-        &nt_study::ShardOptions {
-            shards: 4,
-            ..nt_study::ShardOptions::default()
-        },
-    )
-    .unwrap_or_else(|failure| panic!("{failure}"));
-    assert_eq!(audited.ledgers.len(), audited.data.data.machines.len());
-    assert_eq!(audited.shard_ledgers.len(), 4);
-    for (k, ledger) in audited.shard_ledgers.iter().enumerate() {
+    let data = audited(&config, 4);
+    let (ledgers, shard_ledgers, fleet) = sharded_ledgers(&data);
+    assert_eq!(ledgers.len(), data.data.machines.len());
+    assert_eq!(shard_ledgers.len(), 4);
+    for (k, ledger) in shard_ledgers.iter().enumerate() {
         let entry = ledger
             .entry(nt_audit::accounts::SHARD_RECORDS)
             .expect("shard pool saw traffic");
         assert!(entry.debit > 0, "shard {k} collected nothing");
         assert_eq!(entry.drift(), 0, "shard {k} drifted");
     }
-    let rollup = audited
-        .fleet
+    let rollup = fleet
         .entry(nt_audit::accounts::FLEET_ROLLUP_RECORDS)
         .expect("roll-up account posted");
     assert!(rollup.debit > 0);
@@ -120,13 +137,7 @@ fn drifting_shard_is_named_by_the_rollup() {
     // reports must flag the shard tier — and name shard 2 — while every
     // machine ledger (built from untouched machine state) stays clean.
     let config = StudyConfig::smoke_test(405);
-    let mut data = Study::run_sharded(
-        &config,
-        &nt_study::ShardOptions {
-            shards: 4,
-            ..nt_study::ShardOptions::default()
-        },
-    );
+    let mut data = audited(&config, 4);
     data.shards[2].total_records += 7;
     let (machines, shards, fleet) = nt_study::sharded_ledgers(&data);
     for ledger in &machines {
@@ -149,18 +160,4 @@ fn drifting_shard_is_named_by_the_rollup() {
     let root = fleet.reconcile().unwrap_err();
     assert_eq!(root.scope, "fleet");
     assert_eq!(root.account, nt_audit::accounts::FLEET_ROLLUP_RECORDS);
-}
-
-#[test]
-fn differential_harness_is_clean_under_faults() {
-    // Batch, streaming and replay legs over a faulted multi-machine run:
-    // per-table drift must be zero and the two replays identical.
-    let mut config = StudyConfig::smoke_test(31);
-    config.faults = nt_study::FaultPlan::lossy();
-    let report = differential_check(&config, &ReplayConfig::default())
-        .unwrap_or_else(|fault| panic!("{fault}"));
-    assert_eq!(report.tables.len(), 3);
-    assert!(report.clean(), "drift:\n{}", report.render());
-    assert_eq!(report.batch_records, report.streaming_records);
-    assert!(report.render().contains("records"));
 }

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use nt_study::{MachineRun, StreamOptions, Study, StudyConfig};
+use nt_study::{MachineRun, ShardOptions, StreamOptions, Study, StudyConfig};
 use nt_trace::{CollectionServer, MachineId};
 
 fn per_machine_counts(data: &nt_study::StudyData) -> HashMap<u32, usize> {
@@ -21,8 +21,8 @@ fn per_machine_counts(data: &nt_study::StudyData) -> HashMap<u32, usize> {
 #[test]
 fn same_seed_same_study() {
     let config = StudyConfig::smoke_test(21);
-    let a = Study::run(&config);
-    let b = Study::run(&config);
+    let a = Study::run(&config).expect("study runs");
+    let b = Study::run(&config).expect("study runs");
     assert_eq!(a.total_records, b.total_records, "record head-count");
     assert_eq!(a.stored_bytes, b.stored_bytes, "compressed footprint");
     assert_eq!(
@@ -37,21 +37,31 @@ fn same_seed_same_study() {
     // And a different seed actually changes the trace.
     let mut other = config.clone();
     other.seed = 22;
-    let c = Study::run(&other);
+    let c = Study::run(&other).expect("study runs");
     assert_ne!(a.trace_set.records, c.trace_set.records);
 }
 
 #[test]
 fn parallel_study_equals_serial_study() {
     let config = StudyConfig::smoke_test(33);
-    let parallel = Study::run(&config);
-    let serial = Study::run_with_workers(&config, 1);
+    let parallel = Study::run(&config).expect("study runs");
+    let serial = Study::try_run_sharded(
+        &config,
+        &ShardOptions {
+            workers: Some(1),
+            retain: true,
+            ..ShardOptions::default()
+        },
+    )
+    .expect("study runs")
+    .data;
+    let serial_tables = serial.trace_set.as_ref().expect("retain keeps the tables");
     assert_eq!(parallel.total_records, serial.total_records);
     assert_eq!(parallel.stored_bytes, serial.stored_bytes);
-    assert_eq!(parallel.trace_set.records, serial.trace_set.records);
+    assert_eq!(parallel.trace_set.records, serial_tables.records);
     assert_eq!(
         parallel.trace_set.instances.len(),
-        serial.trace_set.instances.len()
+        serial_tables.instances.len()
     );
     for (p, s) in parallel.machines.iter().zip(serial.machines.iter()) {
         assert_eq!(p.id, s.id);
@@ -67,7 +77,7 @@ fn zero_fault_plan_is_byte_identical_to_the_direct_pipeline() {
     // collection server, the pre-fault pipeline shape.
     let config = StudyConfig::smoke_test(55);
     assert!(config.faults.is_none(), "smoke preset carries no faults");
-    let study = Study::run(&config);
+    let study = Study::run(&config).expect("study runs");
 
     let mut direct = CollectionServer::new();
     for (index, spec) in config.machines.iter().enumerate() {
@@ -107,42 +117,14 @@ fn zero_fault_plan_is_byte_identical_to_the_direct_pipeline() {
 }
 
 #[test]
-fn streaming_study_rebuilds_identical_fact_tables() {
-    // The tentpole guarantee of the streaming pipeline: with `retain` on,
-    // feeding shipments through the per-machine sinks and rebuilding the
-    // fact tables yields bit-for-bit what the materialize-everything path
-    // produces — same records, same instances, same name table.
-    let config = StudyConfig::smoke_test(21);
-    let batch = Study::run(&config);
-    let streamed = Study::run_streaming(
-        &config,
-        &StreamOptions {
-            retain: true,
-            ..StreamOptions::default()
-        },
-    );
-    assert_eq!(batch.total_records, streamed.total_records, "head-count");
-    assert_eq!(
-        batch.stored_bytes, streamed.stored_bytes,
-        "identical batch boundaries compress to identical bytes"
-    );
-    let rebuilt = streamed
-        .trace_set
-        .as_ref()
-        .expect("retain keeps the fact tables");
-    assert_eq!(batch.trace_set.records, rebuilt.records, "record table");
-    assert_eq!(
-        batch.trace_set.instances, rebuilt.instances,
-        "open/close instance table"
-    );
-    assert_eq!(batch.trace_set.names, rebuilt.names, "name table");
-}
-
-#[test]
 fn streaming_study_is_deterministic() {
     let config = StudyConfig::smoke_test(34);
-    let a = Study::run_streaming(&config, &StreamOptions::default());
-    let b = Study::run_streaming(&config, &StreamOptions::default());
+    let run = || {
+        Study::try_run_sharded(&config, &ShardOptions::default())
+            .expect("study runs")
+            .data
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a.total_records, b.total_records);
     assert_eq!(a.stored_bytes, b.stored_bytes);
     assert_eq!(a.summary.records, b.summary.records);
@@ -158,14 +140,13 @@ fn streaming_study_is_deterministic() {
 }
 
 #[test]
-fn multi_day_faulted_fleet_keeps_streaming_and_batch_tables_identical() {
+fn multi_day_faulted_fleet_run_balances_every_ledger() {
     // The full 45-machine fleet over two simulated days with the lossy
     // fault plan active — agent suspensions, shipping refusals and
-    // network partitions all firing. The gap-excluded fact tables the
-    // two pipelines build (records, open/close instances, names) must
-    // still be bit-for-bit identical: fault windows may only remove
-    // records, never reorder or corrupt what survives, and both
-    // pipelines must exclude exactly the same gaps.
+    // network partitions all firing. Fault windows may only remove
+    // records, and only into the explicit loss buckets: the driver
+    // reconciles every machine, shard and fleet ledger before it
+    // returns, so an `Ok` here is the books closing at scale.
     //
     // This run is ~10 M surviving records; it needs the lazy-writer
     // worklist in `nt-cache` (the per-second scan used to walk every
@@ -179,46 +160,23 @@ fn multi_day_faulted_fleet_keeps_streaming_and_batch_tables_identical() {
     config.faults = nt_study::FaultPlan::lossy();
     assert_eq!(config.machines.len(), 45, "paper fleet");
 
-    let batch = Study::run(&config);
-    let streamed = Study::run_streaming(
-        &config,
-        &StreamOptions {
-            retain: true,
-            ..StreamOptions::default()
-        },
-    );
-    let lost: u64 = streamed.machines.iter().map(|m| m.loss.lost()).sum();
-    assert!(lost > 0, "the lossy plan should have dropped records");
+    let run = Study::try_run_sharded(&config, &ShardOptions::default())
+        .unwrap_or_else(|fault| panic!("{fault}"));
+    let data = &run.data;
     assert!(
-        batch.total_records > 1_000_000,
+        data.total_lost() > 0,
+        "the lossy plan should have dropped records"
+    );
+    assert!(
+        data.total_records > 1_000_000,
         "multi-day scale, got {} records",
-        batch.total_records
+        data.total_records
     );
-    assert_eq!(batch.total_records, streamed.total_records, "head-count");
-    assert_eq!(batch.stored_bytes, streamed.stored_bytes, "stored bytes");
-    let rebuilt = streamed
-        .trace_set
-        .as_ref()
-        .expect("retain keeps the fact tables");
-    // `assert!` with `==`, not `assert_eq!`: a failure must not try to
-    // print ten million records.
-    assert!(
-        batch.trace_set.records == rebuilt.records,
-        "record tables diverge ({} batch vs {} streaming rows)",
-        batch.trace_set.records.len(),
-        rebuilt.records.len()
-    );
-    assert!(
-        batch.trace_set.instances == rebuilt.instances,
-        "instance tables diverge ({} batch vs {} streaming rows)",
-        batch.trace_set.instances.len(),
-        rebuilt.instances.len()
-    );
-    assert!(
-        batch.trace_set.names == rebuilt.names,
-        "name tables diverge ({} batch vs {} streaming entries)",
-        batch.trace_set.names.len(),
-        rebuilt.names.len()
+    let delivered: u64 = data.machines.iter().map(|m| m.loss.delivered).sum();
+    assert_eq!(delivered, data.total_records as u64, "head-count");
+    assert_eq!(
+        data.summary.records, data.total_records as u64,
+        "every shipped record was analysed"
     );
 }
 
@@ -299,7 +257,7 @@ fn driver_stack_keeps_the_faulted_fleet_bit_identical() {
     // Telemetry off and on must both reproduce the recorded digests:
     // the stack refactor (and the span filter it hangs telemetry on)
     // may not move a single byte of the study's output.
-    let silent = Study::run(&locked_fleet());
+    let silent = Study::run(&locked_fleet()).expect("study runs");
     assert_eq!(
         digest_study(&silent),
         LOCKED_FLEET_DIGESTS,
@@ -314,7 +272,7 @@ fn driver_stack_keeps_the_faulted_fleet_bit_identical() {
         sample_interval: nt_sim::SimDuration::from_secs(30),
         ..nt_study::TelemetryOptions::default()
     });
-    let watched = Study::run(&watched_config);
+    let watched = Study::run(&watched_config).expect("study runs");
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         digest_study(&watched),
@@ -338,14 +296,16 @@ fn warehouse_reimport_of_the_faulted_fleet_is_bit_identical_to_live_ingest() {
     let config = locked_fleet();
     let dir = std::env::temp_dir().join(format!("nt-determinism-warehouse-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut live = Study::run_streaming(
+    let mut live = Study::try_run_sharded(
         &config,
-        &StreamOptions {
+        &ShardOptions {
             retain: true,
             warehouse: Some(dir.clone()),
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         },
-    );
+    )
+    .expect("study runs")
+    .data;
     assert!(live.total_lost() > 0, "the lossy plan should have fired");
     let stats = live.warehouse.take().expect("export stats present");
     assert_eq!(stats.len(), 45, "one segment per machine");
@@ -411,14 +371,16 @@ fn paper_shaped_streaming_run_stays_under_the_memory_ceiling() {
     config.web_cache_files = 100;
     let spill_dir =
         std::env::temp_dir().join(format!("nt-determinism-spill-{}", std::process::id()));
-    let data = Study::run_streaming(
+    let data = Study::try_run_sharded(
         &config,
-        &StreamOptions {
+        &ShardOptions {
             retain: false,
             spill_dir: Some(spill_dir.clone()),
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         },
-    );
+    )
+    .expect("study runs")
+    .data;
     let _ = std::fs::remove_dir_all(&spill_dir);
     assert_eq!(data.machines.len(), 45);
     assert!(data.trace_set.is_none(), "nothing materialized");

@@ -7,7 +7,7 @@ use nt_study::{Study, StudyConfig};
 use nt_trace::filter_paging_duplicates;
 
 fn study() -> nt_study::StudyData {
-    Study::run(&StudyConfig::smoke_test(123))
+    Study::run(&StudyConfig::smoke_test(123)).expect("study runs")
 }
 
 #[test]
@@ -135,8 +135,8 @@ fn trace_volume_scales_to_paper_rates() {
 
 #[test]
 fn fact_tables_rebuild_deterministically() {
-    let a = Study::run(&StudyConfig::smoke_test(77));
-    let b = Study::run(&StudyConfig::smoke_test(77));
+    let a = Study::run(&StudyConfig::smoke_test(77)).expect("study runs");
+    let b = Study::run(&StudyConfig::smoke_test(77)).expect("study runs");
     assert_eq!(a.total_records, b.total_records);
     assert_eq!(a.trace_set.instances.len(), b.trace_set.instances.len());
     // Spot-check a structural digest: per-kind record counts.
@@ -178,7 +178,7 @@ fn create_cleanup_close_counts_are_consistent() {
 #[test]
 #[ignore = "multi-second evaluation-scale soak; run explicitly"]
 fn evaluation_scale_soak() {
-    let data = Study::run(&StudyConfig::evaluation(99));
+    let data = Study::run(&StudyConfig::evaluation(99)).expect("study runs");
     assert_eq!(data.machines.len(), 45);
     assert!(data.total_records > 100_000);
     let o = ops::operational_stats(&data.trace_set);

@@ -5,12 +5,12 @@
 use nt_analysis::{dimensions, processes, profile};
 use nt_cache::CacheConfig;
 use nt_io::{EventKind, FastIoKind};
-use nt_study::{replay, ReplayConfig, Study, StudyConfig, StudyData, SyntheticBench};
+use nt_study::{ReplayConfig, Study, StudyConfig, StudyData, SyntheticBench, WhatIfStudy};
 use std::sync::OnceLock;
 
 fn data() -> &'static StudyData {
     static DATA: OnceLock<StudyData> = OnceLock::new();
-    DATA.get_or_init(|| Study::run(&StudyConfig::smoke_test(404)))
+    DATA.get_or_init(|| Study::run(&StudyConfig::smoke_test(404)).expect("study runs"))
 }
 
 #[test]
@@ -76,25 +76,28 @@ fn process_analysis_finds_system_noise() {
 
 #[test]
 fn replay_policy_ordering_is_sane() {
-    let ts = &data().trace_set;
-    let baseline = replay(ts, &ReplayConfig::default());
-    let no_ra = replay(
-        ts,
-        &ReplayConfig {
-            cache: CacheConfig {
-                readahead_enabled: false,
-                ..CacheConfig::default()
+    let report = WhatIfStudy::new(ReplayConfig::default())
+        .variant(
+            "no-read-ahead",
+            ReplayConfig {
+                cache: CacheConfig {
+                    readahead_enabled: false,
+                    ..CacheConfig::default()
+                },
+                ..ReplayConfig::default()
             },
-            ..ReplayConfig::default()
-        },
-    );
-    let irp_only = replay(
-        ts,
-        &ReplayConfig {
-            disable_fastio: true,
-            ..ReplayConfig::default()
-        },
-    );
+        )
+        .variant(
+            "irp-only",
+            ReplayConfig {
+                disable_fastio: true,
+                ..ReplayConfig::default()
+            },
+        )
+        .run_trace_set(&data().trace_set)
+        .expect("every variant reconciles");
+    let baseline = &report.baseline.total;
+    let (no_ra, irp_only) = (&report.variants[0].total, &report.variants[1].total);
     assert!(baseline.hit_rate() > no_ra.hit_rate(), "read-ahead helps");
     assert_eq!(irp_only.fastio_reads, 0);
     assert_eq!(
@@ -124,7 +127,7 @@ fn agent_outages_thin_the_trace_but_nothing_breaks() {
     // analysis pipeline must tolerate the resulting gaps.
     let mut flaky = StudyConfig::smoke_test(404);
     flaky.faults.agent_outage_mean = Some(nt_sim::SimDuration::from_secs(45));
-    let lossy = Study::run(&flaky);
+    let lossy = Study::run(&flaky).expect("study runs");
     // The machine-side counters see every open; the filter misses the
     // ones issued while suspended.
     let machine_opens: u64 = lossy

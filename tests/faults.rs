@@ -136,7 +136,7 @@ fn collector_outages_lose_nothing() {
         schedule.collectors.iter().all(|w| w.len() == 2),
         "downtime actually scheduled"
     );
-    let faulted = Study::run(&config);
+    let faulted = Study::run(&config).expect("study runs");
     for report in faulted.loss_reports() {
         assert!(report.ledger.reconciles(), "machine {:?}", report.machine);
         assert_eq!(report.ledger.lost(), 0, "machine {:?}", report.machine);
@@ -147,7 +147,7 @@ fn collector_outages_lose_nothing() {
     // the collected trace is identical to the clean deployment's.
     let mut clean_config = config.clone();
     clean_config.faults = FaultPlan::none();
-    let clean = Study::run(&clean_config);
+    let clean = Study::run(&clean_config).expect("study runs");
     assert_eq!(faulted.total_records, clean.total_records);
     assert_eq!(
         faulted.trace_set.records, clean.trace_set.records,
@@ -192,7 +192,7 @@ fn squeeze_probability_one_squeezes_the_whole_fleet() {
         .machines
         .iter()
         .all(|m| m.buffer_capacity == Some(60)));
-    let data = Study::run(&config);
+    let data = Study::run(&config).expect("study runs");
     assert!(data.total_lost() > 0, "tiny buffers overflow somewhere");
     for report in data.loss_reports() {
         assert!(report.ledger.reconciles(), "machine {:?}", report.machine);
@@ -232,7 +232,7 @@ fn partition_fails_remote_requests() {
 fn lossy_study_completes_and_analysis_degrades_gracefully() {
     let mut config = StudyConfig::smoke_test(101);
     config.faults = FaultPlan::lossy();
-    let data = Study::run(&config);
+    let data = Study::run(&config).expect("study runs");
 
     // Every ledger is internally consistent and the fleet visibly lost
     // records.

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use nt_analysis::TraceSet;
 use nt_io::{irp_fallback, EventKind};
-use nt_study::{FaultPlan, StreamOptions, Study, StudyConfig};
+use nt_study::{sharded_ledgers, FaultPlan, ShardOptions, Study, StudyConfig};
 use nt_trace::{NameRecord, TraceRecord};
 
 /// The faulted 45-machine fleet (the determinism suite's locked shape).
@@ -70,10 +70,10 @@ fn rebuild(records: &[(u32, TraceRecord)], names: &HashMap<(u32, u64), String>) 
 
 #[test]
 fn forced_irp_fallback_matches_the_baseline_modulo_event_kind() {
-    let baseline = Study::run(&fleet(4_242));
+    let baseline = Study::run(&fleet(4_242)).expect("study runs");
     let mut veto_config = fleet(4_242);
     veto_config.force_irp_fallback = true;
-    let vetoed = Study::run(&veto_config);
+    let vetoed = Study::run(&veto_config).expect("study runs");
 
     assert_eq!(
         baseline.total_records, vetoed.total_records,
@@ -142,9 +142,10 @@ fn forced_irp_fallback_matches_the_baseline_modulo_event_kind() {
 fn conservation_still_balances_under_the_veto() {
     let mut config = fleet(97);
     config.force_irp_fallback = true;
-    let audited = Study::run_audited(&config, &StreamOptions::default())
+    let audited = Study::try_run_sharded(&config, &ShardOptions::default())
         .expect("every ledger reconciles with the veto attached");
     let lost: u64 = audited.data.machines.iter().map(|m| m.loss.lost()).sum();
     assert!(lost > 0, "the lossy plan dropped records");
-    assert_eq!(audited.ledgers.len(), 45, "one ledger per machine");
+    let (ledgers, _, _) = sharded_ledgers(&audited);
+    assert_eq!(ledgers.len(), 45, "one ledger per machine");
 }

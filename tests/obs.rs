@@ -71,7 +71,7 @@ fn telemetry_does_not_perturb_the_study() {
     let dir = artefact_dir("fleet");
     let _ = fs::remove_dir_all(&dir);
 
-    let silent = Study::run(&faulted_fleet(4_040));
+    let silent = Study::run(&faulted_fleet(4_040)).expect("study runs");
 
     let mut watched_config = faulted_fleet(4_040);
     watched_config.telemetry = TelemetryConfig::On(TelemetryOptions {
@@ -79,7 +79,7 @@ fn telemetry_does_not_perturb_the_study() {
         sample_interval: nt_sim::SimDuration::from_secs(30),
         ..TelemetryOptions::default()
     });
-    let watched = Study::run(&watched_config);
+    let watched = Study::run(&watched_config).expect("study runs");
 
     // The whole point: watching the fleet changes nothing it produces.
     // `assert!` rather than `assert_eq!` — a failure diff over these
@@ -200,7 +200,8 @@ fn shipment_tracing_does_not_perturb_the_sharded_study() {
         retain: true,
         ..ShardOptions::default()
     };
-    let silent = Study::run_sharded(&faulted_fleet(5_050), &options);
+    let silent =
+        Study::try_run_sharded(&faulted_fleet(5_050), &options).expect("faulted fleet runs");
 
     let mut traced_config = faulted_fleet(5_050);
     traced_config.telemetry = TelemetryConfig::On(TelemetryOptions {
@@ -212,7 +213,7 @@ fn shipment_tracing_does_not_perturb_the_sharded_study() {
         dump_on_loss: true,
         ..TelemetryOptions::default()
     });
-    let traced = Study::run_sharded(&traced_config, &options);
+    let traced = Study::try_run_sharded(&traced_config, &options).expect("faulted fleet runs");
 
     // Fact tables: bit-identical (retain rebuilt the exact tables).
     let s = silent.data.trace_set.as_ref().expect("silent retained");

@@ -25,7 +25,7 @@ fn data() -> &'static StudyData {
             MachineSpec::new(UsageCategory::Administrative, 0),
             MachineSpec::new(UsageCategory::Scientific, 0),
         ];
-        Study::run(&config)
+        Study::run(&config).expect("study runs")
     })
 }
 

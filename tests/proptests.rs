@@ -873,7 +873,7 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Hierarchical merge: the sharded collection tree reduces per-machine
-// aggregates shard → aggregator → fleet, so the merge must be exactly
+// aggregates shard → fleet, so the merge must be exactly
 // associative and insensitive to how machines are partitioned into
 // shards — not merely close up to float reassociation.
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 //! Scale-up invariants of the sharded collection tree.
 //!
-//! Two locks on `Study::run_sharded`:
+//! Two locks on the study driver, `Study::try_run_sharded`:
 //!
 //! 1. **Memory**: the flat pipeline's documented ceiling — 64 MiB of
 //!    live analysis state per 45-machine fleet — becomes a *per-shard*
@@ -18,7 +18,7 @@
 //!    of order* failover delivery happened to run — a scheduling fact,
 //!    not an analytical one — so they are zeroed before the comparison.
 
-use nt_study::{ShardOptions, StreamOptions, Study, StudyConfig};
+use nt_study::{sharded_ledgers, ShardOptions, Study, StudyConfig};
 
 /// The flat pipeline's documented analysis-state ceiling for the
 /// paper's 45-machine deployment (see `tests/determinism.rs` and
@@ -41,12 +41,12 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 fn thousand_machine_sharded_run_holds_every_shard_under_budget() {
     // 1,000 machines in the paper's category proportions, 8 shards,
     // spill runs on disk — the org-scale shape from the ROADMAP. The
-    // audited entry point doubles as the conservation check: every
-    // machine, every shard and the fleet root must balance at width
-    // 1,000 exactly as they do at width 45.
+    // driver's audit doubles as the conservation check: every machine,
+    // every shard and the fleet root must balance at width 1,000 exactly
+    // as they do at width 45.
     let config = StudyConfig::org_scale(31, 1_000);
     let spill_dir = temp_dir("spill");
-    let audited = Study::run_sharded_audited(
+    let data = Study::try_run_sharded(
         &config,
         &ShardOptions {
             shards: 8,
@@ -56,11 +56,11 @@ fn thousand_machine_sharded_run_holds_every_shard_under_budget() {
     )
     .expect("audited sharded run balances");
     let _ = std::fs::remove_dir_all(&spill_dir);
-    let data = &audited.data;
     assert_eq!(data.data.machines.len(), 1_000);
     assert_eq!(data.shards.len(), 8);
-    assert_eq!(audited.ledgers.len(), 1_000);
-    assert_eq!(audited.shard_ledgers.len(), 8);
+    let (ledgers, shard_ledgers, _) = sharded_ledgers(&data);
+    assert_eq!(ledgers.len(), 1_000);
+    assert_eq!(shard_ledgers.len(), 8);
     assert!(
         data.data.summary.records > 100_000,
         "org-scale head-count, got {}",
@@ -148,15 +148,24 @@ fn scrub_watermarks(summary: &mut nt_analysis::StudySummary) {
     summary.peak_state_bytes = 0;
 }
 
+/// One retained run of the faulted fleet.
+fn run(telemetry_on: bool, shards: usize, workers: Option<usize>) -> nt_study::ShardedStudyData {
+    Study::try_run_sharded(
+        &faulted_fleet(telemetry_on),
+        &ShardOptions {
+            shards,
+            workers,
+            retain: true,
+            ..ShardOptions::default()
+        },
+    )
+    .expect("faulted fleet runs")
+}
+
 #[test]
 fn digests_are_bit_identical_across_shard_and_worker_counts() {
-    let mut flat = Study::run_streaming(
-        &faulted_fleet(false),
-        &StreamOptions {
-            retain: true,
-            ..StreamOptions::default()
-        },
-    );
+    // The reference is the flat topology: one shard, default workers.
+    let mut flat = run(false, 1, None).data;
     let reference = digest_tables(&flat);
     assert!(flat.total_lost() > 0, "the lossy plan should drop records");
     let mut want = std::mem::take(&mut flat.summary);
@@ -171,15 +180,7 @@ fn digests_are_bit_identical_across_shard_and_worker_counts() {
         (8, None, true),
     ];
     for &(shards, workers, telemetry_on) in variants {
-        let mut sharded = Study::run_sharded(
-            &faulted_fleet(telemetry_on),
-            &ShardOptions {
-                shards,
-                workers,
-                retain: true,
-                ..ShardOptions::default()
-            },
-        );
+        let mut sharded = run(telemetry_on, shards, workers);
         let label = format!("shards={shards} workers={workers:?} telemetry={telemetry_on}");
         assert_eq!(sharded.shards.len(), shards, "{label}");
         assert_eq!(
@@ -202,31 +203,4 @@ fn digests_are_bit_identical_across_shard_and_worker_counts() {
         scrub_watermarks(&mut got);
         assert_eq!(got, want, "{label}: merged summary");
     }
-}
-
-#[test]
-fn aggregator_fanout_is_invisible() {
-    // The middle tier's shape (how many shards each aggregator merges)
-    // must be as invisible as the shard count itself.
-    let config = StudyConfig::smoke_test(23);
-    let narrow = Study::run_sharded(
-        &config,
-        &ShardOptions {
-            shards: 4,
-            aggregator_fanout: 1,
-            ..ShardOptions::default()
-        },
-    );
-    let wide = Study::run_sharded(
-        &config,
-        &ShardOptions {
-            shards: 4,
-            aggregator_fanout: 64,
-            ..ShardOptions::default()
-        },
-    );
-    assert_eq!(narrow.aggregators, 4);
-    assert_eq!(wide.aggregators, 1);
-    assert_eq!(narrow.data.summary, wide.data.summary);
-    assert_eq!(narrow.data.total_records, wide.data.total_records);
 }

@@ -305,8 +305,10 @@ fn traced_faulted_fleet_artefacts_validate_and_are_deterministic() {
         warehouse: Some(dir.join("warehouse")),
         ..ShardOptions::default()
     };
-    let run_a = Study::run_sharded(&traced_fleet(6_060, &dir_a), &options(&dir_a));
-    let run_b = Study::run_sharded(&traced_fleet(6_060, &dir_b), &options(&dir_b));
+    let run_a = Study::try_run_sharded(&traced_fleet(6_060, &dir_a), &options(&dir_a))
+        .expect("traced fleet runs");
+    let run_b = Study::try_run_sharded(&traced_fleet(6_060, &dir_b), &options(&dir_b))
+        .expect("traced fleet runs");
 
     // ---- 1. Determinism: byte-identical artefacts across runs. ----
     let trace_a = fs::read_to_string(dir_a.join("trace.json")).expect("run A wrote trace.json");
@@ -420,7 +422,7 @@ fn traced_faulted_fleet_artefacts_validate_and_are_deterministic() {
         assert_eq!(span_ids.len(), 5, "span ids are distinct");
         assert!(!span_ids.contains(&0));
 
-        // Parent links: batch is the root; the two aggregator-tier hops
+        // Parent links: batch is the root; the two downstream hops
         // (analysis + warehouse) both hang off the collect hop.
         assert_eq!(batch.parent, 0, "batch span is the root");
         assert_eq!(ship.parent, batch.span);

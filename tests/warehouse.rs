@@ -312,28 +312,26 @@ fn strace_import_feeds_the_full_analysis_pipeline() {
 
 #[test]
 fn flat_and_sharded_exports_write_identical_segments() {
-    // Shard count is a pure performance knob — the sharded export must
-    // produce byte-for-byte the same segment files as the flat one,
-    // because each machine's canonical stream is independent of which
-    // pool carried it.
+    // Shard count is a pure performance knob — a two-shard export must
+    // produce byte-for-byte the same segment files as the flat
+    // (one-shard) one, because each machine's canonical stream is
+    // independent of which pool carried it.
     let config = StudyConfig::smoke_test(11);
     let flat_dir = temp_dir("flat");
     let shard_dir = temp_dir("sharded");
-    let flat = Study::run_streaming(
-        &config,
-        &StreamOptions {
-            warehouse: Some(flat_dir.clone()),
-            ..StreamOptions::default()
-        },
-    );
-    let sharded = Study::run_sharded(
-        &config,
-        &ShardOptions {
-            shards: 2,
-            warehouse: Some(shard_dir.clone()),
-            ..ShardOptions::default()
-        },
-    );
+    let export = |shards: usize, dir: &std::path::Path| {
+        Study::try_run_sharded(
+            &config,
+            &ShardOptions {
+                shards,
+                warehouse: Some(dir.to_path_buf()),
+                ..ShardOptions::default()
+            },
+        )
+        .expect("smoke study runs")
+    };
+    let flat = export(1, &flat_dir).data;
+    let sharded = export(2, &shard_dir);
     let flat_stats = flat.warehouse.expect("flat export stats");
     let shard_stats = sharded.data.warehouse.expect("sharded export stats");
     assert_eq!(flat_stats, shard_stats, "per-segment stats agree");
