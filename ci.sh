@@ -60,9 +60,17 @@ cargo test -q --offline --test filter_stack
 step "sharded scale-up (per-shard memory budget + shard/worker bit-identity)"
 cargo test -q --offline --release --test shard_scale
 
-step "trace warehouse (golden segment, corruption rejection, import, export parity)"
+step "trace warehouse (golden segment, import, export parity; parallel re-ingest: typed faults in file-name order, duplicate machines, bit identity)"
 cargo test -q --offline --test warehouse
 cargo test -q --offline --release --test determinism warehouse_reimport
+
+step "warehouse round trip determinism (parallel re-ingest: two runs, identical stdout)"
+roundtrip_a=$(mktemp)
+roundtrip_b=$(mktemp)
+cargo run --release --offline -q --example warehouse_roundtrip >"$roundtrip_a" 2>/dev/null
+cargo run --release --offline -q --example warehouse_roundtrip >"$roundtrip_b" 2>/dev/null
+diff "$roundtrip_a" "$roundtrip_b"
+rm -f "$roundtrip_a" "$roundtrip_b"
 
 step "causal shipment tracing (faulted sharded smoke: Chrome trace validates, dump reconciles with LossLedger)"
 cargo test -q --offline --test shipment_trace

@@ -167,14 +167,7 @@ impl Study {
         instruments: &Instruments,
     ) -> Result<ShardedStudyData, StudyFault> {
         let n = config.machines.len();
-        let workers = options
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(4)
-            })
-            .min(n.max(1));
+        let workers = options.workers.unwrap_or_else(host_workers).min(n.max(1));
         let ranges = shard_ranges(n, options.shards);
         // One schedule for the whole fleet, materialized exactly like
         // the flat path's (three servers): machine faults key off the
@@ -397,6 +390,14 @@ impl Study {
             shards,
         })
     }
+}
+
+/// Worker threads when the caller leaves the count open: one per core
+/// the host offers, or 4 when it cannot say.
+pub(crate) fn host_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(4)
 }
 
 /// Writes the fleet-aggregated `timeseries.jsonl` when telemetry is on

@@ -4,22 +4,29 @@
 //! Export happens *during* a study: [`crate::ShardOptions::warehouse`]
 //! tees every shipment into a [`nt_warehouse::WarehouseSink`] beside the
 //! live analysis sinks, and the segment files are serialized at study
-//! finish. Re-ingest is [`Study::ingest_warehouse`]: it opens a
-//! warehouse directory and drives the stored batches through a fresh
-//! [`nt_analysis::stream::AnalysisSet`] — in the segments' canonical
-//! stamp order, batch boundaries intact — so the resulting summary is
+//! finish. Re-ingest is [`Study::ingest_warehouse`]: one task per
+//! segment file on the work-stealing pool, so at most `workers` segments
+//! are resident at once. Each task validates its segment and drives the
+//! stored batches through a one-machine
+//! [`nt_analysis::stream::AnalysisSet`] — in the segment's canonical
+//! stamp order, batch boundaries intact — and the root merges the
+//! partials exactly, in machine order, so the resulting summary is
 //! bit-identical to the live run's (`tests/determinism.rs` pins this at
 //! fleet scale, faults included).
 
-use std::path::Path;
+use std::collections::BTreeSet;
+use std::io::Read;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use nt_analysis::stream::{AnalysisSet, StreamConfig, StudySummary};
+use nt_analysis::stream::{AnalysisSet, ShardSummary, StreamConfig, StudySummary};
 use nt_analysis::TraceSet;
 use nt_obs::{Hop, Phase, RuntimeProfile, ShipmentTracer, Telemetry};
 use nt_trace::{BatchMeta, MachineId, NameRecord, ShipmentConsumer, TraceRecord};
-use nt_warehouse::{NttError, TraceSource, Warehouse, WarehouseSink};
+use nt_warehouse::format::decode_header;
+use nt_warehouse::{segment_paths, NttError, Segment, WarehouseSink, HEADER_SIZE};
 
+use crate::shard::host_workers;
 use crate::study::Study;
 
 /// Options for [`Study::ingest_warehouse`].
@@ -86,57 +93,93 @@ pub struct WarehouseIngest {
     /// Machines the warehouse held, ascending.
     pub machines: Vec<u32>,
     /// Wall-clock attribution: segment validation and decode under
-    /// [`Phase::Warehouse`], sink work under [`Phase::Analysis`].
+    /// [`Phase::Warehouse`], sink work under [`Phase::Analysis`], summed
+    /// over the segment tasks (so it can exceed the ingest's wall time).
     pub profile: RuntimeProfile,
 }
 
 impl Study {
     /// Re-runs the analysis stage over a stored warehouse.
     ///
-    /// Ingest goes through the [`TraceSource`] abstraction — the same
-    /// seam the what-if replay engine consumes traces through — so both
-    /// subsystems see machines ascending and each machine's batches
-    /// with ascending sequence stamps in stored order, which *is* the
-    /// canonical stamp order the live `MachineSink`s processed (the
-    /// export sink reassembles with the same discipline). Ingest is
-    /// sequential; `options` mean what the same-named
+    /// One task per `*.ntt` segment file runs on the work-stealing pool,
+    /// sized like a live run's with `workers: None` (one worker per
+    /// core). A task reads and fully validates its segment (header,
+    /// footer, XXH64, batch table), feeds its batches and names in stored
+    /// order — the canonical stamp order the live `MachineSink`s
+    /// processed, batch boundaries intact — into a one-machine
+    /// [`AnalysisSet`], closes it with [`AnalysisSet::finish_shard`] and
+    /// drops the segment bytes, so at most `workers` segments are
+    /// resident. The root merges the partials in ascending machine order
+    /// with [`ShardSummary::merge`], the exact merge a live run's fleet
+    /// root uses, so the result does not depend on which worker took
+    /// which segment.
+    ///
+    /// The first failing segment in file-name order is the error,
+    /// whichever worker hit it. A directory with two segments for one
+    /// machine is [`NttError::DuplicateMachine`], refused before any
+    /// record is analysed. A panicking task is re-raised as a panic that
+    /// names its segment. `options` mean what the same-named
     /// [`crate::ShardOptions`] fields mean for a live run.
     pub fn ingest_warehouse(
         dir: &Path,
         options: &StreamOptions,
     ) -> Result<WarehouseIngest, NttError> {
-        let telemetry = Telemetry::profiler();
-        let warehouse = {
-            let _span = telemetry.span_child(Phase::Warehouse, "warehouse.open");
-            Warehouse::open(dir)?
+        let paths = segment_paths(dir)?;
+        let config = StreamConfig {
+            retain: options.retain,
+            spill_dir: options.spill_dir.clone(),
+            ..StreamConfig::default()
         };
-        let machines = warehouse.machines();
-        let set = AnalysisSet::new(
-            &machines,
-            &StreamConfig {
-                retain: options.retain,
-                spill_dir: options.spill_dir.clone(),
-                telemetry: telemetry.clone(),
-                ..StreamConfig::default()
-            },
-        );
-        let mut records = 0u64;
-        for &machine in &machines {
-            let _span = telemetry.span_child(Phase::Warehouse, "warehouse.ingest_segment");
-            let id = MachineId(machine);
-            warehouse.visit_batches(machine, &mut |seq, decoded| {
-                records += decoded.len() as u64;
-                set.batch(id, Some(seq), decoded, None);
-            })?;
-            warehouse.visit_names(machine, &mut |seq, name| {
-                set.name(id, Some(seq), name);
-            })?;
+        // Two headers naming one machine doom the directory (a duplicate,
+        // or a corrupt member whose own error wins), so its tasks only
+        // validate: nothing is analysed, and no two tasks write one
+        // machine's spill files.
+        let refused = shared_header_machine(&paths);
+        let (slots, panic) = nt_trace::steal::run_indexed(paths.len(), host_workers(), |i| {
+            ingest_segment(&paths[i], &config, refused.is_none())
+        });
+        if let Some(p) = panic {
+            panic!(
+                "warehouse ingest of {}: {}",
+                paths[p.index].display(),
+                p.message
+            );
         }
-        let analysis = set.finish();
+        // No task panicked, so every slot holds its result.
+        let mut parts = Vec::with_capacity(paths.len());
+        let mut seen = BTreeSet::new();
         let mut profile = RuntimeProfile::default();
-        if let Some(report) = telemetry.report() {
-            profile.merge(&report.profile);
+        for part in slots.into_iter().flatten() {
+            let part = part?;
+            if !seen.insert(part.machine) {
+                return Err(NttError::DuplicateMachine(part.machine));
+            }
+            profile.merge(&part.profile);
+            parts.push(part);
         }
+        if let Some(machine) = refused {
+            // Two headers named this machine at listing time, yet every
+            // member validated with a distinct one: the files changed
+            // under the ingest. Nothing was analysed.
+            return Err(NttError::DuplicateMachine(machine));
+        }
+        parts.sort_by_key(|p| p.machine);
+        // Start from an empty set's partial rather than
+        // `ShardSummary::default()`: under retain it carries an empty
+        // stream list, so an empty warehouse still yields an empty
+        // `TraceSet`, not none.
+        let mut merged = AnalysisSet::new(&[], &config).finish_shard();
+        let mut records = 0u64;
+        let mut machines = Vec::with_capacity(parts.len());
+        for part in parts {
+            records += part.records;
+            machines.push(part.machine);
+            merged.merge(
+                part.shard
+                    .expect("every segment is analysed when none is refused"),
+            );
+        }
+        let analysis = merged.into_analysis();
         Ok(WarehouseIngest {
             summary: analysis.summary,
             trace_set: analysis.trace_set,
@@ -145,6 +188,84 @@ impl Study {
             profile,
         })
     }
+}
+
+/// One segment's share of a re-ingest.
+struct SegmentPart {
+    machine: u32,
+    records: u64,
+    /// The one-machine partial; `None` when the directory is refused.
+    shard: Option<ShardSummary>,
+    profile: RuntimeProfile,
+}
+
+/// Validates the segment at `path` in full, then, when `analyse`, drives
+/// its batches and names in stored order through a one-machine
+/// [`AnalysisSet`]. The segment's bytes are dropped before its partial
+/// is closed.
+fn ingest_segment(
+    path: &Path,
+    config: &StreamConfig,
+    analyse: bool,
+) -> Result<SegmentPart, NttError> {
+    let telemetry = Telemetry::profiler();
+    let segment = {
+        let _span = telemetry.span_child(Phase::Warehouse, "warehouse.open");
+        Segment::open(path)?
+    };
+    let machine = segment.machine();
+    let mut records = 0u64;
+    let shard = match analyse {
+        true => {
+            let id = MachineId(machine);
+            let set = AnalysisSet::new(
+                &[machine],
+                &StreamConfig {
+                    telemetry: telemetry.clone(),
+                    ..config.clone()
+                },
+            );
+            {
+                let _span = telemetry.span_child(Phase::Warehouse, "warehouse.ingest_segment");
+                segment.visit_batches(|seq, batch| {
+                    records += batch.len() as u64;
+                    set.batch(id, Some(seq), batch, None);
+                })?;
+                segment.visit_names(|seq, name| set.name(id, Some(seq), name))?;
+            }
+            drop(segment);
+            Some(set.finish_shard())
+        }
+        false => None,
+    };
+    let profile = telemetry.report().map(|r| r.profile).unwrap_or_default();
+    Ok(SegmentPart {
+        machine,
+        records,
+        shard,
+        profile,
+    })
+}
+
+/// A machine id that two segment headers name, read without validating
+/// the segments. A directory with one is refused whatever its members
+/// hold: both validate (a duplicate) or one fails (its own error).
+fn shared_header_machine(paths: &[PathBuf]) -> Option<u32> {
+    let mut named = BTreeSet::new();
+    paths
+        .iter()
+        .filter_map(|path| header_machine(path))
+        .find(|&machine| !named.insert(machine))
+}
+
+/// The machine id in a segment file's header; `None` when the header
+/// cannot be read or is not an NTT header.
+fn header_machine(path: &Path) -> Option<u32> {
+    let mut header = [0u8; HEADER_SIZE];
+    std::fs::File::open(path)
+        .and_then(|mut file| file.read_exact(&mut header))
+        .ok()?;
+    decode_header(&header).ok()
 }
 
 #[cfg(test)]
@@ -190,8 +311,8 @@ mod tests {
         assert_eq!(ingest.machines.len(), live.machines.len());
         // The streaming aggregates must match bit-for-bit; only the
         // scheduling watermarks (parked records, live state bytes) are
-        // allowed to differ between a threaded run and a sequential
-        // re-ingest.
+        // allowed to differ between a live run, whose batches can arrive
+        // out of order, and a re-ingest in stored order.
         let mut a = live.summary;
         let mut b = ingest.summary;
         a.peak_parked_records = 0;
@@ -216,5 +337,31 @@ mod tests {
         .err()
         .expect("opening a missing warehouse must fail");
         assert!(matches!(err, NttError::Io(_)), "got {err}");
+    }
+
+    #[test]
+    fn ingest_of_an_empty_directory_is_an_empty_study() {
+        let dir = temp_dir("empty");
+        std::fs::create_dir_all(&dir).unwrap();
+        let plain = Study::ingest_warehouse(&dir, &StreamOptions::default())
+            .expect("an empty warehouse ingests");
+        assert!(plain.machines.is_empty());
+        assert_eq!(plain.records, 0);
+        assert_eq!(plain.summary.records, 0);
+        assert!(plain.trace_set.is_none());
+        // Under retain, an empty warehouse still yields fact tables —
+        // empty ones — exactly as a set over no machines does.
+        let retained = Study::ingest_warehouse(
+            &dir,
+            &StreamOptions {
+                retain: true,
+                ..StreamOptions::default()
+            },
+        )
+        .expect("an empty warehouse ingests");
+        let set = retained.trace_set.expect("retain yields fact tables");
+        assert!(set.records.is_empty());
+        assert!(set.instances.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

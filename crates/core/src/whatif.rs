@@ -10,8 +10,9 @@
 //! * **Trace sources.** A study replays from wherever the trace lives —
 //!   a live [`TraceSet`] a study just produced ([`LiveSource`]) or an
 //!   NTT warehouse directory scanned zero-copy ([`nt_warehouse::Warehouse`]) —
-//!   through the one [`TraceSource`] abstraction `nt-warehouse` defines
-//!   and the analysis re-ingest shares.
+//!   through the [`TraceSource`] abstraction `nt-warehouse` defines.
+//!   Its warehouse side reads each segment with the same visitors the
+//!   analysis re-ingest uses.
 //! * **Variant matrix.** A baseline [`ReplayConfig`] plus named policy
 //!   variants: read-ahead depth, lazy-writer cadence, FastIO removal,
 //!   cache budget, and the disk latency-model axis (1998 IDE vs

@@ -36,14 +36,14 @@
 //! * [`writer`] — [`SegmentWriter`] (one machine → one segment) and
 //!   [`WarehouseSink`], a [`nt_trace::ShipmentConsumer`] that exports a
 //!   whole fleet during a live study.
-//! * [`reader`] — [`SegmentReader`] and the [`Warehouse`] directory
-//!   wrapper.
+//! * [`reader`] — [`SegmentReader`], the [`Segment`] batch and name
+//!   visitors, the `*.ntt` directory listing ([`segment_paths`]) and the
+//!   [`Warehouse`] directory wrapper.
 //! * [`import`] — foreign-format importers; today an strace-style text
 //!   importer with a loss ledger for malformed input.
 //! * [`source`] — the [`TraceSource`] abstraction: per-machine batch and
-//!   name visitation shared by analysis re-ingest and what-if replay,
-//!   implemented here for [`Warehouse`] and in `nt-study` for live
-//!   fact tables.
+//!   name visitation for what-if replay, implemented here for
+//!   [`Warehouse`] and in `nt-study` for live fact tables.
 
 pub mod format;
 pub mod import;
@@ -53,7 +53,7 @@ pub mod writer;
 
 pub use format::{Footer, FOOTER_SIZE, HEADER_SIZE, NTT_VERSION};
 pub use import::{import_strace, ImportLedger, StraceImport};
-pub use reader::{NameView, RecordView, Segment, SegmentReader, Warehouse};
+pub use reader::{segment_paths, NameView, RecordView, Segment, SegmentReader, Warehouse};
 pub use source::TraceSource;
 pub use writer::{SegmentStats, SegmentWriter, WarehouseSink};
 
@@ -114,6 +114,10 @@ pub enum NttError {
         /// The value that did not fit.
         got: u64,
     },
+    /// Two valid segments in one warehouse directory belong to the same
+    /// machine. Reading both would count that machine twice, so the
+    /// directory is refused.
+    DuplicateMachine(u32),
 }
 
 impl fmt::Display for NttError {
@@ -135,6 +139,9 @@ impl fmt::Display for NttError {
             NttError::BadString { index } => write!(f, "malformed name string at index {index}"),
             NttError::TooLarge { what, max, got } => {
                 write!(f, "{what} {got} exceeds the format limit of {max}")
+            }
+            NttError::DuplicateMachine(machine) => {
+                write!(f, "two warehouse segments hold machine {machine}")
             }
         }
     }

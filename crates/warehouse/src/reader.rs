@@ -1,5 +1,6 @@
 //! Zero-copy segment reading and the warehouse directory wrapper.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use nt_io::EventKind;
@@ -58,6 +59,32 @@ impl Segment {
             machine: self.machine,
             footer: self.footer.clone(),
         }
+    }
+
+    /// Visits every record batch in stored order — the canonical stamp
+    /// order the live sink processed — calling `visit(batch_seq,
+    /// records)` with consecutive stamps from 0. Batches are decoded at
+    /// their stored boundaries.
+    pub fn visit_batches(
+        &self,
+        mut visit: impl FnMut(u64, Vec<TraceRecord>),
+    ) -> Result<(), NttError> {
+        let mut first = 0u64;
+        for (seq, batch) in self.reader().batches().enumerate() {
+            let decoded = SegmentReader::decode_batch(batch, first)?;
+            first += decoded.len() as u64;
+            visit(seq as u64, decoded);
+        }
+        Ok(())
+    }
+
+    /// Visits every name record in stored order, calling
+    /// `visit(name_seq, name)` with consecutive stamps from 0.
+    pub fn visit_names(&self, mut visit: impl FnMut(u64, NameRecord)) -> Result<(), NttError> {
+        for (seq, name) in self.reader().names().enumerate() {
+            visit(seq as u64, name.to_name()?);
+        }
+        Ok(())
     }
 }
 
@@ -325,8 +352,21 @@ impl<'a> NameView<'a> {
     }
 }
 
+/// The `*.ntt` segment files in `dir`, in file-name order — the order
+/// in which a warehouse reader reports the first bad member.
+pub fn segment_paths(dir: &Path) -> Result<Vec<PathBuf>, NttError> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ntt"))
+        .collect();
+    paths.sort();
+    Ok(paths)
+}
+
 /// An opened warehouse directory: every `*.ntt` segment, parsed and
-/// validated, in machine-id order.
+/// validated, in machine-id order, one per machine.
 pub struct Warehouse {
     dir: PathBuf,
     segments: Vec<Segment>,
@@ -334,17 +374,20 @@ pub struct Warehouse {
 
 impl Warehouse {
     /// Opens `dir`, reading and validating every `.ntt` segment in it.
+    ///
+    /// Members are read in file-name order and the first failure is
+    /// returned. A member that validates but holds a machine an earlier
+    /// member already holds is [`NttError::DuplicateMachine`].
     pub fn open(dir: &Path) -> Result<Warehouse, NttError> {
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "ntt"))
-            .collect();
-        paths.sort();
+        let paths = segment_paths(dir)?;
         let mut segments = Vec::with_capacity(paths.len());
+        let mut seen = BTreeSet::new();
         for path in paths {
-            segments.push(Segment::open(&path)?);
+            let segment = Segment::open(&path)?;
+            if !seen.insert(segment.machine()) {
+                return Err(NttError::DuplicateMachine(segment.machine()));
+            }
+            segments.push(segment);
         }
         segments.sort_by_key(Segment::machine);
         Ok(Warehouse {
@@ -366,6 +409,14 @@ impl Warehouse {
     /// Machine ids present, in order.
     pub fn machines(&self) -> Vec<u32> {
         self.segments.iter().map(Segment::machine).collect()
+    }
+
+    /// The one segment holding `machine`, if any.
+    pub(crate) fn segment(&self, machine: u32) -> Option<&Segment> {
+        self.segments
+            .binary_search_by_key(&machine, Segment::machine)
+            .ok()
+            .map(|i| &self.segments[i])
     }
 
     /// Total records across segments.

@@ -1,4 +1,4 @@
-//! [`TraceSource`]: the one abstraction every trace consumer shares.
+//! [`TraceSource`]: one visitor interface over a live or a stored trace.
 //!
 //! PR 7 gave the repository two ways to hold a trace — live in memory as
 //! the shipment stream a study just produced, or at rest in an NTT
@@ -8,11 +8,14 @@
 //! in ascending order and visits each machine's record batches and name
 //! records in their canonical stored order, without knowing whether the
 //! bytes come from a zero-copy segment scan or a vector that never left
-//! the process. Both the warehouse re-ingest driver and the what-if
-//! replay engine in `nt-study` consume traces exclusively through this
-//! trait.
+//! the process. The what-if replay engine in `nt-study` consumes traces
+//! exclusively through this trait. Analysis re-ingest reads segments
+//! directly, one task per segment, through the same per-segment
+//! visitors ([`crate::Segment::visit_batches`] and
+//! [`crate::Segment::visit_names`]) the warehouse implementation below
+//! calls, so both read a segment in one canonical order.
 
-use crate::reader::{SegmentReader, Warehouse};
+use crate::reader::Warehouse;
 use crate::NttError;
 use nt_trace::{NameRecord, TraceRecord};
 
@@ -54,8 +57,8 @@ pub trait TraceSource {
     ) -> Result<(), NttError>;
 }
 
-/// A warehouse directory is a trace source: each machine's segment is
-/// scanned zero-copy, batches decoded at their stored boundaries.
+/// A warehouse directory is a trace source: each machine's one segment
+/// is scanned zero-copy, batches decoded at their stored boundaries.
 impl TraceSource for Warehouse {
     fn machines(&self) -> Vec<u32> {
         Warehouse::machines(self)
@@ -66,16 +69,8 @@ impl TraceSource for Warehouse {
         machine: u32,
         visit: &mut dyn FnMut(u64, Vec<TraceRecord>),
     ) -> Result<(), NttError> {
-        for segment in self.segments().iter().filter(|s| s.machine() == machine) {
-            let reader = segment.reader();
-            let mut first = 0u64;
-            for (seq, batch) in reader.batches().enumerate() {
-                let decoded = SegmentReader::decode_batch(batch, first)?;
-                first += decoded.len() as u64;
-                visit(seq as u64, decoded);
-            }
-        }
-        Ok(())
+        self.segment(machine)
+            .map_or(Ok(()), |segment| segment.visit_batches(visit))
     }
 
     fn visit_names(
@@ -83,13 +78,8 @@ impl TraceSource for Warehouse {
         machine: u32,
         visit: &mut dyn FnMut(u64, NameRecord),
     ) -> Result<(), NttError> {
-        for segment in self.segments().iter().filter(|s| s.machine() == machine) {
-            let reader = segment.reader();
-            for (seq, name) in reader.names().enumerate() {
-                visit(seq as u64, name.to_name()?);
-            }
-        }
-        Ok(())
+        self.segment(machine)
+            .map_or(Ok(()), |segment| segment.visit_names(visit))
     }
 }
 

@@ -284,15 +284,17 @@ fn driver_stack_keeps_the_faulted_fleet_bit_identical() {
 #[test]
 fn warehouse_reimport_of_the_faulted_fleet_is_bit_identical_to_live_ingest() {
     // The 45-machine faulted fleet, exported to an NTT warehouse while
-    // it streams, then re-ingested from disk through a fresh set of
-    // streaming sinks. Everything analytical must be bit-identical to
-    // the live run: the retained fact tables digest-for-digest, the
-    // streaming summary field-for-field (only the scheduling watermarks
-    // — parked records and live state bytes — may differ between a
-    // threaded run and a sequential re-ingest), and the directly-follows
-    // graph over per-file event sequences at similarity exactly 1.0 —
-    // not approximately: any dropped, duplicated or reordered record
-    // moves the score strictly below one.
+    // it streams, then re-ingested from disk in parallel, one task and
+    // one fresh streaming sink per segment, merged in machine order.
+    // Everything analytical must be bit-identical to the live run: the
+    // retained fact tables digest-for-digest, the streaming summary
+    // field-for-field (only the scheduling watermarks — parked records
+    // and live state bytes — may differ between the live run, whose
+    // batches can arrive out of order, and a re-ingest in stored
+    // order), and the directly-follows graph over per-file event
+    // sequences at similarity exactly 1.0 — not approximately: any
+    // dropped, duplicated or reordered record moves the score strictly
+    // below one.
     let config = locked_fleet();
     let dir = std::env::temp_dir().join(format!("nt-determinism-warehouse-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

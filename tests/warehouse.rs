@@ -11,16 +11,20 @@
 //! ```
 //!
 //! The rest of the suite covers the corruption taxonomy (typed errors,
-//! never panics), the strace importer end-to-end through
-//! `Study::ingest_warehouse`, the DFG conformance check, and the
-//! flat-vs-sharded export byte identity.
+//! never panics), bad and duplicate members of a warehouse directory
+//! through both `Warehouse::open` and the parallel
+//! `Study::ingest_warehouse`, the strace importer end-to-end through the
+//! ingest, the DFG conformance check, and the flat-vs-sharded export
+//! byte identity.
 
 use std::path::PathBuf;
 
 use nt_io::{EventKind, MajorFunction, NtStatus};
 use nt_study::{ShardOptions, StreamOptions, Study, StudyConfig};
-use nt_trace::{NameRecord, TraceRecord};
-use nt_warehouse::{import_strace, NttError, Segment, SegmentWriter, Warehouse, NTT_VERSION};
+use nt_trace::{NameRecord, TraceRecord, RECORD_SIZE};
+use nt_warehouse::{
+    import_strace, NttError, Segment, SegmentWriter, Warehouse, HEADER_SIZE, NTT_VERSION,
+};
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -116,7 +120,12 @@ fn fixture_names() -> Vec<NameRecord> {
 }
 
 fn fixture_segment() -> Vec<u8> {
-    let mut w = SegmentWriter::new(7);
+    fixture_segment_for(7)
+}
+
+/// The fixture's batches and names as machine `machine`'s segment.
+fn fixture_segment_for(machine: u32) -> Vec<u8> {
+    let mut w = SegmentWriter::new(machine);
     for batch in fixture_batches() {
         w.push_batch(&batch).unwrap();
     }
@@ -353,20 +362,140 @@ fn flat_and_sharded_exports_write_identical_segments() {
 
 #[test]
 fn warehouse_open_rejects_a_corrupt_member_segment() {
-    let dir = temp_dir("reject");
-    std::fs::create_dir_all(&dir).unwrap();
-    let good = fixture_segment();
-    std::fs::write(dir.join("machine-00007.ntt"), &good).unwrap();
-    let mut bad = good;
-    let mid = bad.len() / 2;
-    bad[mid] ^= 0x10;
-    std::fs::write(dir.join("machine-00008.ntt"), &bad).unwrap();
+    // A bad member fails the whole directory with its own typed error,
+    // through `Warehouse::open` and through the parallel ingest alike.
+    // Every case returns rather than panics, and the ingest's scoped
+    // pool has joined its threads by the time it does.
+    let reject = |tag: &str, members: Vec<(&str, Vec<u8>)>| {
+        let dir = temp_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in &members {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let open = Warehouse::open(&dir)
+            .err()
+            .expect("Warehouse::open rejects the directory");
+        let ingest = Study::ingest_warehouse(&dir, &StreamOptions::default())
+            .err()
+            .expect("the ingest rejects the directory");
+        let _ = std::fs::remove_dir_all(&dir);
+        (open, ingest)
+    };
+    let flipped = |machine: u32| {
+        let mut bytes = fixture_segment_for(machine);
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        bytes
+    };
+    // Cut off in the middle of the record section.
+    let truncated = |machine: u32| {
+        let mut bytes = fixture_segment_for(machine);
+        bytes.truncate(HEADER_SIZE + 5 * RECORD_SIZE + RECORD_SIZE / 2);
+        bytes
+    };
+    let is_checksum = |e: &NttError| matches!(e, NttError::ChecksumMismatch { .. });
+    let is_truncated = |e: &NttError| matches!(e, NttError::Truncated { .. });
+
+    // Both members carry machine 7. A member is compared with its
+    // siblings only once it has validated, so the corrupt one's checksum
+    // error wins over the duplicate it would otherwise be.
+    let (open, ingest) = reject(
+        "reject",
+        vec![
+            ("machine-00007.ntt", fixture_segment()),
+            ("machine-00008.ntt", flipped(7)),
+        ],
+    );
+    assert!(is_checksum(&open), "open: {open}");
+    assert!(is_checksum(&ingest), "ingest: {ingest}");
+
+    // A truncated member gives the error `Segment::open` gives for it.
+    let direct = Segment::parse(truncated(8))
+        .err()
+        .expect("a truncated segment is invalid");
+    assert!(is_truncated(&direct), "got {direct}");
+    let (open, ingest) = reject(
+        "truncated",
+        vec![
+            ("machine-00007.ntt", fixture_segment()),
+            ("machine-00008.ntt", truncated(8)),
+        ],
+    );
+    for err in [open, ingest] {
+        assert_eq!(err.to_string(), direct.to_string());
+    }
+
+    // Two bad members with distinct machines: the first in file-name
+    // order is the error, in either arrangement. With two workers the
+    // last member is the second worker's first task, so its error is
+    // usually found first in time.
+    let (open, ingest) = reject(
+        "first-truncated",
+        vec![
+            ("machine-00007.ntt", fixture_segment()),
+            ("machine-00008.ntt", truncated(8)),
+            ("machine-00009.ntt", flipped(9)),
+        ],
+    );
+    assert!(is_truncated(&open), "open: {open}");
+    assert!(is_truncated(&ingest), "ingest: {ingest}");
+    let (open, ingest) = reject(
+        "first-flipped",
+        vec![
+            ("machine-00007.ntt", fixture_segment()),
+            ("machine-00008.ntt", flipped(8)),
+            ("machine-00009.ntt", truncated(9)),
+        ],
+    );
+    assert!(is_checksum(&open), "open: {open}");
+    assert!(is_checksum(&ingest), "ingest: {ingest}");
+
+    // A second valid segment for machine 7 is a bad member at its own
+    // place in that order, ahead of a corrupt member named after it.
+    let (open, ingest) = reject(
+        "duplicate-first",
+        vec![
+            ("machine-00007.ntt", fixture_segment()),
+            ("machine-00008.ntt", fixture_segment()),
+            ("machine-00009.ntt", flipped(9)),
+        ],
+    );
+    for err in [open, ingest] {
+        assert!(matches!(err, NttError::DuplicateMachine(7)), "got {err}");
+    }
+}
+
+#[test]
+fn a_second_segment_for_one_machine_is_refused_not_double_counted() {
+    // A smoke export plus a copy of one of its segments under another
+    // name. Reading both would count machine 0 twice; both readers
+    // refuse the directory instead.
+    let dir = temp_dir("duplicate");
+    let live = Study::try_run_sharded(
+        &StudyConfig::smoke_test(7),
+        &ShardOptions {
+            warehouse: Some(dir.clone()),
+            ..ShardOptions::default()
+        },
+    )
+    .expect("smoke study runs")
+    .data;
+    let ingest =
+        Study::ingest_warehouse(&dir, &StreamOptions::default()).expect("the export ingests");
+    assert_eq!(ingest.records, live.summary.records);
+
+    std::fs::copy(
+        dir.join("machine-00000.ntt"),
+        dir.join("machine-00000-copy.ntt"),
+    )
+    .unwrap();
     let err = Warehouse::open(&dir)
         .err()
-        .expect("corrupt member rejected");
-    assert!(
-        matches!(err, NttError::ChecksumMismatch { .. }),
-        "got {err}"
-    );
+        .expect("Warehouse::open refuses a duplicate");
+    assert!(matches!(err, NttError::DuplicateMachine(0)), "got {err}");
+    let err = Study::ingest_warehouse(&dir, &StreamOptions::default())
+        .err()
+        .expect("the ingest refuses a duplicate");
+    assert!(matches!(err, NttError::DuplicateMachine(0)), "got {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
