@@ -75,8 +75,16 @@ rm -f "$roundtrip_a" "$roundtrip_b"
 step "causal shipment tracing (faulted sharded smoke: Chrome trace validates, dump reconciles with LossLedger)"
 cargo test -q --offline --test shipment_trace
 
-step "what-if replay (matrix bit-identity across workers/sources, variant audit, golden deltas)"
+step "what-if replay (parallel per-machine extraction: bit-identity across workers/sources, first bad machine's typed error, variant audit, golden deltas)"
 cargo test -q --offline --test whatif
+
+step "warehouse tour determinism (parallel extraction from both sources: two runs, identical stdout)"
+tour_a=$(mktemp)
+tour_b=$(mktemp)
+cargo run --release --offline -q --example warehouse_tour >"$tour_a" 2>/dev/null
+cargo run --release --offline -q --example warehouse_tour >"$tour_b" 2>/dev/null
+diff "$tour_a" "$tour_b"
+rm -f "$tour_a" "$tour_b"
 
 step "cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q

@@ -47,6 +47,5 @@ pub use study::{LossReport, MachineOutput, StreamedStudyData, Study, StudyData, 
 pub use synthetic::SyntheticBench;
 pub use warehouse::{StreamOptions, WarehouseIngest};
 pub use whatif::{
-    audit_variant, extract_streams, variant_ledgers, LiveSource, VariantRun, WhatIfError,
-    WhatIfReport, WhatIfStudy,
+    audit_variant, variant_ledgers, VariantRun, WhatIfError, WhatIfReport, WhatIfStudy,
 };

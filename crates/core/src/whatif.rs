@@ -7,19 +7,23 @@
 //! policy, and this module makes that a subsystem that cuts through the
 //! whole stack:
 //!
-//! * **Trace sources.** A study replays from wherever the trace lives —
-//!   a live [`TraceSet`] a study just produced ([`LiveSource`]) or an
-//!   NTT warehouse directory scanned zero-copy ([`nt_warehouse::Warehouse`]) —
-//!   through the [`TraceSource`] abstraction `nt-warehouse` defines.
-//!   Its warehouse side reads each segment with the same visitors the
-//!   analysis re-ingest uses.
+//! * **Trace sources.** A study replays from wherever the trace lives:
+//!   a live [`TraceSet`] a study just produced
+//!   ([`WhatIfStudy::run_trace_set`], which partitions the fact table
+//!   with [`ReplayStream::from_trace_set`]) or a stored trace read
+//!   through the [`TraceSource`] abstraction `nt-warehouse` defines
+//!   ([`WhatIfStudy::run`], e.g. over an NTT warehouse directory scanned
+//!   zero-copy with the same visitors the analysis re-ingest uses).
+//!   Either way each machine's stream is normalized to one canonical
+//!   order, so both answer bit-identically.
 //! * **Variant matrix.** A baseline [`ReplayConfig`] plus named policy
 //!   variants: read-ahead depth, lazy-writer cadence, FastIO removal,
 //!   cache budget, and the disk latency-model axis (1998 IDE vs
 //!   SSD-class [`nt_io::DiskParams`]).
-//! * **Scheduling.** Every (variant × machine) cell is one task on the
-//!   `nt-trace` work-stealing pool; results land in index-ordered
-//!   slots, so worker count never changes a single output bit.
+//! * **Scheduling.** Extraction runs first, one task per machine on the
+//!   `nt-trace` work-stealing pool; then every (variant × machine) cell
+//!   is one task on the same pool. Results land in index-ordered slots,
+//!   so worker count never changes a single output bit.
 //! * **Audit.** Each variant's machines are reconciled by the `nt-audit`
 //!   conservation ledger; a drifting variant fails loudly, named by
 //!   variant, before any table is built.
@@ -30,7 +34,7 @@
 //! same segments → bit-identical differential fact tables, regardless
 //! of worker count and regardless of which source held the trace.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use nt_analysis::whatif::{DeltaSummary, DifferentialTable, ReplayFacts};
@@ -38,80 +42,25 @@ use nt_analysis::TraceSet;
 use nt_audit::{accounts, Imbalance, Ledger};
 use nt_obs::{Phase, RuntimeProfile, Telemetry};
 use nt_trace::steal::run_indexed;
-use nt_trace::{NameRecord, TraceRecord};
 use nt_warehouse::{NttError, TraceSource};
 
-use crate::replay::{replay_stream, MachineVariantOutcome, ReplayConfig, ReplayStream};
-
-/// A live, in-memory trace as a [`TraceSource`]: the bridge that lets
-/// the engine treat "the study that just ran" and "a warehouse on disk"
-/// identically. Machines are the fact table's, ascending; each machine
-/// contributes one batch in table order (normalization sorts it anyway)
-/// and its name dimension sorted by file object.
-pub struct LiveSource<'a>(pub &'a TraceSet);
-
-impl TraceSource for LiveSource<'_> {
-    fn machines(&self) -> Vec<u32> {
-        let mut set: BTreeSet<u32> = self.0.records.iter().map(|(m, _)| m).collect();
-        set.extend(self.0.names.keys().map(|(m, _)| *m));
-        set.into_iter().collect()
-    }
-
-    fn visit_batches(
-        &self,
-        machine: u32,
-        visit: &mut dyn FnMut(u64, Vec<TraceRecord>),
-    ) -> Result<(), NttError> {
-        let records: Vec<TraceRecord> = self
-            .0
-            .records
-            .iter()
-            .filter(|(m, _)| *m == machine)
-            .map(|(_, r)| r)
-            .collect();
-        if !records.is_empty() {
-            visit(0, records);
-        }
-        Ok(())
-    }
-
-    fn visit_names(
-        &self,
-        machine: u32,
-        visit: &mut dyn FnMut(u64, NameRecord),
-    ) -> Result<(), NttError> {
-        let mut names: Vec<(u64, &String)> = self
-            .0
-            .names
-            .iter()
-            .filter(|((m, _), _)| *m == machine)
-            .map(|((_, fo), path)| (*fo, path))
-            .collect();
-        names.sort_by_key(|(fo, _)| *fo);
-        for (seq, (fo, path)) in names.into_iter().enumerate() {
-            visit(
-                seq as u64,
-                NameRecord {
-                    file_object: fo,
-                    volume: 0,
-                    process: 0,
-                    path: path.clone(),
-                    at_ticks: 0,
-                },
-            );
-        }
-        Ok(())
-    }
-}
+use crate::replay::{
+    per_machine, replay_stream, MachineVariantOutcome, ReplayConfig, ReplayStream,
+};
+use crate::shard::host_workers;
 
 /// Extracts per-machine replay streams from any trace source, in
-/// ascending machine order, each normalized to canonical replay order.
-pub fn extract_streams(source: &dyn TraceSource) -> Result<Vec<ReplayStream>, NttError> {
-    let mut streams = Vec::new();
-    for machine in source.machines() {
+/// ascending machine order, each normalized to canonical replay order:
+/// one task per machine on `workers` threads. The first source error in
+/// machine order is returned, whichever worker hit it.
+pub(crate) fn extract_streams(
+    source: &(dyn TraceSource + Sync),
+    workers: usize,
+) -> Result<Vec<ReplayStream>, NttError> {
+    per_machine(&source.machines(), workers, |machine| {
         let mut records = Vec::new();
         source.visit_batches(machine, &mut |_seq, mut batch| records.append(&mut batch))?;
-        let mut names = std::collections::BTreeMap::new();
+        let mut names = BTreeMap::new();
         source.visit_names(machine, &mut |_seq, n| {
             // Last recorded name wins — the fact-table rule.
             names.insert(n.file_object, n.path);
@@ -122,9 +71,10 @@ pub fn extract_streams(source: &dyn TraceSource) -> Result<Vec<ReplayStream>, Nt
             names,
         };
         stream.normalize();
-        streams.push(stream);
-    }
-    Ok(streams)
+        Ok(stream)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Why a what-if study failed. Everything is loud and named: a study
@@ -225,7 +175,7 @@ impl WhatIfReport {
 /// replayed over every machine of a trace source.
 ///
 /// ```
-/// use nt_study::{LiveSource, ReplayConfig, Study, StudyConfig, WhatIfStudy};
+/// use nt_study::{ReplayConfig, Study, StudyConfig, WhatIfStudy};
 ///
 /// let data = Study::run(&StudyConfig::smoke_test(42)).expect("study runs");
 /// let report = WhatIfStudy::new(ReplayConfig::default())
@@ -234,7 +184,7 @@ impl WhatIfReport {
 ///         c.cache.readahead_enabled = false;
 ///         c
 ///     })
-///     .run(&LiveSource(&data.trace_set))
+///     .run_trace_set(&data.trace_set)
 ///     .expect("variants reconcile");
 /// assert_eq!(report.variants.len(), 1);
 /// assert!(report.summaries[1].hit_rate_delta < 0.0);
@@ -245,8 +195,10 @@ pub struct WhatIfStudy {
     pub baseline: ReplayConfig,
     /// The named variant matrix.
     pub variants: Vec<(String, ReplayConfig)>,
-    /// Worker threads for the (variant × machine) task grid; 0 means
-    /// one per available core. Never changes a single output bit.
+    /// Worker threads for the per-machine extraction and the
+    /// (variant × machine) task grid; 0 means one per core the host
+    /// offers, or 4 when it cannot say. Never changes a single output
+    /// bit.
     pub workers: usize,
 }
 
@@ -266,18 +218,42 @@ impl WhatIfStudy {
         self
     }
 
-    /// Sets the worker-thread count (0 = one per core).
+    /// Sets the worker-thread count (0 = one per host core).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
-    /// Runs the matrix over `source` and builds the report.
+    /// Runs the matrix over `source` and builds the report. Extraction
+    /// visits one machine per task; the first source error in machine
+    /// order is the study's error.
     pub fn run(&self, source: &(dyn TraceSource + Sync)) -> Result<WhatIfReport, WhatIfError> {
+        self.run_with(|workers| extract_streams(source, workers).map_err(WhatIfError::Source))
+    }
+
+    /// Runs the matrix over a live fact table, partitioned by
+    /// [`ReplayStream::from_trace_set`] on the study's workers. Answers
+    /// bit-identically to [`WhatIfStudy::run`] over the same trace
+    /// stored in a warehouse.
+    pub fn run_trace_set(&self, ts: &TraceSet) -> Result<WhatIfReport, WhatIfError> {
+        self.run_with(|workers| Ok(ReplayStream::extract(ts, workers)))
+    }
+
+    /// The study behind both entry points: `extract` builds the streams
+    /// on the given worker count under one `replay.extract` span, then
+    /// the grid replays them.
+    fn run_with(
+        &self,
+        extract: impl FnOnce(usize) -> Result<Vec<ReplayStream>, WhatIfError>,
+    ) -> Result<WhatIfReport, WhatIfError> {
+        let workers = match self.workers {
+            0 => host_workers(),
+            n => n,
+        };
         let telemetry = Telemetry::profiler();
         let streams = {
             let _span = telemetry.span_child(Phase::Replay, "replay.extract");
-            extract_streams(source).map_err(WhatIfError::Source)?
+            extract(workers)?
         };
         let machines: Vec<u32> = streams.iter().map(|s| s.machine).collect();
 
@@ -292,13 +268,6 @@ impl WhatIfStudy {
         }
         let per_variant = streams.len();
         let tasks = configs.len() * per_variant;
-        let workers = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.workers
-        };
 
         let (slots, panic) = run_indexed(tasks, workers, |i| {
             let task_telemetry = Telemetry::profiler();
@@ -386,11 +355,6 @@ impl WhatIfStudy {
             summaries,
             profile,
         })
-    }
-
-    /// [`WhatIfStudy::run`] over a live fact table.
-    pub fn run_trace_set(&self, ts: &TraceSet) -> Result<WhatIfReport, WhatIfError> {
-        self.run(&LiveSource(ts))
     }
 }
 

@@ -217,19 +217,22 @@ impl Volume {
 
     /// Looks up a child by (case-insensitive) name in a directory.
     pub fn child(&self, dir: NodeId, name: &str) -> FsResult<NodeId> {
+        self.child_by_key(dir, &name.to_ascii_lowercase())
+    }
+
+    /// Looks up a child by its stored, already lower-cased key, such as
+    /// an [`NtPath`] component.
+    fn child_by_key(&self, dir: NodeId, key: &str) -> FsResult<NodeId> {
         let node = self.node(dir)?;
         let d = node.dir().ok_or(FsError::NotADirectory)?;
-        d.children
-            .get(&name.to_ascii_lowercase())
-            .copied()
-            .ok_or(FsError::NotFound)
+        d.children.get(key).copied().ok_or(FsError::NotFound)
     }
 
     /// Resolves an absolute path to a node.
     pub fn lookup(&self, path: &NtPath) -> FsResult<NodeId> {
         let mut cur = self.root;
         for comp in path.components() {
-            cur = self.child(cur, comp)?;
+            cur = self.child_by_key(cur, comp)?;
         }
         Ok(cur)
     }
@@ -282,7 +285,7 @@ impl Volume {
     pub fn mkdir_all(&mut self, path: &NtPath, now: SimTime) -> FsResult<NodeId> {
         let mut cur = self.root;
         for comp in path.components() {
-            cur = match self.child(cur, comp) {
+            cur = match self.child_by_key(cur, comp) {
                 Ok(id) => {
                     if !self.node(id)?.kind.is_directory() {
                         return Err(FsError::NotADirectory);
@@ -587,6 +590,7 @@ mod tests {
         let d = v.mkdir_all(&NtPath::parse(r"\a\b"), T1).unwrap();
         let f = v.create_file(d, "X.TXT", T1).unwrap();
         assert_eq!(v.lookup(&NtPath::parse(r"\A\B\x.txt")).unwrap(), f);
+        assert_eq!(v.child(d, "X.txt").unwrap(), f);
         assert_eq!(v.path_of(f).unwrap().to_string(), r"\a\b\x.txt");
         assert_eq!(v.stats().files, 1);
         assert_eq!(v.stats().directories, 2);

@@ -8,8 +8,10 @@
 //! in ascending order and visits each machine's record batches and name
 //! records in their canonical stored order, without knowing whether the
 //! bytes come from a zero-copy segment scan or a vector that never left
-//! the process. The what-if replay engine in `nt-study` consumes traces
-//! exclusively through this trait. Analysis re-ingest reads segments
+//! the process. The what-if replay engine in `nt-study` reads *stored*
+//! traces through this trait, one machine per task; a live fact table
+//! it partitions directly, and normalization makes the two answer
+//! bit-identically. Analysis re-ingest reads segments
 //! directly, one task per segment, through the same per-segment
 //! visitors ([`crate::Segment::visit_batches`] and
 //! [`crate::Segment::visit_names`]) the warehouse implementation below

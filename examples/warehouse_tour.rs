@@ -132,7 +132,8 @@ fn main() {
     println!("\n{}", report.render_summary());
 
     // The same matrix from the live fact tables answers identically —
-    // the trace-source abstraction guarantees it.
+    // each machine's stream is normalized to one canonical order,
+    // whichever source it came from.
     let live = WhatIfStudy::new(ReplayConfig::default())
         .variant(
             "no-read-ahead",

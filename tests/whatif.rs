@@ -7,7 +7,9 @@
 //! warehouse directory. Plus: every variant must pass the conservation
 //! audit, an injected drift must be named by variant, and the §9-style
 //! delta summary is locked against a golden file
-//! (`GOLDEN_REGEN=1 cargo test --test whatif` to regenerate).
+//! (`GOLDEN_REGEN=1 cargo test --test whatif` to regenerate). A stored
+//! trace with undecodable records fails the study with the first bad
+//! machine's typed error, on any worker count.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -20,7 +22,9 @@ use nt_study::{
     audit_variant, FaultPlan, ReplayConfig, ShardOptions, Study, StudyConfig, WhatIfError,
     WhatIfReport, WhatIfStudy,
 };
-use nt_warehouse::Warehouse;
+use nt_trace::RECORD_SIZE;
+use nt_warehouse::format::xxh64;
+use nt_warehouse::{NttError, Warehouse, HEADER_SIZE};
 
 /// The faulted 45-machine fleet, trimmed to a tier-1-friendly period.
 fn faulted_fleet() -> StudyConfig {
@@ -271,6 +275,44 @@ fn live_source_covers_the_whole_trace() {
             row.machine
         );
     }
+}
+
+#[test]
+fn a_bad_record_fails_the_study_with_the_first_machine_s_error() {
+    let dir = std::env::temp_dir().join(format!("nt-whatif-bad-record-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    Study::try_run_sharded(
+        &StudyConfig::smoke_test(7),
+        &ShardOptions {
+            warehouse: Some(dir.clone()),
+            ..ShardOptions::default()
+        },
+    )
+    .expect("smoke study runs");
+    // An invalid event code in record 3 of machine 2 and record 0 of
+    // machine 4, each segment re-sealed so it still validates: the
+    // footer ends with the XXH64 over every byte before it, then the
+    // end magic.
+    for (file, record) in [("machine-00002.ntt", 3), ("machine-00004.ntt", 0)] {
+        let path = dir.join(file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[HEADER_SIZE + record * RECORD_SIZE] = 0xFF;
+        let sealed = bytes.len() - 16;
+        let checksum = xxh64(&bytes[..sealed]);
+        bytes[sealed..sealed + 8].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+    }
+    let warehouse = Warehouse::open(&dir).expect("validation does not decode records");
+    for workers in [1, 8] {
+        match matrix().workers(workers).run(&warehouse) {
+            Err(WhatIfError::Source(NttError::BadRecord { index: 3 })) => {}
+            other => panic!(
+                "{workers} workers: expected machine 2's BadRecord {{ index: 3 }}, got {:?}",
+                other.map(|report| report.machines)
+            ),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
