@@ -57,7 +57,7 @@ cargo test -q --offline --test obs
 step "driver stack (FastIO fallback equivalence + conservation under veto)"
 cargo test -q --offline --test filter_stack
 
-step "sharded scale-up (per-shard memory budget + shard/worker bit-identity)"
+step "sharded scale-up (per-shard memory budget + shard/worker bit-identity, summaries compared whole)"
 cargo test -q --offline --release --test shard_scale
 
 step "trace warehouse (golden segment, import, export parity; parallel re-ingest: typed faults in file-name order, duplicate machines, bit identity)"
@@ -96,6 +96,12 @@ cargo test -q --workspace --offline
 # lock), so no step above builds it against a changed study API.
 step "benchmark package (adapter builds against the crates; quick-suite contract)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+# A dependency dropped from a workspace crate leaves stale entries in the
+# benchmark's frozen lock file: `--locked` does not refuse them, and a
+# plain build prunes them silently. Fail instead.
+step "benchmark lock file unchanged"
+git diff --exit-code -- benchmark/Cargo.lock
 
 step "bench regression gate (every *_min_ns in BENCH_streaming.json + 3 ratio gates)"
 NT_BENCH_ITERS=1 NT_BENCH_GATE=1 cargo bench -q --offline -p nt-bench --bench streaming

@@ -4,8 +4,8 @@
 //! data warehouse; materializing that stream in memory is exactly what
 //! `Scale::Paper` could not do. This module replaces the
 //! store-everything trace path: each machine gets a [`MachineSink`] that
-//! consumes shipments *as they arrive from the collection servers*,
-//! reassembles the agent's sequence order, drives the instance-table
+//! consumes shipments *as the agent ships them*, holds them to the
+//! agent's sequence order, drives the instance-table
 //! state machine ([`crate::schema::InstanceBuilder`]) and folds every
 //! record and finished session into online aggregates — exact counters,
 //! [`crate::sketch::HistogramSketch`] CDF sketches, and
@@ -50,9 +50,10 @@ pub struct StreamConfig {
     pub spill_dir: Option<PathBuf>,
     /// Resident samples per spill buffer before a sorted run is written.
     pub spill_buffer: usize,
-    /// Telemetry handle for analysis-ingest spans; off by default. The
-    /// whole streaming fleet shares one handle (the ingest phase has no
-    /// machine identity), so the study-side profiler sees every batch.
+    /// Telemetry handle for the `analysis.finish` span that closes the
+    /// set; off by default. Per-batch work is timed by whoever delivers
+    /// it, on a handle of the delivering thread: a live study's collector
+    /// handle times each batch on its machine's telemetry.
     pub telemetry: Telemetry,
     /// Shipment tracer for causal `analysis.ingest` spans; off by
     /// default. Sinks parent-link each stamped batch to the collector
@@ -74,10 +75,10 @@ impl Default for StreamConfig {
 
 /// One machine's streaming sink.
 ///
-/// Shipments may arrive through any collection server, but they carry
-/// the agent's own sequence stamp; the sink parks out-of-order batches
-/// and processes them in sequence, so the instance state machine sees
-/// the agent's stream exactly as the legacy
+/// Shipments carry the agent's own sequence stamp. A live study delivers
+/// them in stamp order; for any other caller the sink parks out-of-order
+/// batches and processes them in sequence, so the instance state machine
+/// sees the agent's stream exactly as the legacy
 /// `CollectionServer::records_for` reassembly would replay it. Refused
 /// shipments are retried by the agent with the *same* stamp, so a gap
 /// can only ever close (or the stream ends and `finish` drains the park
@@ -109,7 +110,6 @@ pub struct MachineSink {
     peak_open_sessions: usize,
     peak_parked_records: usize,
     peak_state_bytes: usize,
-    telemetry: Telemetry,
     tracer: ShipmentTracer,
 }
 
@@ -145,7 +145,6 @@ impl MachineSink {
             peak_open_sessions: 0,
             peak_parked_records: 0,
             peak_state_bytes: 0,
-            telemetry: config.telemetry.clone(),
             tracer: config.tracer.clone(),
         }
     }
@@ -159,7 +158,6 @@ impl MachineSink {
         records: Vec<TraceRecord>,
         meta: Option<BatchMeta>,
     ) {
-        let _span = self.telemetry.span_child(Phase::Analysis, "analysis.batch");
         // The ingest hop marks *arrival* at the analysis tier; parked
         // batches still arrived now, so the span precedes the parking
         // discipline.
@@ -335,11 +333,11 @@ struct MachineSummary {
 ///
 /// `PartialEq` is exact: every field is an integer, an exactly-mergeable
 /// sketch, or a float computed once at the fleet root — so two runs that
-/// partitioned the fleet differently can be compared with `==`. The one
-/// caveat: [`StudySummary::peak_parked_records`] and
-/// [`StudySummary::peak_state_bytes`] are scheduling watermarks (how far
-/// out of order failover delivery ran), not analytical facts — identity
-/// tests zero them before comparing.
+/// partitioned the fleet differently can be compared with `==`, the
+/// watermarks included: a live study delivers each machine's batches in
+/// stamp order, so [`StudySummary::peak_parked_records`] is 0 and
+/// [`StudySummary::peak_state_bytes`] depends only on each machine's
+/// stream, never on thread timing.
 #[derive(Debug, Default, PartialEq)]
 pub struct StudySummary {
     /// Machines that contributed.
@@ -349,9 +347,9 @@ pub struct StudySummary {
     /// Records consumed per machine, in machine-id order — the credit
     /// side of the `analysis.records` conservation account.
     pub machine_records: Vec<(u32, u64)>,
-    /// Sinks whose mutex was poisoned by a panicking server thread. The
+    /// Sinks whose mutex was poisoned by a delivery that panicked. The
     /// counters up to the panic are preserved and merged; a non-zero
-    /// value means the run had a collection fault, not clean data loss.
+    /// value means a consumer fault, not clean data loss.
     pub poisoned_sinks: usize,
     /// Name records seen.
     pub names: u64,
@@ -485,10 +483,10 @@ impl ShardSummary {
     }
 }
 
-/// The full set of per-machine sinks, shared by the collection-server
-/// threads: a [`ShipmentConsumer`] whose machines are fixed up front so
-/// that concurrent servers contend only on the one sink a shipment
-/// belongs to.
+/// The full set of per-machine sinks, shared by the worker threads that
+/// deliver into it: a [`ShipmentConsumer`] whose machines are fixed up
+/// front so that concurrent deliveries contend only on the one sink a
+/// shipment belongs to.
 pub struct AnalysisSet {
     index: HashMap<u32, usize>,
     sinks: Vec<Mutex<MachineSink>>,
@@ -516,16 +514,16 @@ impl AnalysisSet {
         }
     }
 
-    /// Locks one sink, recovering from poison: a server thread that
-    /// panicked mid-batch must surface as a collection fault in the
-    /// summary (`poisoned_sinks`), not abort every other machine's
-    /// analysis.
+    /// Locks one sink, recovering from poison: a delivery that panicked
+    /// mid-batch unwinds its own caller (in a study, the machine's task)
+    /// and is counted in `poisoned_sinks`; it must not abort every other
+    /// machine's analysis.
     fn lock_sink(&self, i: usize) -> MutexGuard<'_, MachineSink> {
         self.sinks[i].lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Current live streaming state across machines, bytes. Racy by
-    /// nature when servers are still running; exact after they stop.
+    /// Current live streaming state across machines, bytes. A snapshot
+    /// while other threads are still delivering; exact once they stop.
     pub fn memory_estimate_bytes(&self) -> usize {
         (0..self.sinks.len())
             .map(|i| self.lock_sink(i).state_bytes())
@@ -533,7 +531,7 @@ impl AnalysisSet {
     }
 
     /// Merges every sink — in machine-id order, so the result does not
-    /// depend on server-thread interleaving — and produces the summary
+    /// depend on which thread delivered what — and produces the summary
     /// (plus the exact fact tables under `retain`).
     pub fn finish(self) -> StreamedAnalysis {
         self.finish_shard().into_analysis()

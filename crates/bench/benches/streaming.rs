@@ -41,9 +41,8 @@
 //! The gate also covers the sharded collection tree: a 4-shard smoke
 //! study, normalised against the one-shard study of the same driver
 //! measured beside it on the same single worker thread, must stay within
-//! `NT_BENCH_SHARD_TOLERANCE` percent (default 25 — the tree spawns
-//! twelve collector threads, so it wears more scheduler noise than the
-//! single-threaded telemetry gate) of the checked-in ratio. That pins
+//! `NT_BENCH_SHARD_TOLERANCE` percent (default 25) of the checked-in
+//! ratio. That pins
 //! the cost of the tree itself: the extra pools and the shard merges,
 //! not the machines.
 //!
@@ -301,7 +300,7 @@ fn gate_ratio(what: &str, baseline_ratio: f64, tolerance: f64, measure: fn() -> 
 /// sample the same host conditions, with enough iterations that the
 /// minima converge to the host's floor. The gated number simulates one
 /// machine straight into a local collection server — single-threaded
-/// (no worker or collector threads to pick up scheduler jitter) yet
+/// (no worker threads to pick up scheduler jitter) yet
 /// crossing every dispatch/cache/vm/trace hot path the telemetry layer
 /// instruments. The reference — populating a §5 content volume — has
 /// the same allocation-heavy namespace-churn profile (so cache and

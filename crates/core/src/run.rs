@@ -238,7 +238,7 @@ impl MachineRun {
 
     /// Runs the machine for the configured duration, shipping trace
     /// buffers into `server`, and returns the end-of-run metrics.
-    pub fn simulate<S: RecordSink + 'static>(&mut self, config: &StudyConfig, server: &mut S) {
+    pub fn simulate(&mut self, config: &StudyConfig, server: &mut dyn RecordSink) {
         self.simulate_with_faults(config, &MachineFaults::default(), server)
     }
 
@@ -247,11 +247,11 @@ impl MachineRun {
     /// recorded), shipping retries with backoff when the collectors
     /// refuse delivery, and the network link drops during partition
     /// windows, failing requests against remote volumes.
-    pub fn simulate_with_faults<S: RecordSink + 'static>(
+    pub fn simulate_with_faults(
         &mut self,
         config: &StudyConfig,
         faults: &MachineFaults,
-        server: &mut S,
+        server: &mut dyn RecordSink,
     ) {
         let end = SimTime::ZERO + config.duration;
         self.take_snapshot(SimTime::ZERO);
@@ -297,9 +297,9 @@ impl MachineRun {
         // The tracing period proper runs on the discrete-event engine:
         // sessions, lazy-writer scans, agent shipping, snapshots and the
         // §3.4 server noise are all timed events over this world.
-        struct World<'a, S: RecordSink> {
+        struct World<'a> {
             run: &'a mut MachineRun,
-            server: &'a mut S,
+            server: &'a mut dyn RecordSink,
             end: SimTime,
             snapshot_interval: SimDuration,
             /// Delay before the next shipping retry after a refusal;
@@ -311,10 +311,7 @@ impl MachineRun {
             next_pid: u32,
             sample_every: Option<SimDuration>,
         }
-        fn lazy_tick<S: RecordSink + 'static>(
-            w: &mut World<'_, S>,
-            eng: &mut Engine<World<'_, S>>,
-        ) {
+        fn lazy_tick(w: &mut World<'_>, eng: &mut Engine<World<'_>>) {
             w.run.machine.lazy_tick(eng.now());
             if eng.now() < w.end {
                 eng.schedule_in(SimDuration::from_secs(1), lazy_tick);
@@ -325,7 +322,7 @@ impl MachineRun {
         // aligned multiples of the cadence so stamps line up across the
         // fleet for exact aggregation. Only scheduled when telemetry is
         // on, so a disabled run carries zero extra events.
-        fn sample<S: RecordSink + 'static>(w: &mut World<'_, S>, eng: &mut Engine<World<'_, S>>) {
+        fn sample(w: &mut World<'_>, eng: &mut Engine<World<'_>>) {
             use nt_obs::SeriesKind::{Counter, Gauge};
             let m = &w.run.machine;
             let io = m.metrics();
@@ -362,7 +359,7 @@ impl MachineRun {
             );
             // Health watchdogs ride the same deterministic cadence. The
             // inputs are all simulated quantities (ledger counters and
-            // taken-but-undelivered batches), never live channel depths.
+            // taken-but-undelivered batches).
             let (recorded, pending_batches, pending_records) = {
                 let agent = w.run.machine.observer();
                 (
@@ -394,7 +391,7 @@ impl MachineRun {
                 }
             }
         }
-        fn ship<S: RecordSink + 'static>(w: &mut World<'_, S>, eng: &mut Engine<World<'_, S>>) {
+        fn ship(w: &mut World<'_>, eng: &mut Engine<World<'_>>) {
             use nt_trace::AgentState;
             let now_ticks = eng.now().ticks();
             // A suspended agent does not ship (§3); delivery resumes on
@@ -414,17 +411,14 @@ impl MachineRun {
                 eng.schedule_in(next, ship);
             }
         }
-        fn snapshot<S: RecordSink + 'static>(w: &mut World<'_, S>, eng: &mut Engine<World<'_, S>>) {
+        fn snapshot(w: &mut World<'_>, eng: &mut Engine<World<'_>>) {
             let at = eng.now();
             w.run.take_snapshot(at);
             if at < w.end {
                 eng.schedule_in(w.snapshot_interval, snapshot);
             }
         }
-        fn server_noise<S: RecordSink + 'static>(
-            w: &mut World<'_, S>,
-            eng: &mut Engine<World<'_, S>>,
-        ) {
+        fn server_noise(w: &mut World<'_>, eng: &mut Engine<World<'_>>) {
             if !w.run.user.ws.docs.is_empty() {
                 let pick = w.run.rng.gen_range(0..w.run.user.ws.docs.len());
                 let target = w.run.user.ws.docs[pick].clone();
@@ -437,10 +431,7 @@ impl MachineRun {
                 eng.schedule_in(gap, server_noise);
             }
         }
-        fn rearm_watch<S: RecordSink + 'static>(
-            w: &mut World<'_, S>,
-            eng: &mut Engine<World<'_, S>>,
-        ) {
+        fn rearm_watch(w: &mut World<'_>, eng: &mut Engine<World<'_>>) {
             if let Some(h) = w.shell_watch {
                 // Re-arm the shell's change notification (no-op when the
                 // previous one is still pending).
@@ -451,7 +442,7 @@ impl MachineRun {
             }
         }
 
-        fn session<S: RecordSink + 'static>(w: &mut World<'_, S>, eng: &mut Engine<World<'_, S>>) {
+        fn session(w: &mut World<'_>, eng: &mut Engine<World<'_>>) {
             let now = eng.now();
             let plan = w.run.user.next_plan(&mut w.run.rng);
             // Retire exited processes; launch a new one when few remain
@@ -473,7 +464,7 @@ impl MachineRun {
         }
 
         {
-            let mut engine: Engine<World<'_, S>> = Engine::new();
+            let mut engine: Engine<World<'_>> = Engine::new();
             engine.schedule_at(SimTime::from_secs(1).max(now), lazy_tick);
             engine.schedule_at(SimTime::from_secs(30).max(now), ship);
             engine.schedule_at(
@@ -499,13 +490,13 @@ impl MachineRun {
             // local tracing until it is re-established (§3).
             for w in &faults.agent_outages {
                 let (s, e) = (w.start_ticks, w.end_ticks);
-                engine.schedule_at(SimTime::from_ticks(s), move |w: &mut World<'_, S>, _| {
+                engine.schedule_at(SimTime::from_ticks(s), move |w: &mut World<'_>, _| {
                     w.run
                         .machine
                         .observer_mut()
                         .transition(nt_trace::AgentState::Suspended, s);
                 });
-                engine.schedule_at(SimTime::from_ticks(e), move |w: &mut World<'_, S>, _| {
+                engine.schedule_at(SimTime::from_ticks(e), move |w: &mut World<'_>, _| {
                     w.run
                         .machine
                         .observer_mut()
@@ -514,10 +505,10 @@ impl MachineRun {
             }
             for w in &faults.partitions {
                 let (s, e) = (w.start_ticks, w.end_ticks);
-                engine.schedule_at(SimTime::from_ticks(s), move |w: &mut World<'_, S>, _| {
+                engine.schedule_at(SimTime::from_ticks(s), move |w: &mut World<'_>, _| {
                     w.run.machine.set_network_available(false);
                 });
-                engine.schedule_at(SimTime::from_ticks(e), move |w: &mut World<'_, S>, _| {
+                engine.schedule_at(SimTime::from_ticks(e), move |w: &mut World<'_>, _| {
                     w.run.machine.set_network_available(true);
                 });
             }
@@ -591,6 +582,12 @@ impl MachineRun {
     /// study runs with [`nt_obs::TelemetryConfig::Off`].
     pub fn telemetry_report(&self) -> Option<nt_obs::MachineTelemetry> {
         self.telemetry.report()
+    }
+
+    /// The machine's telemetry handle, for work done on its behalf on
+    /// its own thread (the delivery of its shipments into the sinks).
+    pub(crate) fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
     }
 }
 

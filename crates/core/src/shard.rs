@@ -12,6 +12,13 @@
 //! exact fact tables are computed once. One shard is the paper's flat
 //! topology; it is the only pipeline the study has.
 //!
+//! A study runs on its `workers` threads and no others. The pools run
+//! nothing: a machine's agent ships through its [`nt_trace::CollectorHandle`],
+//! which delivers each buffer into the shard's sinks on the worker
+//! simulating the machine, so every sink sees its machine's batches in
+//! the agent's stamp order. The driver owns each shard's sinks and the
+//! machine tasks borrow them.
+//!
 //! The load-bearing invariant: **shard count and worker count are pure
 //! performance knobs.** Every machine derives its faults from its fleet
 //! index and ships through a 3-server pool whose outage windows come
@@ -23,11 +30,11 @@
 //! counts 1/4/8 and worker counts 1/N.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use nt_analysis::stream::{AnalysisSet, ShardSummary, StreamConfig};
 use nt_obs::{FlightEvent, HealthFinding, MachineTelemetry, RecorderScope, Telemetry, Watchdog};
-use nt_trace::{ShipmentConsumer, StreamingPool};
+use nt_trace::{ShipmentConsumer, StreamingPool, StreamingTotals};
+use nt_warehouse::WarehouseSink;
 
 use crate::config::StudyConfig;
 use crate::fault::FaultSchedule;
@@ -36,6 +43,7 @@ use crate::study::{
     dump_flight_recorder, write_trace_artefact, Instruments, MachineOutput, StreamedStudyData,
     Study, StudyFault,
 };
+use crate::warehouse::Tee;
 
 /// Knobs of the study driver. The defaults reproduce the flat topology
 /// (one shard, auto-sized workers).
@@ -123,18 +131,19 @@ impl Study {
     /// collection tree and audits the result.
     ///
     /// Machines are independent (separate engines, separate RNG streams)
-    /// and run on worker threads; their agents stream trace buffers to
-    /// their shard's three collection-server threads — the §3 topology —
-    /// which forward every buffer into per-machine analysis sinks
-    /// instead of storing it, so memory stays bounded by live analysis
+    /// and run on worker threads; their agents ship trace buffers
+    /// through their shard's three collection servers — the §3
+    /// topology — into per-machine analysis sinks on the same worker
+    /// instead of storing them, so memory stays bounded by live analysis
     /// state rather than by trace volume (unless `options.retain` keeps
     /// the fact tables).
     ///
     /// Before it returns, the driver reconciles every conservation
     /// ledger of [`crate::sharded_ledgers`] bottom-up — machines, then
     /// shards, then the fleet root — so the first
-    /// [`StudyFault::Drift`] names the lowest tier that broke. Worker
-    /// and collection-server panics come back as a [`StudyFault`] too.
+    /// [`StudyFault::Drift`] names the lowest tier that broke. A machine
+    /// task that panics — in its simulation or in a sink its buffers
+    /// reach — comes back as [`StudyFault::Worker`] naming the machine.
     /// Every fault dumps the flight recorder (exactly once per run), as
     /// does a run that lost records under `dump_on_loss`.
     pub fn try_run_sharded(
@@ -175,16 +184,19 @@ impl Study {
         // outage windows, so a machine cannot tell how many shards the
         // tree has.
         let schedule = FaultSchedule::materialize(config, 3);
+        // The shared study-side profiler times only work done on this
+        // thread (the shard merge and the export); each batch's delivery
+        // is timed on its machine's own telemetry, inside `trace.ship`.
         let analysis_telemetry = match config.telemetry.is_on() {
             true => Telemetry::profiler(),
             false => Telemetry::off(),
         };
-        let consumers: Vec<Arc<AnalysisSet>> = ranges
+        let consumers: Vec<AnalysisSet> = ranges
             .iter()
             .enumerate()
             .map(|(s, r)| {
                 let ids: Vec<u32> = (r.start as u32..r.end as u32).collect();
-                Arc::new(AnalysisSet::new(
+                AnalysisSet::new(
                     &ids,
                     &StreamConfig {
                         retain: options.retain,
@@ -193,39 +205,44 @@ impl Study {
                         tracer: instruments.tracer.for_shard(s as u32),
                         ..StreamConfig::default()
                     },
-                ))
+                )
             })
             .collect();
-        let warehouse_sinks: Vec<Option<Arc<nt_warehouse::WarehouseSink>>> =
-            match &options.warehouse {
-                Some(dir) => ranges
-                    .iter()
-                    .map(|r| {
-                        let ids: Vec<u32> = (r.start as u32..r.end as u32).collect();
-                        nt_warehouse::WarehouseSink::create(dir, &ids).map(|s| Some(Arc::new(s)))
-                    })
-                    .collect::<Result<_, _>>()?,
-                None => vec![None; ranges.len()],
-            };
-        let pools: Vec<StreamingPool> = consumers
+        let warehouse_sinks: Vec<WarehouseSink> = match &options.warehouse {
+            Some(dir) => ranges
+                .iter()
+                .map(|r| {
+                    let ids: Vec<u32> = (r.start as u32..r.end as u32).collect();
+                    WarehouseSink::create(dir, &ids)
+                })
+                .collect::<Result<_, _>>()?,
+            None => Vec::new(),
+        };
+        // With an export, each shard's servers deliver into a tee over
+        // its two sinks.
+        let tees: Vec<Tee> = consumers
             .iter()
             .zip(&warehouse_sinks)
             .enumerate()
-            .map(|(s, (c, w))| {
-                let shard_tracer = instruments.tracer.for_shard(s as u32);
-                let consumer: Arc<dyn ShipmentConsumer> = match w {
-                    Some(sink) => Arc::new(crate::warehouse::Tee {
-                        analysis: Arc::clone(c),
-                        warehouse: Arc::clone(sink),
-                        tracer: shard_tracer.clone(),
-                    }),
-                    None => Arc::clone(c) as Arc<dyn ShipmentConsumer>,
+            .map(|(s, (analysis, warehouse))| Tee {
+                analysis,
+                warehouse,
+                tracer: instruments.tracer.for_shard(s as u32),
+            })
+            .collect();
+        let pools: Vec<StreamingPool> = consumers
+            .iter()
+            .enumerate()
+            .map(|(s, analysis)| {
+                let consumer: &dyn ShipmentConsumer = match tees.get(s) {
+                    Some(tee) => tee,
+                    None => analysis,
                 };
-                StreamingPool::start(
+                StreamingPool::new(
                     3,
                     schedule.collectors.clone(),
                     consumer,
-                    shard_tracer,
+                    instruments.tracer.for_shard(s as u32),
                     instruments.recorder.clone(),
                 )
             })
@@ -240,7 +257,9 @@ impl Study {
 
         // Every machine simulation, fleet-wide, on one stealing pool:
         // a shard of cheap WalkUp machines finishes early and its
-        // workers drain the Scientific shard's backlog.
+        // workers drain the Scientific shard's backlog. A machine's
+        // buffers reach its shard's sinks on the worker simulating it,
+        // so a panicking sink unwinds that machine's task.
         let (outputs, panic) = nt_trace::steal::run_indexed(n, workers, |index| {
             let spec = &config.machines[index];
             let faults = schedule.for_machine(index);
@@ -250,7 +269,7 @@ impl Study {
                 &instruments.recorder,
                 instruments.watchdogs,
             );
-            let mut sink = pools[shard_of[index]].handle_for(run.id);
+            let mut sink = pools[shard_of[index]].handle_for(run.id, run.telemetry());
             run.simulate_with_faults(config, &faults, &mut sink);
             MachineOutput {
                 id: run.id,
@@ -266,28 +285,13 @@ impl Study {
                 last_delivery_ticks: run.last_delivery_ticks(),
             }
         });
-
-        // Join every shard's servers before surfacing any fault — a
-        // panicked machine must not leak forwarding threads.
-        let mut totals = Vec::with_capacity(pools.len());
-        let mut collection_fault = None;
-        for pool in pools {
-            match pool.finish() {
-                Ok(t) => totals.push(t),
-                Err(fault) => {
-                    collection_fault.get_or_insert(fault);
-                }
-            }
-        }
         if let Some(p) = panic {
             return Err(StudyFault::Worker(format!(
                 "machine {}: {}",
                 p.index, p.message
             )));
         }
-        if let Some(fault) = collection_fault {
-            return Err(fault.into());
-        }
+        let totals: Vec<StreamingTotals> = pools.into_iter().map(StreamingPool::finish).collect();
         let mut machines: Vec<MachineOutput> = outputs.into_iter().flatten().collect();
         machines.sort_by_key(|m| m.id);
 
@@ -298,8 +302,6 @@ impl Study {
         let mut shards = Vec::with_capacity(consumers.len());
         let end_ticks = config.duration.ticks();
         for (s, consumer) in consumers.into_iter().enumerate() {
-            let consumer = Arc::try_unwrap(consumer)
-                .unwrap_or_else(|_| panic!("server threads still hold shard {s} after finish"));
             let partial = consumer.finish_shard();
             // Shard boundary crossed: note what this collector merged
             // away, then run the post-run stall check over its machines'
@@ -348,11 +350,7 @@ impl Study {
                 let _span = analysis_telemetry
                     .span_child(nt_obs::Phase::Warehouse, "warehouse.export_sharded");
                 let mut stats = Vec::with_capacity(n);
-                for (s, sink) in warehouse_sinks.into_iter().enumerate() {
-                    let sink = sink.expect("warehouse sinks exist for every shard");
-                    let sink = Arc::try_unwrap(sink).unwrap_or_else(|_| {
-                        panic!("the tee still holds shard {s}'s warehouse after finish")
-                    });
+                for sink in warehouse_sinks {
                     stats.extend(sink.finish()?);
                 }
                 Some(stats)

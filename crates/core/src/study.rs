@@ -16,7 +16,7 @@ use nt_obs::{
     Telemetry,
 };
 use nt_sim::SimDuration;
-use nt_trace::{CollectionFault, LossLedger, MachineId, Snapshot};
+use nt_trace::{LossLedger, MachineId, Snapshot};
 use nt_workload::UsageCategory;
 
 use crate::config::StudyConfig;
@@ -53,15 +53,14 @@ pub struct MachineOutput {
     pub last_delivery_ticks: u64,
 }
 
-/// Why a study run could not complete cleanly. Collection faults carry
-/// on to the caller instead of aborting the process, so a deployment can
-/// report what the surviving servers gathered.
+/// Why a study run could not complete cleanly. Faults come back to the
+/// caller instead of aborting the process.
 #[derive(Debug)]
 pub enum StudyFault {
-    /// A machine worker thread panicked (payload message attached).
+    /// A machine's task panicked — in its simulation or in the delivery
+    /// of its buffers into the sinks, which runs on the same worker —
+    /// with the machine index and payload message attached.
     Worker(String),
-    /// A collection-server thread panicked.
-    Collection(CollectionFault),
     /// The NTT warehouse export could not be created or written.
     Warehouse(nt_warehouse::NttError),
     /// The run completed but a conservation account did not balance.
@@ -80,7 +79,6 @@ impl fmt::Display for StudyFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StudyFault::Worker(msg) => write!(f, "machine worker panicked: {msg}"),
-            StudyFault::Collection(fault) => fault.fmt(f),
             StudyFault::Warehouse(e) => write!(f, "warehouse export failed: {e}"),
             StudyFault::Drift { imbalance, report } => write!(f, "{imbalance}\n{report}"),
         }
@@ -88,12 +86,6 @@ impl fmt::Display for StudyFault {
 }
 
 impl std::error::Error for StudyFault {}
-
-impl From<CollectionFault> for StudyFault {
-    fn from(fault: CollectionFault) -> Self {
-        StudyFault::Collection(fault)
-    }
-}
 
 impl From<nt_warehouse::NttError> for StudyFault {
     fn from(e: nt_warehouse::NttError) -> Self {

@@ -10,12 +10,11 @@
 //! * **Trace sources.** A study replays from wherever the trace lives:
 //!   a live [`TraceSet`] a study just produced
 //!   ([`WhatIfStudy::run_trace_set`], which partitions the fact table
-//!   with [`ReplayStream::from_trace_set`]) or a stored trace read
-//!   through the [`TraceSource`] abstraction `nt-warehouse` defines
-//!   ([`WhatIfStudy::run`], e.g. over an NTT warehouse directory scanned
-//!   zero-copy with the same visitors the analysis re-ingest uses).
-//!   Either way each machine's stream is normalized to one canonical
-//!   order, so both answer bit-identically.
+//!   with [`ReplayStream::from_trace_set`]) or an NTT [`Warehouse`]
+//!   ([`WhatIfStudy::run`], which scans each machine's segment zero-copy
+//!   with the same visitors the analysis re-ingest uses). Either way each
+//!   machine's stream is normalized to one canonical order, so both
+//!   answer bit-identically.
 //! * **Variant matrix.** A baseline [`ReplayConfig`] plus named policy
 //!   variants: read-ahead depth, lazy-writer cadence, FastIO removal,
 //!   cache budget, and the disk latency-model axis (1998 IDE vs
@@ -42,26 +41,29 @@ use nt_analysis::TraceSet;
 use nt_audit::{accounts, Imbalance, Ledger};
 use nt_obs::{Phase, RuntimeProfile, Telemetry};
 use nt_trace::steal::run_indexed;
-use nt_warehouse::{NttError, TraceSource};
+use nt_warehouse::{NttError, Warehouse};
 
 use crate::replay::{
     per_machine, replay_stream, MachineVariantOutcome, ReplayConfig, ReplayStream,
 };
 use crate::shard::host_workers;
 
-/// Extracts per-machine replay streams from any trace source, in
-/// ascending machine order, each normalized to canonical replay order:
-/// one task per machine on `workers` threads. The first source error in
-/// machine order is returned, whichever worker hit it.
+/// Extracts per-machine replay streams from a warehouse, in ascending
+/// machine order, each normalized to canonical replay order: one task
+/// per machine's segment on `workers` threads. The first segment error
+/// in machine order is returned, whichever worker hit it.
 pub(crate) fn extract_streams(
-    source: &(dyn TraceSource + Sync),
+    warehouse: &Warehouse,
     workers: usize,
 ) -> Result<Vec<ReplayStream>, NttError> {
-    per_machine(&source.machines(), workers, |machine| {
+    per_machine(&warehouse.machines(), workers, |machine| {
+        let segment = warehouse
+            .segment(machine)
+            .expect("every listed machine has a segment");
         let mut records = Vec::new();
-        source.visit_batches(machine, &mut |_seq, mut batch| records.append(&mut batch))?;
+        segment.visit_batches(|_seq, mut batch| records.append(&mut batch))?;
         let mut names = BTreeMap::new();
-        source.visit_names(machine, &mut |_seq, n| {
+        segment.visit_names(|_seq, n| {
             // Last recorded name wins — the fact-table rule.
             names.insert(n.file_object, n.path);
         })?;
@@ -172,7 +174,7 @@ impl WhatIfReport {
 }
 
 /// A what-if study: a baseline policy plus a matrix of named variants,
-/// replayed over every machine of a trace source.
+/// replayed over every machine of a trace.
 ///
 /// ```
 /// use nt_study::{ReplayConfig, Study, StudyConfig, WhatIfStudy};
@@ -224,11 +226,11 @@ impl WhatIfStudy {
         self
     }
 
-    /// Runs the matrix over `source` and builds the report. Extraction
-    /// visits one machine per task; the first source error in machine
-    /// order is the study's error.
-    pub fn run(&self, source: &(dyn TraceSource + Sync)) -> Result<WhatIfReport, WhatIfError> {
-        self.run_with(|workers| extract_streams(source, workers).map_err(WhatIfError::Source))
+    /// Runs the matrix over a stored trace and builds the report.
+    /// Extraction visits one machine's segment per task; the first
+    /// segment error in machine order is the study's error.
+    pub fn run(&self, warehouse: &Warehouse) -> Result<WhatIfReport, WhatIfError> {
+        self.run_with(|workers| extract_streams(warehouse, workers).map_err(WhatIfError::Source))
     }
 
     /// Runs the matrix over a live fact table, partitioned by

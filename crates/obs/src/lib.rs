@@ -313,7 +313,8 @@ impl Inner {
 ///
 /// Cloning is cheap (an `Arc`); every layer of one machine shares the
 /// same underlying state. The disabled handle ([`Telemetry::off`], also
-/// `Default`) costs one `Option` check per call.
+/// `Default`) costs one `Option` check per call. A handle has one span
+/// stack, so it must not have spans open on two threads at once.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Mutex<Inner>>>,
@@ -377,8 +378,8 @@ impl Telemetry {
     }
 
     /// A live handle that only accumulates the [`RuntimeProfile`] — no
-    /// span log, no series. Used for study-side phases (analysis ingest)
-    /// that have no machine identity.
+    /// span log, no series. Used for work that has no machine identity:
+    /// the study driver's shard merge and export, a re-ingest task.
     pub fn profiler() -> Self {
         Telemetry::for_machine(
             u32::MAX,

@@ -11,7 +11,7 @@
 //! agent.batch  [batch opened .......... delivered]        (root)
 //!   agent.ship   [enqueued ............ delivered]        (child: retry/backoff latency)
 //!     collector.recv        [delivered]                   (child: server + shard chosen)
-//!       analysis.ingest         [delivered]               (child: crossed the channel)
+//!       analysis.ingest         [delivered]               (child: reached the sink)
 //!       warehouse.export        [delivered]               (child: tee'd to the NTT segment)
 //! ```
 //!
@@ -299,7 +299,7 @@ impl ShipmentTracer {
 
     /// The collector tier accepted batch `seq` on `server`: emits the
     /// `collector.recv` span and returns the context the batch carries
-    /// onward across the channel. `None` for empty batches or when
+    /// onward to the sinks. `None` for empty batches or when
     /// disabled.
     pub fn collect(
         &self,

@@ -6,7 +6,7 @@
 //! stops hearing from its machines entirely. The watchdogs turn those
 //! conditions into typed [`HealthFinding`]s, sampled **on the simulated
 //! clock** from deterministic quantities only (agent queue depths and
-//! `LossLedger` rates — never host time, never live channel lengths), so
+//! `LossLedger` rates — never host time), so
 //! the findings a run produces are a pure function of its seed.
 //!
 //! Machine-scope findings are edge-triggered: a [`Watchdog`] emits one

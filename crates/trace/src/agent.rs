@@ -197,9 +197,8 @@ impl TraceFilter {
         self.pending.iter().map(|b| b.records.len()).sum()
     }
 
-    /// Taken-but-undelivered batches — the watchdogs' deterministic
-    /// proxy for collector backlog (live channel depths are not a
-    /// simulation quantity).
+    /// Taken-but-undelivered batches — the collector backlog the
+    /// watchdogs sample.
     pub fn pending_batches(&self) -> usize {
         self.pending.len()
     }
@@ -275,7 +274,7 @@ impl TraceFilter {
     /// Delivers pending batches front-to-back. Stops at the first refusal
     /// (no reachable server) and counts it as a retried attempt; the
     /// refused batch stays queued. Returns `true` when nothing is left.
-    fn deliver_pending<S: RecordSink>(&mut self, sink: &mut S, now_ticks: u64) -> bool {
+    fn deliver_pending<S: RecordSink + ?Sized>(&mut self, sink: &mut S, now_ticks: u64) -> bool {
         while let Some(batch) = self.pending.front() {
             if !sink.ingest_at(self.machine, batch.seq, &batch.records, now_ticks) {
                 self.batches_retried += 1;
@@ -319,8 +318,8 @@ impl TraceFilter {
 
     /// Ships all queued full buffers and name records to the sink — a
     /// local [`crate::CollectionServer`] or a [`crate::CollectorHandle`]
-    /// streaming to the pool.
-    pub fn ship<S: RecordSink>(&mut self, sink: &mut S) {
+    /// delivering into a study's analysis sinks.
+    pub fn ship<S: RecordSink + ?Sized>(&mut self, sink: &mut S) {
         // No real outage window reaches u64::MAX, so delivery always goes
         // through — the pre-fault shipping path.
         self.ship_at(sink, u64::MAX);
@@ -329,7 +328,7 @@ impl TraceFilter {
     /// Shipping attempt at a known virtual time. Returns `false` when a
     /// collector outage blocked delivery; the batches stay pending and the
     /// caller should retry later (with backoff).
-    pub fn ship_at<S: RecordSink>(&mut self, sink: &mut S, now_ticks: u64) -> bool {
+    pub fn ship_at<S: RecordSink + ?Sized>(&mut self, sink: &mut S, now_ticks: u64) -> bool {
         // span_child, not span: `ship` passes u64::MAX for "no outage",
         // which must not poison the simulated high-water mark.
         let _span = self.telemetry.span_child(Phase::Trace, "trace.ship");
@@ -341,7 +340,7 @@ impl TraceFilter {
     /// Ships everything including the active partial buffer (period end).
     /// The final flush models the study's controlled shutdown: the
     /// collection servers are back up, so nothing is refused.
-    pub fn final_flush<S: RecordSink>(&mut self, sink: &mut S) {
+    pub fn final_flush<S: RecordSink + ?Sized>(&mut self, sink: &mut S) {
         let _span = self.telemetry.span_child(Phase::Trace, "trace.final_flush");
         self.deliver_pending(sink, u64::MAX);
         let rest = self.buffer.drain_all();

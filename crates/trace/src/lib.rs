@@ -8,7 +8,9 @@
 //!    two 100 ns timestamps, stores it in a triple-buffered record store
 //!    ([`TripleBuffer`], 3 × 3,000 records), and ships full buffers to the
 //!    collection server ([`CollectionServer`]) through the per-machine
-//!    [`TraceAgent`].
+//!    [`TraceAgent`]. A streaming study ships to a [`StreamingPool`]
+//!    instead: the three servers as outage windows and head-counts, each
+//!    buffer handed to the analysis sinks on the thread that shipped it.
 //! 2. **Daily file-system snapshots** (§3.1) — a recursive walk of every
 //!    traced volume producing [`WalkRecord`]s from which the tree can be
 //!    recovered, taken at 4 a.m. by the agent.
@@ -33,8 +35,7 @@ pub use collector::{CollectionServer, MachineId, RecordBatch};
 pub use dedup::filter_paging_duplicates;
 pub use fault::{any_contains, LossLedger, TickWindow};
 pub use pool::{
-    BatchMeta, CollectionFault, CollectorHandle, RecordSink, ShipmentConsumer, StreamingPool,
-    StreamingTotals,
+    BatchMeta, CollectorHandle, RecordSink, ShipmentConsumer, StreamingPool, StreamingTotals,
 };
 pub use record::{NameRecord, TraceRecord, RECORD_SIZE};
 pub use snapshot::{Snapshot, SnapshotDiff, SnapshotWalker, WalkRecord};

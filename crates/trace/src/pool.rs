@@ -1,34 +1,35 @@
-//! The collection-server pool.
+//! The collection servers.
 //!
 //! §3: "The collection servers are three dedicated file servers that take
 //! the incoming event streams and store them in compressed formats for
-//! later retrieval." [`StreamingPool`] runs one thread per server; trace
-//! agents ship full buffers through a channel to the server their machine
-//! is assigned to, and the server forwards each one to a
-//! [`ShipmentConsumer`] — the study's analysis sinks — after accounting
-//! its compressed footprint exactly as [`CollectionServer`] stores it.
+//! later retrieval." A [`StreamingPool`] keeps what a study can observe
+//! of those servers — each one's downtime windows and head-count — and
+//! runs nothing of its own. A trace agent ships through its machine's
+//! [`CollectorHandle`], which picks the server, accounts the buffer's
+//! compressed footprint exactly as [`CollectionServer`] stores it, and
+//! hands the buffer to a [`ShipmentConsumer`] — the study's analysis
+//! sinks — on the shipping thread. Each machine's buffers therefore
+//! reach the consumer in the agent's sequence order.
 //!
-//! The pool can also simulate server outages: each server carries a set of
-//! downtime windows, and a [`CollectorHandle`] fails over to the next live
-//! server when its primary is down. When every server is down the shipment
-//! is refused and the agent keeps the batch for a later retry.
+//! A handle fails over to the next live server when its primary is down.
+//! When every server is down the shipment is refused and the agent keeps
+//! the batch for a later retry.
 
-use crossbeam::channel::{unbounded, Sender};
-use std::fmt;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use nt_obs::{FlightEvent, FlightRecorder, RecorderScope, ShipmentTracer, TraceContext};
+use nt_obs::{
+    FlightEvent, FlightRecorder, Phase, RecorderScope, ShipmentTracer, Telemetry, TraceContext,
+};
 
 use crate::collector::{CollectionServer, MachineId, RecordBatch};
 use crate::fault::{any_contains, TickWindow};
 use crate::record::{NameRecord, TraceRecord};
 
-/// The causal baggage a record batch carries across the collector
-/// channel: the collect-hop [`TraceContext`] (for downstream tiers to
-/// parent-link their spans to), the simulated delivery tick, and the
-/// server that accepted it. Attached by the [`CollectorHandle`] when
-/// shipment tracing is on; `None` otherwise.
+/// The causal baggage a record batch carries into the consumer: the
+/// collect-hop [`TraceContext`] (for downstream tiers to parent-link
+/// their spans to), the simulated delivery tick, and the server that
+/// accepted it. Attached by the [`CollectorHandle`] when shipment
+/// tracing is on; `None` otherwise.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BatchMeta {
     /// The collect-hop context; downstream hops are its children.
@@ -39,16 +40,18 @@ pub struct BatchMeta {
     pub server: u32,
 }
 
-/// A destination for shipments on the collection-server threads — the
-/// streaming alternative to [`CollectionServer`]'s store-then-retrieve.
-/// Implementations route each shipment to per-machine state (distinct
-/// machines may be consumed concurrently from different server threads;
-/// one machine's shipments arrive from one agent but possibly via
-/// several servers, carrying the agent's sequence stamp for reassembly).
+/// A destination for shipments — the streaming alternative to
+/// [`CollectionServer`]'s store-then-retrieve. Implementations route each
+/// shipment to per-machine state: distinct machines may be delivered
+/// concurrently from different worker threads, each machine from one
+/// thread at a time.
 pub trait ShipmentConsumer: Send + Sync {
     /// Consumes one shipped buffer. `seq` is the agent's own sequence
-    /// stamp (`None` = plain arrival-order shipping); `meta` is the
-    /// batch's causal trace baggage when shipment tracing is on.
+    /// stamp (`None` = plain arrival-order shipping); a
+    /// [`CollectorHandle`] delivers each machine's batches in stamp
+    /// order, but other callers need not, so a sink that depends on order
+    /// reassembles by the stamp. `meta` is the batch's causal trace
+    /// baggage when shipment tracing is on.
     fn batch(
         &self,
         machine: MachineId,
@@ -62,7 +65,7 @@ pub trait ShipmentConsumer: Send + Sync {
 }
 
 /// Anything a trace agent can ship records into — a local store or a
-/// channel to a remote collection server.
+/// handle on the study's collection servers.
 pub trait RecordSink {
     /// Delivers one buffer stamped with the agent's sequence number.
     /// Returns `false` when the sink is unreachable at `now_ticks` (a
@@ -110,60 +113,29 @@ impl RecordSink for CollectionServer {
     }
 }
 
-enum Shipment {
-    /// `(machine, agent sequence, records, trace baggage)`.
-    Batch(MachineId, u64, Vec<TraceRecord>, Option<BatchMeta>),
-    Name(MachineId, u64, NameRecord),
-}
-
-/// A collection-server thread died mid-run (panicked), so the records it
-/// held were lost. Surfaced as an error so a study can report the fault
-/// (and whatever the surviving servers collected) instead of aborting
-/// the whole process.
-#[derive(Debug)]
-pub struct CollectionFault {
-    /// Index of the dead server in the pool.
-    pub server: usize,
-    /// The panic payload, when it carried a message.
-    pub message: String,
-}
-
-impl fmt::Display for CollectionFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "collection server {} panicked: {}",
-            self.server, self.message
-        )
-    }
-}
-
-impl std::error::Error for CollectionFault {}
-
 /// A per-machine handle that ships to the assigned collection server,
-/// failing over to the next live server during outages.
+/// failing over to the next live server during outages, and delivers
+/// each accepted shipment into the pool's consumer on the calling
+/// thread.
 #[derive(Clone)]
-pub struct CollectorHandle {
-    senders: Vec<Sender<Shipment>>,
+pub struct CollectorHandle<'p> {
+    pool: &'p StreamingPool<'p>,
     primary: usize,
-    /// Downtime windows per server, indexed like `senders`.
-    outages: Arc<Vec<Vec<TickWindow>>>,
     /// Shipments that landed on a non-primary server.
     failovers: u64,
-    /// Emits the collect-hop span and stamps [`BatchMeta`] on batches.
-    tracer: ShipmentTracer,
-    /// Receives failover events for this machine's scope.
-    recorder: FlightRecorder,
+    /// The shipping machine's telemetry: each batch's delivery into the
+    /// consumer is timed on it, inside the agent's `trace.ship` span.
+    telemetry: Telemetry,
 }
 
-impl CollectorHandle {
+impl CollectorHandle<'_> {
     /// The first server reachable at `now_ticks`, trying the primary
     /// first and rotating through the pool.
     fn live_server(&self, now_ticks: u64) -> Option<usize> {
-        let n = self.senders.len();
+        let n = self.pool.outages.len();
         (0..n)
             .map(|i| (self.primary + i) % n)
-            .find(|&s| !any_contains(&self.outages[s], now_ticks))
+            .find(|&s| !any_contains(&self.pool.outages[s], now_ticks))
     }
 
     /// Shipments this handle delivered to a non-primary server.
@@ -172,7 +144,7 @@ impl CollectorHandle {
     }
 }
 
-impl RecordSink for CollectorHandle {
+impl RecordSink for CollectorHandle<'_> {
     fn ingest_at(
         &mut self,
         machine: MachineId,
@@ -183,9 +155,10 @@ impl RecordSink for CollectorHandle {
         let Some(server) = self.live_server(now_ticks) else {
             return false;
         };
+        let pool = self.pool;
         if server != self.primary {
             self.failovers += 1;
-            self.recorder.record(
+            pool.recorder.record(
                 RecorderScope::Machine(machine.0),
                 FlightEvent::Failover {
                     ticks: now_ticks,
@@ -197,9 +170,9 @@ impl RecordSink for CollectorHandle {
         }
         if !records.is_empty() {
             // The collect hop: span emitted here (server and shard are
-            // known), context attached to the shipment so downstream
-            // tiers parent-link to it across the channel.
-            let meta = self
+            // known), context handed on so downstream tiers parent-link
+            // to it.
+            let meta = pool
                 .tracer
                 .collect(
                     machine.0,
@@ -213,10 +186,15 @@ impl RecordSink for CollectorHandle {
                     deliver_ticks: now_ticks,
                     server: server as u32,
                 });
-            // A closed pool drops the shipment, like an agent whose
-            // server went away (§3: the agent would suspend).
-            let _ =
-                self.senders[server].send(Shipment::Batch(machine, seq, records.to_vec(), meta));
+            let tally = &pool.tallies[server];
+            tally.records.fetch_add(records.len(), Ordering::Relaxed);
+            tally.stored_bytes.fetch_add(
+                RecordBatch::compress(records).compressed_bytes(),
+                Ordering::Relaxed,
+            );
+            let _span = self.telemetry.span_child(Phase::Analysis, "analysis.batch");
+            pool.consumer
+                .batch(machine, Some(seq), records.to_vec(), meta);
         }
         true
     }
@@ -234,12 +212,12 @@ impl RecordSink for CollectorHandle {
         if server != self.primary {
             self.failovers += 1;
         }
-        let _ = self.senders[server].send(Shipment::Name(machine, seq, name));
+        self.pool.consumer.name(machine, Some(seq), name);
         true
     }
 }
 
-/// What a [`StreamingPool`]'s servers accounted while forwarding.
+/// What a [`StreamingPool`]'s servers accounted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamingTotals {
     /// Records that passed through the pool.
@@ -250,117 +228,79 @@ pub struct StreamingTotals {
     pub stored_bytes: usize,
 }
 
-/// A pool of collection-server threads that forward shipments into a
+/// One server's head-count, bumped by whichever worker ships to it.
+#[derive(Default)]
+struct ServerTally {
+    records: AtomicUsize,
+    stored_bytes: AtomicUsize,
+}
+
+/// The collection servers of one shard, forwarding shipments into a
 /// [`ShipmentConsumer`] instead of storing them.
 ///
 /// Agents ship through a [`CollectorHandle`], which fails over to the
 /// next live server during an outage and refuses the shipment when
 /// every server is down. Nothing is retained: the consumer sees each
-/// buffer once and the pool's memory stays bounded by the channel
-/// backlog, which is what lets paper-scale studies run without
-/// materializing ~190 M records.
-pub struct StreamingPool {
-    senders: Vec<Sender<Shipment>>,
-    handles: Vec<JoinHandle<StreamingTotals>>,
-    outages: Arc<Vec<Vec<TickWindow>>>,
+/// buffer once, on the thread that shipped it, which is what lets
+/// paper-scale studies run without materializing ~190 M records.
+pub struct StreamingPool<'c> {
+    consumer: &'c dyn ShipmentConsumer,
+    /// Downtime windows per server.
+    outages: Vec<Vec<TickWindow>>,
+    /// Head-count per server, indexed like `outages`.
+    tallies: Vec<ServerTally>,
     tracer: ShipmentTracer,
     recorder: FlightRecorder,
 }
 
-impl StreamingPool {
-    /// Starts `servers` forwarding threads (the study ran three) over
-    /// `consumer`. Each server carries its downtime windows in
-    /// `outages`, indexed by server; a server whose window covers the
-    /// shipment time refuses it and handles fail over. Missing entries
-    /// mean "always up". The handles this pool hands out emit
-    /// collect-hop spans through `tracer` (shard-stamped when the
-    /// tracer is), attach [`BatchMeta`] to every accepted batch, and
-    /// record failovers into `recorder`; off handles make both no-ops.
-    pub fn start(
+impl<'c> StreamingPool<'c> {
+    /// `servers` collection servers (the study ran three) forwarding into
+    /// `consumer`. Each server carries its downtime windows in `outages`,
+    /// indexed by server; a server whose window covers the shipment time
+    /// refuses it and handles fail over. Missing entries mean "always
+    /// up". The handles this pool hands out emit collect-hop spans
+    /// through `tracer` (shard-stamped when the tracer is), attach
+    /// [`BatchMeta`] to every accepted batch, and record failovers into
+    /// `recorder`; off handles make both no-ops.
+    pub fn new(
         servers: usize,
         mut outages: Vec<Vec<TickWindow>>,
-        consumer: Arc<dyn ShipmentConsumer>,
+        consumer: &'c dyn ShipmentConsumer,
         tracer: ShipmentTracer,
         recorder: FlightRecorder,
     ) -> Self {
         let servers = servers.max(1);
         outages.resize(servers, Vec::new());
-        let mut senders = Vec::with_capacity(servers);
-        let mut handles = Vec::with_capacity(servers);
-        for _ in 0..servers {
-            let (tx, rx) = unbounded::<Shipment>();
-            senders.push(tx);
-            let consumer = Arc::clone(&consumer);
-            handles.push(std::thread::spawn(move || {
-                let mut totals = StreamingTotals::default();
-                while let Ok(shipment) = rx.recv() {
-                    match shipment {
-                        Shipment::Batch(m, seq, records, meta) => {
-                            totals.total_records += records.len();
-                            totals.stored_bytes +=
-                                RecordBatch::compress(&records).compressed_bytes();
-                            consumer.batch(m, Some(seq), records, meta);
-                        }
-                        Shipment::Name(m, seq, name) => consumer.name(m, Some(seq), name),
-                    }
-                }
-                totals
-            }));
-        }
         StreamingPool {
-            senders,
-            handles,
-            outages: Arc::new(outages),
+            consumer,
+            outages,
+            tallies: (0..servers).map(|_| ServerTally::default()).collect(),
             tracer,
             recorder,
         }
     }
 
     /// The handle a machine's agent should ship through; machines hash
-    /// to servers for a stable assignment.
-    pub fn handle_for(&self, machine: MachineId) -> CollectorHandle {
+    /// to servers for a stable assignment. Deliveries are timed on
+    /// `telemetry`, which should be the shipping machine's own handle.
+    pub fn handle_for(&self, machine: MachineId, telemetry: &Telemetry) -> CollectorHandle<'_> {
         CollectorHandle {
-            senders: self.senders.clone(),
-            primary: machine.0 as usize % self.senders.len(),
-            outages: Arc::clone(&self.outages),
+            pool: self,
+            primary: machine.0 as usize % self.outages.len(),
             failovers: 0,
-            tracer: self.tracer.clone(),
-            recorder: self.recorder.clone(),
+            telemetry: telemetry.clone(),
         }
     }
 
-    /// Closes the streams, joins the servers and sums their accounting.
-    ///
-    /// Every [`CollectorHandle`] must have been dropped first — a live
-    /// handle keeps its server's channel open and `finish` would wait for
-    /// it (the agents disconnect before the servers shut down, §3).
-    ///
-    /// A panicked forwarding thread (most likely a panic in the
-    /// [`ShipmentConsumer`]) is reported as the first [`CollectionFault`]
-    /// (the remaining servers are still joined, so no thread is leaked)
-    /// rather than propagating the panic.
-    pub fn finish(self) -> Result<StreamingTotals, CollectionFault> {
-        drop(self.senders);
+    /// Sums the servers' accounting. Every [`CollectorHandle`] borrows
+    /// the pool, so all of them are gone by now.
+    pub fn finish(self) -> StreamingTotals {
         let mut totals = StreamingTotals::default();
-        let mut fault = None;
-        for (server, h) in self.handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(t) => {
-                    totals.total_records += t.total_records;
-                    totals.stored_bytes += t.stored_bytes;
-                }
-                Err(payload) => {
-                    fault.get_or_insert(CollectionFault {
-                        server,
-                        message: crate::steal::panic_text(payload.as_ref()),
-                    });
-                }
-            }
+        for tally in self.tallies {
+            totals.total_records += tally.records.into_inner();
+            totals.stored_bytes += tally.stored_bytes.into_inner();
         }
-        match fault {
-            Some(f) => Err(f),
-            None => Ok(totals),
-        }
+        totals
     }
 }
 
@@ -403,106 +343,108 @@ mod tests {
         }
     }
 
-    /// Stores every forwarded shipment in a [`CollectionServer`], so a
-    /// test reads back what the pool delivered in the server's own
-    /// sequence-ordered terms.
-    #[derive(Default)]
-    struct Store(Mutex<CollectionServer>);
+    /// One delivered batch: machine, agent stamp, records, baggage.
+    type Delivery = (MachineId, u64, Vec<TraceRecord>, Option<BatchMeta>);
 
-    impl ShipmentConsumer for Store {
+    /// Logs every delivery in call order.
+    #[derive(Default)]
+    struct Log {
+        batches: Mutex<Vec<Delivery>>,
+        names: Mutex<Vec<(MachineId, u64)>>,
+    }
+
+    impl ShipmentConsumer for Log {
         fn batch(
             &self,
             m: MachineId,
             seq: Option<u64>,
             records: Vec<TraceRecord>,
-            _meta: Option<BatchMeta>,
+            meta: Option<BatchMeta>,
         ) {
-            let seq = seq.expect("pools forward the agent's stamp");
-            self.0.lock().unwrap().ingest_seq(m, seq, &records);
+            let seq = seq.expect("handles forward the agent's stamp");
+            self.batches.lock().unwrap().push((m, seq, records, meta));
         }
 
-        fn name(&self, m: MachineId, seq: Option<u64>, name: NameRecord) {
-            let seq = seq.expect("pools forward the agent's stamp");
-            self.0.lock().unwrap().ingest_name_seq(m, seq, name);
+        fn name(&self, m: MachineId, seq: Option<u64>, _name: NameRecord) {
+            let seq = seq.expect("handles forward the agent's stamp");
+            self.names.lock().unwrap().push((m, seq));
         }
     }
 
-    /// An untraced pool of `servers` forwarding into `store`.
-    fn start_pool(
-        servers: usize,
-        outages: Vec<Vec<TickWindow>>,
-        store: &Arc<Store>,
-    ) -> StreamingPool {
-        StreamingPool::start(
+    impl Log {
+        /// The stamps `machine`'s batches arrived with, in arrival order.
+        fn stamps(&self, machine: MachineId) -> Vec<u64> {
+            let batches = self.batches.lock().unwrap();
+            batches
+                .iter()
+                .filter(|d| d.0 == machine)
+                .map(|d| d.1)
+                .collect()
+        }
+    }
+
+    /// An untraced pool of `servers` forwarding into `log`.
+    fn pool(servers: usize, outages: Vec<Vec<TickWindow>>, log: &Log) -> StreamingPool<'_> {
+        StreamingPool::new(
             servers,
             outages,
-            Arc::clone(store) as Arc<dyn ShipmentConsumer>,
+            log,
             ShipmentTracer::off(),
             FlightRecorder::off(),
         )
     }
 
-    /// Joins `pool` and takes what its servers forwarded into `store`.
-    fn finish(pool: StreamingPool, store: &Store) -> (StreamingTotals, CollectionServer) {
-        let totals = pool.finish().expect("no server died");
-        (totals, std::mem::take(&mut *store.0.lock().unwrap()))
+    fn handle<'p>(pool: &'p StreamingPool<'p>, m: u32) -> CollectorHandle<'p> {
+        pool.handle_for(MachineId(m), &Telemetry::off())
     }
 
     #[test]
     fn pool_collects_from_concurrent_agents() {
-        let store = Arc::new(Store::default());
-        let pool = start_pool(3, Vec::new(), &store);
+        let log = Log::default();
+        let pool = pool(3, Vec::new(), &log);
         std::thread::scope(|scope| {
             for m in 0..9u32 {
-                let mut handle = pool.handle_for(MachineId(m));
+                let mut h = handle(&pool, m);
                 scope.spawn(move || {
                     for batch in 0..4u64 {
                         let records: Vec<TraceRecord> =
                             (0..50).map(|i| rec(batch * 50 + i)).collect();
-                        assert!(handle.ingest_at(MachineId(m), batch, &records, 0));
+                        assert!(h.ingest_at(MachineId(m), batch, &records, 0));
                     }
-                    assert!(handle.ingest_name_at(MachineId(m), 4, name(m), 0));
+                    assert!(h.ingest_name_at(MachineId(m), 4, name(m), 0));
                 });
             }
         });
-        let (totals, merged) = finish(pool, &store);
+        let totals = pool.finish();
         assert_eq!(totals.total_records, 9 * 4 * 50);
-        assert_eq!(merged.total_records(), 9 * 4 * 50);
-        assert_eq!(merged.machines().len(), 9);
         for m in 0..9u32 {
-            assert_eq!(merged.records_for(MachineId(m)).len(), 200);
-            assert_eq!(merged.names_for(MachineId(m)).len(), 1);
+            assert_eq!(log.stamps(MachineId(m)), vec![0, 1, 2, 3], "machine {m}");
         }
+        assert_eq!(log.names.lock().unwrap().len(), 9);
     }
 
     #[test]
     fn machine_assignment_is_stable() {
-        let store = Arc::new(Store::default());
-        let pool = start_pool(3, Vec::new(), &store);
-        let a = pool.handle_for(MachineId(4));
-        let b = pool.handle_for(MachineId(4));
+        let log = Log::default();
+        let pool = pool(3, Vec::new(), &log);
+        let a = handle(&pool, 4);
+        let b = handle(&pool, 4);
         assert_eq!(a.primary, b.primary, "same machine, same server");
-        let c = pool.handle_for(MachineId(5));
+        let c = handle(&pool, 5);
         assert_ne!(a.primary, c.primary, "different machine, other server");
-        // Handles keep their server's channel open; drop them before the
-        // pool shuts down.
-        drop((a, b, c));
-        pool.finish().expect("no server died");
     }
 
     #[test]
     fn empty_batches_are_not_shipped() {
-        let store = Arc::new(Store::default());
-        let pool = start_pool(1, Vec::new(), &store);
-        let mut h = pool.handle_for(MachineId(0));
+        let log = Log::default();
+        let pool = pool(1, Vec::new(), &log);
+        let mut h = handle(&pool, 0);
         assert!(
             h.ingest_at(MachineId(0), 0, &[], 10),
             "accepted, not shipped"
         );
-        drop(h);
-        let (totals, merged) = finish(pool, &store);
-        assert_eq!(totals, StreamingTotals::default());
-        assert_eq!(merged.total_records(), 0);
+        assert_eq!(pool.finish(), StreamingTotals::default());
+        assert!(log.batches.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -512,9 +454,9 @@ mod tests {
             vec![TickWindow::new(100, 200)],
             vec![TickWindow::new(0, u64::MAX)],
         ];
-        let store = Arc::new(Store::default());
-        let pool = start_pool(2, outages, &store);
-        let mut h = pool.handle_for(MachineId(0)); // primary = server 0
+        let log = Log::default();
+        let pool = pool(2, outages, &log);
+        let mut h = handle(&pool, 0); // primary = server 0
         let records: Vec<TraceRecord> = (0..10).map(rec).collect();
         assert!(h.ingest_at(MachineId(0), 0, &records, 50), "before outage");
         assert!(
@@ -525,38 +467,15 @@ mod tests {
         assert_eq!(h.failovers(), 0, "primary recovered, no failover needed");
 
         // Machine 1's primary is the always-down server 1: it fails over.
-        let mut h1 = pool.handle_for(MachineId(1));
+        let mut h1 = handle(&pool, 1);
         assert!(h1.ingest_at(MachineId(1), 0, &records, 50));
         assert_eq!(h1.failovers(), 1);
-        drop((h, h1));
-        let (totals, merged) = finish(pool, &store);
-        assert_eq!(totals.total_records, 30);
-        assert_eq!(merged.total_records(), 30);
+        assert_eq!(pool.finish().total_records, 30);
+        assert_eq!(log.batches.lock().unwrap().len(), 3);
     }
 
     #[test]
     fn streaming_pool_accounts_exactly_like_storage() {
-        #[derive(Default)]
-        struct Counter {
-            records: Mutex<usize>,
-            names: Mutex<usize>,
-        }
-        impl ShipmentConsumer for Counter {
-            fn batch(
-                &self,
-                _m: MachineId,
-                _seq: Option<u64>,
-                records: Vec<TraceRecord>,
-                meta: Option<BatchMeta>,
-            ) {
-                assert!(meta.is_none(), "untraced pool attaches no baggage");
-                *self.records.lock().unwrap() += records.len();
-            }
-            fn name(&self, _m: MachineId, _seq: Option<u64>, _name: NameRecord) {
-                *self.names.lock().unwrap() += 1;
-            }
-        }
-
         fn ship(sink: &mut dyn RecordSink) {
             for m in 0..4u32 {
                 for batch in 0..3u64 {
@@ -573,27 +492,25 @@ mod tests {
 
         // … and forwarded by a streaming pool, which keeps nothing but
         // must account the identical compressed footprint.
-        let consumer = Arc::new(Counter::default());
-        let streaming = StreamingPool::start(
-            2,
-            Vec::new(),
-            consumer.clone() as Arc<dyn ShipmentConsumer>,
-            ShipmentTracer::off(),
-            FlightRecorder::off(),
-        );
-        let mut h = streaming.handle_for(MachineId(0));
-        ship(&mut h);
-        drop(h);
-        let totals = streaming.finish().expect("no server died");
+        let log = Log::default();
+        let streaming = pool(2, Vec::new(), &log);
+        ship(&mut handle(&streaming, 0));
+        let totals = streaming.finish();
 
         assert_eq!(totals.total_records, stored.total_records());
         assert_eq!(totals.stored_bytes, stored.stored_bytes());
-        assert_eq!(*consumer.records.lock().unwrap(), totals.total_records);
-        assert_eq!(*consumer.names.lock().unwrap(), 4);
+        let batches = log.batches.lock().unwrap();
+        assert!(
+            batches.iter().all(|d| d.3.is_none()),
+            "untraced pool attaches no baggage"
+        );
+        let delivered: usize = batches.iter().map(|d| d.2.len()).sum();
+        assert_eq!(delivered, totals.total_records);
+        assert_eq!(log.names.lock().unwrap().len(), 4);
     }
 
     #[test]
-    fn panicking_consumer_is_a_collection_fault_not_an_abort() {
+    fn panicking_consumer_unwinds_the_shipping_caller() {
         struct Bomb;
         impl ShipmentConsumer for Bomb {
             fn batch(
@@ -607,69 +524,53 @@ mod tests {
             }
             fn name(&self, _m: MachineId, _seq: Option<u64>, _name: NameRecord) {}
         }
-        let pool = StreamingPool::start(
+        let pool = StreamingPool::new(
             1,
             Vec::new(),
-            Arc::new(Bomb),
+            &Bomb,
             ShipmentTracer::off(),
             FlightRecorder::off(),
         );
-        let mut h = pool.handle_for(MachineId(0));
+        let mut h = pool.handle_for(MachineId(0), &Telemetry::off());
         let records: Vec<TraceRecord> = (0..5).map(rec).collect();
-        assert!(h.ingest_at(MachineId(0), 0, &records, 0));
-        drop(h);
-        // Before finish() returned Result, the dead thread's panic was
-        // re-raised here and took the whole process down.
-        let fault = pool.finish().expect_err("the server thread died");
-        assert_eq!(fault.server, 0);
-        assert!(fault.message.contains("consumer exploded"), "{fault}");
-        assert!(fault.to_string().contains("collection server 0"));
+        // Delivery runs on the caller's thread, so the consumer's panic
+        // is the caller's: a study's machine task, caught by its pool.
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            h.ingest_at(MachineId(0), 0, &records, 0)
+        }))
+        .expect_err("the consumer's panic reaches the caller");
+        let message = crate::steal::panic_text(payload.as_ref());
+        assert!(message.contains("consumer exploded"), "{message}");
     }
 
     #[test]
     fn traced_pool_stamps_meta_and_records_failovers() {
-        #[derive(Default)]
-        struct MetaLog {
-            seen: Mutex<Vec<(u64, BatchMeta)>>,
-        }
-        impl ShipmentConsumer for MetaLog {
-            fn batch(
-                &self,
-                _m: MachineId,
-                seq: Option<u64>,
-                _records: Vec<TraceRecord>,
-                meta: Option<BatchMeta>,
-            ) {
-                self.seen
-                    .lock()
-                    .unwrap()
-                    .push((seq.unwrap(), meta.expect("traced pool attaches baggage")));
-            }
-            fn name(&self, _m: MachineId, _seq: Option<u64>, _name: NameRecord) {}
-        }
-
         let tracer = ShipmentTracer::new(11, 10_000);
         let recorder = FlightRecorder::new(16);
         // Primary (server 0) down in [100, 200): batch 1 fails over.
         let outages = vec![vec![TickWindow::new(100, 200)], Vec::new()];
-        let consumer = Arc::new(MetaLog::default());
-        let pool = StreamingPool::start(
+        let log = Log::default();
+        let pool = StreamingPool::new(
             2,
             outages,
-            consumer.clone() as Arc<dyn ShipmentConsumer>,
+            &log,
             tracer.clone().for_shard(3),
             recorder.clone(),
         );
-        let mut h = pool.handle_for(MachineId(0));
+        let mut h = handle(&pool, 0);
         let records: Vec<TraceRecord> = (0..5).map(rec).collect();
         assert!(h.ingest_at(MachineId(0), 0, &records, 50));
         assert!(h.ingest_at(MachineId(0), 1, &records, 150), "failover");
-        drop(h);
-        pool.finish().expect("no server died");
 
-        let mut seen = consumer.seen.lock().unwrap().clone();
-        seen.sort_by_key(|&(seq, _)| seq);
-        assert_eq!(seen.len(), 2);
+        // Delivered in call order, each with its baggage.
+        let seen: Vec<(u64, BatchMeta)> = log
+            .batches
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|d| (d.1, d.3.expect("traced pool attaches baggage")))
+            .collect();
+        assert_eq!(seen.iter().map(|s| s.0).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(seen[0].1.server, 0);
         assert_eq!(seen[0].1.deliver_ticks, 50);
         assert_eq!(seen[1].1.server, 1, "batch 1 landed on the secondary");
@@ -702,26 +603,28 @@ mod tests {
     }
 
     #[test]
-    fn failover_batches_reassemble_in_sequence_order() {
+    fn failover_batches_arrive_in_sequence_order() {
         // Primary down in the middle window; the agent ships batch 1 to
-        // the secondary, then batch 2 back on the primary. Every batch
-        // reaches the consumer with its agent sequence stamp, so the
-        // store returns them in sequence order regardless of which
-        // server forwarded what.
+        // the secondary, then batch 2 back on the primary. Delivery runs
+        // on the shipping thread, so the consumer sees the stamps in the
+        // order the agent shipped them, whichever server took each.
         let outages = vec![vec![TickWindow::new(100, 200)], Vec::new()];
-        let store = Arc::new(Store::default());
-        let pool = start_pool(2, outages, &store);
-        let mut h = pool.handle_for(MachineId(0));
+        let log = Log::default();
+        let pool = pool(2, outages, &log);
+        let mut h = handle(&pool, 0);
         let batch = |lo: u64| -> Vec<TraceRecord> { (lo..lo + 5).map(rec).collect() };
         assert!(h.ingest_at(MachineId(0), 0, &batch(0), 50));
         assert!(h.ingest_at(MachineId(0), 1, &batch(5), 150), "failover");
         assert!(h.ingest_at(MachineId(0), 2, &batch(10), 250));
         assert_eq!(h.failovers(), 1);
-        drop(h);
-        let (_, merged) = finish(pool, &store);
-        let back = merged.records_for(MachineId(0));
-        assert_eq!(back.len(), 15);
-        let ids: Vec<u64> = back.iter().map(|r| r.file_object).collect();
-        assert_eq!(ids, (0..15).collect::<Vec<u64>>(), "agent order restored");
+        assert_eq!(log.stamps(MachineId(0)), vec![0, 1, 2]);
+        let ids: Vec<u64> = log
+            .batches
+            .lock()
+            .unwrap()
+            .iter()
+            .flat_map(|d| d.2.iter().map(|r| r.file_object))
+            .collect();
+        assert_eq!(ids, (0..15).collect::<Vec<u64>>(), "agent order");
     }
 }

@@ -38,23 +38,20 @@
 //!   whole fleet during a live study.
 //! * [`reader`] — [`SegmentReader`], the [`Segment`] batch and name
 //!   visitors, the `*.ntt` directory listing ([`segment_paths`]) and the
-//!   [`Warehouse`] directory wrapper.
+//!   [`Warehouse`] directory wrapper. The visitors are how both readers
+//!   of a stored trace — analysis re-ingest and what-if replay — walk a
+//!   segment, in one canonical order.
 //! * [`import`] — foreign-format importers; today an strace-style text
 //!   importer with a loss ledger for malformed input.
-//! * [`source`] — the [`TraceSource`] abstraction: per-machine batch and
-//!   name visitation for what-if replay, implemented here for
-//!   [`Warehouse`] and in `nt-study` for live fact tables.
 
 pub mod format;
 pub mod import;
 pub mod reader;
-pub mod source;
 pub mod writer;
 
 pub use format::{Footer, FOOTER_SIZE, HEADER_SIZE, NTT_VERSION};
 pub use import::{import_strace, ImportLedger, StraceImport};
 pub use reader::{segment_paths, NameView, RecordView, Segment, SegmentReader, Warehouse};
-pub use source::TraceSource;
 pub use writer::{SegmentStats, SegmentWriter, WarehouseSink};
 
 use std::fmt;

@@ -65,6 +65,13 @@ impl Segment {
     /// order the live sink processed — calling `visit(batch_seq,
     /// records)` with consecutive stamps from 0. Batches are decoded at
     /// their stored boundaries.
+    ///
+    /// This and [`Segment::visit_names`] are the determinism contract
+    /// every reader of a stored trace relies on: one segment always
+    /// visits the same batches, boundaries and names in the same order,
+    /// so any two consumers walk a machine through identical state
+    /// transitions. A visitor, not an iterator, because a decoded batch
+    /// is owned while the segment bytes stay borrowed.
     pub fn visit_batches(
         &self,
         mut visit: impl FnMut(u64, Vec<TraceRecord>),
@@ -412,7 +419,7 @@ impl Warehouse {
     }
 
     /// The one segment holding `machine`, if any.
-    pub(crate) fn segment(&self, machine: u32) -> Option<&Segment> {
+    pub fn segment(&self, machine: u32) -> Option<&Segment> {
         self.segments
             .binary_search_by_key(&machine, Segment::machine)
             .ok()
@@ -506,6 +513,46 @@ mod tests {
         assert_eq!(names.len(), 2);
         assert_eq!(names[0].path, names[1].path);
         assert_eq!(r.footer().strings_len, r"\winnt\notepad.exe".len() as u64);
+    }
+
+    #[test]
+    fn visitors_preserve_batch_boundaries_and_order() {
+        let dir = std::env::temp_dir().join(format!("ntt-visit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut w = SegmentWriter::new(9);
+        w.push_batch(&[rec(0, 1, 10), rec(0, 2, 20)]).unwrap();
+        w.push_batch(&[rec(0, 3, 30)]).unwrap();
+        w.push_name(&NameRecord {
+            file_object: 1,
+            volume: 0,
+            process: 7,
+            path: r"\a\b.txt".to_string(),
+            at_ticks: 1,
+        })
+        .unwrap();
+        std::fs::write(dir.join("m00009.ntt"), w.finish()).unwrap();
+
+        let warehouse = Warehouse::open(&dir).unwrap();
+        assert_eq!(warehouse.machines(), vec![9]);
+        let segment = warehouse.segment(9).expect("machine 9 has a segment");
+
+        let mut batches = Vec::new();
+        segment
+            .visit_batches(|seq, recs| {
+                batches.push((seq, recs.iter().map(|r| r.file_object).collect::<Vec<_>>()));
+            })
+            .unwrap();
+        assert_eq!(batches, vec![(0, vec![1, 2]), (1, vec![3])]);
+
+        let mut names = Vec::new();
+        segment
+            .visit_names(|seq, n| names.push((seq, n.path)))
+            .unwrap();
+        assert_eq!(names, vec![(0, r"\a\b.txt".to_string())]);
+
+        assert!(warehouse.segment(10).is_none(), "machine 10 has no segment");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

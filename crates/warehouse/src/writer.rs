@@ -293,8 +293,8 @@ impl MachineExport {
 /// written at [`WarehouseSink::finish`].
 ///
 /// Distinct machines contend only on their own mutex, so the export adds
-/// no cross-machine serialization to the collection-server threads; it
-/// is designed to be tee'd beside a live `AnalysisSet`.
+/// no cross-machine serialization to the worker threads delivering into
+/// it; it is designed to be tee'd beside a live `AnalysisSet`.
 pub struct WarehouseSink {
     dir: PathBuf,
     index: HashMap<u32, usize>,

@@ -288,13 +288,12 @@ fn warehouse_reimport_of_the_faulted_fleet_is_bit_identical_to_live_ingest() {
     // one fresh streaming sink per segment, merged in machine order.
     // Everything analytical must be bit-identical to the live run: the
     // retained fact tables digest-for-digest, the streaming summary
-    // field-for-field (only the scheduling watermarks — parked records
-    // and live state bytes — may differ between the live run, whose
-    // batches can arrive out of order, and a re-ingest in stored
-    // order), and the directly-follows graph over per-file event
-    // sequences at similarity exactly 1.0 — not approximately: any
-    // dropped, duplicated or reordered record moves the score strictly
-    // below one.
+    // field-for-field (peak watermarks included: the live run delivers
+    // each machine's batches in stamp order, the re-ingest in stored
+    // order, and the two orders are one), and the directly-follows
+    // graph over per-file event sequences at similarity exactly 1.0 —
+    // not approximately: any dropped, duplicated or reordered record
+    // moves the score strictly below one.
     let config = locked_fleet();
     let dir = std::env::temp_dir().join(format!("nt-determinism-warehouse-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -335,13 +334,10 @@ fn warehouse_reimport_of_the_faulted_fleet_is_bit_identical_to_live_ingest() {
         "fact-table/name-table digests diverge between live and reimported ingest"
     );
 
-    let mut a = live.summary;
-    let mut b = ingest.summary;
-    a.peak_parked_records = 0;
-    b.peak_parked_records = 0;
-    a.peak_state_bytes = 0;
-    b.peak_state_bytes = 0;
-    assert!(a == b, "streaming summaries diverge");
+    assert!(
+        live.summary == ingest.summary,
+        "streaming summaries diverge"
+    );
 
     let live_dfg = nt_analysis::dfg::Dfg::of_trace_set(&live_set);
     let reimported_dfg = nt_analysis::dfg::Dfg::of_trace_set(&ingest_set);

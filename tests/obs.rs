@@ -11,7 +11,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use nt_study::{FaultPlan, ShardOptions, Study, StudyConfig, TelemetryConfig, TelemetryOptions};
+use nt_study::{
+    FaultPlan, Hop, Phase, ShardOptions, Study, StudyConfig, TelemetryConfig, TelemetryOptions,
+};
 
 /// The faulted 45-machine smoke fleet: paper topology, short period.
 fn faulted_fleet(seed: u64) -> StudyConfig {
@@ -118,12 +120,7 @@ fn telemetry_does_not_perturb_the_study() {
     assert!(silent.profile.is_empty(), "telemetry off leaves no profile");
     assert!(silent.machines.iter().all(|m| m.telemetry.is_none()));
     let profile = watched.profile;
-    for phase in [
-        nt_study::Phase::Dispatch,
-        nt_study::Phase::Cache,
-        nt_study::Phase::Trace,
-        nt_study::Phase::Analysis,
-    ] {
+    for phase in [Phase::Dispatch, Phase::Cache, Phase::Trace, Phase::Analysis] {
         assert!(
             profile.phase(phase).spans > 0,
             "phase {phase:?} recorded spans"
@@ -138,7 +135,7 @@ fn telemetry_does_not_perturb_the_study() {
     assert!(!budget.is_empty());
     let dispatch = budget
         .iter()
-        .find(|b| b.phase == nt_study::Phase::Dispatch)
+        .find(|b| b.phase == Phase::Dispatch)
         .expect("dispatch layer priced");
     assert!(dispatch.spans > 0);
     assert!(dispatch.ns_per_op > 0.0);
@@ -246,15 +243,11 @@ fn shipment_tracing_does_not_perturb_the_sharded_study() {
         assert_eq!(a.machines, b.machines, "shard {} machine range", a.shard);
     }
 
-    // Aggregates: identical up to the operational peaks, which depend on
-    // thread interleaving (out-of-order failover delivery), not facts.
-    let mut a = silent.data.summary;
-    let mut b = traced.data.summary;
-    a.peak_parked_records = 0;
-    b.peak_parked_records = 0;
-    a.peak_state_bytes = 0;
-    b.peak_state_bytes = 0;
-    assert!(a == b, "streaming aggregates unchanged by tracing");
+    // Aggregates: identical, peak watermarks included.
+    assert!(
+        silent.data.summary == traced.data.summary,
+        "streaming aggregates unchanged by tracing"
+    );
 
     // The silent run carried no observability state at all.
     assert!(silent.data.shipment_spans.is_empty());
@@ -282,4 +275,58 @@ fn shipment_tracing_does_not_perturb_the_sharded_study() {
     );
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Each live batch is timed once, on the thread that delivers it. A
+/// machine's buffers reach the analysis sinks on the worker simulating
+/// it, so its own profile carries one `Phase::Analysis` delivery span per
+/// batch its sink ingested (one `analysis.ingest` hop each), and the
+/// study-side profiler adds nothing per batch: only each shard's
+/// `analysis.finish`, run on the driver thread.
+#[test]
+fn live_batches_are_timed_once_on_their_own_machine() {
+    let mut config = StudyConfig::smoke_test(5);
+    config.faults = FaultPlan::lossy();
+    config.telemetry = TelemetryConfig::On(TelemetryOptions {
+        trace_shipments: true,
+        ..TelemetryOptions::default()
+    });
+    let shards = 2;
+    let data = Study::try_run_sharded(
+        &config,
+        &ShardOptions {
+            shards,
+            ..ShardOptions::default()
+        },
+    )
+    .expect("smoke study runs")
+    .data;
+
+    let mut machine_spans = 0;
+    for m in &data.machines {
+        let profile = m.telemetry.as_ref().expect("telemetry report").profile;
+        let delivery = profile.phase(Phase::Analysis);
+        let ingested = data
+            .shipment_spans
+            .iter()
+            .filter(|s| s.machine == m.id.0 && s.hop == Hop::Analyze)
+            .count() as u64;
+        assert!(ingested > 0, "machine {:?} shipped batches", m.id);
+        assert_eq!(
+            delivery.spans, ingested,
+            "machine {:?}: one delivery span per ingested batch",
+            m.id
+        );
+        assert!(
+            delivery.self_ns > 0,
+            "machine {:?} timed its delivery",
+            m.id
+        );
+        machine_spans += delivery.spans;
+    }
+    let study_side = data.profile.phase(Phase::Analysis).spans - machine_spans;
+    assert_eq!(
+        study_side, shards as u64,
+        "the study-side profiler holds one analysis.finish per shard, no batch"
+    );
 }
