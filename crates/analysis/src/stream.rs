@@ -39,6 +39,9 @@ use crate::tails::hill_estimator_from_tail;
 /// One machine's reassembled stream, in [`TraceSet::build`] input shape.
 type MachineStream = (u32, Vec<TraceRecord>, Vec<NameRecord>);
 
+/// Resident samples per spill buffer before a sorted run is written.
+const SPILL_BUFFER: usize = 65_536;
+
 /// Configuration of the streaming sinks.
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
@@ -48,12 +51,12 @@ pub struct StreamConfig {
     /// Directory for spill runs; `None` keeps tail samples in memory
     /// (fine below paper scale).
     pub spill_dir: Option<PathBuf>,
-    /// Resident samples per spill buffer before a sorted run is written.
-    pub spill_buffer: usize,
     /// Telemetry handle for the `analysis.finish` span that closes the
-    /// set; off by default. Per-batch work is timed by whoever delivers
-    /// it, on a handle of the delivering thread: a live study's collector
-    /// handle times each batch on its machine's telemetry.
+    /// set; off by default. A live study passes each machine's own
+    /// handle, so the finish lands on the machine's profile. Per-batch
+    /// work is timed by whoever delivers it, on a handle of the
+    /// delivering thread: a live study's collector handle times each
+    /// batch on its machine's telemetry.
     pub telemetry: Telemetry,
     /// Shipment tracer for causal `analysis.ingest` spans; off by
     /// default. Sinks parent-link each stamped batch to the collector
@@ -66,7 +69,6 @@ impl Default for StreamConfig {
         StreamConfig {
             retain: false,
             spill_dir: None,
-            spill_buffer: 65_536,
             telemetry: Telemetry::off(),
             tracer: ShipmentTracer::off(),
         }
@@ -118,7 +120,7 @@ impl MachineSink {
     pub fn new(machine: u32, config: &StreamConfig) -> Self {
         let spill = |tag: &str| {
             SpillRuns::new(
-                config.spill_buffer,
+                SPILL_BUFFER,
                 config.spill_dir.clone(),
                 format!("m{machine}-{tag}"),
             )
@@ -407,7 +409,8 @@ pub struct StreamedAnalysis {
 }
 
 /// A mergeable partial aggregate over any subset of machines — what one
-/// shard collector hands the fleet root.
+/// machine task of a live study, or one segment task of a re-ingest,
+/// hands the fleet root.
 ///
 /// [`AnalysisSet::finish_shard`] produces one; [`ShardSummary::merge`]
 /// folds a sibling in (exact: all state is integer or min/max, so any
@@ -520,14 +523,6 @@ impl AnalysisSet {
     /// machine's analysis.
     fn lock_sink(&self, i: usize) -> MutexGuard<'_, MachineSink> {
         self.sinks[i].lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Current live streaming state across machines, bytes. A snapshot
-    /// while other threads are still delivering; exact once they stop.
-    pub fn memory_estimate_bytes(&self) -> usize {
-        (0..self.sinks.len())
-            .map(|i| self.lock_sink(i).state_bytes())
-            .sum()
     }
 
     /// Merges every sink — in machine-id order, so the result does not
@@ -729,17 +724,5 @@ mod tests {
         assert_eq!(a.sessions.all.quantile(0.5), b.sessions.all.quantile(0.5));
         assert_eq!(a.size_tail_alpha, b.size_tail_alpha);
         assert!(b.peak_parked_records > 0, "the scramble really parked");
-    }
-
-    #[test]
-    fn memory_estimate_moves_with_state() {
-        let ts = synthetic_trace_set(150, 44);
-        let (records, _) = raw_streams(&ts);
-        let set = AnalysisSet::new(&[0], &StreamConfig::default());
-        let before = set.memory_estimate_bytes();
-        for (i, c) in records.chunks(256).enumerate() {
-            set.batch(MachineId(0), Some(i as u64), c.to_vec(), None);
-        }
-        assert!(set.memory_estimate_bytes() > before);
     }
 }

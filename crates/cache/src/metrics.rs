@@ -70,11 +70,6 @@ impl CacheMetrics {
         }
     }
 
-    /// Total paging-write bytes that reached the disk.
-    pub fn disk_write_bytes(&self) -> u64 {
-        self.lazy_write_bytes + self.forced_write_bytes
-    }
-
     /// Posts the cache manager's side of the conservation accounts.
     ///
     /// The cache credits the paging traffic it originated (demand misses,

@@ -3,21 +3,24 @@
 //! The paper traced 45 desktops through three collection servers; the
 //! org-scale question is what the same pipeline looks like at 1,000 or
 //! 10,000 machines. This module partitions the fleet into contiguous
-//! shards, gives each shard its own three-server [`StreamingPool`] and
-//! [`AnalysisSet`] (so per-shard analysis state is bounded by the
-//! shard's machine count, not the fleet's), runs every machine
-//! simulation on one fleet-wide work-stealing pool
-//! ([`nt_trace::steal`]), and merges the per-shard [`ShardSummary`]
-//! partials at the fleet root, where tail alphas and (under retain) the
-//! exact fact tables are computed once. One shard is the paper's flat
-//! topology; it is the only pipeline the study has.
+//! shards, gives each shard its own three-server [`StreamingPool`]
+//! (outage windows and head-counts), runs every machine simulation on
+//! one fleet-wide work-stealing pool ([`nt_trace::steal`]), and merges
+//! the machines' [`ShardSummary`] partials at the fleet root, in machine
+//! order, where tail alphas and (under retain) the exact fact tables are
+//! computed once. One shard is the paper's flat topology; it is the only
+//! pipeline the study has.
 //!
 //! A study runs on its `workers` threads and no others. The pools run
-//! nothing: a machine's agent ships through its [`nt_trace::CollectorHandle`],
-//! which delivers each buffer into the shard's sinks on the worker
-//! simulating the machine, so every sink sees its machine's batches in
-//! the agent's stamp order. The driver owns each shard's sinks and the
-//! machine tasks borrow them.
+//! nothing, and sinks are per machine, as in a re-ingest: each machine
+//! task owns a one-machine [`AnalysisSet`] and, under an export, its own
+//! segment writer behind a `Tee`. Its agent ships through a
+//! [`nt_trace::CollectorHandle`] that delivers each buffer into those
+//! sinks on the worker simulating the machine, in the agent's stamp
+//! order, and no sink is reachable from another machine's task. The
+//! task closes its set into a partial; the driver sums a shard's
+//! partials into its [`ShardReport`] and writes the segments once every
+//! task has finished.
 //!
 //! The load-bearing invariant: **shard count and worker count are pure
 //! performance knobs.** Every machine derives its faults from its fleet
@@ -32,9 +35,12 @@
 use std::path::PathBuf;
 
 use nt_analysis::stream::{AnalysisSet, ShardSummary, StreamConfig};
-use nt_obs::{FlightEvent, HealthFinding, MachineTelemetry, RecorderScope, Telemetry, Watchdog};
+use nt_obs::{
+    FlightEvent, HealthFinding, MachineTelemetry, Phase, RecorderScope, Telemetry, Watchdog,
+};
 use nt_trace::{ShipmentConsumer, StreamingPool, StreamingTotals};
-use nt_warehouse::WarehouseSink;
+use nt_warehouse::writer::segment_file_name;
+use nt_warehouse::{NttError, SegmentWriter};
 
 use crate::config::StudyConfig;
 use crate::fault::FaultSchedule;
@@ -61,9 +67,9 @@ pub struct ShardOptions {
     /// Spill directory for the tail-analysis sample runs; shared across
     /// shards (run files are namespaced by machine id).
     pub spill_dir: Option<PathBuf>,
-    /// Export the run as an NTT warehouse into this directory; shared
-    /// across shards (segment files are namespaced by machine id, and
-    /// each shard's sink only owns its own machine range).
+    /// Export the run as an NTT warehouse into this directory (created
+    /// before any machine runs); one segment file per machine, named by
+    /// machine id, written once every machine task has finished.
     pub warehouse: Option<PathBuf>,
 }
 
@@ -86,14 +92,15 @@ pub struct ShardReport {
     pub shard: usize,
     /// Fleet machine indices this shard collected, `[start, end)`.
     pub machines: std::ops::Range<usize>,
-    /// Records the shard's sinks analysed.
+    /// Records the shard's machines' sinks analysed: the sum of their
+    /// partials.
     pub records: u64,
     /// Records shipped through the shard's pool (its head-count).
     pub total_records: usize,
     /// Compressed footprint at the shard's collection servers, bytes.
     pub stored_bytes: usize,
-    /// Peak live analysis state across the shard's sinks, bytes — the
-    /// quantity the per-shard memory budget bounds.
+    /// The sum of the shard's machines' peak live analysis state, bytes
+    /// — the quantity the per-shard memory budget bounds.
     pub peak_state_bytes: usize,
     /// Shard-level health findings (currently the post-run stall check);
     /// empty with watchdogs off.
@@ -107,6 +114,16 @@ pub struct ShardedStudyData {
     pub data: StreamedStudyData,
     /// Per-shard reports, in shard order.
     pub shards: Vec<ShardReport>,
+}
+
+/// What one machine task hands the driver.
+struct MachineTask {
+    output: MachineOutput,
+    /// The machine's closed one-machine analysis set.
+    partial: ShardSummary,
+    /// Under an export, the machine's segment or its writer's first
+    /// refusal.
+    segment: Option<Result<SegmentWriter, NttError>>,
 }
 
 /// Contiguous, near-even split of `0..n` into `k` ranges (the first
@@ -184,64 +201,14 @@ impl Study {
         // outage windows, so a machine cannot tell how many shards the
         // tree has.
         let schedule = FaultSchedule::materialize(config, 3);
-        // The shared study-side profiler times only work done on this
-        // thread (the shard merge and the export); each batch's delivery
-        // is timed on its machine's own telemetry, inside `trace.ship`.
-        let analysis_telemetry = match config.telemetry.is_on() {
-            true => Telemetry::profiler(),
-            false => Telemetry::off(),
-        };
-        let consumers: Vec<AnalysisSet> = ranges
-            .iter()
-            .enumerate()
-            .map(|(s, r)| {
-                let ids: Vec<u32> = (r.start as u32..r.end as u32).collect();
-                AnalysisSet::new(
-                    &ids,
-                    &StreamConfig {
-                        retain: options.retain,
-                        spill_dir: options.spill_dir.clone(),
-                        telemetry: analysis_telemetry.clone(),
-                        tracer: instruments.tracer.for_shard(s as u32),
-                        ..StreamConfig::default()
-                    },
-                )
-            })
-            .collect();
-        let warehouse_sinks: Vec<WarehouseSink> = match &options.warehouse {
-            Some(dir) => ranges
-                .iter()
-                .map(|r| {
-                    let ids: Vec<u32> = (r.start as u32..r.end as u32).collect();
-                    WarehouseSink::create(dir, &ids)
-                })
-                .collect::<Result<_, _>>()?,
-            None => Vec::new(),
-        };
-        // With an export, each shard's servers deliver into a tee over
-        // its two sinks.
-        let tees: Vec<Tee> = consumers
-            .iter()
-            .zip(&warehouse_sinks)
-            .enumerate()
-            .map(|(s, (analysis, warehouse))| Tee {
-                analysis,
-                warehouse,
-                tracer: instruments.tracer.for_shard(s as u32),
-            })
-            .collect();
-        let pools: Vec<StreamingPool> = consumers
-            .iter()
-            .enumerate()
-            .map(|(s, analysis)| {
-                let consumer: &dyn ShipmentConsumer = match tees.get(s) {
-                    Some(tee) => tee,
-                    None => analysis,
-                };
+        if let Some(dir) = &options.warehouse {
+            std::fs::create_dir_all(dir).map_err(NttError::Io)?;
+        }
+        let pools: Vec<StreamingPool> = (0..ranges.len())
+            .map(|s| {
                 StreamingPool::new(
                     3,
                     schedule.collectors.clone(),
-                    consumer,
                     instruments.tracer.for_shard(s as u32),
                     instruments.recorder.clone(),
                 )
@@ -254,35 +221,63 @@ impl Study {
             .enumerate()
             .flat_map(|(s, r)| r.clone().map(move |_| s))
             .collect();
+        let stream = StreamConfig {
+            retain: options.retain,
+            spill_dir: options.spill_dir.clone(),
+            ..StreamConfig::default()
+        };
 
         // Every machine simulation, fleet-wide, on one stealing pool:
         // a shard of cheap WalkUp machines finishes early and its
-        // workers drain the Scientific shard's backlog. A machine's
-        // buffers reach its shard's sinks on the worker simulating it,
-        // so a panicking sink unwinds that machine's task.
-        let (outputs, panic) = nt_trace::steal::run_indexed(n, workers, |index| {
+        // workers drain the Scientific shard's backlog. Each task owns
+        // its machine's sinks, as a re-ingest task owns its segment's,
+        // and its buffers reach them on the worker simulating it, so a
+        // panicking sink unwinds that machine's task.
+        let (tasks, panic) = nt_trace::steal::run_indexed(n, workers, |index| {
             let spec = &config.machines[index];
             let faults = schedule.for_machine(index);
+            let shard = shard_of[index];
+            let tracer = instruments.tracer.for_shard(shard as u32);
             let mut run = MachineRun::build_with_faults(config, index, spec, &faults);
-            run.set_instruments(
-                &instruments.tracer.for_shard(shard_of[index] as u32),
-                &instruments.recorder,
-                instruments.watchdogs,
+            run.set_instruments(&tracer, &instruments.recorder, instruments.watchdogs);
+            let analysis = AnalysisSet::new(
+                &[run.id.0],
+                &StreamConfig {
+                    telemetry: run.telemetry().clone(),
+                    tracer: tracer.clone(),
+                    ..stream.clone()
+                },
             );
-            let mut sink = pools[shard_of[index]].handle_for(run.id, run.telemetry());
+            let tee = options
+                .warehouse
+                .as_ref()
+                .map(|_| Tee::new(&analysis, run.id.0, tracer));
+            let consumer: &dyn ShipmentConsumer = match &tee {
+                Some(tee) => tee,
+                None => &analysis,
+            };
+            let mut sink = pools[shard].handle_for(run.id, run.telemetry(), consumer);
             run.simulate_with_faults(config, &faults, &mut sink);
-            MachineOutput {
-                id: run.id,
-                category: run.category,
-                snapshots: std::mem::take(&mut run.snapshots),
-                io: run.io_metrics(),
-                cache: run.cache_metrics(),
-                vm: run.vm_metrics(),
-                loss: run.loss_ledger(),
-                residual_dirty_bytes: run.residual_dirty_bytes(),
-                telemetry: run.telemetry_report(),
-                health: run.take_health(),
-                last_delivery_ticks: run.last_delivery_ticks(),
+            let segment = tee.map(Tee::into_segment);
+            // Closed before the machine's telemetry is reported, so its
+            // `analysis.finish` lands on the machine's own profile.
+            let partial = analysis.finish_shard();
+            MachineTask {
+                output: MachineOutput {
+                    id: run.id,
+                    category: run.category,
+                    snapshots: std::mem::take(&mut run.snapshots),
+                    io: run.io_metrics(),
+                    cache: run.cache_metrics(),
+                    vm: run.vm_metrics(),
+                    loss: run.loss_ledger(),
+                    residual_dirty_bytes: run.residual_dirty_bytes(),
+                    telemetry: run.telemetry_report(),
+                    health: run.take_health(),
+                    last_delivery_ticks: run.last_delivery_ticks(),
+                },
+                partial,
+                segment,
             }
         });
         if let Some(p) = panic {
@@ -292,17 +287,34 @@ impl Study {
             )));
         }
         let totals: Vec<StreamingTotals> = pools.into_iter().map(StreamingPool::finish).collect();
-        let mut machines: Vec<MachineOutput> = outputs.into_iter().flatten().collect();
-        machines.sort_by_key(|m| m.id);
+        // No task panicked, so every slot holds its machine's task, in
+        // machine order.
+        let mut machines = Vec::with_capacity(n);
+        let mut partials = Vec::with_capacity(n);
+        let mut segments = Vec::with_capacity(n);
+        for task in tasks.into_iter().flatten() {
+            machines.push(task.output);
+            partials.push(task.partial);
+            segments.extend(task.segment);
+        }
 
-        // Shard tier: close each shard's sinks into a mergeable partial,
-        // and merge it straight into the fleet root. Merges are exact, so
-        // no grouping of them could show in the result.
-        let mut fleet = ShardSummary::default();
-        let mut shards = Vec::with_capacity(consumers.len());
+        // Shard tier: sum each shard's machine partials into its report
+        // and merge them straight into the fleet root, in machine order.
+        // Start from an empty set's partial, as a re-ingest does: under
+        // retain it carries an empty stream list, so an empty fleet still
+        // yields empty fact tables. Merges are exact, so no grouping of
+        // them could show in the result.
+        let mut fleet = AnalysisSet::new(&[], &stream).finish_shard();
+        let mut partials = partials.into_iter();
+        let mut shards = Vec::with_capacity(ranges.len());
         let end_ticks = config.duration.ticks();
-        for (s, consumer) in consumers.into_iter().enumerate() {
-            let partial = consumer.finish_shard();
+        for (s, range) in ranges.iter().enumerate() {
+            let (mut records, mut peak_state_bytes) = (0, 0);
+            for partial in partials.by_ref().take(range.len()) {
+                records += partial.summary.records;
+                peak_state_bytes += partial.summary.peak_state_bytes;
+                fleet.merge(partial);
+            }
             // Shard boundary crossed: note what this collector merged
             // away, then run the post-run stall check over its machines'
             // last successful deliveries.
@@ -310,13 +322,13 @@ impl Study {
                 RecorderScope::Shard(s as u32),
                 FlightEvent::MergeBoundary {
                     shard: s as u32,
-                    machines: ranges[s].len() as u64,
-                    records: partial.summary.records,
+                    machines: range.len() as u64,
+                    records,
                 },
             );
             let mut findings = Vec::new();
             if instruments.watchdogs {
-                let last = machines[ranges[s].clone()]
+                let last = machines[range.clone()]
                     .iter()
                     .map(|m| m.last_delivery_ticks)
                     .max()
@@ -331,34 +343,40 @@ impl Study {
             }
             shards.push(ShardReport {
                 shard: s,
-                machines: ranges[s].clone(),
-                records: partial.summary.records,
+                machines: range.clone(),
+                records,
                 total_records: totals[s].total_records,
                 stored_bytes: totals[s].stored_bytes,
-                peak_state_bytes: partial.summary.peak_state_bytes,
+                peak_state_bytes,
                 findings,
             });
-            fleet.merge(partial);
         }
         let analysis = fleet.into_analysis();
 
-        // Warehouse tier: each shard's sink writes its own machine range
-        // into the shared directory; the stats concatenate in machine
-        // order because shards are contiguous and ascending.
-        let warehouse_stats = match options.warehouse.is_some() {
-            true => {
-                let _span = analysis_telemetry
-                    .span_child(nt_obs::Phase::Warehouse, "warehouse.export_sharded");
+        // Warehouse tier: every task has finished, so write the segments
+        // in machine order; the first refusal, a push the writer refused
+        // or a failed write, stops the export. The study-side profiler
+        // times only these writes: every machine's sinks were timed on
+        // its own telemetry.
+        let export_telemetry = match config.telemetry.is_on() {
+            true => Telemetry::profiler(),
+            false => Telemetry::off(),
+        };
+        let warehouse_stats = match &options.warehouse {
+            Some(dir) => {
+                let _span =
+                    export_telemetry.span_child(Phase::Warehouse, "warehouse.export_sharded");
                 let mut stats = Vec::with_capacity(n);
-                for sink in warehouse_sinks {
-                    stats.extend(sink.finish()?);
+                for (machine, segment) in machines.iter().zip(segments) {
+                    let path = dir.join(segment_file_name(machine.id.0));
+                    stats.push(segment?.write_to(&path)?);
                 }
                 Some(stats)
             }
-            false => None,
+            None => None,
         };
 
-        let profile = crate::study::fleet_profile(&machines, &analysis_telemetry);
+        let profile = crate::study::fleet_profile(&machines, &export_telemetry);
         write_sharded_telemetry(config, &machines, &shard_of);
         let total_records = shards.iter().map(|s| s.total_records).sum();
         let stored_bytes = shards.iter().map(|s| s.stored_bytes).sum();

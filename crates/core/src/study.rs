@@ -93,6 +93,10 @@ impl From<nt_warehouse::NttError> for StudyFault {
     }
 }
 
+/// Events each flight-recorder scope holds; the oldest fall off and are
+/// counted per scope.
+const FLIGHT_RECORDER_CAPACITY: usize = 256;
+
 /// The per-run observability instruments, built once from the study
 /// configuration and shared (by cheap handle clones) across every tier:
 /// agents, collector pools, analysis sinks, and the export tee.
@@ -129,7 +133,7 @@ impl Instruments {
                 false => ShipmentTracer::off(),
             },
             recorder: match opts.flight_recorder {
-                true => FlightRecorder::new(opts.flight_recorder_capacity),
+                true => FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
                 false => FlightRecorder::off(),
             },
             watchdogs: opts.watchdogs,
@@ -205,8 +209,8 @@ pub struct StudyData {
     pub total_records: usize,
     /// Compressed footprint at the collection server, bytes.
     pub stored_bytes: usize,
-    /// Wall-clock attribution across the fleet plus the analysis ingest;
-    /// all-zero with telemetry off.
+    /// Wall-clock attribution across the fleet, each machine's analysis
+    /// included, plus the warehouse export; all-zero with telemetry off.
     pub profile: RuntimeProfile,
 }
 
@@ -264,7 +268,7 @@ impl Study {
     }
 }
 
-/// Merges every machine's profile with the study-side analysis profiler.
+/// Merges every machine's profile with the study-side export profiler.
 pub(crate) fn fleet_profile(machines: &[MachineOutput], analysis: &Telemetry) -> RuntimeProfile {
     let mut profile = RuntimeProfile::default();
     for m in machines {
@@ -295,8 +299,8 @@ pub struct StreamedStudyData {
     /// Compressed footprint the batches would occupy on a collection
     /// server.
     pub stored_bytes: usize,
-    /// Wall-clock attribution across the fleet plus the analysis ingest;
-    /// all-zero with telemetry off.
+    /// Wall-clock attribution across the fleet, each machine's analysis
+    /// included, plus the warehouse export; all-zero with telemetry off.
     pub profile: RuntimeProfile,
     /// Per-segment export stats, when [`ShardOptions::warehouse`] was
     /// set; in machine order.

@@ -1,29 +1,32 @@
 //! NTT warehouse integration: the live-export tee and the re-ingest
 //! driver.
 //!
-//! Export happens *during* a study: [`crate::ShardOptions::warehouse`]
-//! tees every shipment into a [`nt_warehouse::WarehouseSink`] beside the
-//! live analysis sinks, and the segment files are serialized at study
-//! finish. Re-ingest is [`Study::ingest_warehouse`]: one task per
-//! segment file on the work-stealing pool, so at most `workers` segments
-//! are resident at once. Each task validates its segment and drives the
-//! stored batches through a one-machine
-//! [`nt_analysis::stream::AnalysisSet`] — in the segment's canonical
+//! Export happens *during* a study: under
+//! [`crate::ShardOptions::warehouse`] each machine task tees its
+//! shipments into its own [`SegmentWriter`] beside its one-machine
+//! analysis set, and the driver writes the segment files in machine
+//! order once every task has finished. Re-ingest is
+//! [`Study::ingest_warehouse`]: one task per segment file on the
+//! work-stealing pool, so at most `workers` segments are resident at
+//! once. Each task validates its segment and drives the stored batches
+//! through a one-machine [`AnalysisSet`] — in the segment's canonical
 //! stamp order, batch boundaries intact — and the root merges the
-//! partials exactly, in machine order, so the resulting summary is
+//! partials exactly, in machine order. A live run closes and merges its
+//! machines' sets the same way, so the resulting summary is
 //! bit-identical to the live run's (`tests/determinism.rs` pins this at
 //! fleet scale, faults included).
 
 use std::collections::BTreeSet;
 use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use nt_analysis::stream::{AnalysisSet, ShardSummary, StreamConfig, StudySummary};
 use nt_analysis::TraceSet;
 use nt_obs::{Hop, Phase, RuntimeProfile, ShipmentTracer, Telemetry};
 use nt_trace::{BatchMeta, MachineId, NameRecord, ShipmentConsumer, TraceRecord};
 use nt_warehouse::format::decode_header;
-use nt_warehouse::{segment_paths, NttError, Segment, WarehouseSink, HEADER_SIZE};
+use nt_warehouse::{segment_paths, NttError, Segment, SegmentWriter, HEADER_SIZE};
 
 use crate::shard::host_workers;
 use crate::study::Study;
@@ -39,16 +42,49 @@ pub struct StreamOptions {
     pub spill_dir: Option<std::path::PathBuf>,
 }
 
-/// Forwards every shipment to both the live analysis sinks and the
-/// warehouse export. The warehouse copy goes first so the analysis side
-/// can take ownership of the (unclonable) record vector.
+/// One machine's sinks under an export: forwards every shipment to the
+/// machine's [`SegmentWriter`] by reference, then moves it into the
+/// machine's analysis set. The collector handle delivers in stamp order,
+/// so the segment holds the canonical stream as shipped.
 pub(crate) struct Tee<'a> {
-    pub(crate) analysis: &'a AnalysisSet,
-    pub(crate) warehouse: &'a WarehouseSink,
-    /// Emits the `warehouse.export` hop for each teed batch; the sink
+    analysis: &'a AnalysisSet,
+    /// The machine's segment, or the writer's first refusal; a refused
+    /// segment takes no more pushes.
+    segment: Mutex<Result<SegmentWriter, NttError>>,
+    /// Emits the `warehouse.export` hop for each teed batch; the writer
     /// itself stays tracer-free (nt-warehouse does not depend on
     /// nt-obs).
-    pub(crate) tracer: ShipmentTracer,
+    tracer: ShipmentTracer,
+}
+
+/// Why a tee's lock cannot be poisoned: a push that panicked unwinds its
+/// machine's task, and the tee with it.
+const UNWOUND: &str = "a panicking push unwinds its machine's task";
+
+impl<'a> Tee<'a> {
+    /// A tee over `analysis` and a fresh segment for `machine`.
+    pub(crate) fn new(analysis: &'a AnalysisSet, machine: u32, tracer: ShipmentTracer) -> Self {
+        Tee {
+            analysis,
+            segment: Mutex::new(Ok(SegmentWriter::new(machine))),
+            tracer,
+        }
+    }
+
+    /// The machine's segment, or the writer's first refusal.
+    pub(crate) fn into_segment(self) -> Result<SegmentWriter, NttError> {
+        self.segment.into_inner().expect(UNWOUND)
+    }
+
+    /// Applies one push to the segment unless it already refused one.
+    fn push(&self, push: impl FnOnce(&mut SegmentWriter) -> Result<(), NttError>) {
+        let mut segment = self.segment.lock().expect(UNWOUND);
+        if let Ok(writer) = &mut *segment {
+            if let Err(e) = push(writer) {
+                *segment = Err(e);
+            }
+        }
+    }
 }
 
 impl ShipmentConsumer for Tee<'_> {
@@ -69,12 +105,12 @@ impl ShipmentConsumer for Tee<'_> {
                 records.len() as u64,
             );
         }
-        self.warehouse.batch(machine, seq, records.clone(), None);
+        self.push(|writer| writer.push_batch(&records));
         self.analysis.batch(machine, seq, records, meta);
     }
 
     fn name(&self, machine: MachineId, seq: Option<u64>, name: NameRecord) {
-        self.warehouse.name(machine, seq, name.clone());
+        self.push(|writer| writer.push_name(&name));
         self.analysis.name(machine, seq, name);
     }
 }

@@ -50,11 +50,6 @@ impl NtPath {
         self.components.len()
     }
 
-    /// True for the volume root.
-    pub fn is_root(&self) -> bool {
-        self.components.is_empty()
-    }
-
     /// The final component, if any.
     pub fn file_name(&self) -> Option<&str> {
         self.components.last().map(|s| s.as_str())

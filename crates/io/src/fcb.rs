@@ -129,13 +129,6 @@ impl FcbTable {
             false
         }
     }
-
-    /// Forcibly drops an FCB (file deleted underneath).
-    pub fn drop_fcb(&mut self, slot: ArenaHandle) {
-        if let Some(fcb) = self.fcbs.remove(slot) {
-            self.by_file.remove(&(fcb.volume, fcb.node));
-        }
-    }
 }
 
 #[cfg(test)]

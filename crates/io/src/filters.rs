@@ -8,8 +8,7 @@
 //!   completion comes back up.
 //! * [`AntivirusFilter`] — the canonical third-party filter the paper
 //!   names (§3.2: "virus scanners are implemented this way"): adds scan
-//!   latency to every create and read passing through, visible as its
-//!   own phase in the runtime profile.
+//!   latency to every create and read passing through.
 //! * [`FastIoVeto`] — a filter whose FastIO table is empty, forcing the
 //!   documented IRP fallback for every procedural call (what a filter
 //!   that fails to implement the FastIO methods does to a system, §10).
@@ -134,12 +133,9 @@ impl FilterDriver for SpanFilter {
 /// The delay moves the frame's clock forward, so the FSD serves the
 /// request at the delayed time and the whole slowdown lands in the
 /// trace's own timestamps — the §3.2 observation that filter drivers are
-/// where real-world I/O divergence comes from, made measurable. Each
-/// scan also records a [`Phase::Filter`] span, giving the layer its own
-/// row in the runtime profile.
+/// where real-world I/O divergence comes from, made measurable.
 pub struct AntivirusFilter {
     scan_cost: SimDuration,
-    telemetry: Telemetry,
     scans: u64,
 }
 
@@ -148,15 +144,8 @@ impl AntivirusFilter {
     pub fn new(scan_cost: SimDuration) -> Self {
         AntivirusFilter {
             scan_cost,
-            telemetry: Telemetry::off(),
             scans: 0,
         }
-    }
-
-    /// Routes the scanner's spans through `telemetry`.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// Files scanned so far.
@@ -180,7 +169,6 @@ impl FilterDriver for AntivirusFilter {
             Some(MajorFunction::Create) | Some(MajorFunction::Read)
         ) {
             self.scans += 1;
-            let _scan = self.telemetry.span(Phase::Filter, "av.scan", frame.now);
             frame.now += self.scan_cost;
         }
         FilterAction::Pass

@@ -349,11 +349,6 @@ impl<O: IoObserver> Machine<O> {
         self.vm.set_telemetry(telemetry);
     }
 
-    /// True when the link to the file servers is up.
-    pub fn network_available(&self) -> bool {
-        self.network_up
-    }
-
     /// Partitions (`false`) or heals (`true`) the network link. While
     /// partitioned, opens, reads and writes on remote volumes fail with
     /// [`NtStatus::NetworkUnreachable`]; local volumes are unaffected.
@@ -399,11 +394,6 @@ impl<O: IoObserver> Machine<O> {
     /// The driver stack the machine dispatches through.
     pub fn stack(&self) -> &DriverStack {
         &self.stack
-    }
-
-    /// Mutable stack access (inspection, [`DriverStack::find_mut`]).
-    pub fn stack_mut(&mut self) -> &mut DriverStack {
-        &mut self.stack
     }
 
     /// Attaches `filter` at the top of the driver stack, above every

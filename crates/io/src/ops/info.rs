@@ -276,17 +276,6 @@ impl<O: IoObserver> Machine<O> {
         })
     }
 
-    /// The free bytes remaining on a volume (what the query reports).
-    pub fn volume_free_bytes(&self, volume: VolumeId) -> u64 {
-        self.ns
-            .volume(volume)
-            .map(|v| {
-                let s = v.stats();
-                s.capacity.saturating_sub(s.allocated_bytes)
-            })
-            .unwrap_or(0)
-    }
-
     /// An unsupported device control — a §8.4 control failure.
     pub fn invalid_control(&mut self, handle: HandleId, now: SimTime) -> OpReply {
         let frame = self.info_frame(MajorFunction::DeviceControl, "invalid_control", handle, now);

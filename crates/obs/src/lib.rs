@@ -50,6 +50,10 @@ pub use series::{SeriesData, SeriesKind, SeriesRegistry};
 pub use shipment::{write_chrome_trace, Hop, HopSpan, ShipmentTracer, TraceContext};
 pub use watchdog::{HealthFinding, Watchdog};
 
+/// Points each series ring holds; the oldest fall off and are counted in
+/// [`SeriesData::dropped`].
+const RING_CAPACITY: usize = 4_096;
+
 /// A subsystem phase, the unit of wall-clock attribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
@@ -63,8 +67,8 @@ pub enum Phase {
     Trace,
     /// Analysis ingest: record parsing, online accumulators, table builds.
     Analysis,
-    /// Work done by optional filter drivers layered above the FSD —
-    /// e.g. the antivirus scan filter's per-open/per-read latency.
+    /// Work done by optional filter drivers layered above the FSD. No
+    /// stock filter records spans under it.
     Filter,
     /// NTT warehouse I/O: segment export at study finish, re-ingest of
     /// stored segments.
@@ -150,9 +154,6 @@ pub struct TelemetryOptions {
     pub log_spans: bool,
     /// Simulated-clock cadence of the gauge/counter sampler.
     pub sample_interval: SimDuration,
-    /// Ring capacity per series; the oldest points fall off and are
-    /// counted in [`SeriesData::dropped`].
-    pub ring_capacity: usize,
     /// Attach a deterministic [`TraceContext`] to every shipped record
     /// batch and emit parent-linked hop spans (agent → collector →
     /// analysis → warehouse), exported as a Chrome trace-event timeline
@@ -162,9 +163,6 @@ pub struct TelemetryOptions {
     /// events (drops, failovers, suspensions, merge boundaries) for the
     /// post-mortem dump (`flight-recorder.jsonl` under `dir`).
     pub flight_recorder: bool,
-    /// Ring capacity per flight-recorder scope; oldest events fall off
-    /// and are counted per scope.
-    pub flight_recorder_capacity: usize,
     /// Sample the pipeline health watchdogs on the simulated clock and
     /// surface typed [`HealthFinding`]s in the study output.
     pub watchdogs: bool,
@@ -179,10 +177,8 @@ impl Default for TelemetryOptions {
             dir: None,
             log_spans: true,
             sample_interval: SimDuration::from_secs(30),
-            ring_capacity: 4_096,
             trace_shipments: false,
             flight_recorder: false,
-            flight_recorder_capacity: 256,
             watchdogs: false,
             dump_on_loss: false,
         }
@@ -359,13 +355,24 @@ impl Telemetry {
             }
             _ => None,
         };
+        Self::live(machine, RING_CAPACITY, log)
+    }
+
+    /// A live handle that only accumulates the [`RuntimeProfile`] — no
+    /// span log, no series. Used for work that has no machine identity:
+    /// the study driver's segment writes, a re-ingest task.
+    pub fn profiler() -> Self {
+        Self::live(u32::MAX, 0, None)
+    }
+
+    fn live(machine: u32, ring_capacity: usize, log: Option<std::io::BufWriter<fs::File>>) -> Self {
         Telemetry {
             inner: Some(Arc::new(Mutex::new(Inner {
                 machine,
                 epoch: Instant::now(),
                 profile: RuntimeProfile::default(),
                 stack: Vec::with_capacity(8),
-                series: SeriesRegistry::new(options.ring_capacity),
+                series: SeriesRegistry::new(ring_capacity),
                 log,
                 line: String::with_capacity(160),
                 last_sim_ticks: 0,
@@ -375,22 +382,6 @@ impl Telemetry {
                 log_failed: false,
             }))),
         }
-    }
-
-    /// A live handle that only accumulates the [`RuntimeProfile`] — no
-    /// span log, no series. Used for work that has no machine identity:
-    /// the study driver's shard merge and export, a re-ingest task.
-    pub fn profiler() -> Self {
-        Telemetry::for_machine(
-            u32::MAX,
-            &TelemetryOptions {
-                dir: None,
-                log_spans: false,
-                sample_interval: SimDuration::MAX,
-                ring_capacity: 0,
-                ..TelemetryOptions::default()
-            },
-        )
     }
 
     fn lock(&self) -> Option<std::sync::MutexGuard<'_, Inner>> {

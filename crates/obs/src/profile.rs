@@ -22,7 +22,7 @@ pub struct PhaseStat {
 /// Per-phase wall-clock attribution for one machine or a whole study.
 ///
 /// Profiles add: merging every machine's profile (plus the study-side
-/// analysis profiler) yields the fleet view reported in `StudyData`.
+/// export profiler) yields the fleet view reported in `StudyData`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeProfile {
     phases: [PhaseStat; Phase::ALL.len()],

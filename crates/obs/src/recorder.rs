@@ -123,7 +123,7 @@ pub enum FlightEvent {
         shard: u32,
         /// Machines the shard collected.
         machines: u64,
-        /// Records the shard's analysis sink processed.
+        /// Records the shard's machines' sinks processed.
         records: u64,
     },
     /// A pipeline watchdog finding (see [`HealthFinding`]).

@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn exactly_capacity_points_drop_nothing() {
-        // The boundary itself: `ring_capacity` inserts fill the ring
+        // The boundary itself: `capacity` inserts fill the ring
         // without evicting, and the dump reports a true zero drop count.
         let capacity = 4;
         let mut r = SeriesRegistry::new(capacity);

@@ -395,44 +395,6 @@ impl IoObserver for TraceFilter {
     }
 }
 
-impl TraceFilter {
-    /// Records a whole batch in one call — the shipment path for callers
-    /// that accumulate records outside the filter (replayers, importers)
-    /// instead of one [`IoObserver::event`] per request.
-    pub fn record_batch(&mut self, records: &[TraceRecord]) {
-        if self.state == AgentState::Suspended {
-            self.dropped_suspended += records.len() as u64;
-            return;
-        }
-        self.fills += self.buffer.push_batch(records);
-    }
-}
-
-/// The agent: filter plus shipping cadence bookkeeping. In the simulated
-/// deployment the orchestrator calls [`TraceAgent::on_tick`] periodically
-/// (the real agent shipped whenever a buffer filled, with the same
-/// effect on the server's contents).
-pub struct TraceAgent {
-    /// The machine's filter driver.
-    pub filter: TraceFilter,
-}
-
-impl TraceAgent {
-    /// Creates an agent with a connected filter.
-    pub fn new(machine: MachineId) -> Self {
-        TraceAgent {
-            filter: TraceFilter::new(machine),
-        }
-    }
-
-    /// Periodic shipping opportunity: moves full buffers to the server.
-    pub fn on_tick<S: RecordSink>(&mut self, sink: &mut S) {
-        if self.filter.state() == AgentState::Connected {
-            self.filter.ship(sink);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,20 +479,6 @@ mod tests {
         let names = srv.names_for(MachineId(1));
         assert_eq!(names.len(), 1);
         assert_eq!(names[0].file_object, 77);
-    }
-
-    #[test]
-    fn agent_tick_ships_when_connected() {
-        let mut agent = TraceAgent::new(MachineId(9));
-        let mut srv = CollectionServer::new();
-        for i in 0..3_100u64 {
-            agent.filter.event(&event(i));
-        }
-        agent.on_tick(&mut srv);
-        assert_eq!(srv.total_records(), 3_000);
-        agent.filter.set_state(AgentState::Suspended);
-        agent.on_tick(&mut srv);
-        assert_eq!(srv.total_records(), 3_000, "suspended agents do not ship");
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!    converts each IRP/FastIO call into a fixed-size [`TraceRecord`] with
 //!    two 100 ns timestamps, stores it in a triple-buffered record store
 //!    ([`TripleBuffer`], 3 × 3,000 records), and ships full buffers to the
-//!    collection server ([`CollectionServer`]) through the per-machine
-//!    [`TraceAgent`]. A streaming study ships to a [`StreamingPool`]
+//!    collection server ([`CollectionServer`]) through the filter's
+//!    shipping calls. A streaming study ships to a [`StreamingPool`]
 //!    instead: the three servers as outage windows and head-counts, each
-//!    buffer handed to the analysis sinks on the thread that shipped it.
+//!    buffer handed to its machine's sinks on the thread that shipped it.
 //! 2. **Daily file-system snapshots** (§3.1) — a recursive walk of every
 //!    traced volume producing [`WalkRecord`]s from which the tree can be
 //!    recovered, taken at 4 a.m. by the agent.
@@ -29,7 +29,7 @@ pub mod record;
 pub mod snapshot;
 pub mod steal;
 
-pub use agent::{AgentState, TraceAgent};
+pub use agent::AgentState;
 pub use buffer::{TripleBuffer, BUFFER_CAPACITY};
 pub use collector::{CollectionServer, MachineId, RecordBatch};
 pub use dedup::filter_paging_duplicates;

@@ -7,9 +7,9 @@
 //! runs nothing of its own. A trace agent ships through its machine's
 //! [`CollectorHandle`], which picks the server, accounts the buffer's
 //! compressed footprint exactly as [`CollectionServer`] stores it, and
-//! hands the buffer to a [`ShipmentConsumer`] — the study's analysis
-//! sinks — on the shipping thread. Each machine's buffers therefore
-//! reach the consumer in the agent's sequence order.
+//! hands the buffer to the [`ShipmentConsumer`] the handle was made with
+//! — the machine's own sinks — on the shipping thread. Each machine's
+//! buffers therefore reach its consumer in the agent's sequence order.
 //!
 //! A handle fails over to the next live server when its primary is down.
 //! When every server is down the shipment is refused and the agent keeps
@@ -115,11 +115,12 @@ impl RecordSink for CollectionServer {
 
 /// A per-machine handle that ships to the assigned collection server,
 /// failing over to the next live server during outages, and delivers
-/// each accepted shipment into the pool's consumer on the calling
+/// each accepted shipment into its machine's consumer on the calling
 /// thread.
 #[derive(Clone)]
-pub struct CollectorHandle<'p> {
-    pool: &'p StreamingPool<'p>,
+pub struct CollectorHandle<'a> {
+    pool: &'a StreamingPool,
+    consumer: &'a dyn ShipmentConsumer,
     primary: usize,
     /// Shipments that landed on a non-primary server.
     failovers: u64,
@@ -193,7 +194,7 @@ impl RecordSink for CollectorHandle<'_> {
                 Ordering::Relaxed,
             );
             let _span = self.telemetry.span_child(Phase::Analysis, "analysis.batch");
-            pool.consumer
+            self.consumer
                 .batch(machine, Some(seq), records.to_vec(), meta);
         }
         true
@@ -212,7 +213,7 @@ impl RecordSink for CollectorHandle<'_> {
         if server != self.primary {
             self.failovers += 1;
         }
-        self.pool.consumer.name(machine, Some(seq), name);
+        self.consumer.name(machine, Some(seq), name);
         true
     }
 }
@@ -235,16 +236,16 @@ struct ServerTally {
     stored_bytes: AtomicUsize,
 }
 
-/// The collection servers of one shard, forwarding shipments into a
-/// [`ShipmentConsumer`] instead of storing them.
+/// The collection servers of one shard, forwarding shipments into each
+/// machine's [`ShipmentConsumer`] instead of storing them.
 ///
 /// Agents ship through a [`CollectorHandle`], which fails over to the
 /// next live server during an outage and refuses the shipment when
-/// every server is down. Nothing is retained: the consumer sees each
-/// buffer once, on the thread that shipped it, which is what lets
-/// paper-scale studies run without materializing ~190 M records.
-pub struct StreamingPool<'c> {
-    consumer: &'c dyn ShipmentConsumer,
+/// every server is down. Nothing is retained: a machine's consumer sees
+/// each of its buffers once, on the thread that shipped it, which is
+/// what lets paper-scale studies run without materializing ~190 M
+/// records.
+pub struct StreamingPool {
     /// Downtime windows per server.
     outages: Vec<Vec<TickWindow>>,
     /// Head-count per server, indexed like `outages`.
@@ -253,26 +254,24 @@ pub struct StreamingPool<'c> {
     recorder: FlightRecorder,
 }
 
-impl<'c> StreamingPool<'c> {
-    /// `servers` collection servers (the study ran three) forwarding into
-    /// `consumer`. Each server carries its downtime windows in `outages`,
-    /// indexed by server; a server whose window covers the shipment time
-    /// refuses it and handles fail over. Missing entries mean "always
-    /// up". The handles this pool hands out emit collect-hop spans
-    /// through `tracer` (shard-stamped when the tracer is), attach
-    /// [`BatchMeta`] to every accepted batch, and record failovers into
-    /// `recorder`; off handles make both no-ops.
+impl StreamingPool {
+    /// `servers` collection servers (the study ran three). Each server
+    /// carries its downtime windows in `outages`, indexed by server; a
+    /// server whose window covers the shipment time refuses it and
+    /// handles fail over. Missing entries mean "always up". The handles
+    /// this pool hands out emit collect-hop spans through `tracer`
+    /// (shard-stamped when the tracer is), attach [`BatchMeta`] to every
+    /// accepted batch, and record failovers into `recorder`; off handles
+    /// make both no-ops.
     pub fn new(
         servers: usize,
         mut outages: Vec<Vec<TickWindow>>,
-        consumer: &'c dyn ShipmentConsumer,
         tracer: ShipmentTracer,
         recorder: FlightRecorder,
     ) -> Self {
         let servers = servers.max(1);
         outages.resize(servers, Vec::new());
         StreamingPool {
-            consumer,
             outages,
             tallies: (0..servers).map(|_| ServerTally::default()).collect(),
             tracer,
@@ -281,11 +280,18 @@ impl<'c> StreamingPool<'c> {
     }
 
     /// The handle a machine's agent should ship through; machines hash
-    /// to servers for a stable assignment. Deliveries are timed on
-    /// `telemetry`, which should be the shipping machine's own handle.
-    pub fn handle_for(&self, machine: MachineId, telemetry: &Telemetry) -> CollectorHandle<'_> {
+    /// to servers for a stable assignment. Accepted shipments are
+    /// delivered into `consumer`, timed on `telemetry`; both should be
+    /// the shipping machine's own.
+    pub fn handle_for<'a>(
+        &'a self,
+        machine: MachineId,
+        telemetry: &Telemetry,
+        consumer: &'a dyn ShipmentConsumer,
+    ) -> CollectorHandle<'a> {
         CollectorHandle {
             pool: self,
+            consumer,
             primary: machine.0 as usize % self.outages.len(),
             failovers: 0,
             telemetry: telemetry.clone(),
@@ -383,28 +389,28 @@ mod tests {
         }
     }
 
-    /// An untraced pool of `servers` forwarding into `log`.
-    fn pool(servers: usize, outages: Vec<Vec<TickWindow>>, log: &Log) -> StreamingPool<'_> {
+    /// An untraced pool of `servers`.
+    fn pool(servers: usize, outages: Vec<Vec<TickWindow>>) -> StreamingPool {
         StreamingPool::new(
             servers,
             outages,
-            log,
             ShipmentTracer::off(),
             FlightRecorder::off(),
         )
     }
 
-    fn handle<'p>(pool: &'p StreamingPool<'p>, m: u32) -> CollectorHandle<'p> {
-        pool.handle_for(MachineId(m), &Telemetry::off())
+    /// Machine `m`'s handle, delivering into `log`.
+    fn handle<'a>(pool: &'a StreamingPool, m: u32, log: &'a Log) -> CollectorHandle<'a> {
+        pool.handle_for(MachineId(m), &Telemetry::off(), log)
     }
 
     #[test]
     fn pool_collects_from_concurrent_agents() {
         let log = Log::default();
-        let pool = pool(3, Vec::new(), &log);
+        let pool = pool(3, Vec::new());
         std::thread::scope(|scope| {
             for m in 0..9u32 {
-                let mut h = handle(&pool, m);
+                let mut h = handle(&pool, m, &log);
                 scope.spawn(move || {
                     for batch in 0..4u64 {
                         let records: Vec<TraceRecord> =
@@ -426,19 +432,19 @@ mod tests {
     #[test]
     fn machine_assignment_is_stable() {
         let log = Log::default();
-        let pool = pool(3, Vec::new(), &log);
-        let a = handle(&pool, 4);
-        let b = handle(&pool, 4);
+        let pool = pool(3, Vec::new());
+        let a = handle(&pool, 4, &log);
+        let b = handle(&pool, 4, &log);
         assert_eq!(a.primary, b.primary, "same machine, same server");
-        let c = handle(&pool, 5);
+        let c = handle(&pool, 5, &log);
         assert_ne!(a.primary, c.primary, "different machine, other server");
     }
 
     #[test]
     fn empty_batches_are_not_shipped() {
         let log = Log::default();
-        let pool = pool(1, Vec::new(), &log);
-        let mut h = handle(&pool, 0);
+        let pool = pool(1, Vec::new());
+        let mut h = handle(&pool, 0, &log);
         assert!(
             h.ingest_at(MachineId(0), 0, &[], 10),
             "accepted, not shipped"
@@ -455,8 +461,8 @@ mod tests {
             vec![TickWindow::new(0, u64::MAX)],
         ];
         let log = Log::default();
-        let pool = pool(2, outages, &log);
-        let mut h = handle(&pool, 0); // primary = server 0
+        let pool = pool(2, outages);
+        let mut h = handle(&pool, 0, &log); // primary = server 0
         let records: Vec<TraceRecord> = (0..10).map(rec).collect();
         assert!(h.ingest_at(MachineId(0), 0, &records, 50), "before outage");
         assert!(
@@ -467,7 +473,7 @@ mod tests {
         assert_eq!(h.failovers(), 0, "primary recovered, no failover needed");
 
         // Machine 1's primary is the always-down server 1: it fails over.
-        let mut h1 = handle(&pool, 1);
+        let mut h1 = handle(&pool, 1, &log);
         assert!(h1.ingest_at(MachineId(1), 0, &records, 50));
         assert_eq!(h1.failovers(), 1);
         assert_eq!(pool.finish().total_records, 30);
@@ -493,8 +499,8 @@ mod tests {
         // … and forwarded by a streaming pool, which keeps nothing but
         // must account the identical compressed footprint.
         let log = Log::default();
-        let streaming = pool(2, Vec::new(), &log);
-        ship(&mut handle(&streaming, 0));
+        let streaming = pool(2, Vec::new());
+        ship(&mut handle(&streaming, 0, &log));
         let totals = streaming.finish();
 
         assert_eq!(totals.total_records, stored.total_records());
@@ -524,14 +530,8 @@ mod tests {
             }
             fn name(&self, _m: MachineId, _seq: Option<u64>, _name: NameRecord) {}
         }
-        let pool = StreamingPool::new(
-            1,
-            Vec::new(),
-            &Bomb,
-            ShipmentTracer::off(),
-            FlightRecorder::off(),
-        );
-        let mut h = pool.handle_for(MachineId(0), &Telemetry::off());
+        let pool = pool(1, Vec::new());
+        let mut h = pool.handle_for(MachineId(0), &Telemetry::off(), &Bomb);
         let records: Vec<TraceRecord> = (0..5).map(rec).collect();
         // Delivery runs on the caller's thread, so the consumer's panic
         // is the caller's: a study's machine task, caught by its pool.
@@ -550,14 +550,8 @@ mod tests {
         // Primary (server 0) down in [100, 200): batch 1 fails over.
         let outages = vec![vec![TickWindow::new(100, 200)], Vec::new()];
         let log = Log::default();
-        let pool = StreamingPool::new(
-            2,
-            outages,
-            &log,
-            tracer.clone().for_shard(3),
-            recorder.clone(),
-        );
-        let mut h = handle(&pool, 0);
+        let pool = StreamingPool::new(2, outages, tracer.clone().for_shard(3), recorder.clone());
+        let mut h = handle(&pool, 0, &log);
         let records: Vec<TraceRecord> = (0..5).map(rec).collect();
         assert!(h.ingest_at(MachineId(0), 0, &records, 50));
         assert!(h.ingest_at(MachineId(0), 1, &records, 150), "failover");
@@ -610,8 +604,8 @@ mod tests {
         // order the agent shipped them, whichever server took each.
         let outages = vec![vec![TickWindow::new(100, 200)], Vec::new()];
         let log = Log::default();
-        let pool = pool(2, outages, &log);
-        let mut h = handle(&pool, 0);
+        let pool = pool(2, outages);
+        let mut h = handle(&pool, 0, &log);
         let batch = |lo: u64| -> Vec<TraceRecord> { (lo..lo + 5).map(rec).collect() };
         assert!(h.ingest_at(MachineId(0), 0, &batch(0), 50));
         assert!(h.ingest_at(MachineId(0), 1, &batch(5), 150), "failover");

@@ -33,9 +33,11 @@
 //!
 //! * [`mod@format`] — the byte-level layout: header, sections, footer,
 //!   checksum. The normative spec lives in `DESIGN.md` §10.
-//! * [`writer`] — [`SegmentWriter`] (one machine → one segment) and
-//!   [`WarehouseSink`], a [`nt_trace::ShipmentConsumer`] that exports a
-//!   whole fleet during a live study.
+//! * [`writer`] — [`SegmentWriter`]: one machine's stream → one
+//!   segment. A live study gives each machine task its own writer,
+//!   pushes every shipped batch into it beside the machine's analysis
+//!   sinks, and writes the segments in machine order once every task has
+//!   finished.
 //! * [`reader`] — [`SegmentReader`], the [`Segment`] batch and name
 //!   visitors, the `*.ntt` directory listing ([`segment_paths`]) and the
 //!   [`Warehouse`] directory wrapper. The visitors are how both readers
@@ -52,7 +54,7 @@ pub mod writer;
 pub use format::{Footer, FOOTER_SIZE, HEADER_SIZE, NTT_VERSION};
 pub use import::{import_strace, ImportLedger, StraceImport};
 pub use reader::{segment_paths, NameView, RecordView, Segment, SegmentReader, Warehouse};
-pub use writer::{SegmentStats, SegmentWriter, WarehouseSink};
+pub use writer::{SegmentStats, SegmentWriter};
 
 use std::fmt;
 

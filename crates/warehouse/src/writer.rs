@@ -1,12 +1,10 @@
-//! Building NTT segments — one machine at a time, or a whole fleet as a
-//! live export sink.
+//! Building NTT segments, one machine at a time.
 
-use std::collections::{BTreeMap, HashMap};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::collections::HashMap;
+use std::path::Path;
 
 use bytes::BytesMut;
-use nt_trace::{BatchMeta, MachineId, NameRecord, ShipmentConsumer, TraceRecord, RECORD_SIZE};
+use nt_trace::{NameRecord, TraceRecord, RECORD_SIZE};
 
 use crate::format::{encode_header, xxh64, Footer, KIND_SLOTS};
 use crate::NttError;
@@ -209,167 +207,6 @@ fn fits_u32(what: &'static str, n: usize) -> Result<u32, NttError> {
 /// Canonical segment file name for a machine.
 pub fn segment_file_name(machine: u32) -> String {
     format!("machine-{machine:05}.ntt")
-}
-
-/// One machine's export state inside the [`WarehouseSink`].
-struct MachineExport {
-    writer: SegmentWriter,
-    next_seq: u64,
-    parked: BTreeMap<u64, Vec<TraceRecord>>,
-    /// Names keyed by sequence stamp (arrival-order names get synthetic
-    /// keys from `u64::MAX / 2`, mirroring the analysis sinks).
-    names: Vec<(u64, NameRecord)>,
-    name_arrival: u64,
-    /// First write refusal, if any. [`ShipmentConsumer::batch`] returns
-    /// nothing — the collection threads cannot unwind an export error —
-    /// so it parks here and [`WarehouseSink::finish`] surfaces it.
-    error: Option<NttError>,
-}
-
-impl MachineExport {
-    fn new(machine: u32) -> Self {
-        MachineExport {
-            writer: SegmentWriter::new(machine),
-            next_seq: 0,
-            parked: BTreeMap::new(),
-            names: Vec::new(),
-            name_arrival: u64::MAX / 2,
-            error: None,
-        }
-    }
-
-    /// Stashes the first write refusal; later ones keep the original
-    /// cause.
-    fn note(&mut self, result: Result<(), NttError>) {
-        if let Err(e) = result {
-            self.error.get_or_insert(e);
-        }
-    }
-
-    /// Same reassembly discipline as `nt_analysis::MachineSink`: batches
-    /// are written in the agent's stamp order, so the segment's batch
-    /// table is the canonical stream no matter which servers carried it.
-    fn on_batch(&mut self, seq: Option<u64>, records: Vec<TraceRecord>) {
-        match seq {
-            Some(s) if s > self.next_seq => {
-                self.parked.insert(s, records);
-            }
-            Some(s) if s == self.next_seq => {
-                let pushed = self.writer.push_batch(&records);
-                self.note(pushed);
-                self.next_seq += 1;
-                while let Some(parked) = self.parked.remove(&self.next_seq) {
-                    let pushed = self.writer.push_batch(&parked);
-                    self.note(pushed);
-                    self.next_seq += 1;
-                }
-            }
-            _ => {
-                let pushed = self.writer.push_batch(&records);
-                self.note(pushed);
-            }
-        }
-    }
-
-    fn finish(mut self) -> Result<SegmentWriter, NttError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        let parked: Vec<Vec<TraceRecord>> =
-            std::mem::take(&mut self.parked).into_values().collect();
-        for records in parked {
-            self.writer.push_batch(&records)?;
-        }
-        self.names.sort_by_key(|(k, _)| *k);
-        for (_, name) in &self.names {
-            self.writer.push_name(name)?;
-        }
-        Ok(self.writer)
-    }
-}
-
-/// A [`ShipmentConsumer`] that exports the fleet to an NTT warehouse
-/// directory while the study runs — one segment file per machine,
-/// written at [`WarehouseSink::finish`].
-///
-/// Distinct machines contend only on their own mutex, so the export adds
-/// no cross-machine serialization to the worker threads delivering into
-/// it; it is designed to be tee'd beside a live `AnalysisSet`.
-pub struct WarehouseSink {
-    dir: PathBuf,
-    index: HashMap<u32, usize>,
-    exports: Vec<Mutex<MachineExport>>,
-}
-
-impl WarehouseSink {
-    /// A sink exporting `machines` into `dir` (created if missing).
-    pub fn create(dir: &Path, machines: &[u32]) -> Result<Self, NttError> {
-        std::fs::create_dir_all(dir)?;
-        let mut ids: Vec<u32> = machines.to_vec();
-        ids.sort_unstable();
-        ids.dedup();
-        let index = ids.iter().enumerate().map(|(i, &m)| (m, i)).collect();
-        let exports = ids
-            .iter()
-            .map(|&m| Mutex::new(MachineExport::new(m)))
-            .collect();
-        Ok(WarehouseSink {
-            dir: dir.to_path_buf(),
-            index,
-            exports,
-        })
-    }
-
-    fn lock(&self, i: usize) -> MutexGuard<'_, MachineExport> {
-        self.exports[i]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Writes every machine's segment file and returns the per-segment
-    /// stats, in machine-id order.
-    pub fn finish(self) -> Result<Vec<SegmentStats>, NttError> {
-        let mut order: Vec<(u32, usize)> = self.index.iter().map(|(&m, &i)| (m, i)).collect();
-        order.sort_unstable();
-        let mut exports: Vec<Option<MachineExport>> = self
-            .exports
-            .into_iter()
-            .map(|m| Some(m.into_inner().unwrap_or_else(PoisonError::into_inner)))
-            .collect();
-        let mut stats = Vec::with_capacity(order.len());
-        for (machine, i) in order {
-            let export = exports[i].take().expect("each export finishes once");
-            let path = self.dir.join(segment_file_name(machine));
-            stats.push(export.finish()?.write_to(&path)?);
-        }
-        Ok(stats)
-    }
-}
-
-impl ShipmentConsumer for WarehouseSink {
-    fn batch(
-        &self,
-        machine: MachineId,
-        seq: Option<u64>,
-        records: Vec<TraceRecord>,
-        _meta: Option<BatchMeta>,
-    ) {
-        if let Some(&i) = self.index.get(&machine.0) {
-            self.lock(i).on_batch(seq, records);
-        }
-    }
-
-    fn name(&self, machine: MachineId, seq: Option<u64>, name: NameRecord) {
-        if let Some(&i) = self.index.get(&machine.0) {
-            let mut export = self.lock(i);
-            let key = seq.unwrap_or_else(|| {
-                let k = export.name_arrival;
-                export.name_arrival += 1;
-                k
-            });
-            export.names.push((key, name));
-        }
-    }
 }
 
 #[cfg(test)]

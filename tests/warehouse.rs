@@ -14,8 +14,8 @@
 //! never panics), bad and duplicate members of a warehouse directory
 //! through both `Warehouse::open` and the parallel
 //! `Study::ingest_warehouse`, the strace importer end-to-end through the
-//! ingest, the DFG conformance check, and the flat-vs-sharded export
-//! byte identity.
+//! ingest, the DFG conformance check, the flat-vs-sharded export byte
+//! identity, and a full disk during the live export.
 
 use std::path::PathBuf;
 
@@ -498,4 +498,62 @@ fn a_second_segment_for_one_machine_is_refused_not_double_counted() {
         .expect("the ingest refuses a duplicate");
     assert!(matches!(err, NttError::DuplicateMachine(0)), "got {err}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn a_full_disk_during_the_live_export_is_a_typed_fault_with_one_dump() {
+    use nt_study::{StudyFault, TelemetryConfig, TelemetryOptions};
+
+    // Segment 2's file is `/dev/full`: its write fails with ENOSPC. The
+    // segments are written in machine order once every machine task has
+    // finished, so 0 and 1 land, and the refusal stops 3 and 4.
+    let export = temp_dir("full-disk");
+    let artefacts = temp_dir("full-disk-telemetry");
+    std::fs::create_dir_all(&export).unwrap();
+    std::os::unix::fs::symlink("/dev/full", export.join("machine-00002.ntt")).unwrap();
+    let mut config = StudyConfig::smoke_test(7);
+    config.telemetry = TelemetryConfig::On(TelemetryOptions {
+        dir: Some(artefacts.clone()),
+        flight_recorder: true,
+        ..TelemetryOptions::default()
+    });
+    let fault = Study::try_run_sharded(
+        &config,
+        &ShardOptions {
+            warehouse: Some(export.clone()),
+            ..ShardOptions::default()
+        },
+    )
+    .err()
+    .expect("a full disk fails the export");
+    match &fault {
+        StudyFault::Warehouse(NttError::Io(e)) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::StorageFull, "got {e}")
+        }
+        other => panic!("expected a warehouse I/O fault, got {other}"),
+    }
+    for machine in [0, 1] {
+        let name = format!("machine-{machine:05}.ntt");
+        assert!(export.join(&name).exists(), "{name} was written");
+    }
+    for machine in [3, 4] {
+        let name = format!("machine-{machine:05}.ntt");
+        assert!(!export.join(&name).exists(), "{name} was not written");
+    }
+
+    let dump = std::fs::read_to_string(artefacts.join("flight-recorder.jsonl"))
+        .expect("the fault dumped the flight recorder");
+    let headers: Vec<&str> = dump
+        .lines()
+        .filter(|line| line.starts_with("{\"flight_recorder\""))
+        .collect();
+    assert_eq!(headers.len(), 1, "dumped exactly once");
+    assert!(
+        headers[0].contains("study-fault: warehouse export failed"),
+        "{}",
+        headers[0]
+    );
+    let _ = std::fs::remove_dir_all(&export);
+    let _ = std::fs::remove_dir_all(&artefacts);
 }
