@@ -57,7 +57,7 @@ cargo test -q --offline --test obs
 step "driver stack (FastIO fallback equivalence + conservation under veto)"
 cargo test -q --offline --test filter_stack
 
-step "sharded scale-up (a shard's budget is its machines' summed peaks + shard/worker bit-identity, summaries compared whole)"
+step "sharded scale-up (a shard's head-count is the sum of its machines' collector-handle totals, its budget their summed peaks; shard/worker bit-identity, summaries compared whole)"
 cargo test -q --offline --release --test shard_scale
 
 step "trace warehouse (golden segment, import, export parity; one segment writer per machine task, a full disk is a typed fault; parallel re-ingest: typed faults in file-name order, duplicate machines, bit identity)"

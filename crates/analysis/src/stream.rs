@@ -4,15 +4,16 @@
 //! data warehouse; materializing that stream in memory is exactly what
 //! `Scale::Paper` could not do. This module replaces the
 //! store-everything trace path: each machine gets a [`MachineSink`] that
-//! consumes shipments *as the agent ships them*, holds them to the
-//! agent's sequence order, drives the instance-table
-//! state machine ([`crate::schema::InstanceBuilder`]) and folds every
-//! record and finished session into online aggregates — exact counters,
+//! consumes shipments *as the agent ships them*, in the agent's sequence
+//! order, drives the instance-table state machine
+//! ([`crate::schema::InstanceBuilder`]) and folds every record and
+//! finished session into online aggregates — exact counters,
 //! [`crate::sketch::HistogramSketch`] CDF sketches, and
 //! [`crate::sketch::SpillRuns`] spill buffers for the tail analyses that
 //! need order statistics. [`AnalysisSet`] bundles the sinks into a
-//! [`nt_trace::ShipmentConsumer`] and merges them deterministically into
-//! a [`StudySummary`] at shutdown.
+//! [`nt_trace::ShipmentConsumer`]; each sink closes into a one-machine
+//! [`ShardSummary`], and the set folds them, in machine-id order, into
+//! one partial that closes into a [`StudySummary`].
 //!
 //! With `retain` enabled the sinks additionally keep the raw stream and
 //! rebuild the exact [`TraceSet`] fact tables at the end — that mode
@@ -20,12 +21,12 @@
 //! byte-identical to the legacy in-memory path; paper-scale runs leave
 //! it off and stay bounded.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nt_obs::{Hop, Phase, ShipmentTracer, Telemetry};
-use nt_trace::{BatchMeta, MachineId, NameRecord, ShipmentConsumer, TraceRecord, RECORD_SIZE};
+use nt_trace::{BatchMeta, MachineId, NameRecord, ShipmentConsumer, TraceRecord};
 
 use crate::arrivals::ArrivalAccumulator;
 use crate::latency::LatencyAccumulator;
@@ -77,20 +78,17 @@ impl Default for StreamConfig {
 
 /// One machine's streaming sink.
 ///
-/// Shipments carry the agent's own sequence stamp. A live study delivers
-/// them in stamp order; for any other caller the sink parks out-of-order
-/// batches and processes them in sequence, so the instance state machine
-/// sees the agent's stream exactly as the legacy
-/// `CollectionServer::records_for` reassembly would replay it. Refused
-/// shipments are retried by the agent with the *same* stamp, so a gap
-/// can only ever close (or the stream ends and `finish` drains the park
-/// in stamp order).
+/// Shipments carry the agent's own sequence stamp, and every caller
+/// delivers them in stamp order — a live study's collector handle as the
+/// agent ships, a re-ingest in stored order — so the sink processes each
+/// batch as it arrives and the instance state machine sees the agent's
+/// stream exactly as the legacy `CollectionServer::records_for`
+/// reassembly would replay it. Debug builds check the order.
 pub struct MachineSink {
     machine: u32,
     retain: bool,
+    /// The stamp the next stamped batch must carry.
     next_seq: u64,
-    parked: BTreeMap<u64, Vec<TraceRecord>>,
-    parked_records: usize,
     builder: InstanceBuilder,
     /// §8 operational counters and sketches.
     pub ops: OpsAccumulator,
@@ -106,11 +104,9 @@ pub struct MachineSink {
     duration_spill: SpillRuns,
     records: u64,
     names: u64,
-    name_arrival: u64,
     retained_records: Vec<TraceRecord>,
-    retained_names: Vec<(u64, NameRecord)>,
+    retained_names: Vec<NameRecord>,
     peak_open_sessions: usize,
-    peak_parked_records: usize,
     peak_state_bytes: usize,
     tracer: ShipmentTracer,
 }
@@ -129,8 +125,6 @@ impl MachineSink {
             machine,
             retain: config.retain,
             next_seq: 0,
-            parked: BTreeMap::new(),
-            parked_records: 0,
             builder: InstanceBuilder::new(machine),
             ops: OpsAccumulator::new(),
             latency: LatencyAccumulator::new(),
@@ -141,77 +135,40 @@ impl MachineSink {
             duration_spill: spill("durations"),
             records: 0,
             names: 0,
-            name_arrival: u64::MAX / 2,
             retained_records: Vec::new(),
             retained_names: Vec::new(),
             peak_open_sessions: 0,
-            peak_parked_records: 0,
             peak_state_bytes: 0,
             tracer: config.tracer.clone(),
         }
     }
 
-    /// Consumes one shipped buffer. Batches at the expected stamp (or
-    /// unstamped ones) are processed immediately; future stamps park
-    /// until the gap closes.
+    /// Consumes one shipped buffer. A stamped batch must carry the stamp
+    /// after the previous one's, starting from 0.
     pub fn on_batch(
         &mut self,
         seq: Option<u64>,
         records: Vec<TraceRecord>,
         meta: Option<BatchMeta>,
     ) {
-        // The ingest hop marks *arrival* at the analysis tier; parked
-        // batches still arrived now, so the span precedes the parking
-        // discipline.
-        if let (Some(meta), Some(seq)) = (meta, seq) {
-            self.tracer.downstream(
-                Hop::Analyze,
-                meta.ctx,
-                self.machine,
-                seq,
-                meta.deliver_ticks,
-                records.len() as u64,
+        if let Some(seq) = seq {
+            debug_assert_eq!(
+                seq, self.next_seq,
+                "machine {}: batch out of stamp order",
+                self.machine
             );
-        }
-        match seq {
-            Some(s) if s > self.next_seq => {
-                self.parked_records += records.len();
-                self.parked.insert(s, records);
-                self.peak_parked_records = self.peak_parked_records.max(self.parked_records);
+            self.next_seq = seq + 1;
+            if let Some(meta) = meta {
+                self.tracer.downstream(
+                    Hop::Analyze,
+                    meta.ctx,
+                    self.machine,
+                    seq,
+                    meta.deliver_ticks,
+                    records.len() as u64,
+                );
             }
-            Some(s) if s == self.next_seq => {
-                self.process(records);
-                self.next_seq += 1;
-                while let Some(parked) = self.parked.remove(&self.next_seq) {
-                    self.parked_records -= parked.len();
-                    self.process(parked);
-                    self.next_seq += 1;
-                }
-            }
-            // Stale stamp (the legacy store would keep it too) or
-            // arrival-order shipping: process in place.
-            _ => self.process(records),
         }
-        self.note_peaks();
-    }
-
-    /// Consumes one file-object name record. Names only feed the path
-    /// post-pass of the retained fact tables; without `retain` they are
-    /// counted and dropped — that is what keeps the name dimension out
-    /// of the paper-scale memory bound.
-    pub fn on_name(&mut self, seq: Option<u64>, name: NameRecord) {
-        self.names += 1;
-        if self.retain {
-            let key = seq.unwrap_or_else(|| {
-                let k = self.name_arrival;
-                self.name_arrival += 1;
-                k
-            });
-            self.retained_names.push((key, name));
-        }
-    }
-
-    fn process(&mut self, records: Vec<TraceRecord>) {
         self.records += records.len() as u64;
         for rec in &records {
             self.ops.push_record(rec);
@@ -236,13 +193,22 @@ impl MachineSink {
                 }
             }
         }
-        // Sampled here — once per batch *processed*, in stamp order —
-        // rather than per batch *delivered*, so the watermark cannot see
-        // how far out of order failover delivery ran.
-        self.peak_open_sessions = self.peak_open_sessions.max(self.builder.open_sessions());
+        self.note_peaks();
+    }
+
+    /// Consumes one file-object name record. Names only feed the path
+    /// post-pass of the retained fact tables, kept in arrival order;
+    /// without `retain` they are counted and dropped — that is what
+    /// keeps the name dimension out of the paper-scale memory bound.
+    pub fn on_name(&mut self, name: NameRecord) {
+        self.names += 1;
+        if self.retain {
+            self.retained_names.push(name);
+        }
     }
 
     fn note_peaks(&mut self) {
+        self.peak_open_sessions = self.peak_open_sessions.max(self.builder.open_sessions());
         self.peak_state_bytes = self.peak_state_bytes.max(self.state_bytes());
     }
 
@@ -250,7 +216,6 @@ impl MachineSink {
     /// which exist precisely to be unbounded).
     pub fn state_bytes(&self) -> usize {
         self.builder.state_bytes()
-            + self.parked_records * RECORD_SIZE
             + self.ops.state_bytes()
             + self.latency.state_bytes()
             + self.sizes.state_bytes()
@@ -265,17 +230,10 @@ impl MachineSink {
         self.records
     }
 
-    fn into_summary(mut self) -> MachineSummary {
-        // A gap that never closed (stream end): drain in stamp order.
-        let parked: Vec<Vec<TraceRecord>> =
-            std::mem::take(&mut self.parked).into_values().collect();
-        for records in parked {
-            self.process(records);
-        }
-        self.parked_records = 0;
+    /// Closes the sink into a one-machine partial.
+    fn into_shard(mut self) -> ShardSummary {
         self.note_peaks();
-        let builder = std::mem::replace(&mut self.builder, InstanceBuilder::new(self.machine));
-        for inst in builder.finish() {
+        for inst in self.builder.finish() {
             self.ops.push_instance(&inst);
             self.sessions.push_instance(&inst);
             self.sizes.push_instance(&inst);
@@ -285,50 +243,28 @@ impl MachineSink {
             }
             // Still-open sessions have no duration; nothing to spill.
         }
-        let retained = self.retain.then(|| {
-            self.retained_names.sort_by_key(|(k, _)| *k);
-            (
-                std::mem::take(&mut self.retained_records),
-                self.retained_names
-                    .drain(..)
-                    .map(|(_, n)| n)
-                    .collect::<Vec<NameRecord>>(),
-            )
-        });
-        MachineSummary {
-            machine: self.machine,
-            records: self.records,
-            names: self.names,
-            ops: self.ops,
-            latency: self.latency,
-            sizes: self.sizes,
-            sessions: self.sessions,
-            arrivals: self.arrivals,
-            size_spill: self.size_spill,
-            duration_spill: self.duration_spill,
-            retained,
-            peak_open_sessions: self.peak_open_sessions,
-            peak_parked_records: self.peak_parked_records,
-            peak_state_bytes: self.peak_state_bytes,
+        ShardSummary {
+            summary: StudySummary {
+                machines: 1,
+                records: self.records,
+                machine_records: vec![(self.machine, self.records)],
+                names: self.names,
+                ops: self.ops,
+                latency: self.latency,
+                sizes: self.sizes,
+                sessions: self.sessions,
+                arrivals: self.arrivals,
+                peak_open_sessions: self.peak_open_sessions,
+                peak_state_bytes: self.peak_state_bytes,
+                ..StudySummary::default()
+            },
+            size_spill: Some(self.size_spill),
+            duration_spill: Some(self.duration_spill),
+            streams: self
+                .retain
+                .then(|| vec![(self.machine, self.retained_records, self.retained_names)]),
         }
     }
-}
-
-struct MachineSummary {
-    machine: u32,
-    records: u64,
-    names: u64,
-    ops: OpsAccumulator,
-    latency: LatencyAccumulator,
-    sizes: SizeAccumulator,
-    sessions: SessionAccumulator,
-    arrivals: ArrivalAccumulator,
-    size_spill: SpillRuns,
-    duration_spill: SpillRuns,
-    retained: Option<(Vec<TraceRecord>, Vec<NameRecord>)>,
-    peak_open_sessions: usize,
-    peak_parked_records: usize,
-    peak_state_bytes: usize,
 }
 
 /// The merged study-level aggregates the streaming path produces.
@@ -336,10 +272,9 @@ struct MachineSummary {
 /// `PartialEq` is exact: every field is an integer, an exactly-mergeable
 /// sketch, or a float computed once at the fleet root — so two runs that
 /// partitioned the fleet differently can be compared with `==`, the
-/// watermarks included: a live study delivers each machine's batches in
-/// stamp order, so [`StudySummary::peak_parked_records`] is 0 and
-/// [`StudySummary::peak_state_bytes`] depends only on each machine's
-/// stream, never on thread timing.
+/// watermarks included: each sink processes its machine's batches as
+/// they arrive, in stamp order, so [`StudySummary::peak_state_bytes`]
+/// depends only on each machine's stream, never on thread timing.
 #[derive(Debug, Default, PartialEq)]
 pub struct StudySummary {
     /// Machines that contributed.
@@ -373,7 +308,8 @@ pub struct StudySummary {
     /// Largest concurrent open-session count across machines (summed
     /// peak, conservative).
     pub peak_open_sessions: usize,
-    /// Largest parked (out-of-order) record backlog.
+    /// Always 0: every sink processes its batches as they arrive. The
+    /// benchmark still reads it.
     pub peak_parked_records: usize,
     /// Largest live streaming state, bytes, summed across machines.
     pub peak_state_bytes: usize,
@@ -486,9 +422,10 @@ impl ShardSummary {
     }
 }
 
-/// The full set of per-machine sinks, shared by the worker threads that
-/// deliver into it: a [`ShipmentConsumer`] whose machines are fixed up
-/// front so that concurrent deliveries contend only on the one sink a
+/// A set of per-machine sinks: a [`ShipmentConsumer`] whose machines are
+/// fixed up front. A study or re-ingest task builds a one-machine set and
+/// delivers into it from its own thread; a set over several machines may
+/// be delivered concurrently, and contends only on the one sink a
 /// shipment belongs to.
 pub struct AnalysisSet {
     index: HashMap<u32, usize>,
@@ -532,9 +469,10 @@ impl AnalysisSet {
         self.finish_shard().into_analysis()
     }
 
-    /// Merges every sink into a [`ShardSummary`] — the shard tier of the
-    /// hierarchical reduce. Tail alphas and fact tables are deferred to
-    /// [`ShardSummary::into_analysis`] at the fleet root.
+    /// Closes every sink into a one-machine [`ShardSummary`] and folds
+    /// them with [`ShardSummary::merge`], in machine-id order — the shard
+    /// tier of the hierarchical reduce. Tail alphas and fact tables are
+    /// deferred to [`ShardSummary::into_analysis`] at the fleet root.
     pub fn finish_shard(self) -> ShardSummary {
         let _span = self
             .telemetry
@@ -543,38 +481,14 @@ impl AnalysisSet {
             streams: self.retain.then(Vec::new),
             ..ShardSummary::default()
         };
-        let summary = &mut shard.summary;
         for sink in self.sinks {
-            if sink.is_poisoned() {
-                summary.poisoned_sinks += 1;
-            }
-            let ms = sink
+            let poisoned = sink.is_poisoned();
+            let mut one = sink
                 .into_inner()
                 .unwrap_or_else(PoisonError::into_inner)
-                .into_summary();
-            summary.machines += 1;
-            summary.records += ms.records;
-            summary.machine_records.push((ms.machine, ms.records));
-            summary.names += ms.names;
-            summary.ops.merge(&ms.ops);
-            summary.latency.merge(&ms.latency);
-            summary.sizes.merge(&ms.sizes);
-            summary.sessions.merge(&ms.sessions);
-            summary.arrivals.merge(&ms.arrivals);
-            summary.peak_open_sessions += ms.peak_open_sessions;
-            summary.peak_parked_records += ms.peak_parked_records;
-            summary.peak_state_bytes += ms.peak_state_bytes;
-            match &mut shard.size_spill {
-                None => shard.size_spill = Some(ms.size_spill),
-                Some(all) => all.absorb(ms.size_spill),
-            }
-            match &mut shard.duration_spill {
-                None => shard.duration_spill = Some(ms.duration_spill),
-                Some(all) => all.absorb(ms.duration_spill),
-            }
-            if let (Some(streams), Some((records, names))) = (&mut shard.streams, ms.retained) {
-                streams.push((ms.machine, records, names));
-            }
+                .into_shard();
+            one.summary.poisoned_sinks = usize::from(poisoned);
+            shard.merge(one);
         }
         shard
     }
@@ -597,9 +511,9 @@ impl ShipmentConsumer for AnalysisSet {
         }
     }
 
-    fn name(&self, machine: MachineId, seq: Option<u64>, name: NameRecord) {
+    fn name(&self, machine: MachineId, _seq: Option<u64>, name: NameRecord) {
         if let Some(&i) = self.index.get(&machine.0) {
-            self.lock_sink(i).on_name(seq, name);
+            self.lock_sink(i).on_name(name);
         }
     }
 }
@@ -637,20 +551,8 @@ mod tests {
             ..StreamConfig::default()
         };
         let set = AnalysisSet::new(&[0], &config);
-        // Ship in agent order but deliver the even-seq batches late to
-        // exercise the reorderer.
-        let chunks: Vec<Vec<TraceRecord>> = records.chunks(97).map(|c| c.to_vec()).collect();
-        let late: Vec<(u64, Vec<TraceRecord>)> = chunks
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % 2 == 0)
-            .map(|(i, c)| (i as u64, c.clone()))
-            .collect();
-        for (i, c) in chunks.iter().enumerate().filter(|(i, _)| i % 2 == 1) {
-            set.batch(MachineId(0), Some(i as u64), c.clone(), None);
-        }
-        for (i, c) in late {
-            set.batch(MachineId(0), Some(i), c, None);
+        for (i, c) in records.chunks(97).enumerate() {
+            set.batch(MachineId(0), Some(i as u64), c.to_vec(), None);
         }
         for (i, n) in names.iter().enumerate() {
             set.name(MachineId(0), Some(i as u64), n.clone());
@@ -689,40 +591,10 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_delivery_is_invisible() {
-        let ts = synthetic_trace_set(250, 43);
-        let (records, _) = raw_streams(&ts);
-        let run = |scramble: bool| {
-            let set = AnalysisSet::new(&[0], &StreamConfig::default());
-            let chunks: Vec<(u64, Vec<TraceRecord>)> = records
-                .chunks(64)
-                .enumerate()
-                .map(|(i, c)| (i as u64, c.to_vec()))
-                .collect();
-            if scramble {
-                // Reverse within blocks of 5 — heavy local reordering.
-                for block in chunks.chunks(5) {
-                    for (i, c) in block.iter().rev() {
-                        set.batch(MachineId(0), Some(*i), c.clone(), None);
-                    }
-                }
-            } else {
-                for (i, c) in chunks {
-                    set.batch(MachineId(0), Some(i), c, None);
-                }
-            }
-            set.finish().summary
-        };
-        let a = run(false);
-        let b = run(true);
-        assert_eq!(a.records, b.records);
-        assert_eq!(a.ops.opens_ok, b.ops.opens_ok);
-        assert_eq!(
-            a.ops.read_gaps_us.quantile(0.9),
-            b.ops.read_gaps_us.quantile(0.9)
-        );
-        assert_eq!(a.sessions.all.quantile(0.5), b.sessions.all.quantile(0.5));
-        assert_eq!(a.size_tail_alpha, b.size_tail_alpha);
-        assert!(b.peak_parked_records > 0, "the scramble really parked");
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "out of stamp order")]
+    fn a_batch_out_of_stamp_order_fails_a_debug_build() {
+        let mut sink = MachineSink::new(0, &StreamConfig::default());
+        sink.on_batch(Some(1), Vec::new(), None);
     }
 }

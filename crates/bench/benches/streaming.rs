@@ -575,7 +575,7 @@ fn main() {
                     sink.on_batch(Some(seq as u64), chunk.to_vec(), None);
                 }
                 for name in &names {
-                    sink.on_name(None, name.clone());
+                    sink.on_name(name.clone());
                 }
                 std::hint::black_box(sink.records());
             }),

@@ -18,9 +18,10 @@
 //!   purge, or residue still dirty at shutdown);
 //! - trace events emitted against the agent's intake, the agent's intake
 //!   against delivery + loss, delivery against records analysed, and the
-//!   per-machine deliveries against the pool's global total;
-//! - each shard's machines' deliveries against the shard pool's
-//!   head-count, and the shard head-counts against the fleet total.
+//!   per-machine deliveries against the fleet's collected total;
+//! - each shard's machines' deliveries against the shard's head-count —
+//!   what the collection servers accepted through those machines'
+//!   handles — and the shard head-counts against the fleet total.
 
 use std::collections::BTreeMap;
 
@@ -38,11 +39,12 @@ use crate::study::StudyFault;
 /// - Each **machine** ledger posts the full per-layer accounts: I/O,
 ///   cache, VM, the agent's loss ledger, and the records analysed.
 /// - Each **shard** ledger balances [`accounts::SHARD_RECORDS`]: the
-///   shard's machines' delivered records (debit) against the shard
-///   pool's own head-count (credit).
+///   shard's machines' delivered records, as their agents counted them
+///   (debit), against the shard's head-count, summed from those
+///   machines' collector handles (credit).
 /// - The **fleet** ledger balances [`accounts::POOL_RECORDS`] (every
 ///   machine's deliveries vs the fleet total) and
-///   [`accounts::FLEET_ROLLUP_RECORDS`] (per-shard pool totals vs the
+///   [`accounts::FLEET_ROLLUP_RECORDS`] (per-shard head-counts vs the
 ///   fleet total) — the roll-up leg that makes a drifting shard visible
 ///   at the root even when every machine balances.
 pub fn sharded_ledgers(data: &ShardedStudyData) -> (Vec<Ledger>, Vec<Ledger>, Ledger) {

@@ -7,8 +7,9 @@
 //! deployment should be; [`FaultSchedule::materialize`] expands it — from
 //! the study seed, bit-for-bit reproducibly — into concrete
 //! [`TickWindow`]s per machine and per collection server, which
-//! [`crate::MachineRun::simulate_with_faults`] and the
-//! [`nt_trace::StreamingPool`] then enact.
+//! [`crate::MachineRun::simulate_with_faults`] and each machine's
+//! [`nt_trace::CollectorHandle`] then enact; every handle of a run reads
+//! the one [`FaultSchedule::collectors`] table.
 //!
 //! Determinism is load-bearing: every draw comes from a dedicated fault
 //! stream (`rng_for(seed, &[FAULT_STREAM, …])`), never from the machine
@@ -156,7 +157,8 @@ fn poisson_windows(
 
 impl FaultSchedule {
     /// Expands a config's plan into concrete windows, deterministically
-    /// from the study seed. `servers` is the collector-pool size.
+    /// from the study seed. `servers` is the number of collection
+    /// servers.
     pub fn materialize(config: &StudyConfig, servers: usize) -> Self {
         let plan = &config.faults;
         let duration_ticks = config.duration.ticks();

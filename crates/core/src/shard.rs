@@ -3,29 +3,30 @@
 //! The paper traced 45 desktops through three collection servers; the
 //! org-scale question is what the same pipeline looks like at 1,000 or
 //! 10,000 machines. This module partitions the fleet into contiguous
-//! shards, gives each shard its own three-server [`StreamingPool`]
-//! (outage windows and head-counts), runs every machine simulation on
-//! one fleet-wide work-stealing pool ([`nt_trace::steal`]), and merges
-//! the machines' [`ShardSummary`] partials at the fleet root, in machine
-//! order, where tail alphas and (under retain) the exact fact tables are
-//! computed once. One shard is the paper's flat topology; it is the only
-//! pipeline the study has.
+//! shards, runs every machine simulation on one fleet-wide
+//! work-stealing pool ([`nt_trace::steal`]), and merges the machines'
+//! [`ShardSummary`] partials at the fleet root, in machine order, where
+//! tail alphas and (under retain) the exact fact tables are computed
+//! once. One shard is the paper's flat topology; it is the only pipeline
+//! the study has.
 //!
-//! A study runs on its `workers` threads and no others. The pools run
-//! nothing, and sinks are per machine, as in a re-ingest: each machine
-//! task owns a one-machine [`AnalysisSet`] and, under an export, its own
-//! segment writer behind a `Tee`. Its agent ships through a
-//! [`nt_trace::CollectorHandle`] that delivers each buffer into those
-//! sinks on the worker simulating the machine, in the agent's stamp
-//! order, and no sink is reachable from another machine's task. The
-//! task closes its set into a partial; the driver sums a shard's
-//! partials into its [`ShardReport`] and writes the segments once every
-//! task has finished.
+//! A study runs on its `workers` threads and no others, and every
+//! machine task owns its collection path from start to finish, as a
+//! re-ingest task owns its segment: a one-machine [`AnalysisSet`], under
+//! an export its own segment writer behind a `Tee`, and the
+//! [`CollectorHandle`] its agent ships through. The handle reads the
+//! run's one collector outage table, counts what the three servers
+//! accepted, and delivers each buffer into the machine's sinks on the
+//! worker simulating it, in the agent's stamp order; nothing in the path
+//! is reachable from another machine's task. The task closes its set
+//! into a partial; the driver sums a shard's partials and handle totals
+//! into its [`ShardReport`] and writes the segments once every task has
+//! finished.
 //!
 //! The load-bearing invariant: **shard count and worker count are pure
 //! performance knobs.** Every machine derives its faults from its fleet
-//! index and ships through a 3-server pool whose outage windows come
-//! from one shared [`FaultSchedule`], so each machine's experience is
+//! index and ships to three servers whose outage windows come from one
+//! shared [`FaultSchedule`], so each machine's experience is
 //! identical to the flat topology's; and every aggregate the sinks keep
 //! is integer or min/max state, so the hierarchical merge is exact, not
 //! merely close. `tests/shard_scale.rs` pins this: digests of the fact
@@ -38,7 +39,7 @@ use nt_analysis::stream::{AnalysisSet, ShardSummary, StreamConfig};
 use nt_obs::{
     FlightEvent, HealthFinding, MachineTelemetry, Phase, RecorderScope, Telemetry, Watchdog,
 };
-use nt_trace::{ShipmentConsumer, StreamingPool, StreamingTotals};
+use nt_trace::{CollectorHandle, ShipmentConsumer, StreamingTotals};
 use nt_warehouse::writer::segment_file_name;
 use nt_warehouse::{NttError, SegmentWriter};
 
@@ -95,9 +96,11 @@ pub struct ShardReport {
     /// Records the shard's machines' sinks analysed: the sum of their
     /// partials.
     pub records: u64,
-    /// Records shipped through the shard's pool (its head-count).
+    /// Records the collection servers accepted from the shard's machines
+    /// (its head-count): the sum of their collector handles' totals.
     pub total_records: usize,
-    /// Compressed footprint at the shard's collection servers, bytes.
+    /// Compressed footprint of those records at the collection servers,
+    /// bytes: the sum of the machines' handle totals.
     pub stored_bytes: usize,
     /// The sum of the shard's machines' peak live analysis state, bytes
     /// — the quantity the per-shard memory budget bounds.
@@ -121,6 +124,8 @@ struct MachineTask {
     output: MachineOutput,
     /// The machine's closed one-machine analysis set.
     partial: ShardSummary,
+    /// What the collection servers accepted from the machine.
+    shipped: StreamingTotals,
     /// Under an export, the machine's segment or its writer's first
     /// refusal.
     segment: Option<Result<SegmentWriter, NttError>>,
@@ -149,11 +154,10 @@ impl Study {
     ///
     /// Machines are independent (separate engines, separate RNG streams)
     /// and run on worker threads; their agents ship trace buffers
-    /// through their shard's three collection servers — the §3
-    /// topology — into per-machine analysis sinks on the same worker
-    /// instead of storing them, so memory stays bounded by live analysis
-    /// state rather than by trace volume (unless `options.retain` keeps
-    /// the fact tables).
+    /// through the three collection servers — the §3 topology — into
+    /// per-machine analysis sinks on the same worker instead of storing
+    /// them, so memory stays bounded by live analysis state rather than
+    /// by trace volume (unless `options.retain` keeps the fact tables).
     ///
     /// Before it returns, the driver reconciles every conservation
     /// ledger of [`crate::sharded_ledgers`] bottom-up — machines, then
@@ -197,23 +201,13 @@ impl Study {
         let ranges = shard_ranges(n, options.shards);
         // One schedule for the whole fleet, materialized exactly like
         // the flat path's (three servers): machine faults key off the
-        // fleet index and every shard's pool replays the same collector
+        // fleet index and every machine's handle reads the same collector
         // outage windows, so a machine cannot tell how many shards the
         // tree has.
         let schedule = FaultSchedule::materialize(config, 3);
         if let Some(dir) = &options.warehouse {
             std::fs::create_dir_all(dir).map_err(NttError::Io)?;
         }
-        let pools: Vec<StreamingPool> = (0..ranges.len())
-            .map(|s| {
-                StreamingPool::new(
-                    3,
-                    schedule.collectors.clone(),
-                    instruments.tracer.for_shard(s as u32),
-                    instruments.recorder.clone(),
-                )
-            })
-            .collect();
 
         // Fleet index → owning shard, for the machine tasks.
         let shard_of: Vec<usize> = ranges
@@ -230,9 +224,9 @@ impl Study {
         // Every machine simulation, fleet-wide, on one stealing pool:
         // a shard of cheap WalkUp machines finishes early and its
         // workers drain the Scientific shard's backlog. Each task owns
-        // its machine's sinks, as a re-ingest task owns its segment's,
-        // and its buffers reach them on the worker simulating it, so a
-        // panicking sink unwinds that machine's task.
+        // its machine's collector handle and sinks, as a re-ingest task
+        // owns its segment's, and its buffers reach them on the worker
+        // simulating it, so a panicking sink unwinds that machine's task.
         let (tasks, panic) = nt_trace::steal::run_indexed(n, workers, |index| {
             let spec = &config.machines[index];
             let faults = schedule.for_machine(index);
@@ -251,13 +245,21 @@ impl Study {
             let tee = options
                 .warehouse
                 .as_ref()
-                .map(|_| Tee::new(&analysis, run.id.0, tracer));
+                .map(|_| Tee::new(&analysis, run.id.0, tracer.clone()));
             let consumer: &dyn ShipmentConsumer = match &tee {
                 Some(tee) => tee,
                 None => &analysis,
             };
-            let mut sink = pools[shard].handle_for(run.id, run.telemetry(), consumer);
+            let mut sink = CollectorHandle::new(
+                run.id,
+                &schedule.collectors,
+                tracer,
+                instruments.recorder.clone(),
+                run.telemetry(),
+                consumer,
+            );
             run.simulate_with_faults(config, &faults, &mut sink);
+            let shipped = sink.totals();
             let segment = tee.map(Tee::into_segment);
             // Closed before the machine's telemetry is reported, so its
             // `analysis.finish` lands on the machine's own profile.
@@ -277,6 +279,7 @@ impl Study {
                     last_delivery_ticks: run.last_delivery_ticks(),
                 },
                 partial,
+                shipped,
                 segment,
             }
         });
@@ -286,7 +289,6 @@ impl Study {
                 p.index, p.message
             )));
         }
-        let totals: Vec<StreamingTotals> = pools.into_iter().map(StreamingPool::finish).collect();
         // No task panicked, so every slot holds its machine's task, in
         // machine order.
         let mut machines = Vec::with_capacity(n);
@@ -294,12 +296,13 @@ impl Study {
         let mut segments = Vec::with_capacity(n);
         for task in tasks.into_iter().flatten() {
             machines.push(task.output);
-            partials.push(task.partial);
+            partials.push((task.partial, task.shipped));
             segments.extend(task.segment);
         }
 
-        // Shard tier: sum each shard's machine partials into its report
-        // and merge them straight into the fleet root, in machine order.
+        // Shard tier: sum each shard's machine partials and handle totals
+        // into its report and merge the partials straight into the fleet
+        // root, in machine order.
         // Start from an empty set's partial, as a re-ingest does: under
         // retain it carries an empty stream list, so an empty fleet still
         // yields empty fact tables. Merges are exact, so no grouping of
@@ -310,9 +313,12 @@ impl Study {
         let end_ticks = config.duration.ticks();
         for (s, range) in ranges.iter().enumerate() {
             let (mut records, mut peak_state_bytes) = (0, 0);
-            for partial in partials.by_ref().take(range.len()) {
+            let (mut total_records, mut stored_bytes) = (0, 0);
+            for (partial, shipped) in partials.by_ref().take(range.len()) {
                 records += partial.summary.records;
                 peak_state_bytes += partial.summary.peak_state_bytes;
+                total_records += shipped.total_records;
+                stored_bytes += shipped.stored_bytes;
                 fleet.merge(partial);
             }
             // Shard boundary crossed: note what this collector merged
@@ -345,8 +351,8 @@ impl Study {
                 shard: s,
                 machines: range.clone(),
                 records,
-                total_records: totals[s].total_records,
-                stored_bytes: totals[s].stored_bytes,
+                total_records,
+                stored_bytes,
                 peak_state_bytes,
                 findings,
             });

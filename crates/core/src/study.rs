@@ -99,7 +99,7 @@ const FLIGHT_RECORDER_CAPACITY: usize = 256;
 
 /// The per-run observability instruments, built once from the study
 /// configuration and shared (by cheap handle clones) across every tier:
-/// agents, collector pools, analysis sinks, and the export tee.
+/// agents, collector handles, analysis sinks, and the export tee.
 pub(crate) struct Instruments {
     /// Causal shipment tracer; off unless
     /// [`nt_obs::TelemetryOptions::trace_shipments`] is set.

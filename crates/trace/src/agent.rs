@@ -51,8 +51,6 @@ pub struct TraceFilter {
     buffer: TripleBuffer,
     names: Vec<NameRecord>,
     state: AgentState,
-    /// Buffers filled and awaiting shipping (observable to tests).
-    fills: u64,
     /// Full buffers taken out of the triple buffer, awaiting delivery.
     pending: VecDeque<PendingBatch>,
     /// Name records awaiting delivery.
@@ -94,7 +92,6 @@ impl TraceFilter {
             buffer: TripleBuffer::with_capacity(capacity),
             names: Vec::new(),
             state: AgentState::Connected,
-            fills: 0,
             pending: VecDeque::new(),
             pending_names: VecDeque::new(),
             next_batch_seq: 0,
@@ -138,12 +135,6 @@ impl TraceFilter {
         self.state
     }
 
-    /// Simulates losing / regaining the collection-server connection,
-    /// without downtime accounting (tests and legacy callers).
-    pub fn set_state(&mut self, state: AgentState) {
-        self.state = state;
-    }
-
     /// State change at a known virtual time; suspended spans accumulate
     /// into the ledger's `downtime_ticks`.
     pub fn transition(&mut self, state: AgentState, now_ticks: u64) {
@@ -185,11 +176,6 @@ impl TraceFilter {
     /// True when the buffers ever overflowed (§3.2: never in the study).
     pub fn overflowed(&self) -> bool {
         self.buffer.overflowed()
-    }
-
-    /// Times a buffer filled.
-    pub fn buffer_fills(&self) -> u64 {
-        self.fills
     }
 
     /// Records sitting in taken-but-undelivered batches.
@@ -389,9 +375,7 @@ impl IoObserver for TraceFilter {
             self.dropped_suspended += 1;
             return;
         }
-        if self.buffer.push(TraceRecord::from_event(event)) {
-            self.fills += 1;
-        }
+        self.buffer.push(TraceRecord::from_event(event));
     }
 }
 
@@ -437,7 +421,6 @@ mod tests {
             f.event(&event(i));
         }
         assert_eq!(f.recorded(), 5_000);
-        assert_eq!(f.buffer_fills(), 1);
         f.ship(&mut srv);
         assert_eq!(srv.total_records(), 3_000, "one full buffer shipped");
         f.final_flush(&mut srv);
@@ -455,11 +438,11 @@ mod tests {
     #[test]
     fn suspended_agent_records_nothing() {
         let mut f = TraceFilter::new(MachineId(1));
-        f.set_state(AgentState::Suspended);
+        f.transition(AgentState::Suspended, 0);
         f.event(&event(1));
         assert_eq!(f.recorded(), 0);
         assert_eq!(f.ledger().dropped_suspended, 1);
-        f.set_state(AgentState::Connected);
+        f.transition(AgentState::Connected, 0);
         f.event(&event(2));
         assert_eq!(f.recorded(), 1);
     }

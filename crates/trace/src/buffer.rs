@@ -105,35 +105,6 @@ impl TripleBuffer {
         // next push overflows.
     }
 
-    /// Appends a whole batch of records — the shipment path used when a
-    /// machine's dispatch loop hands over accumulated events in one call
-    /// rather than one push per event. Returns how many buffers filled
-    /// (each fill is a flush opportunity); overflowed records are counted
-    /// and dropped exactly as [`TripleBuffer::push`] would.
-    pub fn push_batch(&mut self, records: &[TraceRecord]) -> u64 {
-        let mut fills = 0;
-        let mut rest = records;
-        while !rest.is_empty() {
-            let buf = &mut self.buffers[self.filling];
-            let room = self.capacity.saturating_sub(buf.records.len());
-            if room == 0 {
-                // No rotation possible earlier: the remainder overflows.
-                self.overflowed = true;
-                self.dropped += rest.len() as u64;
-                return fills + 1;
-            }
-            let take = room.min(rest.len());
-            buf.records.extend_from_slice(&rest[..take]);
-            self.recorded += take as u64;
-            rest = &rest[take..];
-            if self.buffers[self.filling].records.len() >= self.capacity {
-                self.rotate();
-                fills += 1;
-            }
-        }
-        fills
-    }
-
     /// Takes every queued (full) buffer's records, oldest first. Each
     /// taken buffer is re-armed with recycled storage when any is
     /// available, so the fill path keeps its warmed-up capacity.
@@ -277,34 +248,6 @@ mod tests {
         assert!(tb.overflowed());
         assert_eq!(tb.dropped(), 1);
         assert_eq!(tb.recorded(), 30);
-    }
-
-    #[test]
-    fn push_batch_matches_per_record_pushes() {
-        let mut a = TripleBuffer::with_capacity(10);
-        let mut b = TripleBuffer::with_capacity(10);
-        let records: Vec<TraceRecord> = (0..27u64).map(rec).collect();
-        let mut fills_a = 0u64;
-        for r in &records {
-            if a.push(*r) {
-                fills_a += 1;
-            }
-        }
-        let fills_b = b.push_batch(&records);
-        assert_eq!(fills_b, fills_a);
-        assert_eq!(b.recorded(), a.recorded());
-        assert_eq!(b.pending(), a.pending());
-        assert_eq!(a.drain_all(), b.drain_all());
-    }
-
-    #[test]
-    fn push_batch_overflow_drops_the_remainder() {
-        let mut tb = TripleBuffer::with_capacity(10);
-        let records: Vec<TraceRecord> = (0..35u64).map(rec).collect();
-        tb.push_batch(&records);
-        assert!(tb.overflowed(), "three buffers hold 30 of 35");
-        assert_eq!(tb.recorded(), 30);
-        assert_eq!(tb.dropped(), 5);
     }
 
     #[test]

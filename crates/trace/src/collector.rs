@@ -187,18 +187,11 @@ impl CollectionServer {
         picked.into_iter().map(|(_, n)| n).collect()
     }
 
-    /// Absorbs another server's batches (pool shutdown merge).
+    /// Absorbs another server's batches and names, so one store can
+    /// reassemble streams that were shipped to several.
     pub fn merge(&mut self, other: CollectionServer) {
         self.batches.extend(other.batches);
         self.names.extend(other.names);
-    }
-
-    /// Machines that have shipped at least one batch.
-    pub fn machines(&self) -> Vec<MachineId> {
-        let mut ms: Vec<MachineId> = self.batches.iter().map(|(m, _, _)| *m).collect();
-        ms.sort();
-        ms.dedup();
-        ms
     }
 }
 
@@ -267,7 +260,6 @@ mod tests {
         assert_eq!(srv.total_records(), 4);
         assert_eq!(srv.records_for(MachineId(1)).len(), 3);
         assert_eq!(srv.records_for(MachineId(2)).len(), 1);
-        assert_eq!(srv.machines(), vec![MachineId(1), MachineId(2)]);
     }
 
     #[test]

@@ -2,20 +2,19 @@
 //!
 //! §3: "The collection servers are three dedicated file servers that take
 //! the incoming event streams and store them in compressed formats for
-//! later retrieval." A [`StreamingPool`] keeps what a study can observe
-//! of those servers — each one's downtime windows and head-count — and
-//! runs nothing of its own. A trace agent ships through its machine's
-//! [`CollectorHandle`], which picks the server, accounts the buffer's
-//! compressed footprint exactly as [`CollectionServer`] stores it, and
-//! hands the buffer to the [`ShipmentConsumer`] the handle was made with
-//! — the machine's own sinks — on the shipping thread. Each machine's
-//! buffers therefore reach its consumer in the agent's sequence order.
+//! later retrieval." A study keeps what it can observe of those servers —
+//! each one's downtime windows and head-count — and runs nothing of its
+//! own. A trace agent ships through its machine's [`CollectorHandle`],
+//! which borrows the run's one outage table, picks the server, counts the
+//! buffer and its compressed footprint exactly as [`CollectionServer`]
+//! stores it, and hands the buffer to the [`ShipmentConsumer`] the handle
+//! was made with — the machine's own sinks — on the shipping thread. Each
+//! machine's buffers therefore reach its consumer in the agent's sequence
+//! order, and no collection state is shared between machines.
 //!
 //! A handle fails over to the next live server when its primary is down.
 //! When every server is down the shipment is refused and the agent keeps
 //! the batch for a later retry.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nt_obs::{
     FlightEvent, FlightRecorder, Phase, RecorderScope, ShipmentTracer, Telemetry, TraceContext,
@@ -45,13 +44,15 @@ pub struct BatchMeta {
 /// shipment to per-machine state: distinct machines may be delivered
 /// concurrently from different worker threads, each machine from one
 /// thread at a time.
+///
+/// Callers deliver each machine's batches, and its names, in the agent's
+/// stamp order: a [`CollectorHandle`] ships them as the agent does, and a
+/// warehouse re-ingest replays them in stored order. Sinks process each
+/// delivery as it arrives and do not reorder.
 pub trait ShipmentConsumer: Send + Sync {
     /// Consumes one shipped buffer. `seq` is the agent's own sequence
-    /// stamp (`None` = plain arrival-order shipping); a
-    /// [`CollectorHandle`] delivers each machine's batches in stamp
-    /// order, but other callers need not, so a sink that depends on order
-    /// reassembles by the stamp. `meta` is the batch's causal trace
-    /// baggage when shipment tracing is on.
+    /// stamp (`None` = unstamped shipping); `meta` is the batch's causal
+    /// trace baggage when shipment tracing is on.
     fn batch(
         &self,
         machine: MachineId,
@@ -113,35 +114,93 @@ impl RecordSink for CollectionServer {
     }
 }
 
-/// A per-machine handle that ships to the assigned collection server,
-/// failing over to the next live server during outages, and delivers
-/// each accepted shipment into its machine's consumer on the calling
-/// thread.
-#[derive(Clone)]
+/// What the collection servers accepted from one machine: its
+/// [`CollectorHandle`]'s head-count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StreamingTotals {
+    /// Records the servers accepted.
+    pub total_records: usize,
+    /// Compressed footprint the batches *would* occupy on a collection
+    /// server (each shipment is compressed for accounting exactly like
+    /// [`CollectionServer::ingest_seq`] stores it, then dropped).
+    pub stored_bytes: usize,
+}
+
+/// One machine's handle on the study's collection servers. It ships to
+/// the machine's assigned server, fails over to the next live server
+/// during outages, refuses the shipment when every server is down,
+/// counts what the servers accepted, and delivers each accepted
+/// shipment into its machine's consumer on the calling thread.
+///
+/// Nothing is retained: the consumer sees each buffer once, which is
+/// what lets paper-scale studies run without materializing ~190 M
+/// records.
 pub struct CollectorHandle<'a> {
-    pool: &'a StreamingPool,
+    /// Downtime windows per server, indexed by server.
+    servers: &'a [Vec<TickWindow>],
     consumer: &'a dyn ShipmentConsumer,
     primary: usize,
     /// Shipments that landed on a non-primary server.
     failovers: u64,
+    totals: StreamingTotals,
+    tracer: ShipmentTracer,
+    recorder: FlightRecorder,
     /// The shipping machine's telemetry: each batch's delivery into the
     /// consumer is timed on it, inside the agent's `trace.ship` span.
     telemetry: Telemetry,
 }
 
-impl CollectorHandle<'_> {
+impl<'a> CollectorHandle<'a> {
+    /// `machine`'s handle on the collection servers whose downtime
+    /// windows `servers` lists, one entry per server (the study ran
+    /// three; an empty table is one server that never goes down).
+    /// Machines hash to servers for a stable assignment, and a server
+    /// whose window covers the shipment time refuses it. The handle
+    /// emits collect-hop spans through `tracer` (shard-stamped when the
+    /// tracer is), attaches [`BatchMeta`] to every accepted batch, and
+    /// records failovers into `recorder`; off handles make both no-ops.
+    /// Accepted shipments are delivered into `consumer`, timed on
+    /// `telemetry`; both should be the shipping machine's own.
+    pub fn new(
+        machine: MachineId,
+        servers: &'a [Vec<TickWindow>],
+        tracer: ShipmentTracer,
+        recorder: FlightRecorder,
+        telemetry: &Telemetry,
+        consumer: &'a dyn ShipmentConsumer,
+    ) -> Self {
+        CollectorHandle {
+            servers,
+            consumer,
+            primary: machine.0 as usize % servers.len().max(1),
+            failovers: 0,
+            totals: StreamingTotals::default(),
+            tracer,
+            recorder,
+            telemetry: telemetry.clone(),
+        }
+    }
+
     /// The first server reachable at `now_ticks`, trying the primary
-    /// first and rotating through the pool.
+    /// first and rotating through the servers.
     fn live_server(&self, now_ticks: u64) -> Option<usize> {
-        let n = self.pool.outages.len();
-        (0..n)
-            .map(|i| (self.primary + i) % n)
-            .find(|&s| !any_contains(&self.pool.outages[s], now_ticks))
+        let n = self.servers.len().max(1);
+        (0..n).map(|i| (self.primary + i) % n).find(|&s| {
+            !self
+                .servers
+                .get(s)
+                .is_some_and(|w| any_contains(w, now_ticks))
+        })
     }
 
     /// Shipments this handle delivered to a non-primary server.
     pub fn failovers(&self) -> u64 {
         self.failovers
+    }
+
+    /// What the servers have accepted through this handle.
+    pub fn totals(&self) -> StreamingTotals {
+        self.totals
     }
 }
 
@@ -156,10 +215,9 @@ impl RecordSink for CollectorHandle<'_> {
         let Some(server) = self.live_server(now_ticks) else {
             return false;
         };
-        let pool = self.pool;
         if server != self.primary {
             self.failovers += 1;
-            pool.recorder.record(
+            self.recorder.record(
                 RecorderScope::Machine(machine.0),
                 FlightEvent::Failover {
                     ticks: now_ticks,
@@ -173,7 +231,7 @@ impl RecordSink for CollectorHandle<'_> {
             // The collect hop: span emitted here (server and shard are
             // known), context handed on so downstream tiers parent-link
             // to it.
-            let meta = pool
+            let meta = self
                 .tracer
                 .collect(
                     machine.0,
@@ -187,12 +245,8 @@ impl RecordSink for CollectorHandle<'_> {
                     deliver_ticks: now_ticks,
                     server: server as u32,
                 });
-            let tally = &pool.tallies[server];
-            tally.records.fetch_add(records.len(), Ordering::Relaxed);
-            tally.stored_bytes.fetch_add(
-                RecordBatch::compress(records).compressed_bytes(),
-                Ordering::Relaxed,
-            );
+            self.totals.total_records += records.len();
+            self.totals.stored_bytes += RecordBatch::compress(records).compressed_bytes();
             let _span = self.telemetry.span_child(Phase::Analysis, "analysis.batch");
             self.consumer
                 .batch(machine, Some(seq), records.to_vec(), meta);
@@ -215,98 +269,6 @@ impl RecordSink for CollectorHandle<'_> {
         }
         self.consumer.name(machine, Some(seq), name);
         true
-    }
-}
-
-/// What a [`StreamingPool`]'s servers accounted.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StreamingTotals {
-    /// Records that passed through the pool.
-    pub total_records: usize,
-    /// Compressed footprint the batches *would* occupy on a collection
-    /// server (each shipment is compressed for accounting exactly like
-    /// [`CollectionServer::ingest_seq`] stores it, then dropped).
-    pub stored_bytes: usize,
-}
-
-/// One server's head-count, bumped by whichever worker ships to it.
-#[derive(Default)]
-struct ServerTally {
-    records: AtomicUsize,
-    stored_bytes: AtomicUsize,
-}
-
-/// The collection servers of one shard, forwarding shipments into each
-/// machine's [`ShipmentConsumer`] instead of storing them.
-///
-/// Agents ship through a [`CollectorHandle`], which fails over to the
-/// next live server during an outage and refuses the shipment when
-/// every server is down. Nothing is retained: a machine's consumer sees
-/// each of its buffers once, on the thread that shipped it, which is
-/// what lets paper-scale studies run without materializing ~190 M
-/// records.
-pub struct StreamingPool {
-    /// Downtime windows per server.
-    outages: Vec<Vec<TickWindow>>,
-    /// Head-count per server, indexed like `outages`.
-    tallies: Vec<ServerTally>,
-    tracer: ShipmentTracer,
-    recorder: FlightRecorder,
-}
-
-impl StreamingPool {
-    /// `servers` collection servers (the study ran three). Each server
-    /// carries its downtime windows in `outages`, indexed by server; a
-    /// server whose window covers the shipment time refuses it and
-    /// handles fail over. Missing entries mean "always up". The handles
-    /// this pool hands out emit collect-hop spans through `tracer`
-    /// (shard-stamped when the tracer is), attach [`BatchMeta`] to every
-    /// accepted batch, and record failovers into `recorder`; off handles
-    /// make both no-ops.
-    pub fn new(
-        servers: usize,
-        mut outages: Vec<Vec<TickWindow>>,
-        tracer: ShipmentTracer,
-        recorder: FlightRecorder,
-    ) -> Self {
-        let servers = servers.max(1);
-        outages.resize(servers, Vec::new());
-        StreamingPool {
-            outages,
-            tallies: (0..servers).map(|_| ServerTally::default()).collect(),
-            tracer,
-            recorder,
-        }
-    }
-
-    /// The handle a machine's agent should ship through; machines hash
-    /// to servers for a stable assignment. Accepted shipments are
-    /// delivered into `consumer`, timed on `telemetry`; both should be
-    /// the shipping machine's own.
-    pub fn handle_for<'a>(
-        &'a self,
-        machine: MachineId,
-        telemetry: &Telemetry,
-        consumer: &'a dyn ShipmentConsumer,
-    ) -> CollectorHandle<'a> {
-        CollectorHandle {
-            pool: self,
-            consumer,
-            primary: machine.0 as usize % self.outages.len(),
-            failovers: 0,
-            telemetry: telemetry.clone(),
-        }
-    }
-
-    /// Sums the servers' accounting. Every [`CollectorHandle`] borrows
-    /// the pool, so all of them are gone by now.
-    pub fn finish(self) -> StreamingTotals {
-        let mut totals = StreamingTotals::default();
-        for tally in self.tallies {
-            totals.total_records += tally.records.into_inner();
-            totals.stored_bytes += tally.stored_bytes.into_inner();
-        }
-        totals
     }
 }
 
@@ -389,40 +351,45 @@ mod tests {
         }
     }
 
-    /// An untraced pool of `servers`.
-    fn pool(servers: usize, outages: Vec<Vec<TickWindow>>) -> StreamingPool {
-        StreamingPool::new(
+    /// Machine `m`'s untraced handle on `servers`, delivering into
+    /// `consumer`.
+    fn handle<'a>(
+        servers: &'a [Vec<TickWindow>],
+        m: u32,
+        consumer: &'a dyn ShipmentConsumer,
+    ) -> CollectorHandle<'a> {
+        CollectorHandle::new(
+            MachineId(m),
             servers,
-            outages,
             ShipmentTracer::off(),
             FlightRecorder::off(),
+            &Telemetry::off(),
+            consumer,
         )
-    }
-
-    /// Machine `m`'s handle, delivering into `log`.
-    fn handle<'a>(pool: &'a StreamingPool, m: u32, log: &'a Log) -> CollectorHandle<'a> {
-        pool.handle_for(MachineId(m), &Telemetry::off(), log)
     }
 
     #[test]
     fn pool_collects_from_concurrent_agents() {
         let log = Log::default();
-        let pool = pool(3, Vec::new());
-        std::thread::scope(|scope| {
-            for m in 0..9u32 {
-                let mut h = handle(&pool, m, &log);
-                scope.spawn(move || {
-                    for batch in 0..4u64 {
-                        let records: Vec<TraceRecord> =
-                            (0..50).map(|i| rec(batch * 50 + i)).collect();
-                        assert!(h.ingest_at(MachineId(m), batch, &records, 0));
-                    }
-                    assert!(h.ingest_name_at(MachineId(m), 4, name(m), 0));
-                });
-            }
+        let servers = vec![Vec::new(); 3];
+        let shipped: usize = std::thread::scope(|scope| {
+            let agents: Vec<_> = (0..9u32)
+                .map(|m| {
+                    let mut h = handle(&servers, m, &log);
+                    scope.spawn(move || {
+                        for batch in 0..4u64 {
+                            let records: Vec<TraceRecord> =
+                                (0..50).map(|i| rec(batch * 50 + i)).collect();
+                            assert!(h.ingest_at(MachineId(m), batch, &records, 0));
+                        }
+                        assert!(h.ingest_name_at(MachineId(m), 4, name(m), 0));
+                        h.totals().total_records
+                    })
+                })
+                .collect();
+            agents.into_iter().map(|a| a.join().unwrap()).sum()
         });
-        let totals = pool.finish();
-        assert_eq!(totals.total_records, 9 * 4 * 50);
+        assert_eq!(shipped, 9 * 4 * 50, "the nine handles' totals");
         for m in 0..9u32 {
             assert_eq!(log.stamps(MachineId(m)), vec![0, 1, 2, 3], "machine {m}");
         }
@@ -432,37 +399,36 @@ mod tests {
     #[test]
     fn machine_assignment_is_stable() {
         let log = Log::default();
-        let pool = pool(3, Vec::new());
-        let a = handle(&pool, 4, &log);
-        let b = handle(&pool, 4, &log);
+        let servers = vec![Vec::new(); 3];
+        let a = handle(&servers, 4, &log);
+        let b = handle(&servers, 4, &log);
         assert_eq!(a.primary, b.primary, "same machine, same server");
-        let c = handle(&pool, 5, &log);
+        let c = handle(&servers, 5, &log);
         assert_ne!(a.primary, c.primary, "different machine, other server");
     }
 
     #[test]
     fn empty_batches_are_not_shipped() {
         let log = Log::default();
-        let pool = pool(1, Vec::new());
-        let mut h = handle(&pool, 0, &log);
+        let servers = vec![Vec::new(); 1];
+        let mut h = handle(&servers, 0, &log);
         assert!(
             h.ingest_at(MachineId(0), 0, &[], 10),
             "accepted, not shipped"
         );
-        assert_eq!(pool.finish(), StreamingTotals::default());
+        assert_eq!(h.totals(), StreamingTotals::default());
         assert!(log.batches.lock().unwrap().is_empty());
     }
 
     #[test]
     fn outage_refuses_then_fails_over() {
         // Server 0 down for ticks [100, 200); server 1 down always.
-        let outages = vec![
+        let servers = vec![
             vec![TickWindow::new(100, 200)],
             vec![TickWindow::new(0, u64::MAX)],
         ];
         let log = Log::default();
-        let pool = pool(2, outages);
-        let mut h = handle(&pool, 0, &log); // primary = server 0
+        let mut h = handle(&servers, 0, &log); // primary = server 0
         let records: Vec<TraceRecord> = (0..10).map(rec).collect();
         assert!(h.ingest_at(MachineId(0), 0, &records, 50), "before outage");
         assert!(
@@ -473,22 +439,24 @@ mod tests {
         assert_eq!(h.failovers(), 0, "primary recovered, no failover needed");
 
         // Machine 1's primary is the always-down server 1: it fails over.
-        let mut h1 = handle(&pool, 1, &log);
+        let mut h1 = handle(&servers, 1, &log);
         assert!(h1.ingest_at(MachineId(1), 0, &records, 50));
         assert_eq!(h1.failovers(), 1);
-        assert_eq!(pool.finish().total_records, 30);
+        assert_eq!(h.totals().total_records, 20, "the refusal counts nothing");
+        assert_eq!(h1.totals().total_records, 10);
         assert_eq!(log.batches.lock().unwrap().len(), 3);
     }
 
     #[test]
-    fn streaming_pool_accounts_exactly_like_storage() {
+    fn handle_accounts_exactly_like_storage() {
+        // Batch 1 of every machine ships while server 0 is down.
         fn ship(sink: &mut dyn RecordSink) {
             for m in 0..4u32 {
                 for batch in 0..3u64 {
                     let records: Vec<TraceRecord> = (0..25).map(|i| rec(batch * 25 + i)).collect();
-                    assert!(sink.ingest_at(MachineId(m), batch, &records, 10));
+                    assert!(sink.ingest_at(MachineId(m), batch, &records, batch * 100 + 50));
                 }
-                assert!(sink.ingest_name_at(MachineId(m), 3, name(m), 10));
+                assert!(sink.ingest_name_at(MachineId(m), 3, name(m), 350));
             }
         }
 
@@ -496,19 +464,22 @@ mod tests {
         let mut stored = CollectionServer::new();
         ship(&mut stored);
 
-        // … and forwarded by a streaming pool, which keeps nothing but
-        // must account the identical compressed footprint.
+        // … and forwarded by a handle whose primary fails over, which
+        // keeps nothing but must account the identical compressed
+        // footprint, whichever server took each batch.
         let log = Log::default();
-        let streaming = pool(2, Vec::new());
-        ship(&mut handle(&streaming, 0, &log));
-        let totals = streaming.finish();
+        let servers = vec![vec![TickWindow::new(100, 200)], Vec::new()];
+        let mut h = handle(&servers, 0, &log);
+        ship(&mut h);
+        assert_eq!(h.failovers(), 4, "every machine's batch 1 failed over");
+        let totals = h.totals();
 
         assert_eq!(totals.total_records, stored.total_records());
         assert_eq!(totals.stored_bytes, stored.stored_bytes());
         let batches = log.batches.lock().unwrap();
         assert!(
             batches.iter().all(|d| d.3.is_none()),
-            "untraced pool attaches no baggage"
+            "untraced handle attaches no baggage"
         );
         let delivered: usize = batches.iter().map(|d| d.2.len()).sum();
         assert_eq!(delivered, totals.total_records);
@@ -530,8 +501,8 @@ mod tests {
             }
             fn name(&self, _m: MachineId, _seq: Option<u64>, _name: NameRecord) {}
         }
-        let pool = pool(1, Vec::new());
-        let mut h = pool.handle_for(MachineId(0), &Telemetry::off(), &Bomb);
+        let servers = vec![Vec::new(); 1];
+        let mut h = handle(&servers, 0, &Bomb);
         let records: Vec<TraceRecord> = (0..5).map(rec).collect();
         // Delivery runs on the caller's thread, so the consumer's panic
         // is the caller's: a study's machine task, caught by its pool.
@@ -548,10 +519,16 @@ mod tests {
         let tracer = ShipmentTracer::new(11, 10_000);
         let recorder = FlightRecorder::new(16);
         // Primary (server 0) down in [100, 200): batch 1 fails over.
-        let outages = vec![vec![TickWindow::new(100, 200)], Vec::new()];
+        let servers = vec![vec![TickWindow::new(100, 200)], Vec::new()];
         let log = Log::default();
-        let pool = StreamingPool::new(2, outages, tracer.clone().for_shard(3), recorder.clone());
-        let mut h = handle(&pool, 0, &log);
+        let mut h = CollectorHandle::new(
+            MachineId(0),
+            &servers,
+            tracer.for_shard(3),
+            recorder.clone(),
+            &Telemetry::off(),
+            &log,
+        );
         let records: Vec<TraceRecord> = (0..5).map(rec).collect();
         assert!(h.ingest_at(MachineId(0), 0, &records, 50));
         assert!(h.ingest_at(MachineId(0), 1, &records, 150), "failover");
@@ -562,7 +539,7 @@ mod tests {
             .lock()
             .unwrap()
             .iter()
-            .map(|d| (d.1, d.3.expect("traced pool attaches baggage")))
+            .map(|d| (d.1, d.3.expect("traced handle attaches baggage")))
             .collect();
         assert_eq!(seen.iter().map(|s| s.0).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(seen[0].1.server, 0);
@@ -602,10 +579,9 @@ mod tests {
         // the secondary, then batch 2 back on the primary. Delivery runs
         // on the shipping thread, so the consumer sees the stamps in the
         // order the agent shipped them, whichever server took each.
-        let outages = vec![vec![TickWindow::new(100, 200)], Vec::new()];
+        let servers = vec![vec![TickWindow::new(100, 200)], Vec::new()];
         let log = Log::default();
-        let pool = pool(2, outages);
-        let mut h = handle(&pool, 0, &log);
+        let mut h = handle(&servers, 0, &log);
         let batch = |lo: u64| -> Vec<TraceRecord> { (lo..lo + 5).map(rec).collect() };
         assert!(h.ingest_at(MachineId(0), 0, &batch(0), 50));
         assert!(h.ingest_at(MachineId(0), 1, &batch(5), 150), "failover");

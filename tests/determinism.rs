@@ -72,7 +72,7 @@ fn parallel_study_equals_serial_study() {
 #[test]
 fn zero_fault_plan_is_byte_identical_to_the_direct_pipeline() {
     // The fault layer must be a no-op when the plan is empty: running the
-    // study through the fault-aware pool produces byte-for-byte the same
+    // study through the fault-aware handles produces byte-for-byte the same
     // compressed batches as shipping each machine straight into a local
     // collection server, the pre-fault pipeline shape.
     let config = StudyConfig::smoke_test(55);
@@ -351,9 +351,9 @@ fn warehouse_reimport_of_the_faulted_fleet_is_bit_identical_to_live_ingest() {
 
 /// The documented memory ceiling for the streaming analysis state at the
 /// paper's 45-machine deployment shape (see EXPERIMENTS.md). The ceiling
-/// covers the per-machine sinks — open-session builders, parked
-/// out-of-order shipments, CDF sketches and spill buffers — not the
-/// simulators themselves, which exist in either pipeline.
+/// covers the per-machine sinks — open-session builders, CDF sketches
+/// and spill buffers — not the simulators themselves, which exist in
+/// either pipeline.
 const STREAMING_STATE_CEILING_BYTES: usize = 64 << 20;
 
 #[test]
