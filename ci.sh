@@ -60,7 +60,7 @@ cargo test -q --offline --test filter_stack
 step "sharded scale-up (a shard's head-count is the sum of its machines' collector-handle totals, its budget their summed peaks; shard/worker bit-identity, summaries compared whole)"
 cargo test -q --offline --release --test shard_scale
 
-step "trace warehouse (golden segment, import, export parity; one segment writer per machine task, a full disk is a typed fault; parallel re-ingest: typed faults in file-name order, duplicate machines, bit identity)"
+step "trace warehouse (golden segment, import, export parity; one segment writer per machine task, a full disk is a typed fault; one per-segment reader shared by re-ingest and what-if replay: both doors give the same typed fault, first in file-name order, duplicate machines refused, bit identity)"
 cargo test -q --offline --test warehouse
 cargo test -q --offline --release --test determinism warehouse_reimport
 
@@ -75,7 +75,7 @@ rm -f "$roundtrip_a" "$roundtrip_b"
 step "causal shipment tracing (faulted sharded smoke: Chrome trace validates, dump reconciles with LossLedger)"
 cargo test -q --offline --test shipment_trace
 
-step "what-if replay (parallel per-machine extraction: bit-identity across workers/sources, first bad machine's typed error, variant audit, golden deltas)"
+step "what-if replay (stored traces read through the re-ingest's per-segment reader: bit-identity across workers/sources, the first bad file's typed error from both doors, variant audit, golden deltas)"
 cargo test -q --offline --test whatif
 
 step "warehouse tour determinism (parallel extraction from both sources: two runs, identical stdout)"

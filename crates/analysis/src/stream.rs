@@ -16,10 +16,12 @@
 //! one partial that closes into a [`StudySummary`].
 //!
 //! With `retain` enabled the sinks additionally keep the raw stream and
-//! rebuild the exact [`TraceSet`] fact tables at the end — that mode
-//! exists so smoke-scale tests can prove the streaming path is
-//! byte-identical to the legacy in-memory path; paper-scale runs leave
-//! it off and stay bounded.
+//! rebuild the exact [`TraceSet`] fact tables at the end. `Study::run`
+//! retains at every scale, because the report code and the tests read
+//! those tables, and the tests use them to prove the streaming
+//! aggregates match a batch build of the same records. Retention costs
+//! memory in proportion to the trace, so a run that must stay bounded —
+//! the paper-scale roster — leaves it off.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -47,7 +49,9 @@ const SPILL_BUFFER: usize = 65_536;
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
     /// Keep the raw records and names and rebuild the exact [`TraceSet`]
-    /// at finish. Defeats the memory bound — smoke-scale testing only.
+    /// at finish. Defeats the memory bound: memory grows with the trace.
+    /// `Study::run` sets it for the report code; bounded runs leave it
+    /// off.
     pub retain: bool,
     /// Directory for spill runs; `None` keeps tail samples in memory
     /// (fine below paper scale).
@@ -82,8 +86,10 @@ impl Default for StreamConfig {
 /// delivers them in stamp order — a live study's collector handle as the
 /// agent ships, a re-ingest in stored order — so the sink processes each
 /// batch as it arrives and the instance state machine sees the agent's
-/// stream exactly as the legacy `CollectionServer::records_for`
-/// reassembly would replay it. Debug builds check the order.
+/// stream exactly as the stored-batch reassembly
+/// `CollectionServer::records_for` replays it, which the benchmark's
+/// serial pass and the batch-build tests read. Debug builds check the
+/// order.
 pub struct MachineSink {
     machine: u32,
     retain: bool,

@@ -17,6 +17,9 @@ use rand::Rng;
 use crate::config::{MachineSpec, StudyConfig};
 use crate::fault::MachineFaults;
 
+/// Simulated-clock cadence of the telemetry gauge/counter sampler.
+const SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(30);
+
 /// One workstation mid-flight: the machine, its user model and the
 /// bookkeeping the §3 agent performs.
 pub struct MachineRun {
@@ -177,11 +180,7 @@ impl MachineRun {
             rng,
             snapshots: Vec::new(),
             telemetry,
-            sample_interval: config
-                .telemetry
-                .options()
-                .map(|o| o.sample_interval)
-                .filter(|d| *d > SimDuration::ZERO && *d < SimDuration::MAX),
+            sample_interval: config.telemetry.is_on().then_some(SAMPLE_INTERVAL),
             recorder: FlightRecorder::off(),
             watchdog: None,
             health: Vec::new(),

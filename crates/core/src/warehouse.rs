@@ -1,20 +1,23 @@
-//! NTT warehouse integration: the live-export tee and the re-ingest
-//! driver.
+//! NTT warehouse integration: the live-export tee and the one reader of
+//! a stored warehouse.
 //!
 //! Export happens *during* a study: under
 //! [`crate::ShardOptions::warehouse`] each machine task tees its
 //! shipments into its own [`SegmentWriter`] beside its one-machine
 //! analysis set, and the driver writes the segment files in machine
-//! order once every task has finished. Re-ingest is
-//! [`Study::ingest_warehouse`]: one task per segment file on the
-//! work-stealing pool, so at most `workers` segments are resident at
-//! once. Each task validates its segment and drives the stored batches
-//! through a one-machine [`AnalysisSet`] — in the segment's canonical
-//! stamp order, batch boundaries intact — and the root merges the
-//! partials exactly, in machine order. A live run closes and merges its
-//! machines' sets the same way, so the resulting summary is
-//! bit-identical to the live run's (`tests/determinism.rs` pins this at
-//! fleet scale, faults included).
+//! order once every task has finished. A stored warehouse is read by
+//! `visit_segments`: one task per segment file on the work-stealing
+//! pool, so at most `workers` segments are resident at once, with one
+//! set of rules for bad, truncated and duplicate members. Both of its
+//! consumers go through it. Re-ingest, [`Study::ingest_warehouse`],
+//! drives each segment's stored batches through a one-machine
+//! [`AnalysisSet`] — in the segment's canonical stamp order, batch
+//! boundaries intact — and the root merges the partials exactly, in
+//! machine order. A live run closes and merges its machines' sets the
+//! same way, so the resulting summary is bit-identical to the live run's
+//! (`tests/determinism.rs` pins this at fleet scale, faults included).
+//! What-if replay, [`crate::WhatIfStudy::run`], turns each segment into
+//! a normalized replay stream.
 
 use std::collections::BTreeSet;
 use std::io::Read;
@@ -136,151 +139,177 @@ pub struct WarehouseIngest {
 impl Study {
     /// Re-runs the analysis stage over a stored warehouse.
     ///
-    /// One task per `*.ntt` segment file runs on the work-stealing pool,
-    /// sized like a live run's with `workers: None` (one worker per
-    /// core). A task reads and fully validates its segment (header,
-    /// footer, XXH64, batch table), feeds its batches and names in stored
-    /// order — the canonical stamp order the live `MachineSink`s
-    /// processed, batch boundaries intact — into a one-machine
-    /// [`AnalysisSet`], closes it with [`AnalysisSet::finish_shard`] and
-    /// drops the segment bytes, so at most `workers` segments are
-    /// resident. The root merges the partials in ascending machine order
-    /// with [`ShardSummary::merge`], the exact merge a live run's fleet
-    /// root uses, so the result does not depend on which worker took
-    /// which segment.
+    /// The directory is read by `visit_segments`, one task per `*.ntt`
+    /// segment file on the work-stealing pool, sized like a live run's
+    /// with `workers: None` (one worker per core). Each task feeds its
+    /// segment's batches and names in stored order — the canonical stamp
+    /// order the live `MachineSink`s processed, batch boundaries intact —
+    /// into a one-machine [`AnalysisSet`], drops the segment bytes and
+    /// closes the set with [`AnalysisSet::finish_shard`], so at most
+    /// `workers` segments are resident. The root merges the partials in
+    /// ascending machine order with [`ShardSummary::merge`], the exact
+    /// merge a live run's fleet root uses, so the result does not depend
+    /// on which worker took which segment.
     ///
-    /// The first failing segment in file-name order is the error,
-    /// whichever worker hit it. A directory with two segments for one
-    /// machine is [`NttError::DuplicateMachine`], refused before any
-    /// record is analysed. A panicking task is re-raised as a panic that
-    /// names its segment. `options` mean what the same-named
+    /// Errors follow `visit_segments`: the first failing segment in
+    /// file-name order, [`NttError::DuplicateMachine`] for a directory
+    /// with two segments for one machine (refused before any record is
+    /// analysed), and a panicking task re-raised as a panic that names
+    /// its segment. `options` mean what the same-named
     /// [`crate::ShardOptions`] fields mean for a live run.
     pub fn ingest_warehouse(
         dir: &Path,
         options: &StreamOptions,
     ) -> Result<WarehouseIngest, NttError> {
-        let paths = segment_paths(dir)?;
         let config = StreamConfig {
             retain: options.retain,
             spill_dir: options.spill_dir.clone(),
             ..StreamConfig::default()
         };
-        // Two headers naming one machine doom the directory (a duplicate,
-        // or a corrupt member whose own error wins), so its tasks only
-        // validate: nothing is analysed, and no two tasks write one
-        // machine's spill files.
-        let refused = shared_header_machine(&paths);
-        let (slots, panic) = nt_trace::steal::run_indexed(paths.len(), host_workers(), |i| {
-            ingest_segment(&paths[i], &config, refused.is_none())
-        });
-        if let Some(p) = panic {
-            panic!(
-                "warehouse ingest of {}: {}",
-                paths[p.index].display(),
-                p.message
-            );
-        }
-        // No task panicked, so every slot holds its result.
-        let mut parts = Vec::with_capacity(paths.len());
-        let mut seen = BTreeSet::new();
-        let mut profile = RuntimeProfile::default();
-        for part in slots.into_iter().flatten() {
-            let part = part?;
-            if !seen.insert(part.machine) {
-                return Err(NttError::DuplicateMachine(part.machine));
-            }
-            profile.merge(&part.profile);
-            parts.push(part);
-        }
-        if let Some(machine) = refused {
-            // Two headers named this machine at listing time, yet every
-            // member validated with a distinct one: the files changed
-            // under the ingest. Nothing was analysed.
-            return Err(NttError::DuplicateMachine(machine));
-        }
-        parts.sort_by_key(|p| p.machine);
+        let parts = visit_segments(dir, host_workers(), |segment, telemetry| {
+            ingest_segment(segment, &config, telemetry)
+        })?;
         // Start from an empty set's partial rather than
         // `ShardSummary::default()`: under retain it carries an empty
         // stream list, so an empty warehouse still yields an empty
         // `TraceSet`, not none.
         let mut merged = AnalysisSet::new(&[], &config).finish_shard();
-        let mut records = 0u64;
         let mut machines = Vec::with_capacity(parts.len());
+        let mut profile = RuntimeProfile::default();
         for part in parts {
-            records += part.records;
             machines.push(part.machine);
-            merged.merge(
-                part.shard
-                    .expect("every segment is analysed when none is refused"),
-            );
+            profile.merge(&part.profile);
+            merged.merge(part.value);
         }
         let analysis = merged.into_analysis();
         Ok(WarehouseIngest {
+            // The sinks count every record they are handed.
+            records: analysis.summary.records,
             summary: analysis.summary,
             trace_set: analysis.trace_set,
-            records,
             machines,
             profile,
         })
     }
 }
 
-/// One segment's share of a re-ingest.
-struct SegmentPart {
-    machine: u32,
-    records: u64,
-    /// The one-machine partial; `None` when the directory is refused.
-    shard: Option<ShardSummary>,
-    profile: RuntimeProfile,
+/// One segment's share of a warehouse read.
+pub(crate) struct SegmentPart<T> {
+    /// The machine the segment holds.
+    pub(crate) machine: u32,
+    /// What the caller's visit made of the segment.
+    pub(crate) value: T,
+    /// The segment task's wall-clock attribution: its `warehouse.open`
+    /// span plus whatever the visit timed on the task's telemetry.
+    pub(crate) profile: RuntimeProfile,
 }
 
-/// Validates the segment at `path` in full, then, when `analyse`, drives
-/// its batches and names in stored order through a one-machine
-/// [`AnalysisSet`]. The segment's bytes are dropped before its partial
-/// is closed.
-fn ingest_segment(
-    path: &Path,
-    config: &StreamConfig,
-    analyse: bool,
-) -> Result<SegmentPart, NttError> {
-    let telemetry = Telemetry::profiler();
-    let segment = {
-        let _span = telemetry.span_child(Phase::Warehouse, "warehouse.open");
-        Segment::open(path)?
-    };
-    let machine = segment.machine();
-    let mut records = 0u64;
-    let shard = match analyse {
-        true => {
-            let id = MachineId(machine);
-            let set = AnalysisSet::new(
-                &[machine],
-                &StreamConfig {
-                    telemetry: telemetry.clone(),
-                    ..config.clone()
-                },
-            );
-            {
-                let _span = telemetry.span_child(Phase::Warehouse, "warehouse.ingest_segment");
-                segment.visit_batches(|seq, batch| {
-                    records += batch.len() as u64;
-                    let _span = telemetry.span_child(Phase::Analysis, "analysis.batch");
-                    set.batch(id, Some(seq), batch, None);
-                })?;
-                segment.visit_names(|seq, name| set.name(id, Some(seq), name))?;
+/// Reads every `*.ntt` segment in `dir` — the one directory walk both
+/// readers of a stored trace use — and returns what `visit` made of
+/// each, in ascending machine order.
+///
+/// One task per segment file runs on the work-stealing pool with
+/// `workers` threads. A task opens and fully validates its segment
+/// (header, footer, XXH64, batch table) under a `warehouse.open` span on
+/// its own profiler, then hands the segment and that profiler to
+/// `visit`, which owns the bytes and drops them when done, so at most
+/// `workers` segments are resident. The rules:
+///
+/// * The first failing segment in file-name order is the error,
+///   whichever worker hit it, and a visit's error counts as its
+///   segment's.
+/// * A second segment for one machine is [`NttError::DuplicateMachine`]
+///   at its own place in that order. The headers are read before any
+///   task starts; when two name one machine, the tasks only validate, so
+///   such a directory is refused before `visit` sees a segment.
+/// * A panicking task is re-raised as a panic that names its file.
+pub(crate) fn visit_segments<T: Send>(
+    dir: &Path,
+    workers: usize,
+    visit: impl Fn(Segment, &Telemetry) -> Result<T, NttError> + Sync,
+) -> Result<Vec<SegmentPart<T>>, NttError> {
+    let paths = segment_paths(dir)?;
+    // Two headers naming one machine doom the directory (a duplicate,
+    // or a corrupt member whose own error wins), so its tasks only
+    // validate: nothing is visited, and no two tasks write one
+    // machine's spill files.
+    let refused = shared_header_machine(&paths);
+    let (slots, panic) = nt_trace::steal::run_indexed(paths.len(), workers, |i| {
+        let telemetry = Telemetry::profiler();
+        let segment = {
+            let _span = telemetry.span_child(Phase::Warehouse, "warehouse.open");
+            Segment::open(&paths[i])?
+        };
+        let machine = segment.machine();
+        let part = match refused {
+            Some(_) => None,
+            None => {
+                let value = visit(segment, &telemetry)?;
+                let profile = telemetry.report().map(|r| r.profile).unwrap_or_default();
+                Some(SegmentPart {
+                    machine,
+                    value,
+                    profile,
+                })
             }
-            drop(segment);
-            Some(set.finish_shard())
+        };
+        Ok::<_, NttError>((machine, part))
+    });
+    if let Some(p) = panic {
+        panic!(
+            "warehouse segment {}: {}",
+            paths[p.index].display(),
+            p.message
+        );
+    }
+    // No task panicked, so every slot holds its result, in file-name
+    // order.
+    let mut parts = Vec::with_capacity(paths.len());
+    let mut seen = BTreeSet::new();
+    for slot in slots.into_iter().flatten() {
+        let (machine, part) = slot?;
+        if !seen.insert(machine) {
+            return Err(NttError::DuplicateMachine(machine));
         }
-        false => None,
-    };
-    let profile = telemetry.report().map(|r| r.profile).unwrap_or_default();
-    Ok(SegmentPart {
-        machine,
-        records,
-        shard,
-        profile,
-    })
+        parts.extend(part);
+    }
+    if let Some(machine) = refused {
+        // Two headers named this machine at listing time, yet every
+        // member validated with a distinct one: the files changed
+        // under the read. Nothing was visited.
+        return Err(NttError::DuplicateMachine(machine));
+    }
+    parts.sort_by_key(|p| p.machine);
+    Ok(parts)
+}
+
+/// Drives one validated segment's batches and names, in stored order,
+/// through a one-machine [`AnalysisSet`] that times its work on the
+/// segment task's `telemetry`. The segment's bytes are dropped before
+/// its partial is closed.
+fn ingest_segment(
+    segment: Segment,
+    config: &StreamConfig,
+    telemetry: &Telemetry,
+) -> Result<ShardSummary, NttError> {
+    let id = MachineId(segment.machine());
+    let set = AnalysisSet::new(
+        &[id.0],
+        &StreamConfig {
+            telemetry: telemetry.clone(),
+            ..config.clone()
+        },
+    );
+    {
+        let _span = telemetry.span_child(Phase::Warehouse, "warehouse.ingest_segment");
+        segment.visit_batches(|seq, batch| {
+            let _span = telemetry.span_child(Phase::Analysis, "analysis.batch");
+            set.batch(id, Some(seq), batch, None);
+        })?;
+        segment.visit_names(|seq, name| set.name(id, Some(seq), name))?;
+    }
+    drop(segment);
+    Ok(set.finish_shard())
 }
 
 /// A machine id that two segment headers name, read without validating
@@ -345,6 +374,16 @@ mod tests {
         .expect("warehouse re-ingests");
         assert_eq!(ingest.records, live.summary.records);
         assert_eq!(ingest.machines.len(), live.machines.len());
+        // Each segment task times its `warehouse.open` and
+        // `warehouse.ingest_segment`, then one `analysis.batch` per stored
+        // batch and the `analysis.finish` that closes its set.
+        let segments = stats.len() as u64;
+        let batches: u64 = stats.iter().map(|s| s.batches).sum();
+        assert_eq!(ingest.profile.phase(Phase::Warehouse).spans, 2 * segments);
+        assert_eq!(
+            ingest.profile.phase(Phase::Analysis).spans,
+            batches + segments
+        );
         // The streaming aggregates match bit-for-bit, watermarks
         // included: the live run delivered in stamp order, the re-ingest
         // in stored order, and the two orders are one.
@@ -355,6 +394,29 @@ mod tests {
         assert_eq!(live_set.records, ingest_set.records);
         assert_eq!(live_set.instances.len(), ingest_set.instances.len());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_segment_task_names_its_file() {
+        let dir = temp_dir("panic");
+        std::fs::create_dir_all(&dir).unwrap();
+        for machine in 0..3 {
+            let path = dir.join(nt_warehouse::writer::segment_file_name(machine));
+            std::fs::write(path, SegmentWriter::new(machine).finish()).unwrap();
+        }
+        let caught = std::panic::catch_unwind(|| {
+            visit_segments(&dir, 2, |segment, _| {
+                assert!(segment.machine() != 1, "bad segment");
+                Ok(())
+            })
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        let payload = caught.err().expect("the task's panic is re-raised");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            message.contains("machine-00001.ntt") && message.contains("bad segment"),
+            "{message}"
+        );
     }
 
     #[test]

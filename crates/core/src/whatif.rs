@@ -10,19 +10,20 @@
 //! * **Trace sources.** A study replays from wherever the trace lives:
 //!   a live [`TraceSet`] a study just produced
 //!   ([`WhatIfStudy::run_trace_set`], which partitions the fact table
-//!   with [`ReplayStream::from_trace_set`]) or an NTT [`Warehouse`]
-//!   ([`WhatIfStudy::run`], which scans each machine's segment zero-copy
-//!   with the same visitors the analysis re-ingest uses). Either way each
-//!   machine's stream is normalized to one canonical order, so both
-//!   answer bit-identically.
+//!   with [`ReplayStream::from_trace_set`]) or an NTT warehouse directory
+//!   ([`WhatIfStudy::run`], which reads it through the analysis
+//!   re-ingest's own per-segment reader and visitors, with the same
+//!   typed errors). Either way each machine's stream is normalized to
+//!   one canonical order, so both answer bit-identically.
 //! * **Variant matrix.** A baseline [`ReplayConfig`] plus named policy
 //!   variants: read-ahead depth, lazy-writer cadence, FastIO removal,
 //!   cache budget, and the disk latency-model axis (1998 IDE vs
 //!   SSD-class [`nt_io::DiskParams`]).
-//! * **Scheduling.** Extraction runs first, one task per machine on the
-//!   `nt-trace` work-stealing pool; then every (variant × machine) cell
-//!   is one task on the same pool. Results land in index-ordered slots,
-//!   so worker count never changes a single output bit.
+//! * **Scheduling.** Extraction runs first, one task per machine (or
+//!   per segment file) on the `nt-trace` work-stealing pool; then every
+//!   (variant × machine) cell is one task on the same pool. Results land
+//!   in index-ordered slots, so worker count never changes a single
+//!   output bit.
 //! * **Audit.** Each variant's machines are reconciled by the `nt-audit`
 //!   conservation ledger; a drifting variant fails loudly, named by
 //!   variant, before any table is built.
@@ -35,48 +36,38 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::path::Path;
 
 use nt_analysis::whatif::{DeltaSummary, DifferentialTable, ReplayFacts};
 use nt_analysis::TraceSet;
 use nt_audit::{accounts, Imbalance, Ledger};
 use nt_obs::{Phase, RuntimeProfile, Telemetry};
 use nt_trace::steal::run_indexed;
-use nt_warehouse::{NttError, Warehouse};
+use nt_warehouse::{NttError, Segment};
 
-use crate::replay::{
-    per_machine, replay_stream, MachineVariantOutcome, ReplayConfig, ReplayStream,
-};
+use crate::replay::{replay_stream, MachineVariantOutcome, ReplayConfig, ReplayStream};
 use crate::shard::host_workers;
+use crate::warehouse::visit_segments;
 
-/// Extracts per-machine replay streams from a warehouse, in ascending
-/// machine order, each normalized to canonical replay order: one task
-/// per machine's segment on `workers` threads. The first segment error
-/// in machine order is returned, whichever worker hit it.
-pub(crate) fn extract_streams(
-    warehouse: &Warehouse,
-    workers: usize,
-) -> Result<Vec<ReplayStream>, NttError> {
-    per_machine(&warehouse.machines(), workers, |machine| {
-        let segment = warehouse
-            .segment(machine)
-            .expect("every listed machine has a segment");
-        let mut records = Vec::new();
-        segment.visit_batches(|_seq, mut batch| records.append(&mut batch))?;
-        let mut names = BTreeMap::new();
-        segment.visit_names(|_seq, n| {
-            // Last recorded name wins — the fact-table rule.
-            names.insert(n.file_object, n.path);
-        })?;
-        let mut stream = ReplayStream {
-            machine,
-            records,
-            names,
-        };
-        stream.normalize();
-        Ok(stream)
-    })
-    .into_iter()
-    .collect()
+/// One stored segment as a replay stream: its batches and names in
+/// stored order, the segment's bytes dropped before the normalizing
+/// sort.
+fn stored_stream(segment: Segment) -> Result<ReplayStream, NttError> {
+    let mut records = Vec::new();
+    segment.visit_batches(|_seq, mut batch| records.append(&mut batch))?;
+    let mut names = BTreeMap::new();
+    segment.visit_names(|_seq, n| {
+        // Last recorded name wins — the fact-table rule.
+        names.insert(n.file_object, n.path);
+    })?;
+    let mut stream = ReplayStream {
+        machine: segment.machine(),
+        records,
+        names,
+    };
+    drop(segment);
+    stream.normalize();
+    Ok(stream)
 }
 
 /// Why a what-if study failed. Everything is loud and named: a study
@@ -197,10 +188,10 @@ pub struct WhatIfStudy {
     pub baseline: ReplayConfig,
     /// The named variant matrix.
     pub variants: Vec<(String, ReplayConfig)>,
-    /// Worker threads for the per-machine extraction and the
-    /// (variant × machine) task grid; 0 means one per core the host
-    /// offers, or 4 when it cannot say. Never changes a single output
-    /// bit.
+    /// Worker threads for the extraction (one task per machine, or per
+    /// segment file of a stored trace) and the (variant × machine) task
+    /// grid; 0 means one per core the host offers, or 4 when it cannot
+    /// say. Never changes a single output bit.
     pub workers: usize,
 }
 
@@ -226,11 +217,20 @@ impl WhatIfStudy {
         self
     }
 
-    /// Runs the matrix over a stored trace and builds the report.
-    /// Extraction visits one machine's segment per task; the first
-    /// segment error in machine order is the study's error.
-    pub fn run(&self, warehouse: &Warehouse) -> Result<WhatIfReport, WhatIfError> {
-        self.run_with(|workers| extract_streams(warehouse, workers).map_err(WhatIfError::Source))
+    /// Runs the matrix over the NTT warehouse directory `dir` and builds
+    /// the report. The directory is read the way
+    /// [`crate::Study::ingest_warehouse`] reads it, one task per segment
+    /// file on the study's workers, so at most `workers` segments are
+    /// resident while the streams are built. A bad directory fails with
+    /// the error the ingest returns, wrapped in [`WhatIfError::Source`]:
+    /// the first failing segment in file-name order, or
+    /// [`NttError::DuplicateMachine`].
+    pub fn run(&self, dir: &Path) -> Result<WhatIfReport, WhatIfError> {
+        self.run_with(|workers| {
+            let parts = visit_segments(dir, workers, |segment, _| stored_stream(segment))
+                .map_err(WhatIfError::Source)?;
+            Ok(parts.into_iter().map(|part| part.value).collect())
+        })
     }
 
     /// Runs the matrix over a live fact table, partitioned by

@@ -33,7 +33,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use nt_sim::{SimDuration, SimTime};
+use nt_sim::SimTime;
 
 pub mod export;
 pub mod profile;
@@ -152,8 +152,6 @@ pub struct TelemetryOptions {
     pub dir: Option<PathBuf>,
     /// Mirror spans to per-machine JSONL logs (needs `dir`).
     pub log_spans: bool,
-    /// Simulated-clock cadence of the gauge/counter sampler.
-    pub sample_interval: SimDuration,
     /// Attach a deterministic [`TraceContext`] to every shipped record
     /// batch and emit parent-linked hop spans (agent → collector →
     /// analysis → warehouse), exported as a Chrome trace-event timeline
@@ -176,7 +174,6 @@ impl Default for TelemetryOptions {
         TelemetryOptions {
             dir: None,
             log_spans: true,
-            sample_interval: SimDuration::from_secs(30),
             trace_shipments: false,
             flight_recorder: false,
             watchdogs: false,

@@ -14,16 +14,11 @@ use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of a scheduled event, usable for cancellation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
-
 type BoxedEvent<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
 
 struct Entry<W> {
     at: SimTime,
     seq: u64,
-    cancelled_slot: usize,
     action: BoxedEvent<W>,
 }
 
@@ -63,14 +58,6 @@ pub struct Engine<W> {
     now: SimTime,
     heap: BinaryHeap<Entry<W>>,
     next_seq: u64,
-    // Cancellation is lazy: a cancelled event stays in the heap and is
-    // dropped when popped. `cancelled` is a bitmap indexed by seq-relative
-    // slot (fired events mark their slot too, so a stale cancel is a
-    // no-op); compacted whenever the heap drains.
-    cancelled: Vec<bool>,
-    // Cancelled entries still sitting in the heap, so `queue_depth` can
-    // report the live count without walking the heap.
-    cancelled_pending: usize,
     fired: u64,
 }
 
@@ -87,8 +74,6 @@ impl<W> Engine<W> {
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
             next_seq: 0,
-            cancelled: Vec::new(),
-            cancelled_pending: 0,
             fired: 0,
         }
     }
@@ -103,16 +88,10 @@ impl<W> Engine<W> {
         self.fired
     }
 
-    /// Number of events currently pending (including lazily-cancelled ones).
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Number of *live* pending events — lazily-cancelled entries still
-    /// in the heap are excluded. This is the telemetry sampler's
-    /// queue-depth gauge; it is O(1), not a heap walk.
+    /// Number of events scheduled but not yet fired: the telemetry
+    /// sampler's queue-depth gauge.
     pub fn queue_depth(&self) -> usize {
-        self.heap.len() - self.cancelled_pending
+        self.heap.len()
     }
 
     /// Schedules `action` to fire at absolute time `at`.
@@ -123,20 +102,16 @@ impl<W> Engine<W> {
         &mut self,
         at: SimTime,
         action: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
-    ) -> EventId {
+    ) {
         debug_assert!(at >= self.now, "scheduling into the past");
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.cancelled.len();
-        self.cancelled.push(false);
         self.heap.push(Entry {
             at,
             seq,
-            cancelled_slot: slot,
             action: Box::new(action),
         });
-        EventId(seq)
     }
 
     /// Schedules `action` to fire `delay` after the current time.
@@ -144,79 +119,22 @@ impl<W> Engine<W> {
         &mut self,
         delay: SimDuration,
         action: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
-    ) -> EventId {
+    ) {
         self.schedule_at(self.now + delay, action)
-    }
-
-    /// Cancels a pending event. Returns `true` when the event had not yet
-    /// fired or been cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let base = self.next_seq - self.cancelled.len() as u64;
-        match id.0.checked_sub(base) {
-            Some(off) if (off as usize) < self.cancelled.len() => {
-                let slot = off as usize;
-                let was = self.cancelled[slot];
-                self.cancelled[slot] = true;
-                if !was {
-                    self.cancelled_pending += 1;
-                }
-                !was
-            }
-            // Already fired (slot compacted away) or never existed.
-            _ => false,
-        }
-    }
-
-    /// Marks a seq's slot dead once its entry leaves the heap, so a later
-    /// `cancel` of the same id correctly reports `false` instead of
-    /// ghost-cancelling a fired event.
-    fn mark_dead(&mut self, seq: u64) {
-        let base = self.next_seq - self.cancelled.len() as u64;
-        if let Some(off) = seq.checked_sub(base) {
-            if (off as usize) < self.cancelled.len() {
-                self.cancelled[off as usize] = true;
-            }
-        }
-    }
-
-    fn slot_cancelled(&self, entry_seq: u64, slot_hint: usize) -> bool {
-        let base = self.next_seq - self.cancelled.len() as u64;
-        match entry_seq.checked_sub(base) {
-            Some(off) if (off as usize) < self.cancelled.len() => self.cancelled[off as usize],
-            _ => {
-                // The slot table was compacted; fall back to the hint, which
-                // is only valid before any compaction. Compaction happens
-                // only when the heap is empty, so a live entry always
-                // resolves through the base offset above.
-                let _ = slot_hint;
-                false
-            }
-        }
     }
 
     /// Fires the single earliest pending event, advancing the clock.
     ///
     /// Returns `false` when no events remain.
     pub fn step(&mut self, world: &mut W) -> bool {
-        loop {
-            let Some(entry) = self.heap.pop() else {
-                self.compact();
-                return false;
-            };
-            debug_assert!(entry.at >= self.now);
-            if self.slot_cancelled(entry.seq, entry.cancelled_slot) {
-                self.cancelled_pending -= 1;
-                continue;
-            }
-            self.mark_dead(entry.seq);
-            self.now = entry.at;
-            self.fired += 1;
-            (entry.action)(world, self);
-            if self.heap.is_empty() {
-                self.compact();
-            }
-            return true;
-        }
+        let Some(entry) = self.heap.pop() else {
+            return false;
+        };
+        debug_assert!(entry.at >= self.now);
+        self.now = entry.at;
+        self.fired += 1;
+        (entry.action)(world, self);
+        true
     }
 
     /// Runs until the queue drains.
@@ -230,37 +148,10 @@ impl<W> Engine<W> {
     /// instant and that one fires too. On return the clock rests at the
     /// last fired event (or `horizon` if nothing fired later).
     pub fn run_until(&mut self, world: &mut W, horizon: SimTime) {
-        loop {
-            // Skip over cancelled heads without firing them.
-            while let Some(head) = self.heap.peek() {
-                if self.slot_cancelled(head.seq, head.cancelled_slot) {
-                    self.heap.pop();
-                    self.cancelled_pending -= 1;
-                } else {
-                    break;
-                }
-            }
-            match self.heap.peek() {
-                Some(head) if head.at <= horizon => {
-                    self.step(world);
-                }
-                _ => {
-                    self.now = self.now.max(horizon);
-                    if self.heap.is_empty() {
-                        self.compact();
-                    }
-                    return;
-                }
-            }
+        while self.heap.peek().is_some_and(|head| head.at <= horizon) {
+            self.step(world);
         }
-    }
-
-    fn compact(&mut self) {
-        // With the heap empty every outstanding slot is dead; reset the
-        // table so `cancelled` cannot grow without bound over a long run.
-        debug_assert_eq!(self.cancelled_pending, 0);
-        self.cancelled.clear();
-        self.cancelled_pending = 0;
+        self.now = self.now.max(horizon);
     }
 }
 
@@ -316,7 +207,7 @@ mod tests {
         eng.run_until(&mut seen, SimTime::from_millis(15));
         assert_eq!(seen, vec![5, 10, 15]);
         assert_eq!(eng.now(), SimTime::from_millis(15));
-        assert_eq!(eng.pending(), 1);
+        assert_eq!(eng.queue_depth(), 1);
         eng.run(&mut seen);
         assert_eq!(seen, vec![5, 10, 15, 20]);
     }
@@ -346,7 +237,7 @@ mod tests {
             "the cascade fired, the later event didn't"
         );
         assert_eq!(eng.now(), SimTime::from_millis(10));
-        assert_eq!(eng.pending(), 1);
+        assert_eq!(eng.queue_depth(), 1);
     }
 
     #[test]
@@ -357,63 +248,17 @@ mod tests {
     }
 
     #[test]
-    fn cancellation() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
-        let _a = eng.schedule_at(SimTime::from_millis(1), |w, _| w.push(1));
-        let b = eng.schedule_at(SimTime::from_millis(2), |w, _| w.push(2));
-        let c = eng.schedule_at(SimTime::from_millis(3), |w, _| w.push(3));
-        assert!(eng.cancel(b));
-        assert!(!eng.cancel(b), "double cancel reports false");
-        let mut seen = Vec::new();
-        eng.run(&mut seen);
-        assert_eq!(seen, vec![1, 3]);
-        assert!(!eng.cancel(c), "cancel after firing reports false");
-    }
-
-    #[test]
-    fn cancelled_head_does_not_block_run_until() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
-        let a = eng.schedule_at(SimTime::from_millis(1), |w, _| w.push(1));
-        eng.schedule_at(SimTime::from_millis(2), |w, _| w.push(2));
-        eng.cancel(a);
-        let mut seen = Vec::new();
-        eng.run_until(&mut seen, SimTime::from_millis(5));
-        assert_eq!(seen, vec![2]);
-    }
-
-    #[test]
-    fn queue_depth_excludes_cancelled_entries() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
-        let a = eng.schedule_at(SimTime::from_millis(1), |w, _| w.push(1));
-        let b = eng.schedule_at(SimTime::from_millis(2), |w, _| w.push(2));
-        eng.schedule_at(SimTime::from_millis(3), |w, _| w.push(3));
-        assert_eq!(eng.queue_depth(), 3);
-        eng.cancel(b);
-        assert_eq!(eng.pending(), 3, "lazy cancel leaves the entry in place");
-        assert_eq!(eng.queue_depth(), 2);
-        let mut seen = Vec::new();
-        assert!(eng.step(&mut seen));
-        assert_eq!(eng.queue_depth(), 1);
-        // Cancelling an already-fired event must not corrupt the count.
-        assert!(!eng.cancel(a), "cancel after firing reports false");
-        assert_eq!(eng.queue_depth(), 1);
-        eng.run(&mut seen);
-        assert_eq!(seen, vec![1, 3]);
-        assert_eq!(eng.queue_depth(), 0);
-        assert_eq!(eng.pending(), 0);
-    }
-
-    #[test]
-    fn compaction_keeps_ids_working() {
+    fn queue_depth_counts_scheduled_unfired_events() {
         let mut eng: Engine<Vec<u32>> = Engine::new();
         eng.schedule_at(SimTime::from_millis(1), |w, _| w.push(1));
+        eng.schedule_at(SimTime::from_millis(2), |w, _| w.push(2));
+        eng.schedule_at(SimTime::from_millis(3), |w, _| w.push(3));
+        assert_eq!(eng.queue_depth(), 3);
         let mut seen = Vec::new();
+        assert!(eng.step(&mut seen));
+        assert_eq!(eng.queue_depth(), 2);
         eng.run(&mut seen);
-        // Heap drained, slots compacted; new events must still be
-        // schedulable and cancellable.
-        let id = eng.schedule_in(SimDuration::from_millis(1), |w, _| w.push(2));
-        assert!(eng.cancel(id));
-        eng.run(&mut seen);
-        assert_eq!(seen, vec![1]);
+        assert_eq!(seen, vec![1, 2, 3]);
+        assert_eq!(eng.queue_depth(), 0);
     }
 }

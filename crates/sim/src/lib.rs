@@ -23,6 +23,6 @@ pub mod engine;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Engine, EventId};
+pub use engine::Engine;
 pub use rng::{derive_seed, rng_for, SimRng};
 pub use time::{SimDuration, SimTime, TICKS_PER_MICRO, TICKS_PER_MILLI, TICKS_PER_SEC};

@@ -32,13 +32,14 @@ impl RecordBatch {
     /// roughly halves the footprint, which is enough realism for a model
     /// whose point is the retrieval interface.
     pub fn compress(records: &[TraceRecord]) -> Self {
-        let mut out = Vec::with_capacity(records.len() * RECORD_SIZE / 2);
+        // Room for every record at full width: each is encoded whole
+        // before its timestamps are cut.
+        let mut out = Vec::with_capacity(records.len() * RECORD_SIZE);
         let mut prev_start = 0u64;
         for rec in records {
-            let mut fixed = BytesMut::with_capacity(RECORD_SIZE);
-            rec.encode(&mut fixed);
-            // Strip the trailing two u64 timestamps; re-encode as varints.
-            out.extend_from_slice(&fixed[..RECORD_SIZE - 16]);
+            rec.encode(&mut out);
+            // Cut the trailing two u64 timestamps; re-encode as varints.
+            out.truncate(out.len() - 16);
             put_varint(&mut out, rec.start_ticks.wrapping_sub(prev_start));
             put_varint(&mut out, rec.end_ticks.saturating_sub(rec.start_ticks));
             prev_start = rec.start_ticks;

@@ -39,10 +39,12 @@
 //!   sinks, and writes the segments in machine order once every task has
 //!   finished.
 //! * [`reader`] — [`SegmentReader`], the [`Segment`] batch and name
-//!   visitors, the `*.ntt` directory listing ([`segment_paths`]) and the
-//!   [`Warehouse`] directory wrapper. The visitors are how both readers
-//!   of a stored trace — analysis re-ingest and what-if replay — walk a
-//!   segment, in one canonical order.
+//!   visitors and the `*.ntt` directory listing ([`segment_paths`]). The
+//!   study reads a warehouse directory through one per-segment driver
+//!   built on these, shared by both consumers of a stored trace —
+//!   analysis re-ingest and what-if replay — so both list a directory,
+//!   walk each segment in one canonical order and report a bad member
+//!   alike.
 //! * [`import`] — foreign-format importers; today an strace-style text
 //!   importer with a loss ledger for malformed input.
 
@@ -53,7 +55,7 @@ pub mod writer;
 
 pub use format::{Footer, FOOTER_SIZE, HEADER_SIZE, NTT_VERSION};
 pub use import::{import_strace, ImportLedger, StraceImport};
-pub use reader::{segment_paths, NameView, RecordView, Segment, SegmentReader, Warehouse};
+pub use reader::{segment_paths, NameView, RecordView, Segment, SegmentReader};
 pub use writer::{SegmentStats, SegmentWriter};
 
 use std::fmt;

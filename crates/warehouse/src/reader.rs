@@ -1,6 +1,5 @@
-//! Zero-copy segment reading and the warehouse directory wrapper.
+//! Zero-copy segment reading and the warehouse directory listing.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use nt_io::EventKind;
@@ -360,7 +359,7 @@ impl<'a> NameView<'a> {
 }
 
 /// The `*.ntt` segment files in `dir`, in file-name order — the order
-/// in which a warehouse reader reports the first bad member.
+/// in which the study's warehouse reader reports the first bad member.
 pub fn segment_paths(dir: &Path) -> Result<Vec<PathBuf>, NttError> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
         .collect::<Result<Vec<_>, _>>()?
@@ -370,69 +369,6 @@ pub fn segment_paths(dir: &Path) -> Result<Vec<PathBuf>, NttError> {
         .collect();
     paths.sort();
     Ok(paths)
-}
-
-/// An opened warehouse directory: every `*.ntt` segment, parsed and
-/// validated, in machine-id order, one per machine.
-pub struct Warehouse {
-    dir: PathBuf,
-    segments: Vec<Segment>,
-}
-
-impl Warehouse {
-    /// Opens `dir`, reading and validating every `.ntt` segment in it.
-    ///
-    /// Members are read in file-name order and the first failure is
-    /// returned. A member that validates but holds a machine an earlier
-    /// member already holds is [`NttError::DuplicateMachine`].
-    pub fn open(dir: &Path) -> Result<Warehouse, NttError> {
-        let paths = segment_paths(dir)?;
-        let mut segments = Vec::with_capacity(paths.len());
-        let mut seen = BTreeSet::new();
-        for path in paths {
-            let segment = Segment::open(&path)?;
-            if !seen.insert(segment.machine()) {
-                return Err(NttError::DuplicateMachine(segment.machine()));
-            }
-            segments.push(segment);
-        }
-        segments.sort_by_key(Segment::machine);
-        Ok(Warehouse {
-            dir: dir.to_path_buf(),
-            segments,
-        })
-    }
-
-    /// The directory this warehouse was opened from.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The validated segments, in machine-id order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
-    /// Machine ids present, in order.
-    pub fn machines(&self) -> Vec<u32> {
-        self.segments.iter().map(Segment::machine).collect()
-    }
-
-    /// The one segment holding `machine`, if any.
-    pub fn segment(&self, machine: u32) -> Option<&Segment> {
-        self.segments
-            .binary_search_by_key(&machine, Segment::machine)
-            .ok()
-            .map(|i| &self.segments[i])
-    }
-
-    /// Total records across segments.
-    pub fn total_records(&self) -> u64 {
-        self.segments
-            .iter()
-            .map(|s| s.reader().record_count())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -532,10 +468,16 @@ mod tests {
         })
         .unwrap();
         std::fs::write(dir.join("m00009.ntt"), w.finish()).unwrap();
+        std::fs::write(dir.join("notes.txt"), b"not a segment").unwrap();
 
-        let warehouse = Warehouse::open(&dir).unwrap();
-        assert_eq!(warehouse.machines(), vec![9]);
-        let segment = warehouse.segment(9).expect("machine 9 has a segment");
+        let paths = segment_paths(&dir).unwrap();
+        assert_eq!(
+            paths,
+            vec![dir.join("m00009.ntt")],
+            "only `*.ntt` is listed"
+        );
+        let segment = Segment::open(&paths[0]).unwrap();
+        assert_eq!(segment.machine(), 9);
 
         let mut batches = Vec::new();
         segment
@@ -550,8 +492,6 @@ mod tests {
             .visit_names(|seq, n| names.push((seq, n.path)))
             .unwrap();
         assert_eq!(names, vec![(0, r"\a\b.txt".to_string())]);
-
-        assert!(warehouse.segment(10).is_none(), "machine 10 has no segment");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

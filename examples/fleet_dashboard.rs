@@ -34,7 +34,6 @@ fn config(dir: PathBuf) -> StudyConfig {
     c.faults = FaultPlan::lossy();
     c.telemetry = TelemetryConfig::On(TelemetryOptions {
         dir: Some(dir),
-        sample_interval: SimDuration::from_secs(30),
         trace_shipments: true,
         flight_recorder: true,
         watchdogs: true,

@@ -17,7 +17,6 @@ use nt_analysis::processes::process_analysis;
 use nt_cache::CacheConfig;
 use nt_io::DiskParams;
 use nt_study::{ReplayConfig, ShardOptions, Study, StudyConfig, WhatIfStudy};
-use nt_warehouse::Warehouse;
 
 fn main() {
     // Run the study so every shipment is teed into an NTT warehouse on
@@ -100,15 +99,10 @@ fn main() {
     println!("\nroll-up consistency check passed.");
 
     // The §9 workflow: the trace at rest is a full simulation input.
-    // Open the exported warehouse and answer a what-if matrix from it —
-    // no live fleet, no retained fact tables needed.
+    // Answer a what-if matrix from the exported warehouse directory —
+    // no live fleet, no retained fact tables needed. The directory is
+    // read one segment per task, as the analysis re-ingest reads it.
     println!("\nwhat-if replay from the stored warehouse:");
-    let warehouse = Warehouse::open(&dir).expect("warehouse was just exported");
-    println!(
-        "  {} segments, {} stored records",
-        warehouse.segments().len(),
-        warehouse.total_records()
-    );
     let report = WhatIfStudy::new(ReplayConfig::default())
         .variant(
             "no-read-ahead",
@@ -127,8 +121,13 @@ fn main() {
                 ..ReplayConfig::default()
             },
         )
-        .run(&warehouse)
+        .run(&dir)
         .expect("stored variants reconcile");
+    println!(
+        "  {} segments, {} stored records",
+        report.machines.len(),
+        report.baseline.total.source_records
+    );
     println!("\n{}", report.render_summary());
 
     // The same matrix from the live fact tables answers identically —

@@ -269,7 +269,6 @@ fn driver_stack_keeps_the_faulted_fleet_bit_identical() {
     let mut watched_config = locked_fleet();
     watched_config.telemetry = nt_study::TelemetryConfig::On(nt_study::TelemetryOptions {
         dir: Some(dir.clone()),
-        sample_interval: nt_sim::SimDuration::from_secs(30),
         ..nt_study::TelemetryOptions::default()
     });
     let watched = Study::run(&watched_config).expect("study runs");

@@ -78,7 +78,6 @@ fn telemetry_does_not_perturb_the_study() {
     let mut watched_config = faulted_fleet(4_040);
     watched_config.telemetry = TelemetryConfig::On(TelemetryOptions {
         dir: Some(dir.clone()),
-        sample_interval: nt_sim::SimDuration::from_secs(30),
         ..TelemetryOptions::default()
     });
     let watched = Study::run(&watched_config).expect("study runs");
@@ -203,7 +202,6 @@ fn shipment_tracing_does_not_perturb_the_sharded_study() {
     let mut traced_config = faulted_fleet(5_050);
     traced_config.telemetry = TelemetryConfig::On(TelemetryOptions {
         dir: Some(dir.clone()),
-        sample_interval: nt_sim::SimDuration::from_secs(30),
         trace_shipments: true,
         flight_recorder: true,
         watchdogs: true,

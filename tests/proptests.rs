@@ -654,55 +654,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Engine cancellation under faulted schedules: cancelling the events a
-// fault window covers removes exactly those, preserving order and the
-// FIFO tie break for the survivors.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #[test]
-    fn engine_cancellation_removes_exactly_the_faulted_events(
-        times in prop::collection::vec(0u64..5_000, 1..80),
-        window in (0u64..5_000, 1u64..2_000),
-    ) {
-        use nt_trace::{any_contains, TickWindow};
-
-        // The fault window in milliseconds; events inside it are the
-        // work an outage would cancel.
-        let windows = [TickWindow::new(window.0, window.0 + window.1)];
-        let mut engine: Engine<Vec<(u64, usize)>> = Engine::new();
-        let mut cancelled = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            let id = engine.schedule_at(SimTime::from_millis(t), move |w: &mut Vec<(u64, usize)>, eng: &mut Engine<Vec<(u64, usize)>>| {
-                w.push((eng.now().as_millis(), i));
-            });
-            if any_contains(&windows, t) {
-                prop_assert!(engine.cancel(id));
-                prop_assert!(!engine.cancel(id), "double cancel reports false");
-                cancelled.push(i);
-            }
-        }
-        let mut fired = Vec::new();
-        engine.run(&mut fired);
-
-        // The survivors are exactly the out-of-window events, in time
-        // order with scheduling order breaking ties.
-        let mut expected: Vec<(u64, usize)> = times
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| !any_contains(&windows, t))
-            .map(|(i, &t)| (t, i))
-            .collect();
-        expected.sort();
-        prop_assert_eq!(fired, expected);
-        prop_assert_eq!(
-            engine.events_fired() as usize + cancelled.len(),
-            times.len()
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
 // Volume namespace vs a flat-map model.
 // ---------------------------------------------------------------------
 

@@ -132,7 +132,6 @@ fn faulted_fleet(telemetry_on: bool) -> StudyConfig {
     config.faults = nt_study::FaultPlan::lossy();
     if telemetry_on {
         config.telemetry = nt_study::TelemetryConfig::On(nt_study::TelemetryOptions {
-            sample_interval: nt_sim::SimDuration::from_secs(30),
             ..nt_study::TelemetryOptions::default()
         });
     }

@@ -247,7 +247,6 @@ fn traced_fleet(seed: u64, dir: &std::path::Path) -> StudyConfig {
     c.faults = FaultPlan::lossy();
     c.telemetry = TelemetryConfig::On(TelemetryOptions {
         dir: Some(dir.to_path_buf()),
-        sample_interval: nt_sim::SimDuration::from_secs(30),
         trace_shipments: true,
         flight_recorder: true,
         watchdogs: true,

@@ -12,18 +12,21 @@
 //!
 //! The rest of the suite covers the corruption taxonomy (typed errors,
 //! never panics), bad and duplicate members of a warehouse directory
-//! through both `Warehouse::open` and the parallel
-//! `Study::ingest_warehouse`, the strace importer end-to-end through the
-//! ingest, the DFG conformance check, the flat-vs-sharded export byte
-//! identity, and a full disk during the live export.
+//! through both doors that read one — `Study::ingest_warehouse` and
+//! `WhatIfStudy::run`, which share one per-segment reader — the strace
+//! importer end-to-end through the ingest, the DFG conformance check,
+//! the flat-vs-sharded export byte identity, and a full disk during the
+//! live export.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use nt_io::{EventKind, MajorFunction, NtStatus};
-use nt_study::{ShardOptions, StreamOptions, Study, StudyConfig};
+use nt_study::{
+    ReplayConfig, ShardOptions, StreamOptions, Study, StudyConfig, WhatIfError, WhatIfStudy,
+};
 use nt_trace::{NameRecord, TraceRecord, RECORD_SIZE};
 use nt_warehouse::{
-    import_strace, NttError, Segment, SegmentWriter, Warehouse, HEADER_SIZE, NTT_VERSION,
+    import_strace, segment_paths, NttError, Segment, SegmentWriter, HEADER_SIZE, NTT_VERSION,
 };
 
 fn golden_path() -> PathBuf {
@@ -117,6 +120,27 @@ fn fixture_names() -> Vec<NameRecord> {
             at_ticks: 8_000,
         },
     ]
+}
+
+/// Reads `dir` through both doors, the analysis re-ingest and a
+/// baseline-only what-if replay, and returns the one error both give:
+/// the same [`NttError`] variant, rendered identically.
+fn both_doors_refuse(dir: &Path) -> NttError {
+    let ingest = Study::ingest_warehouse(dir, &StreamOptions::default())
+        .err()
+        .expect("the ingest refuses the directory");
+    let replay = match WhatIfStudy::new(ReplayConfig::default()).run(dir) {
+        Err(WhatIfError::Source(e)) => e,
+        Err(other) => panic!("the replay must fail on its source, got {other}"),
+        Ok(report) => panic!("the replay accepted {} machines", report.machines.len()),
+    };
+    assert_eq!(
+        std::mem::discriminant(&ingest),
+        std::mem::discriminant(&replay),
+        "ingest: {ingest}; replay: {replay}"
+    );
+    assert_eq!(ingest.to_string(), replay.to_string());
+    ingest
 }
 
 fn fixture_segment() -> Vec<u8> {
@@ -345,8 +369,8 @@ fn flat_and_sharded_exports_write_identical_segments() {
     let shard_stats = sharded.data.warehouse.expect("sharded export stats");
     assert_eq!(flat_stats, shard_stats, "per-segment stats agree");
 
-    let flat_wh = Warehouse::open(&flat_dir).expect("flat warehouse opens");
-    assert_eq!(flat_wh.machines().len(), config.machines.len());
+    let listed = segment_paths(&flat_dir).expect("flat warehouse lists");
+    assert_eq!(listed.len(), config.machines.len());
     for stat in &flat_stats {
         let name = format!("machine-{:05}.ntt", stat.machine);
         let a = std::fs::read(flat_dir.join(&name)).expect("flat segment");
@@ -361,25 +385,21 @@ fn flat_and_sharded_exports_write_identical_segments() {
 }
 
 #[test]
-fn warehouse_open_rejects_a_corrupt_member_segment() {
+fn a_corrupt_member_segment_fails_both_doors_alike() {
     // A bad member fails the whole directory with its own typed error,
-    // through `Warehouse::open` and through the parallel ingest alike.
-    // Every case returns rather than panics, and the ingest's scoped
-    // pool has joined its threads by the time it does.
+    // through the analysis re-ingest and the what-if replay alike, since
+    // both read it through one per-segment reader. Every case returns
+    // rather than panics, and the scoped pool has joined its threads by
+    // the time it does.
     let reject = |tag: &str, members: Vec<(&str, Vec<u8>)>| {
         let dir = temp_dir(tag);
         std::fs::create_dir_all(&dir).unwrap();
         for (name, bytes) in &members {
             std::fs::write(dir.join(name), bytes).unwrap();
         }
-        let open = Warehouse::open(&dir)
-            .err()
-            .expect("Warehouse::open rejects the directory");
-        let ingest = Study::ingest_warehouse(&dir, &StreamOptions::default())
-            .err()
-            .expect("the ingest rejects the directory");
+        let err = both_doors_refuse(&dir);
         let _ = std::fs::remove_dir_all(&dir);
-        (open, ingest)
+        err
     };
     let flipped = |machine: u32| {
         let mut bytes = fixture_segment_for(machine);
@@ -399,37 +419,34 @@ fn warehouse_open_rejects_a_corrupt_member_segment() {
     // Both members carry machine 7. A member is compared with its
     // siblings only once it has validated, so the corrupt one's checksum
     // error wins over the duplicate it would otherwise be.
-    let (open, ingest) = reject(
+    let err = reject(
         "reject",
         vec![
             ("machine-00007.ntt", fixture_segment()),
             ("machine-00008.ntt", flipped(7)),
         ],
     );
-    assert!(is_checksum(&open), "open: {open}");
-    assert!(is_checksum(&ingest), "ingest: {ingest}");
+    assert!(is_checksum(&err), "got {err}");
 
     // A truncated member gives the error `Segment::open` gives for it.
     let direct = Segment::parse(truncated(8))
         .err()
         .expect("a truncated segment is invalid");
     assert!(is_truncated(&direct), "got {direct}");
-    let (open, ingest) = reject(
+    let err = reject(
         "truncated",
         vec![
             ("machine-00007.ntt", fixture_segment()),
             ("machine-00008.ntt", truncated(8)),
         ],
     );
-    for err in [open, ingest] {
-        assert_eq!(err.to_string(), direct.to_string());
-    }
+    assert_eq!(err.to_string(), direct.to_string());
 
     // Two bad members with distinct machines: the first in file-name
     // order is the error, in either arrangement. With two workers the
     // last member is the second worker's first task, so its error is
     // usually found first in time.
-    let (open, ingest) = reject(
+    let err = reject(
         "first-truncated",
         vec![
             ("machine-00007.ntt", fixture_segment()),
@@ -437,9 +454,8 @@ fn warehouse_open_rejects_a_corrupt_member_segment() {
             ("machine-00009.ntt", flipped(9)),
         ],
     );
-    assert!(is_truncated(&open), "open: {open}");
-    assert!(is_truncated(&ingest), "ingest: {ingest}");
-    let (open, ingest) = reject(
+    assert!(is_truncated(&err), "got {err}");
+    let err = reject(
         "first-flipped",
         vec![
             ("machine-00007.ntt", fixture_segment()),
@@ -447,12 +463,11 @@ fn warehouse_open_rejects_a_corrupt_member_segment() {
             ("machine-00009.ntt", truncated(9)),
         ],
     );
-    assert!(is_checksum(&open), "open: {open}");
-    assert!(is_checksum(&ingest), "ingest: {ingest}");
+    assert!(is_checksum(&err), "got {err}");
 
     // A second valid segment for machine 7 is a bad member at its own
     // place in that order, ahead of a corrupt member named after it.
-    let (open, ingest) = reject(
+    let err = reject(
         "duplicate-first",
         vec![
             ("machine-00007.ntt", fixture_segment()),
@@ -460,16 +475,14 @@ fn warehouse_open_rejects_a_corrupt_member_segment() {
             ("machine-00009.ntt", flipped(9)),
         ],
     );
-    for err in [open, ingest] {
-        assert!(matches!(err, NttError::DuplicateMachine(7)), "got {err}");
-    }
+    assert!(matches!(err, NttError::DuplicateMachine(7)), "got {err}");
 }
 
 #[test]
 fn a_second_segment_for_one_machine_is_refused_not_double_counted() {
     // A smoke export plus a copy of one of its segments under another
-    // name. Reading both would count machine 0 twice; both readers
-    // refuse the directory instead.
+    // name. Reading both would count machine 0 twice; both doors refuse
+    // the directory instead.
     let dir = temp_dir("duplicate");
     let live = Study::try_run_sharded(
         &StudyConfig::smoke_test(7),
@@ -483,19 +496,17 @@ fn a_second_segment_for_one_machine_is_refused_not_double_counted() {
     let ingest =
         Study::ingest_warehouse(&dir, &StreamOptions::default()).expect("the export ingests");
     assert_eq!(ingest.records, live.summary.records);
+    let replay = WhatIfStudy::new(ReplayConfig::default())
+        .run(&dir)
+        .expect("the export replays");
+    assert_eq!(replay.machines, ingest.machines);
 
     std::fs::copy(
         dir.join("machine-00000.ntt"),
         dir.join("machine-00000-copy.ntt"),
     )
     .unwrap();
-    let err = Warehouse::open(&dir)
-        .err()
-        .expect("Warehouse::open refuses a duplicate");
-    assert!(matches!(err, NttError::DuplicateMachine(0)), "got {err}");
-    let err = Study::ingest_warehouse(&dir, &StreamOptions::default())
-        .err()
-        .expect("the ingest refuses a duplicate");
+    let err = both_doors_refuse(&dir);
     assert!(matches!(err, NttError::DuplicateMachine(0)), "got {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,8 +8,9 @@
 //! audit, an injected drift must be named by variant, and the §9-style
 //! delta summary is locked against a golden file
 //! (`GOLDEN_REGEN=1 cargo test --test whatif` to regenerate). A stored
-//! trace with undecodable records fails the study with the first bad
-//! machine's typed error, on any worker count.
+//! trace with undecodable records fails the study with the typed error
+//! of the first bad segment file, on any worker count — the error the
+//! analysis re-ingest of the same directory returns.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -19,12 +20,12 @@ use nt_analysis::TraceSet;
 use nt_cache::CacheConfig;
 use nt_io::DiskParams;
 use nt_study::{
-    audit_variant, FaultPlan, ReplayConfig, ShardOptions, Study, StudyConfig, WhatIfError,
-    WhatIfReport, WhatIfStudy,
+    audit_variant, FaultPlan, ReplayConfig, ShardOptions, StreamOptions, Study, StudyConfig,
+    WhatIfError, WhatIfReport, WhatIfStudy,
 };
 use nt_trace::RECORD_SIZE;
 use nt_warehouse::format::xxh64;
-use nt_warehouse::{NttError, Warehouse, HEADER_SIZE};
+use nt_warehouse::{NttError, HEADER_SIZE};
 
 /// The faulted 45-machine fleet, trimmed to a tier-1-friendly period.
 fn faulted_fleet() -> StudyConfig {
@@ -102,10 +103,9 @@ fn fixture() -> &'static Fixture {
             .workers(8)
             .run_trace_set(&trace)
             .expect("parallel live matrix reconciles");
-        let warehouse = Warehouse::open(&dir).expect("fleet exported a warehouse");
         let stored = matrix()
             .workers(3)
-            .run(&warehouse)
+            .run(&dir)
             .expect("warehouse matrix reconciles");
         let _ = std::fs::remove_dir_all(&dir);
         Fixture {
@@ -278,7 +278,7 @@ fn live_source_covers_the_whole_trace() {
 }
 
 #[test]
-fn a_bad_record_fails_the_study_with_the_first_machine_s_error() {
+fn a_bad_record_fails_the_study_with_the_first_file_s_error() {
     let dir = std::env::temp_dir().join(format!("nt-whatif-bad-record-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     Study::try_run_sharded(
@@ -292,7 +292,8 @@ fn a_bad_record_fails_the_study_with_the_first_machine_s_error() {
     // An invalid event code in record 3 of machine 2 and record 0 of
     // machine 4, each segment re-sealed so it still validates: the
     // footer ends with the XXH64 over every byte before it, then the
-    // end magic.
+    // end magic. Validation does not decode records, so each error
+    // surfaces only when its segment is read.
     for (file, record) in [("machine-00002.ntt", 3), ("machine-00004.ntt", 0)] {
         let path = dir.join(file);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -302,16 +303,30 @@ fn a_bad_record_fails_the_study_with_the_first_machine_s_error() {
         bytes[sealed..sealed + 8].copy_from_slice(&checksum.to_le_bytes());
         std::fs::write(&path, bytes).unwrap();
     }
-    let warehouse = Warehouse::open(&dir).expect("validation does not decode records");
-    for workers in [1, 8] {
-        match matrix().workers(workers).run(&warehouse) {
-            Err(WhatIfError::Source(NttError::BadRecord { index: 3 })) => {}
+    // Both doors report the first bad file in file-name order, not in
+    // machine order: machine 2's, then, once machine 4's segment is
+    // renamed to sort first, machine 4's.
+    let expect_first = |index: u64| {
+        for workers in [1, 8] {
+            match matrix().workers(workers).run(&dir) {
+                Err(WhatIfError::Source(NttError::BadRecord { index: got })) if got == index => {}
+                other => panic!(
+                    "{workers} workers: expected BadRecord {{ index: {index} }}, got {:?}",
+                    other.map(|report| report.machines)
+                ),
+            }
+        }
+        match Study::ingest_warehouse(&dir, &StreamOptions::default()) {
+            Err(NttError::BadRecord { index: got }) if got == index => {}
             other => panic!(
-                "{workers} workers: expected machine 2's BadRecord {{ index: 3 }}, got {:?}",
-                other.map(|report| report.machines)
+                "ingest: expected BadRecord {{ index: {index} }}, got {:?}",
+                other.map(|ingest| ingest.machines)
             ),
         }
-    }
+    };
+    expect_first(3);
+    std::fs::rename(dir.join("machine-00004.ntt"), dir.join("a-machine-4.ntt")).unwrap();
+    expect_first(0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
