@@ -12,10 +12,10 @@
 //! With `NT_BENCH_GATE=1` the harness enforces the checked-in baseline
 //! two ways. First, the **full-baseline regression gate**: every
 //! `*_min_ns` entry in `BENCH_streaming.json` is re-measured and judged
-//! against its recorded floor at `NT_BENCH_FULL_TOLERANCE` percent
-//! slowdown budget (default 50 — raw nanoseconds wear host noise that
-//! the ratio gates below cancel away, so the raw budget is loose; it
-//! exists to catch the 2x cliffs the three ratio gates never saw).
+//! against its recorded floor at a [`FULL_TOLERANCE`] of 50 percent
+//! slowdown (raw nanoseconds wear host noise that the ratio gates below
+//! cancel away, so the raw budget is loose; it exists to catch the 2x
+//! cliffs the three ratio gates never saw).
 //! Entries recorded at a different `NT_BENCH_ITERS` than the current
 //! run are refused outright rather than judged — fewer iterations mean
 //! noisier minima, so cross-iteration comparisons would gate on noise.
@@ -33,19 +33,19 @@
 //! study, normalised against the machine-construction phase measured
 //! beside it (same volume, file table and allocator — only simulate
 //! crosses the instrumented paths), must stay within
-//! `NT_BENCH_TOLERANCE` percent (default 3) of the checked-in baseline
-//! (see [`gate`]). The whole `nt-obs` layer rides
-//! the study hot paths, so this is the regression tripwire proving the
-//! Off configuration stays free.
+//! [`TELEMETRY_TOLERANCE`], 3 percent, of the checked-in baseline
+//! (see [`gate`]). The whole `nt-obs` layer rides the study hot paths,
+//! so this is the regression tripwire proving the Off configuration
+//! stays free.
 //!
 //! The gate also covers the sharded collection tree: a 4-shard smoke
 //! study, normalised against the one-shard study of the same driver
 //! measured beside it on the same single worker thread, must stay within
-//! `NT_BENCH_SHARD_TOLERANCE` percent (default 25) of the checked-in
-//! ratio. Every machine task owns its collector handle and sinks, and
-//! the fleet root merges the machine partials in machine order whatever
-//! the shard count, so the only extra work of four shards is the shard
-//! tier's bookkeeping: a tracer handle, a merge-boundary event and a
+//! [`SHARD_TOLERANCE`], 25 percent, of the checked-in ratio. Every
+//! machine task owns its collector handle and sinks, and the fleet root
+//! merges the machine partials in machine order whatever the shard
+//! count, so the only extra work of four shards is the shard tier's
+//! bookkeeping: a tracer handle, a merge-boundary event and a
 //! `ShardReport` per shard. The checked-in ratio therefore sits near 1,
 //! and the gate catches any cost that grows with the shard count rather
 //! than with the machines.
@@ -53,9 +53,11 @@
 //! And it covers the NTT warehouse encoder: serializing 100k records
 //! into a segment, normalised against building the batch fact tables
 //! over the same records beside it, must stay within
-//! `NT_BENCH_WAREHOUSE_TOLERANCE` percent (default 25) of the
-//! checked-in ratio. That keeps "export the study while running it"
-//! cheap enough to leave on.
+//! [`WAREHOUSE_TOLERANCE`], 25 percent, of the checked-in ratio. That
+//! keeps "export the study while running it" cheap enough to leave on.
+//!
+//! The four budgets are constants, not environment settings: a budget
+//! the environment can set is a knob whose only use is to loosen a gate.
 
 use std::time::Instant;
 
@@ -145,9 +147,15 @@ const RATIO_GATE_ENTRIES: &[&str] = &[
     "gate_warehouse_reference",
 ];
 
+// The gates' slowdown budgets, in percent.
+const FULL_TOLERANCE: f64 = 50.0;
+const TELEMETRY_TOLERANCE: f64 = 3.0;
+const SHARD_TOLERANCE: f64 = 25.0;
+const WAREHOUSE_TOLERANCE: f64 = 25.0;
+
 /// The full-baseline regression gate: judges this run's samples against
 /// every `*_min_ns` entry of the checked-in baseline. Fails on a
-/// regression beyond `NT_BENCH_FULL_TOLERANCE` percent, on a stale or
+/// regression beyond [`FULL_TOLERANCE`] percent, on a stale or
 /// missing entry, and refuses entries recorded at a different
 /// `NT_BENCH_ITERS` than the current run.
 ///
@@ -157,14 +165,13 @@ const RATIO_GATE_ENTRIES: &[&str] = &[
 /// background compile landing on one single-iteration minimum — spikes
 /// one round and passes the next.
 fn gate_full_baseline(baseline: &Baseline, benches: &mut [Bench], samples: &mut [Sample]) {
-    let tolerance = env_tolerance("NT_BENCH_FULL_TOLERANCE", 50.0);
     let mut checks = Vec::new();
     for round in 1..=3 {
         let current: Vec<(String, u128, u32)> = samples
             .iter()
             .map(|s| (s.name.to_string(), s.min_ns, s.iters))
             .collect();
-        checks = check_min_ns(baseline, &current, RATIO_GATE_ENTRIES, tolerance);
+        checks = check_min_ns(baseline, &current, RATIO_GATE_ENTRIES, FULL_TOLERANCE);
         let over: Vec<&str> = checks
             .iter()
             .filter(|c| c.verdict == Verdict::Regressed)
@@ -200,7 +207,7 @@ fn gate_full_baseline(baseline: &Baseline, benches: &mut [Bench], samples: &mut 
             Verdict::ItersMismatch => "REFUSED (recorded at different NT_BENCH_ITERS)",
         };
         eprintln!(
-            "bench gate [full/{}]: {} ns vs baseline {} ns ({:+.1}%, budget {tolerance}%) {verdict}",
+            "bench gate [full/{}]: {} ns vs baseline {} ns ({:+.1}%, budget {FULL_TOLERANCE}%) {verdict}",
             c.name,
             c.current_min_ns.map_or_else(|| "-".into(), |v| v.to_string()),
             c.baseline_min_ns.map_or_else(|| "-".into(), |v| v.to_string()),
@@ -247,28 +254,21 @@ fn gate(baseline_path: &str, benches: &mut [Bench], samples: &mut [Sample]) {
     gate_ratio(
         "telemetry-off overhead",
         baseline_min("gate_smoke_serial") / baseline_min("gate_reference"),
-        env_tolerance("NT_BENCH_TOLERANCE", 3.0),
+        TELEMETRY_TOLERANCE,
         gate_measurements,
     );
     gate_ratio(
         "sharded-tree overhead",
         baseline_min("gate_sharded") / baseline_min("gate_sharded_reference"),
-        env_tolerance("NT_BENCH_SHARD_TOLERANCE", 25.0),
+        SHARD_TOLERANCE,
         gate_sharded_measurements,
     );
     gate_ratio(
         "warehouse encode overhead",
         baseline_min("gate_warehouse") / baseline_min("gate_warehouse_reference"),
-        env_tolerance("NT_BENCH_WAREHOUSE_TOLERANCE", 25.0),
+        WAREHOUSE_TOLERANCE,
         gate_warehouse_measurements,
     );
-}
-
-fn env_tolerance(var: &str, default: f64) -> f64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Judges one (numerator, reference) ratio against its baseline.

@@ -14,12 +14,15 @@
 //! * doubling of read-ahead when the file was opened sequential-only;
 //! * prediction of sequential access on the 3rd sequential request, with a
 //!   fuzzy comparison that masks the low 7 bits of offsets;
-//! * lazy-writer scans once per second, writing a quarter of the dirty
-//!   pages in bursts of requests up to 64 KB;
+//! * lazy-writer scans once per second, writing an eighth of each file's
+//!   dirty pages in bursts of up to eight requests of up to 64 KB;
 //! * the temporary-file attribute keeping dirty pages off the disk queue;
 //! * the SetEndOfFile issued before close of a written file (§8.3);
 //! * the two-stage cleanup/close dance (§8.1): read-cached files close
-//!   4–10 ms after cleanup, write-cached ones only after dirty data drains.
+//!   4–10 µs after cleanup, write-cached ones only after dirty data drains.
+//!
+//! [`CacheConfig`] holds what an ablation or a what-if variant varies; the
+//! other figures are constants in [`manager`].
 
 pub mod manager;
 pub mod metrics;
@@ -28,7 +31,7 @@ pub mod read_ahead;
 
 pub use manager::{
     CacheConfig, CacheManager, CacheOpenHints, CleanupOutcome, PagingAction, PagingIo, ReadOutcome,
-    WriteOutcome, PAGE_SIZE,
+    WriteOutcome, CLEAN_CLOSE_DELAY, PAGE_SIZE,
 };
 pub use metrics::CacheMetrics;
 pub use range_set::RangeSet;

@@ -26,28 +26,31 @@ fn page_ceil(x: u64) -> u64 {
     x.div_ceil(PAGE_SIZE) * PAGE_SIZE
 }
 
-/// Tunables of the cache manager, defaulting to the behaviour the paper
-/// measured on NT 4.0.
+/// Standard read-ahead granularity (§9.1: 4096 bytes).
+const READAHEAD_GRANULARITY: u64 = 4_096;
+/// The lazy writer writes `dirty / LAZY_WRITE_DIVISOR` bytes of a file
+/// per scan (NT uses an adaptive fraction; 1/8 is the classic figure).
+const LAZY_WRITE_DIVISOR: u64 = 8;
+/// Maximum size of a single lazy-write request (§9.2: up to 64 KB).
+const MAX_WRITE_BURST: u64 = 65_536;
+/// Maximum lazy-write requests issued per file per scan (§9.2: bursts
+/// of 2–8 requests).
+const MAX_BURST_REQUESTS: usize = 8;
+/// Delay between cleanup and close for clean files (§8.1).
+pub const CLEAN_CLOSE_DELAY: SimDuration = SimDuration::from_micros(6);
+
+/// The cache-manager policy axes an ablation or a what-if variant sets,
+/// defaulting to the behaviour the paper measured on NT 4.0.
 #[derive(Clone, Debug)]
 pub struct CacheConfig {
-    /// Standard read-ahead granularity (§9.1: 4096 bytes).
-    pub readahead_granularity: u64,
     /// Boosted granularity FAT/NTFS request for most files (§9.1: 64 KB).
     pub boosted_granularity: u64,
     /// Files at least this large get the boosted granularity.
     pub boost_threshold: u64,
-    /// Period of the lazy-writer scan (§9.2: every second).
+    /// Period of the lazy-writer scan (§9.2: every second); must be
+    /// positive. What-if replay honours it. A study scans every second,
+    /// because `StudyConfig` carries no `CacheConfig`.
     pub lazy_write_interval: SimDuration,
-    /// The lazy writer writes `dirty / lazy_write_divisor` bytes per scan
-    /// (NT uses an adaptive fraction; 1/8 is the classic figure).
-    pub lazy_write_divisor: u64,
-    /// Maximum size of a single lazy-write request (§9.2: up to 64 KB).
-    pub max_write_burst: u64,
-    /// Maximum lazy-write requests issued per file per scan (§9.2: bursts
-    /// of 2–8 requests).
-    pub max_burst_requests: usize,
-    /// Delay between cleanup and close for clean files (§8.1).
-    pub clean_close_delay: SimDuration,
     /// Ablation: disable read-ahead entirely (demand paging only).
     pub readahead_enabled: bool,
     /// Ablation: treat every file as write-through (no lazy writer).
@@ -57,14 +60,9 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
-            readahead_granularity: 4_096,
             boosted_granularity: 65_536,
             boost_threshold: 4_096,
             lazy_write_interval: SimDuration::from_secs(1),
-            lazy_write_divisor: 8,
-            max_write_burst: 65_536,
-            max_burst_requests: 8,
-            clean_close_delay: SimDuration::from_micros(6),
             readahead_enabled: true,
             force_write_through: false,
         }
@@ -168,7 +166,6 @@ pub struct CacheManager<K> {
     resident_total: u64,
     metrics: CacheMetrics,
     telemetry: Telemetry,
-    last_scan: SimTime,
     touch_clock: u64,
 }
 
@@ -182,7 +179,6 @@ impl<K: Ord + Clone> CacheManager<K> {
             resident_total: 0,
             metrics: CacheMetrics::default(),
             telemetry: Telemetry::off(),
-            last_scan: SimTime::ZERO,
             touch_clock: 0,
         }
     }
@@ -196,11 +192,6 @@ impl<K: Ord + Clone> CacheManager<K> {
     /// Creates a manager with the NT 4.0 defaults.
     pub fn with_defaults() -> Self {
         Self::new(CacheConfig::default())
-    }
-
-    /// The tunables in use.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Counters for the §9 analysis.
@@ -228,7 +219,7 @@ impl<K: Ord + Clone> CacheManager<K> {
         if file_size >= self.config.boost_threshold {
             self.config.boosted_granularity
         } else {
-            self.config.readahead_granularity
+            READAHEAD_GRANULARITY
         }
     }
 
@@ -464,7 +455,7 @@ impl<K: Ord + Clone> CacheManager<K> {
         };
         let mut ios = Vec::new();
         loop {
-            let chunk = fc.dirty.take_front(self.config.max_write_burst);
+            let chunk = fc.dirty.take_front(MAX_WRITE_BURST);
             if chunk.is_empty() {
                 break;
             }
@@ -486,12 +477,12 @@ impl<K: Ord + Clone> CacheManager<K> {
         ios
     }
 
-    /// One lazy-writer scan (§9.2). Call once per
-    /// [`CacheConfig::lazy_write_interval`]. Returns the paging writes to
-    /// issue, plus the keys whose deferred close can now complete.
+    /// One lazy-writer scan (§9.2). A study scans every second, because
+    /// `StudyConfig` carries no `CacheConfig`; what-if replay scans once
+    /// per [`CacheConfig::lazy_write_interval`]. Returns the paging writes
+    /// to issue, plus the keys whose deferred close can now complete.
     pub fn lazy_scan(&mut self, now: SimTime) -> (Vec<PagingAction<K>>, Vec<K>) {
         let _span = self.telemetry.span(Phase::Cache, "cache.lazy_scan", now);
-        self.last_scan = now;
         let mut actions = Vec::new();
         let mut closable = Vec::new();
         // Only the worklist — clean resident maps never concern the lazy
@@ -534,15 +525,13 @@ impl<K: Ord + Clone> CacheManager<K> {
             }
             // Write an eighth of the dirty data, at least one page, capped
             // by the burst limits.
-            let budget = (dirty / self.config.lazy_write_divisor)
+            let budget = (dirty / LAZY_WRITE_DIVISOR)
                 .max(PAGE_SIZE)
-                .min(self.config.max_write_burst * self.config.max_burst_requests as u64);
+                .min(MAX_WRITE_BURST * MAX_BURST_REQUESTS as u64);
             let mut issued = 0usize;
             let mut remaining = budget;
-            while remaining > 0 && issued < self.config.max_burst_requests {
-                let chunk = fc
-                    .dirty
-                    .take_front(remaining.min(self.config.max_write_burst));
+            while remaining > 0 && issued < MAX_BURST_REQUESTS {
+                let chunk = fc.dirty.take_front(remaining.min(MAX_WRITE_BURST));
                 if chunk.is_empty() {
                     break;
                 }
@@ -560,7 +549,7 @@ impl<K: Ord + Clone> CacheManager<K> {
                     self.metrics.lazy_write_bytes += e - s;
                     remaining = remaining.saturating_sub(e - s);
                     issued += 1;
-                    if issued >= self.config.max_burst_requests {
+                    if issued >= MAX_BURST_REQUESTS {
                         break;
                     }
                 }
@@ -583,14 +572,14 @@ impl<K: Ord + Clone> CacheManager<K> {
         let Some(fc) = self.files.get_mut(key) else {
             return CleanupOutcome {
                 set_end_of_file: None,
-                close_after: Some(self.config.clean_close_delay),
+                close_after: Some(CLEAN_CLOSE_DELAY),
             };
         };
         let set_eof = fc.written.then_some(true_size);
         if fc.dirty.is_empty() || fc.hints.temporary {
             CleanupOutcome {
                 set_end_of_file: set_eof,
-                close_after: Some(self.config.clean_close_delay),
+                close_after: Some(CLEAN_CLOSE_DELAY),
             }
         } else {
             fc.close_pending = true;
@@ -764,9 +753,9 @@ mod tests {
         let mut m = mgr();
         m.write(&1, 0, 1 << 20, 0, NO_HINTS); // 1 MB dirty
         let (actions, _) = m.lazy_scan(SimTime::from_secs(1));
-        assert!(actions.len() <= m.config().max_burst_requests);
+        assert!(actions.len() <= MAX_BURST_REQUESTS);
         for a in &actions {
-            assert!(a.io.len <= m.config().max_write_burst);
+            assert!(a.io.len <= MAX_WRITE_BURST);
             assert!(a.io.write);
         }
         let mut scans = 1;
@@ -814,7 +803,7 @@ mod tests {
         assert_eq!(total, page_ceil(200_000));
         assert_eq!(m.dirty_bytes(), 0);
         for io in ios {
-            assert!(io.len <= m.config().max_write_burst);
+            assert!(io.len <= MAX_WRITE_BURST);
         }
     }
 

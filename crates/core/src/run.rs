@@ -188,22 +188,17 @@ impl MachineRun {
         }
     }
 
-    /// Arms the observability instruments on this machine: the shipment
-    /// tracer and flight recorder hook into the agent's delivery path,
-    /// and (when `watchdogs` is set) health findings are evaluated on
-    /// the telemetry sampler cadence. Off handles make this a no-op, so
-    /// the study drivers call it unconditionally after build.
-    pub fn set_instruments(
-        &mut self,
-        tracer: &ShipmentTracer,
-        recorder: &FlightRecorder,
-        watchdogs: bool,
-    ) {
+    /// Arms the diagnostics on this machine: the shipment tracer and
+    /// flight recorder hook into the agent's delivery path, and with a
+    /// live recorder the health watchdog reports into it on the sampler
+    /// cadence. Off handles make this a no-op, so the study driver calls
+    /// it unconditionally after build.
+    pub fn set_instruments(&mut self, tracer: &ShipmentTracer, recorder: &FlightRecorder) {
         self.machine
             .observer_mut()
             .set_shipment_hooks(tracer.clone(), recorder.clone());
         self.recorder = recorder.clone();
-        if watchdogs {
+        if recorder.is_enabled() {
             self.watchdog = Some(Watchdog::new());
         }
         if let Some(capacity) = self.squeezed_capacity {

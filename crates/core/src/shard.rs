@@ -106,7 +106,7 @@ pub struct ShardReport {
     /// — the quantity the per-shard memory budget bounds.
     pub peak_state_bytes: usize,
     /// Shard-level health findings (currently the post-run stall check);
-    /// empty with watchdogs off.
+    /// empty with diagnostics off.
     pub findings: Vec<HealthFinding>,
 }
 
@@ -165,8 +165,8 @@ impl Study {
     /// [`StudyFault::Drift`] names the lowest tier that broke. A machine
     /// task that panics — in its simulation or in a sink its buffers
     /// reach — comes back as [`StudyFault::Worker`] naming the machine.
-    /// Every fault dumps the flight recorder (exactly once per run), as
-    /// does a run that lost records under `dump_on_loss`.
+    /// With diagnostics on, every fault dumps the flight recorder
+    /// (exactly once per run), as does a run that lost records.
     pub fn try_run_sharded(
         config: &StudyConfig,
         options: &ShardOptions,
@@ -179,7 +179,7 @@ impl Study {
                 Some(format!("conservation-drift: {imbalance}"))
             }
             Err(fault) => Some(format!("study-fault: {fault}")),
-            Ok(run) if instruments.dump_on_loss && run.data.total_lost() > 0 => Some(format!(
+            Ok(run) if run.data.total_lost() > 0 => Some(format!(
                 "loss-on-shutdown: {} records lost",
                 run.data.total_lost()
             )),
@@ -233,7 +233,7 @@ impl Study {
             let shard = shard_of[index];
             let tracer = instruments.tracer.for_shard(shard as u32);
             let mut run = MachineRun::build_with_faults(config, index, spec, &faults);
-            run.set_instruments(&tracer, &instruments.recorder, instruments.watchdogs);
+            run.set_instruments(&tracer, &instruments.recorder);
             let analysis = AnalysisSet::new(
                 &[run.id.0],
                 &StreamConfig {
@@ -333,7 +333,7 @@ impl Study {
                 },
             );
             let mut findings = Vec::new();
-            if instruments.watchdogs {
+            if instruments.recorder.is_enabled() {
                 let last = machines[range.clone()]
                     .iter()
                     .map(|m| m.last_delivery_ticks)

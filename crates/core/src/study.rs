@@ -46,7 +46,7 @@ pub struct MachineOutput {
     /// `None` when the study runs with telemetry off.
     pub telemetry: Option<MachineTelemetry>,
     /// Health findings the machine's watchdog raised, in sample order;
-    /// empty with watchdogs off.
+    /// empty with diagnostics off.
     pub health: Vec<HealthFinding>,
     /// Latest simulated tick a shipment delivery succeeded at (0 when
     /// none did) — feeds the post-run shard-stall check.
@@ -97,57 +97,38 @@ impl From<nt_warehouse::NttError> for StudyFault {
 /// counted per scope.
 const FLIGHT_RECORDER_CAPACITY: usize = 256;
 
-/// The per-run observability instruments, built once from the study
-/// configuration and shared (by cheap handle clones) across every tier:
-/// agents, collector handles, analysis sinks, and the export tee.
+/// The per-run diagnostics, built once from the study configuration and
+/// shared (by cheap handle clones) across every tier: agents, collector
+/// handles, analysis sinks, and the export tee. Both are off unless
+/// [`nt_obs::TelemetryOptions::diagnostics`] is set. The watchdogs and
+/// the dump on loss ride with the recorder: they run only when it is on.
 pub(crate) struct Instruments {
-    /// Causal shipment tracer; off unless
-    /// [`nt_obs::TelemetryOptions::trace_shipments`] is set.
+    /// Causal shipment tracer.
     pub(crate) tracer: ShipmentTracer,
-    /// Fleet flight recorder; off unless
-    /// [`nt_obs::TelemetryOptions::flight_recorder`] is set.
+    /// Fleet flight recorder.
     pub(crate) recorder: FlightRecorder,
-    /// Evaluate health watchdogs on the telemetry sampler cadence.
-    pub(crate) watchdogs: bool,
-    /// Dump the flight recorder at end of run when records were lost.
-    pub(crate) dump_on_loss: bool,
 }
 
 impl Instruments {
     /// Tick horizon the tracer clamps final-flush spans to: the study
     /// period plus a bound on the shutdown drain (up to 2,000 one-second
     /// lazy-writer catch-up scans plus the closing pump).
-    pub(crate) fn horizon_ticks(config: &StudyConfig) -> u64 {
+    fn horizon_ticks(config: &StudyConfig) -> u64 {
         (config.duration + SimDuration::from_secs(2_100)).ticks()
     }
 
-    /// Instruments for a study configuration; everything off when the
-    /// corresponding telemetry knob is.
+    /// Instruments for a study configuration: live when the telemetry
+    /// options set `diagnostics`, off handles otherwise.
     pub(crate) fn for_config(config: &StudyConfig) -> Self {
-        let Some(opts) = config.telemetry.options() else {
-            return Instruments::off();
-        };
-        Instruments {
-            tracer: match opts.trace_shipments {
-                true => ShipmentTracer::new(config.seed, Self::horizon_ticks(config)),
-                false => ShipmentTracer::off(),
+        match config.telemetry.options() {
+            Some(opts) if opts.diagnostics => Instruments {
+                tracer: ShipmentTracer::new(config.seed, Self::horizon_ticks(config)),
+                recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             },
-            recorder: match opts.flight_recorder {
-                true => FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
-                false => FlightRecorder::off(),
+            _ => Instruments {
+                tracer: ShipmentTracer::off(),
+                recorder: FlightRecorder::off(),
             },
-            watchdogs: opts.watchdogs,
-            dump_on_loss: opts.dump_on_loss,
-        }
-    }
-
-    /// Fully disabled instruments.
-    pub(crate) fn off() -> Self {
-        Instruments {
-            tracer: ShipmentTracer::off(),
-            recorder: FlightRecorder::off(),
-            watchdogs: false,
-            dump_on_loss: false,
         }
     }
 }

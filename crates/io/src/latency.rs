@@ -76,41 +76,24 @@ impl DiskParams {
     }
 }
 
-/// CPU-side service parameters, shared by all volumes of a machine.
-#[derive(Clone, Debug)]
-pub struct LatencyParams {
-    /// Fixed cost of a FastIO call that is resolved in the cache, in
-    /// 100 ns ticks.
-    pub fastio_base_ticks: u64,
-    /// Fixed cost of building, dispatching and completing an IRP, in
-    /// 100 ns ticks.
-    pub irp_base_ticks: u64,
-    /// Cache copy throughput in bytes per 100 ns tick.
-    pub copy_bytes_per_tick: u64,
-    /// Cost of a metadata-only operation (query/set information,
-    /// directory entry fetch, control op) resolved from cached metadata,
-    /// in 100 ns ticks.
-    pub metadata_ticks: u64,
-}
+// CPU-side service costs, shared by all volumes of a machine, in 100 ns
+// ticks.
 
-impl Default for LatencyParams {
-    fn default() -> Self {
-        LatencyParams {
-            // ~2 us procedural call + copy.
-            fastio_base_ticks: 20,
-            // ~30 us packet path.
-            irp_base_ticks: 300,
-            // ~80 MB/s memcpy on a 200 MHz P6: 8 bytes per 100 ns.
-            copy_bytes_per_tick: 8,
-            // ~12 us for cached metadata.
-            metadata_ticks: 120,
-        }
-    }
-}
+/// A FastIO call resolved in the cache: ~2 us procedural call + copy.
+const FASTIO_BASE_TICKS: u64 = 20;
+/// Building, dispatching and completing an IRP: ~30 us packet path.
+const IRP_BASE_TICKS: u64 = 300;
+/// Cache copy throughput in bytes per tick: ~80 MB/s memcpy on a
+/// 200 MHz P6.
+const COPY_BYTES_PER_TICK: u64 = 8;
+/// A metadata-only operation (query/set information, directory entry
+/// fetch, control op) resolved from cached metadata: ~12 us.
+pub(crate) const METADATA_TICKS: u64 = 120;
 
-/// The machine-wide latency model plus per-volume disk queues.
+/// The machine-wide latency model plus per-volume disk queues. The
+/// CPU-side costs are this module's constants, calibrated to the study's
+/// 200 MHz P6 workstations; only the disks vary.
 pub struct LatencyModel {
-    params: LatencyParams,
     disks: Vec<DiskParams>,
     /// Per-volume time at which the disk becomes idle (FIFO queue).
     free_at: Vec<SimTime>,
@@ -121,11 +104,10 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// Creates a model with the given CPU parameters and per-volume disks.
-    pub fn new(params: LatencyParams, disks: Vec<DiskParams>) -> Self {
+    /// Creates a model over the given per-volume disks.
+    pub fn new(disks: Vec<DiskParams>) -> Self {
         let free_at = vec![SimTime::ZERO; disks.len()];
         LatencyModel {
-            params,
             disks,
             free_at,
             busy_ticks: 0,
@@ -139,34 +121,25 @@ impl LatencyModel {
         self.disks.len() - 1
     }
 
-    /// The CPU-side parameters.
-    pub fn params(&self) -> &LatencyParams {
-        &self.params
-    }
-
     /// Service time of a FastIO cache copy of `bytes`.
     pub fn fastio_copy(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_ticks(
-            self.params.fastio_base_ticks + bytes / self.params.copy_bytes_per_tick.max(1),
-        )
+        SimDuration::from_ticks(FASTIO_BASE_TICKS + bytes / COPY_BYTES_PER_TICK)
     }
 
     /// Service time of an IRP that is satisfied without disk I/O
     /// (cache-resident data or cached metadata) copying `bytes`.
     pub fn irp_cached(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_ticks(
-            self.params.irp_base_ticks + bytes / self.params.copy_bytes_per_tick.max(1),
-        )
+        SimDuration::from_ticks(IRP_BASE_TICKS + bytes / COPY_BYTES_PER_TICK)
     }
 
     /// Service time of a metadata operation (control, query, directory).
     pub fn metadata_op(&self) -> SimDuration {
-        SimDuration::from_ticks(self.params.irp_base_ticks + self.params.metadata_ticks)
+        SimDuration::from_ticks(IRP_BASE_TICKS + METADATA_TICKS)
     }
 
     /// FastIO metadata query (QueryBasicInfo etc.).
     pub fn fastio_metadata(&self) -> SimDuration {
-        SimDuration::from_ticks(self.params.fastio_base_ticks + self.params.metadata_ticks / 4)
+        SimDuration::from_ticks(FASTIO_BASE_TICKS + METADATA_TICKS / 4)
     }
 
     /// Completion time of a disk transfer of `bytes` on `volume` issued at
@@ -190,8 +163,7 @@ impl LatencyModel {
         let service = SimDuration::from_micros(
             disk.network_rtt_us + seek_us + bytes / disk.transfer_bytes_per_us.max(1),
         );
-        let start =
-            self.free_at[volume].max(now + SimDuration::from_ticks(self.params.irp_base_ticks));
+        let start = self.free_at[volume].max(now + SimDuration::from_ticks(IRP_BASE_TICKS));
         let done = start + service;
         self.free_at[volume] = done;
         self.busy_ticks += service.ticks();
@@ -216,17 +188,14 @@ mod tests {
     use rand::SeedableRng;
 
     fn model() -> LatencyModel {
-        LatencyModel::new(
-            LatencyParams::default(),
-            vec![DiskParams::local_ide(), DiskParams::network_share()],
-        )
+        LatencyModel::new(vec![DiskParams::local_ide(), DiskParams::network_share()])
     }
 
     #[test]
     fn fastio_is_much_cheaper_than_irp() {
         let m = model();
         assert!(m.fastio_copy(4096) < m.irp_cached(4096));
-        assert!(m.fastio_copy(0).ticks() >= m.params().fastio_base_ticks);
+        assert!(m.fastio_copy(0).ticks() >= FASTIO_BASE_TICKS);
     }
 
     #[test]
@@ -264,15 +233,12 @@ mod tests {
 
     #[test]
     fn network_share_pays_rtt() {
-        let mut m = LatencyModel::new(
-            LatencyParams::default(),
-            vec![DiskParams {
-                seek_min_us: 0,
-                seek_max_us: 0,
-                transfer_bytes_per_us: 1_000,
-                network_rtt_us: 900,
-            }],
-        );
+        let mut m = LatencyModel::new(vec![DiskParams {
+            seek_min_us: 0,
+            seek_max_us: 0,
+            transfer_bytes_per_us: 1_000,
+            network_rtt_us: 900,
+        }]);
         let mut rng = SmallRng::seed_from_u64(7);
         let done = m.disk_io(0, 0, SimTime::ZERO, &mut rng);
         assert!(done.saturating_since(SimTime::ZERO) >= SimDuration::from_micros(900));

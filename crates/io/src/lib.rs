@@ -51,7 +51,7 @@ pub use arena::{Arena, ArenaHandle};
 pub use fastio::{irp_fallback, FastIoDispatch};
 pub use fcb::{Fcb, FcbTable};
 pub use filters::{AntivirusFilter, FastIoVeto, ObserverFilter, SpanFilter};
-pub use latency::{DiskParams, LatencyModel, LatencyParams};
+pub use latency::{DiskParams, LatencyModel};
 pub use machine::{IoMetrics, Machine, MachineConfig, OpReply};
 pub use observer::{FileObjectInfo, IoObserver, NullObserver, VecObserver};
 pub use request::{EventKind, FastIoKind, IoEvent, MajorFunction, SetInfoKind};

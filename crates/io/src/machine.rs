@@ -17,17 +17,18 @@
 //! of the two-stage close) is queued internally with its due time and
 //! applied by [`Machine::pump`], which every public operation calls first.
 //! The lazy writer is driven externally by calling [`Machine::lazy_tick`]
-//! once per second of virtual time, mirroring the real scan cadence (§9.2).
+//! once per second of virtual time, mirroring the real scan cadence (§9.2);
+//! what-if replay steps it by [`CacheConfig::lazy_write_interval`].
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::marker::PhantomData;
 
-use nt_cache::{CacheConfig, CacheManager, CacheOpenHints};
+use nt_cache::{CacheConfig, CacheManager, CacheOpenHints, CLEAN_CLOSE_DELAY};
 use nt_fs::{FileAttributes, Namespace, NodeId, VolumeConfig, VolumeId};
 use nt_obs::Telemetry;
 use nt_sim::SimTime;
-use nt_vm::{VmConfig, VmManager};
+use nt_vm::VmManager;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -35,7 +36,7 @@ use crate::arena::{Arena, ArenaHandle};
 use crate::fastio::irp_fallback;
 use crate::fcb::FcbTable;
 use crate::filters::ObserverFilter;
-use crate::latency::{DiskParams, LatencyModel, LatencyParams};
+use crate::latency::{DiskParams, LatencyModel};
 use crate::observer::IoObserver;
 use crate::request::{EventKind, FastIoKind, IoEvent, MajorFunction};
 use crate::stack::{DriverStack, FilterAction, FilterDriver, IrpFrame};
@@ -201,17 +202,14 @@ impl IoMetrics {
     }
 }
 
-/// Static configuration of a machine.
+/// Static configuration of a machine: what a study, an ablation or a
+/// what-if variant sets. The rest are constants of the layers that read them.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
     /// Seed for the machine's service-time randomness.
     pub seed: u64,
-    /// CPU-side latency parameters.
-    pub latency: LatencyParams,
-    /// Cache-manager tunables.
+    /// Cache-manager policy axes.
     pub cache: CacheConfig,
-    /// VM tunables.
-    pub vm: VmConfig,
     /// Budget for clean resident cache data before cold maps are trimmed.
     pub cache_budget_bytes: u64,
     /// Ablation: remove the FastIO dispatch table, forcing every data
@@ -227,9 +225,7 @@ impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
             seed: 0,
-            latency: LatencyParams::default(),
             cache: CacheConfig::default(),
-            vm: VmConfig::default(),
             cache_budget_bytes: 1 << 20,
             disable_fastio: false,
         }
@@ -322,8 +318,8 @@ impl<O: IoObserver> Machine<O> {
             ns: Namespace::new(),
             fcbs: FcbTable::new(),
             cache: CacheManager::new(config.cache.clone()),
-            vm: VmManager::new(config.vm.clone()),
-            latency: LatencyModel::new(config.latency.clone(), Vec::new()),
+            vm: VmManager::new(),
+            latency: LatencyModel::new(Vec::new()),
             stack,
             rng: SmallRng::seed_from_u64(config.seed),
             handles: Arena::new(),
@@ -628,7 +624,7 @@ impl<O: IoObserver> Machine<O> {
         if let Some(waiters) = self.deferred_close.remove(&key) {
             let (volume, node) = key;
             for (fo, fcb, fcb_slot, process, cleaned) in waiters {
-                let at = now.max(cleaned + self.config.cache.clean_close_delay);
+                let at = now.max(cleaned + CLEAN_CLOSE_DELAY);
                 self.emit_close_irp(fo, fcb, fcb_slot, volume, node, process, at);
             }
         }

@@ -1,7 +1,9 @@
 //! The two-stage close (§8.1) and the lazy writer (§9.2).
 
+use nt_cache::CLEAN_CLOSE_DELAY;
 use nt_sim::{SimDuration, SimTime};
 
+use crate::latency::METADATA_TICKS;
 use crate::machine::{emit_event, FileKey, Machine, OpReply, Pending};
 use crate::observer::IoObserver;
 use crate::request::{EventKind, FastIoKind, IoEvent, MajorFunction, SetInfoKind};
@@ -106,7 +108,7 @@ impl<O: IoObserver> Machine<O> {
             // Other handles remain: the file object closes quickly, the
             // FCB stays.
             self.schedule(
-                end + self.config.cache.clean_close_delay,
+                end + CLEAN_CLOSE_DELAY,
                 Pending::CloseIrp {
                     fo,
                     fcb,
@@ -143,7 +145,7 @@ impl<O: IoObserver> Machine<O> {
                 self.metrics.explicit_deletes += 1;
             }
             self.schedule(
-                end + self.config.cache.clean_close_delay,
+                end + CLEAN_CLOSE_DELAY,
                 Pending::CloseIrp {
                     fo,
                     fcb,
@@ -160,7 +162,7 @@ impl<O: IoObserver> Machine<O> {
         if outcome.set_end_of_file.is_some() {
             // §8.3: the cache manager trims page-granular lazy writes back
             // to the true end of file before close.
-            let se = end + SimDuration::from_ticks(self.latency.params().metadata_ticks);
+            let se = end + SimDuration::from_ticks(METADATA_TICKS);
             emit_event!(
                 self,
                 IoEvent {
@@ -214,7 +216,8 @@ impl<O: IoObserver> Machine<O> {
         OpReply::at(NtStatus::Success, end)
     }
 
-    /// One lazy-writer scan; call once per second of virtual time.
+    /// One lazy-writer scan; call once per lazy-writer period of virtual
+    /// time (§9.2: every second).
     ///
     /// Issues the paging writes the cache manager selects, completes any
     /// deferred closes whose dirty data has drained, and trims cold cache
@@ -281,7 +284,7 @@ impl<O: IoObserver> Machine<O> {
                     // Catch-up scans may run with a timestamp before the
                     // cleanup that registered this close; the close IRP
                     // never precedes its cleanup.
-                    let at = now.max(cleaned + self.config.cache.clean_close_delay);
+                    let at = now.max(cleaned + CLEAN_CLOSE_DELAY);
                     self.emit_close_irp(fo, fcb, fcb_slot, volume, node, process, at);
                 }
             }

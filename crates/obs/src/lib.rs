@@ -21,6 +21,10 @@
 //!   ([`RuntimeProfile`]) with exclusive (self) and inclusive times, so
 //!   bench regressions can be localised to a subsystem.
 //!
+//! One switch, [`TelemetryOptions::diagnostics`], adds the shipment
+//! tracer ([`shipment`]), the flight recorder ([`recorder`]) and the
+//! health watchdogs ([`watchdog`]).
+//!
 //! Everything is **off by default**. A disabled handle is a `None`
 //! check per call site — no allocation, no lock, no clock read — and the
 //! instrumented crates never behave differently based on what telemetry
@@ -152,21 +156,13 @@ pub struct TelemetryOptions {
     pub dir: Option<PathBuf>,
     /// Mirror spans to per-machine JSONL logs (needs `dir`).
     pub log_spans: bool,
-    /// Attach a deterministic [`TraceContext`] to every shipped record
-    /// batch and emit parent-linked hop spans (agent → collector →
-    /// analysis → warehouse), exported as a Chrome trace-event timeline
-    /// (`trace.json` under `dir`).
-    pub trace_shipments: bool,
-    /// Keep a bounded per-machine/per-shard ring of recent pipeline
-    /// events (drops, failovers, suspensions, merge boundaries) for the
-    /// post-mortem dump (`flight-recorder.jsonl` under `dir`).
-    pub flight_recorder: bool,
-    /// Sample the pipeline health watchdogs on the simulated clock and
-    /// surface typed [`HealthFinding`]s in the study output.
-    pub watchdogs: bool,
-    /// Dump the flight recorder at end of run when the fleet lost any
-    /// records, even if the study itself completed without a fault.
-    pub dump_on_loss: bool,
+    /// Arm the diagnostics: a [`TraceContext`] and parent-linked hop
+    /// spans on every shipped batch (`trace.json` under `dir`), a
+    /// [`FlightRecorder`] of recent pipeline events, the health
+    /// [`Watchdog`]s with their typed [`HealthFinding`]s, and a recorder
+    /// dump (`flight-recorder.jsonl` under `dir`) on a fault, on ledger
+    /// drift, or when the fleet lost records.
+    pub diagnostics: bool,
 }
 
 impl Default for TelemetryOptions {
@@ -174,10 +170,7 @@ impl Default for TelemetryOptions {
         TelemetryOptions {
             dir: None,
             log_spans: true,
-            trace_shipments: false,
-            flight_recorder: false,
-            watchdogs: false,
-            dump_on_loss: false,
+            diagnostics: false,
         }
     }
 }

@@ -4,10 +4,11 @@
 //! Every machine and every shard owns a bounded ring of recent
 //! structured [`FlightEvent`]s — agent suspensions, buffer squeezes,
 //! aggregated record drops, shipment refusals, collector failovers,
-//! shard merge boundaries, watchdog findings. In a healthy run the rings
-//! rotate silently and are discarded. When a study fault surfaces, the
-//! conservation audit reports drift, or the loss budget was burned
-//! (`dump_on_loss`), the recorder dumps **once** — an `AtomicBool` makes
+//! shard merge boundaries, watchdog findings. A study keeps them under
+//! [`TelemetryOptions::diagnostics`](crate::TelemetryOptions::diagnostics).
+//! In a healthy run the rings rotate silently and are discarded. When a
+//! study fault surfaces, the conservation audit reports drift, or the
+//! fleet lost records, the recorder dumps **once** — an `AtomicBool` makes
 //! a second trigger a no-op — to `flight-recorder.jsonl`: one header
 //! line naming the reason, one scope line per ring (event and eviction
 //! counts), then the events in `(scope, ring order)`.

@@ -7,7 +7,7 @@
 //! can reproduce the full record stream per machine for the analysis
 //! stage.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::Buf;
 
 use crate::record::{NameRecord, TraceRecord, RECORD_SIZE};
 
@@ -67,22 +67,24 @@ impl RecordBatch {
 
     /// Decompresses the batch back into records.
     pub fn decompress(&self) -> Vec<TraceRecord> {
+        const BODY: usize = RECORD_SIZE - 16;
         let mut records = Vec::with_capacity(self.count);
         let mut buf = &self.compressed[..];
+        let mut fixed = [0u8; RECORD_SIZE];
         let mut prev_start = 0u64;
         for _ in 0..self.count {
-            // Reassemble a fixed-width record: body + two u64 slots.
-            let mut fixed = BytesMut::with_capacity(RECORD_SIZE);
-            fixed.extend_from_slice(&buf[..RECORD_SIZE - 16]);
-            buf.advance(RECORD_SIZE - 16);
+            // Reassemble a fixed-width record in the reused buffer: body +
+            // two u64 slots.
+            fixed[..BODY].copy_from_slice(&buf[..BODY]);
+            buf.advance(BODY);
             let dstart = get_varint(&mut buf);
             let dend = get_varint(&mut buf);
             let start = prev_start.wrapping_add(dstart);
             prev_start = start;
-            fixed.put_u64_le(start);
-            fixed.put_u64_le(start + dend);
-            let rec = TraceRecord::decode(&mut fixed.freeze())
-                .expect("batch body was produced by encode");
+            fixed[BODY..BODY + 8].copy_from_slice(&start.to_le_bytes());
+            fixed[BODY + 8..].copy_from_slice(&(start + dend).to_le_bytes());
+            let rec =
+                TraceRecord::decode(&mut &fixed[..]).expect("batch body was produced by encode");
             records.push(rec);
         }
         records

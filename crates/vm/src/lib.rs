@@ -16,4 +16,4 @@
 
 pub mod section;
 
-pub use section::{PagingRead, SectionKind, VmConfig, VmManager, VmMetrics};
+pub use section::{PagingRead, SectionKind, VmManager, VmMetrics};

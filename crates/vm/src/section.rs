@@ -34,21 +34,9 @@ pub struct PagingRead {
     pub len: u64,
 }
 
-/// Tunables for the VM manager.
-#[derive(Clone, Debug)]
-pub struct VmConfig {
-    /// Physical pages available for section residency. 64–128 MB machines
-    /// in the study; default models 64 MB with half available to sections.
-    pub page_budget: u64,
-}
-
-impl Default for VmConfig {
-    fn default() -> Self {
-        VmConfig {
-            page_budget: (32 << 20) / PAGE_SIZE,
-        }
-    }
-}
+/// Physical pages available for section residency. The study's machines
+/// had 64–128 MB; this models 64 MB with half available to sections.
+const PAGE_BUDGET: u64 = (32 << 20) / PAGE_SIZE;
 
 /// Counters for §3.3-related analysis.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -88,9 +76,10 @@ struct Section {
     last_touch: SimTime,
 }
 
-/// The VM manager: section objects keyed by `K` plus a global page budget.
+/// The VM manager: section objects keyed by `K` plus a global page
+/// budget of 32 MB, the half of a 64 MB study machine left to sections.
 pub struct VmManager<K> {
-    config: VmConfig,
+    page_budget: u64,
     // BTreeMap, not HashMap: eviction breaks `last_touch` ties by visit
     // order, and the simulation must replay identically for one seed.
     sections: BTreeMap<K, Section>,
@@ -99,11 +88,17 @@ pub struct VmManager<K> {
     telemetry: Telemetry,
 }
 
+impl<K: Ord + Clone> Default for VmManager<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<K: Ord + Clone> VmManager<K> {
-    /// Creates a manager with the given tunables.
-    pub fn new(config: VmConfig) -> Self {
+    /// Creates a manager for a 64 MB study machine.
+    pub fn new() -> Self {
         VmManager {
-            config,
+            page_budget: PAGE_BUDGET,
             sections: BTreeMap::new(),
             resident_pages: 0,
             metrics: VmMetrics::default(),
@@ -111,15 +106,20 @@ impl<K: Ord + Clone> VmManager<K> {
         }
     }
 
+    /// A manager whose sections share `page_budget` pages, so a test can
+    /// reach memory pressure with a few small images.
+    #[cfg(test)]
+    fn with_page_budget(page_budget: u64) -> Self {
+        VmManager {
+            page_budget,
+            ..Self::new()
+        }
+    }
+
     /// Attaches a telemetry handle; paging spans nest under the owning
     /// machine's dispatch spans.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Creates a manager with defaults for a 64 MB study machine.
-    pub fn with_defaults() -> Self {
-        Self::new(VmConfig::default())
     }
 
     /// Current counters.
@@ -234,7 +234,7 @@ impl<K: Ord + Clone> VmManager<K> {
     }
 
     fn evict_to_budget(&mut self, protect: &K) {
-        while self.resident_pages > self.config.page_budget {
+        while self.resident_pages > self.page_budget {
             // Evict the least-recently-touched unreferenced section
             // wholesale; protect the section being faulted right now.
             let victim = self
@@ -267,7 +267,7 @@ mod tests {
     const T: SimTime = SimTime::from_secs(1);
 
     fn vm() -> VmManager<u32> {
-        VmManager::with_defaults()
+        VmManager::new()
     }
 
     #[test]
@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn pressure_evicts_lru_standby_images() {
-        let mut v = VmManager::new(VmConfig { page_budget: 4 });
+        let mut v = VmManager::with_page_budget(4);
         // Two images of 2 pages each fill the budget.
         v.load_image(&1, 8_192, SimTime::from_secs(1));
         v.unmap(&1);

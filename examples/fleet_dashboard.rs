@@ -1,12 +1,13 @@
 //! Watching the fleet run: the `nt-obs` telemetry layer end to end.
 //!
 //! Runs the faulted 45-machine deployment over the sharded collection
-//! tree with the whole observability stack on — span profiler, gauge
-//! sampler, causal shipment tracer, flight recorder and health
-//! watchdogs — then renders what the layer captured: the wall-clock
-//! attribution table ([`nt_study::RuntimeProfile`]), terminal
-//! sparklines over the fleet time-series, per-category operation rates,
-//! per-hop shipment latency off the causal spans, the watchdog
+//! tree with the whole observability stack on — span profiler and gauge
+//! sampler, plus the diagnostics switch that arms the causal shipment
+//! tracer, flight recorder and health watchdogs — then renders what the
+//! layer captured: the wall-clock attribution table
+//! ([`nt_study::RuntimeProfile`]), terminal sparklines over the fleet
+//! time-series, per-category operation rates, per-hop shipment latency
+//! off the causal spans, the watchdog
 //! findings, the flight-recorder rings, and the artefact paths
 //! (`spans-mNN.jsonl` per machine, `timeseries.jsonl`, the Chrome
 //! `trace.json` timeline and the `flight-recorder.jsonl` post-mortem).
@@ -34,10 +35,7 @@ fn config(dir: PathBuf) -> StudyConfig {
     c.faults = FaultPlan::lossy();
     c.telemetry = TelemetryConfig::On(TelemetryOptions {
         dir: Some(dir),
-        trace_shipments: true,
-        flight_recorder: true,
-        watchdogs: true,
-        dump_on_loss: true,
+        diagnostics: true,
         ..TelemetryOptions::default()
     });
     c
@@ -200,7 +198,7 @@ fn main() {
         );
     }
     println!(
-        "  dumped post-mortem: {} (dump_on_loss under the lossy fault plan)",
+        "  dumped post-mortem: {} (the lossy fault plan lost records)",
         data.flight_recorder.dumped(),
     );
 

@@ -176,6 +176,17 @@ fn telemetry_does_not_perturb_the_study() {
         "per-category rollups exported"
     );
 
+    // Telemetry's defaults arm no diagnostics: the lossy run would have
+    // dumped the flight recorder, and traced its shipments, with them on.
+    assert!(
+        !dir.join("trace.json").exists(),
+        "no shipment trace by default"
+    );
+    assert!(
+        !dir.join("flight-recorder.jsonl").exists(),
+        "no flight-recorder dump by default"
+    );
+
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -184,7 +195,7 @@ fn telemetry_does_not_perturb_the_study() {
 /// fleet produces bit-identical fact tables, ledgers and aggregates
 /// whether the whole observability stack is on or off, while the traced
 /// run additionally leaves behind `trace.json`, the exactly-once
-/// `flight-recorder.jsonl` (via `dump_on_loss` under the lossy plan),
+/// `flight-recorder.jsonl` (dumped on loss under the lossy plan),
 /// causal hop spans and typed health findings.
 #[test]
 fn shipment_tracing_does_not_perturb_the_sharded_study() {
@@ -202,10 +213,7 @@ fn shipment_tracing_does_not_perturb_the_sharded_study() {
     let mut traced_config = faulted_fleet(5_050);
     traced_config.telemetry = TelemetryConfig::On(TelemetryOptions {
         dir: Some(dir.clone()),
-        trace_shipments: true,
-        flight_recorder: true,
-        watchdogs: true,
-        dump_on_loss: true,
+        diagnostics: true,
         ..TelemetryOptions::default()
     });
     let traced = Study::try_run_sharded(&traced_config, &options).expect("faulted fleet runs");
@@ -264,7 +272,7 @@ fn shipment_tracing_does_not_perturb_the_sharded_study() {
     );
     assert!(
         traced.data.flight_recorder.dumped(),
-        "dump_on_loss fired the exactly-once flight-recorder dump"
+        "the loss fired the exactly-once flight-recorder dump"
     );
     assert!(dir.join("flight-recorder.jsonl").exists());
     assert!(
@@ -286,7 +294,7 @@ fn live_batches_are_timed_once_on_their_own_machine() {
     let mut config = StudyConfig::smoke_test(5);
     config.faults = FaultPlan::lossy();
     config.telemetry = TelemetryConfig::On(TelemetryOptions {
-        trace_shipments: true,
+        diagnostics: true,
         ..TelemetryOptions::default()
     });
     let data = Study::try_run_sharded(

@@ -247,10 +247,7 @@ fn traced_fleet(seed: u64, dir: &std::path::Path) -> StudyConfig {
     c.faults = FaultPlan::lossy();
     c.telemetry = TelemetryConfig::On(TelemetryOptions {
         dir: Some(dir.to_path_buf()),
-        trace_shipments: true,
-        flight_recorder: true,
-        watchdogs: true,
-        dump_on_loss: true,
+        diagnostics: true,
         ..TelemetryOptions::default()
     });
     c
@@ -475,7 +472,7 @@ fn traced_faulted_fleet_artefacts_validate_and_are_deterministic() {
         header
             .str("reason")
             .is_some_and(|r| r.starts_with("loss-on-shutdown:")),
-        "dump_on_loss named the trigger"
+        "the loss named the trigger"
     );
     assert_eq!(
         lines

@@ -526,7 +526,7 @@ fn a_full_disk_during_the_live_export_is_a_typed_fault_with_one_dump() {
     let mut config = StudyConfig::smoke_test(7);
     config.telemetry = TelemetryConfig::On(TelemetryOptions {
         dir: Some(artefacts.clone()),
-        flight_recorder: true,
+        diagnostics: true,
         ..TelemetryOptions::default()
     });
     let fault = Study::try_run_sharded(
