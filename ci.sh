@@ -4,22 +4,15 @@
 # Everything runs offline — dependencies are vendored under vendor/ and
 # resolved by path, so no step touches a registry or the network.
 #
-# Usage: ./ci.sh [--quick]
-#   --quick   skip the release build (lints + tests only)
+# Usage: ./ci.sh
 
 set -euo pipefail
 cd "$(dirname "$0")"
 
-QUICK=0
-for arg in "$@"; do
-    case "$arg" in
-    --quick) QUICK=1 ;;
-    *)
-        echo "unknown argument: $arg" >&2
-        exit 2
-        ;;
-    esac
-done
+if [ "$#" -gt 0 ]; then
+    echo "unknown argument: $1" >&2
+    exit 2
+fi
 
 step() {
     echo
@@ -37,10 +30,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 step "cargo clippy (nt-io dispatch arena, warnings are errors)"
 cargo clippy -p nt-io --offline -- -D warnings
 
-if [ "$QUICK" -eq 0 ]; then
-    step "cargo build --release (tier-1)"
-    cargo build --release --offline
-fi
+step "cargo build --release (tier-1)"
+cargo build --release --offline
 
 step "cargo build --examples"
 cargo build --examples --offline

@@ -38,18 +38,10 @@ pub struct UserActivity {
 
 /// Published comparison values (table 2 of the paper).
 pub mod baselines {
-    /// Sprite (1991): 10-minute interval values.
-    pub const SPRITE_10MIN_AVG_USER_KBS: f64 = 8.0;
-    /// Sprite: 10-minute peak per-user throughput.
+    /// Sprite (1991): 10-minute peak per-user throughput.
     pub const SPRITE_10MIN_PEAK_USER_KBS: f64 = 458.0;
-    /// Sprite: 10-second average per-user throughput.
-    pub const SPRITE_10SEC_AVG_USER_KBS: f64 = 47.0;
     /// Sprite: 10-second peak per-user throughput.
     pub const SPRITE_10SEC_PEAK_USER_KBS: f64 = 9_871.0;
-    /// BSD (1985): 10-minute average per-user throughput.
-    pub const BSD_10MIN_AVG_USER_KBS: f64 = 0.40;
-    /// BSD: 10-second average per-user throughput.
-    pub const BSD_10SEC_AVG_USER_KBS: f64 = 1.5;
     /// The paper's own Windows NT measurements, for shape checks.
     pub const NT_10MIN_AVG_USER_KBS: f64 = 24.4;
     /// NT 10-minute peak.

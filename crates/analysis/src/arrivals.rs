@@ -205,7 +205,7 @@ impl ArrivalAccumulator {
     }
 
     /// Bytes of live sketch state.
-    pub fn state_bytes(&self) -> usize {
+    pub(crate) fn state_bytes(&self) -> usize {
         self.all.state_bytes() + self.for_io.state_bytes() + self.for_control.state_bytes()
     }
 }

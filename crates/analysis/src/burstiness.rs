@@ -86,7 +86,7 @@ pub fn bin_arrivals(ticks: &[u64], interval_secs: u64) -> BinnedArrivals {
 /// data, and counting it as an idle interval would deflate the mean and
 /// corrupt the dispersion). With no windows this is exactly
 /// [`bin_arrivals`].
-pub fn bin_arrivals_excluding(
+pub(crate) fn bin_arrivals_excluding(
     ticks: &[u64],
     interval_secs: u64,
     lossy: &[TickWindow],
@@ -124,7 +124,7 @@ pub fn bin_arrivals_excluding(
 /// Synthesises a Poisson sample with the same total span and mean rate
 /// (the paper "synthesized a sample from a Poisson distribution for which
 /// we estimated its mean and variance from the trace information").
-pub fn poisson_synthesis(traced: &BinnedArrivals, seed: u64) -> BinnedArrivals {
+pub(crate) fn poisson_synthesis(traced: &BinnedArrivals, seed: u64) -> BinnedArrivals {
     let mut rng = SmallRng::seed_from_u64(seed);
     let lambda = traced.mean();
     let counts = traced

@@ -21,7 +21,7 @@ impl Cdf {
 
     /// Builds from `(value, weight)` pairs — e.g. figure 2 weights each
     /// run length by the bytes it transferred.
-    pub fn from_weighted(samples: impl IntoIterator<Item = (f64, f64)>) -> Self {
+    pub(crate) fn from_weighted(samples: impl IntoIterator<Item = (f64, f64)>) -> Self {
         let mut points: Vec<(f64, f64)> = samples
             .into_iter()
             .filter(|(x, w)| x.is_finite() && *w > 0.0)

@@ -90,38 +90,6 @@ pub fn content_stats(snap: &Snapshot) -> ContentStats {
     }
 }
 
-/// Functional-lifetime distribution (§5, after Satyanarayanan \[18\]):
-/// last-write minus last-access per file, in seconds, for files where
-/// both are maintained. Negative values are §5's inconsistent-timestamp
-/// population; the paper treats the measure as suspect and so does the
-/// return value: the caller gets the CDF plus the inconsistent fraction.
-pub fn functional_lifetimes(snap: &Snapshot) -> (Cdf, f64) {
-    let mut vals = Vec::new();
-    let mut inconsistent = 0usize;
-    let mut measured = 0usize;
-    for r in &snap.records {
-        if r.is_dir {
-            continue;
-        }
-        let Some(a) = r.last_access else { continue };
-        measured += 1;
-        let w = r.last_write;
-        if w > a {
-            inconsistent += 1;
-        }
-        let delta = (w.ticks() as i64 - a.ticks() as i64) as f64 / 1e7;
-        vals.push(delta);
-    }
-    (
-        Cdf::from_samples(vals.into_iter().map(|v| v.abs().max(1e-9))),
-        if measured == 0 {
-            0.0
-        } else {
-            inconsistent as f64 / measured as f64
-        },
-    )
-}
-
 /// Daily churn between consecutive snapshots (§5: a common pattern is
 /// 300–500 files changed/added per day, up to 93 % in the WWW cache).
 #[derive(Clone, Debug)]
@@ -208,27 +176,6 @@ mod tests {
         assert_eq!(s.web_cache_bytes, 80_000);
         assert!(s.profile_file_fraction > 0.5);
         assert_eq!(s.bytes_by_extension[0].0, "exe");
-    }
-
-    #[test]
-    fn functional_lifetime_reports_inconsistency() {
-        let mut v = volume();
-        // Force one inconsistent file: last write after last access.
-        let f = v.lookup(&NtPath::parse(r"\winnt\system32\a.ini")).unwrap();
-        v.set_times(
-            f,
-            nt_fs::FileTimes {
-                creation: Some(t(1)),
-                last_access: Some(t(2)),
-                last_write: t(50),
-            },
-        )
-        .unwrap();
-        let snap = SnapshotWalker::walk_volume(VolumeId(0), &v, t(60));
-        let (cdf, frac) = functional_lifetimes(&snap);
-        assert!(!cdf.is_empty());
-        assert!(frac > 0.0, "inconsistent fraction detected: {frac}");
-        assert!(frac < 0.5);
     }
 
     #[test]

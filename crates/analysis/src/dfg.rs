@@ -27,7 +27,7 @@ use crate::schema::TraceSet;
 /// file objects (and machines) may interleave freely — the builder keeps
 /// one predecessor slot per `(machine, file_object)` case.
 #[derive(Default)]
-pub struct DfgBuilder {
+pub(crate) struct DfgBuilder {
     nodes: BTreeMap<u8, u64>,
     starts: BTreeMap<u8, u64>,
     edges: BTreeMap<(u8, u8), u64>,

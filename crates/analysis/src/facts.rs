@@ -143,7 +143,7 @@ impl FactTable {
     }
 
     /// The file-object column.
-    pub fn file_objects(&self) -> &[u64] {
+    pub(crate) fn file_objects(&self) -> &[u64] {
         &self.file_object
     }
 
@@ -173,7 +173,7 @@ impl FactTable {
     }
 
     /// Row `i`'s event kind.
-    pub fn kind_at(&self, i: usize) -> EventKind {
+    pub(crate) fn kind_at(&self, i: usize) -> EventKind {
         EventKind::from_code(self.code[i]).expect("table carries valid codes")
     }
 
@@ -185,7 +185,7 @@ impl FactTable {
     /// Sorts the table by `(start_ticks, machine, file_object)` — the
     /// collection order every analysis assumes. Columns are permuted
     /// together so rows stay intact.
-    pub fn sort_by_time(&mut self) {
+    pub(crate) fn sort_by_time(&mut self) {
         let mut perm: Vec<u32> = (0..self.len() as u32).collect();
         perm.sort_by_key(|&i| {
             let i = i as usize;

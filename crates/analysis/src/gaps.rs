@@ -5,9 +5,8 @@
 //! requests were issued but never recorded. Arrival and burstiness
 //! statistics computed naively over such a trace are corrupted — a
 //! suspension reads as one giant inter-arrival gap and a run of empty
-//! bins. [`LossWindows`] names the holes, either from the fault schedule
-//! that produced them or detected after the fact ([`detect_gaps`]), and
-//! the degraded analysis entry points
+//! bins. [`LossWindows`] names the holes, from the fault schedule that
+//! produced them, and the degraded analysis entry points
 //! ([`crate::arrivals::open_arrivals_excluding`],
 //! [`crate::burstiness::burstiness_excluding`]) excise them instead of
 //! averaging over them.
@@ -15,8 +14,6 @@
 use std::collections::HashMap;
 
 use nt_trace::TickWindow;
-
-use crate::schema::TraceSet;
 
 /// Per-machine windows of virtual time known (or suspected) to be lossy.
 #[derive(Clone, Debug, Default)]
@@ -69,42 +66,14 @@ impl LossWindows {
 
     /// True when the span `[lo, hi]` of `machine`'s stream touches a
     /// lossy window.
-    pub fn span_is_lossy(&self, machine: u32, lo: u64, hi: u64) -> bool {
+    pub(crate) fn span_is_lossy(&self, machine: u32, lo: u64, hi: u64) -> bool {
         self.for_machine(machine).iter().any(|w| w.overlaps(lo, hi))
     }
-}
-
-/// Detects suspicious holes in a collected trace: for each machine, any
-/// silence of at least `min_gap_ticks` between consecutive records
-/// becomes a lossy window. A clean but idle machine can produce false
-/// positives — the threshold trades those against missed outages, and
-/// callers that know the real fault schedule should prefer it over
-/// detection.
-pub fn detect_gaps(ts: &TraceSet, min_gap_ticks: u64) -> LossWindows {
-    let min_gap_ticks = min_gap_ticks.max(1);
-    let mut by_machine: HashMap<u32, Vec<u64>> = HashMap::new();
-    // Columnar scan: only the machine and start-tick columns.
-    for (&m, &t) in ts.records.machines().iter().zip(ts.records.start_ticks()) {
-        by_machine.entry(m).or_default().push(t);
-    }
-    let mut out = LossWindows::new();
-    for (m, mut ticks) in by_machine {
-        ticks.sort_unstable();
-        for w in ticks.windows(2) {
-            if w[1] - w[0] >= min_gap_ticks {
-                // The hole starts after the last seen record and ends
-                // when recording demonstrably resumed.
-                out.add(m, TickWindow::new(w[0] + 1, w[1]));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::test_support::synthetic_trace_set;
 
     #[test]
     fn empty_windows_report_clean() {
@@ -130,34 +99,5 @@ mod tests {
         assert!(!lw.span_is_lossy(1, 250, 400));
         assert!(!lw.span_is_lossy(3, 0, u64::MAX));
         assert_eq!(lw.flattened().len(), 3);
-    }
-
-    #[test]
-    fn gap_detection_finds_a_planted_hole() {
-        let ts = synthetic_trace_set(400, 9);
-        // With an absurd threshold, nothing is a gap.
-        assert!(detect_gaps(&ts, u64::MAX).is_empty());
-        // Find the largest real silence on some machine, then set the
-        // threshold just below it: exactly that hole must be detected.
-        let mut by_machine: HashMap<u32, Vec<u64>> = HashMap::new();
-        for (m, r) in ts.records.iter() {
-            by_machine.entry(m).or_default().push(r.start_ticks);
-        }
-        let (machine, largest) = by_machine
-            .iter_mut()
-            .map(|(m, ticks)| {
-                ticks.sort_unstable();
-                let g = ticks.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-                (*m, g)
-            })
-            .max_by_key(|(_, g)| *g)
-            .expect("records exist");
-        assert!(largest > 0);
-        let lw = detect_gaps(&ts, largest);
-        assert!(!lw.is_empty());
-        assert!(lw
-            .for_machine(machine)
-            .iter()
-            .any(|w| w.duration_ticks() + 1 == largest));
     }
 }

@@ -135,7 +135,7 @@ impl LatencyAccumulator {
 
     /// Feeds one record; paging and error records are ignored, exactly
     /// like the batch path.
-    pub fn push_record(&mut self, rec: &TraceRecord) {
+    pub(crate) fn push_record(&mut self, rec: &TraceRecord) {
         let kind = rec.kind();
         if !(kind.is_read() || kind.is_write()) || rec.is_paging() || rec.status.is_error() {
             return;
@@ -185,7 +185,7 @@ impl LatencyAccumulator {
     }
 
     /// Bytes of live sketch state.
-    pub fn state_bytes(&self) -> usize {
+    pub(crate) fn state_bytes(&self) -> usize {
         self.fastio_read_latency.state_bytes()
             + self.fastio_write_latency.state_bytes()
             + self.irp_read_latency.state_bytes()

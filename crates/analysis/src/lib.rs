@@ -67,8 +67,8 @@ pub mod whatif;
 
 pub use cdf::Cdf;
 pub use facts::FactTable;
-pub use schema::{Instance, InstanceBuilder, TraceSet, UsageClass};
+pub use schema::{Instance, TraceSet};
 pub use sketch::{HistogramSketch, SpillRuns};
-pub use stats::{correlation, describe, Descriptives};
+pub use stats::{correlation, Descriptives};
 pub use stream::{AnalysisSet, MachineSink, ShardSummary, StreamConfig, StudySummary};
 pub use whatif::{DeltaSummary, DifferentialTable, FactsDelta, ReplayFacts};

@@ -262,7 +262,7 @@ impl OpsAccumulator {
     }
 
     /// Feeds one raw record (the per-record half of §8).
-    pub fn push_record(&mut self, rec: &TraceRecord) {
+    pub(crate) fn push_record(&mut self, rec: &TraceRecord) {
         let kind = rec.kind();
         if rec.is_paging() {
             return;
@@ -415,7 +415,7 @@ impl OpsAccumulator {
     }
 
     /// Bytes of live sketch state.
-    pub fn state_bytes(&self) -> usize {
+    pub(crate) fn state_bytes(&self) -> usize {
         self.read_sizes.state_bytes()
             + self.write_sizes.state_bytes()
             + self.read_gaps_us.state_bytes()

@@ -42,32 +42,6 @@ pub fn sequential_runs(ts: &TraceSet) -> SequentialRuns {
     }
 }
 
-/// Session-level transfer totals: the paper's companion observation that
-/// "the 80 % mark for the number of accesses changes to 24 Kbytes" when
-/// looking at whole sessions, and that 10 % of bytes move in sessions
-/// that accessed at least 120 KB.
-pub struct SessionTransfers {
-    /// Bytes per data session, weighted per session.
-    pub by_sessions: Cdf,
-    /// Bytes per data session, weighted by bytes.
-    pub by_bytes: Cdf,
-}
-
-/// Computes session transfer CDFs.
-pub fn session_transfers(ts: &TraceSet) -> SessionTransfers {
-    let totals: Vec<u64> = ts
-        .instances
-        .iter()
-        .filter(|i| i.is_data())
-        .map(|i| i.bytes())
-        .filter(|&b| b > 0)
-        .collect();
-    SessionTransfers {
-        by_sessions: Cdf::from_samples(totals.iter().map(|&b| b as f64)),
-        by_bytes: Cdf::from_weighted(totals.iter().map(|&b| (b as f64, b as f64))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,13 +59,5 @@ mod tests {
             bytes_median >= files_median,
             "byte weighting favours long runs: {files_median} vs {bytes_median}"
         );
-    }
-
-    #[test]
-    fn session_transfers_weighted() {
-        let ts = synthetic_trace_set(400, 12);
-        let t = session_transfers(&ts);
-        assert!(!t.by_sessions.is_empty());
-        assert!(t.by_bytes.median().unwrap() >= t.by_sessions.median().unwrap());
     }
 }

@@ -17,7 +17,7 @@ use crate::facts::FactTable;
 
 /// The table-3 row classes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum UsageClass {
+pub(crate) enum UsageClass {
     /// Only reads were performed.
     ReadOnly,
     /// Only writes.
@@ -28,7 +28,7 @@ pub enum UsageClass {
 
 /// The table-3 column classes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum TransferPattern {
+pub(crate) enum TransferPattern {
     /// Sequential from byte 0 through the whole file.
     WholeFile,
     /// Sequential, but starting inside the file or stopping early.
@@ -188,7 +188,7 @@ impl Instance {
     }
 
     /// The table-3 row this session belongs to; `None` for control-only.
-    pub fn usage_class(&self) -> Option<UsageClass> {
+    pub(crate) fn usage_class(&self) -> Option<UsageClass> {
         match (self.reads > 0, self.writes > 0) {
             (true, false) => Some(UsageClass::ReadOnly),
             (false, true) => Some(UsageClass::WriteOnly),
@@ -200,7 +200,7 @@ impl Instance {
     /// The table-3 column: the paper calls an access whole-file when all
     /// requests are sequential from byte 0 and cover the file's size at
     /// close; sequential-but-partial is "other sequential".
-    pub fn transfer_pattern(&self) -> Option<TransferPattern> {
+    pub(crate) fn transfer_pattern(&self) -> Option<TransferPattern> {
         let class = self.usage_class()?;
         let (seq, first, bytes) = match class {
             UsageClass::ReadOnly => (self.read_seq, self.read_first, self.read_bytes),
@@ -258,7 +258,7 @@ pub struct TraceSet {
 /// and [`TraceSet::build`]). File-object ids are unique per machine, so
 /// late binding is unambiguous.
 #[derive(Debug, Default)]
-pub struct InstanceBuilder {
+pub(crate) struct InstanceBuilder {
     machine: u32,
     open: HashMap<u64, (Instance, SeqTracker, SeqTracker)>,
     done: Vec<Instance>,
@@ -275,13 +275,13 @@ impl InstanceBuilder {
     }
 
     /// Sessions currently open (memory accounting).
-    pub fn open_sessions(&self) -> usize {
+    pub(crate) fn open_sessions(&self) -> usize {
         self.open.len()
     }
 
     /// Bytes of live state held for still-open sessions (instances plus
     /// their run/gap vectors) and not-yet-drained finished ones.
-    pub fn state_bytes(&self) -> usize {
+    pub(crate) fn state_bytes(&self) -> usize {
         let inst_bytes = |i: &Instance| {
             std::mem::size_of::<Instance>()
                 + (i.read_runs.len() + i.write_runs.len() + i.read_gaps.len() + i.write_gaps.len())
@@ -299,7 +299,7 @@ impl InstanceBuilder {
 
     /// Takes the sessions completed since the last drain, in completion
     /// order.
-    pub fn drain_done(&mut self) -> Vec<Instance> {
+    pub(crate) fn drain_done(&mut self) -> Vec<Instance> {
         std::mem::take(&mut self.done)
     }
 
@@ -324,7 +324,7 @@ impl InstanceBuilder {
 
     /// Resolves paths on a batch of finished instances from the name
     /// dimension.
-    pub fn assign_paths(instances: &mut [Instance], names: &HashMap<(u32, u64), String>) {
+    pub(crate) fn assign_paths(instances: &mut [Instance], names: &HashMap<(u32, u64), String>) {
         for inst in instances {
             if inst.path.is_none() {
                 inst.path = names.get(&(inst.machine, inst.file_object)).cloned();
@@ -512,7 +512,7 @@ impl TraceSet {
     }
 
     /// Non-paging data records (application reads/writes).
-    pub fn data_records(&self) -> impl Iterator<Item = (u32, TraceRecord)> + '_ {
+    pub(crate) fn data_records(&self) -> impl Iterator<Item = (u32, TraceRecord)> + '_ {
         self.records
             .iter()
             .filter(|(_, r)| (r.kind().is_read() || r.kind().is_write()) && !r.is_paging())

@@ -123,7 +123,7 @@ impl SessionAccumulator {
     }
 
     /// Bytes of live sketch state.
-    pub fn state_bytes(&self) -> usize {
+    pub(crate) fn state_bytes(&self) -> usize {
         [
             &self.all,
             &self.data,

@@ -126,7 +126,7 @@ impl SizeAccumulator {
     }
 
     /// Bytes of live sketch state.
-    pub fn state_bytes(&self) -> usize {
+    pub(crate) fn state_bytes(&self) -> usize {
         self.by_opens
             .iter()
             .chain(self.by_bytes.iter())

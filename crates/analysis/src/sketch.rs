@@ -201,7 +201,7 @@ impl HistogramSketch {
 
     /// Bytes of live state, for the memory accounting the streaming study
     /// reports (`BTreeMap` node ≈ key + value + pointers).
-    pub fn state_bytes(&self) -> usize {
+    pub(crate) fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.buckets.len() * 48
     }
 }
@@ -213,7 +213,7 @@ impl HistogramSketch {
 /// binary little-endian `f64` run files, keeping resident memory at
 /// `capacity × 8` bytes regardless of sample count. Without a spill
 /// directory the buffer simply grows (the legacy in-memory behaviour).
-/// [`SpillRuns::top_k`] streams a k-way merge of all runs to hand the tail
+/// `SpillRuns::top_k` streams a k-way merge of all runs to hand the tail
 /// analyses their top order statistics in `O(k)` memory.
 #[derive(Debug, Default)]
 pub struct SpillRuns {
@@ -267,7 +267,8 @@ impl SpillRuns {
     }
 
     /// Sorted run files written so far.
-    pub fn spilled_runs(&self) -> usize {
+    #[cfg(test)]
+    fn spilled_runs(&self) -> usize {
         self.runs.len()
     }
 
@@ -282,7 +283,7 @@ impl SpillRuns {
     }
 
     /// Bytes of live state.
-    pub fn state_bytes(&self) -> usize {
+    pub(crate) fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.buffer.capacity() * 8
     }
 
@@ -365,7 +366,7 @@ impl SpillRuns {
 
     /// The top `k` order statistics, ascending (`result[0]` is the
     /// `(n-k)`-th order statistic). Memory is `O(k)`.
-    pub fn top_k(&mut self, k: usize) -> Vec<f64> {
+    pub(crate) fn top_k(&mut self, k: usize) -> Vec<f64> {
         let mut ring: VecDeque<f64> = VecDeque::with_capacity(k + 1);
         self.for_each_sorted(|v| {
             ring.push_back(v);

@@ -24,7 +24,7 @@ pub struct Descriptives {
 }
 
 /// Computes descriptives of a sample; zeros for the empty sample.
-pub fn describe(samples: &[f64]) -> Descriptives {
+pub(crate) fn describe(samples: &[f64]) -> Descriptives {
     if samples.is_empty() {
         return Descriptives::default();
     }
@@ -69,7 +69,7 @@ pub fn correlation(xs: &[f64], ys: &[f64]) -> Option<f64> {
 
 /// Least-squares line fit `y = a + b x`; returns `(a, b)`, or `None` for
 /// degenerate inputs. Used by the LLCD tail-slope estimate (figure 10).
-pub fn least_squares(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
+pub(crate) fn least_squares(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
     if xs.len() != ys.len() || xs.len() < 2 {
         return None;
     }

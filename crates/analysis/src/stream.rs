@@ -6,7 +6,7 @@
 //! store-everything trace path: each machine gets a [`MachineSink`] that
 //! consumes shipments *as the agent ships them*, in the agent's sequence
 //! order, drives the instance-table state machine
-//! ([`crate::schema::InstanceBuilder`]) and folds every record and
+//! (`schema::InstanceBuilder`) and folds every record and
 //! finished session into online aggregates — exact counters,
 //! [`crate::sketch::HistogramSketch`] CDF sketches, and
 //! [`crate::sketch::SpillRuns`] spill buffers for the tail analyses that
@@ -220,7 +220,7 @@ impl MachineSink {
 
     /// Bytes of live streaming state (excluding any `retain` buffers,
     /// which exist precisely to be unbounded).
-    pub fn state_bytes(&self) -> usize {
+    pub(crate) fn state_bytes(&self) -> usize {
         self.builder.state_bytes()
             + self.ops.state_bytes()
             + self.latency.state_bytes()

@@ -180,7 +180,7 @@ pub fn llcd(sample: &[f64], tail_fraction: f64) -> Llcd {
 
 /// The Hill estimator of the tail index α over the top `k` order
 /// statistics.
-pub fn hill_estimator(sorted_ascending: &[f64], k: usize) -> f64 {
+pub(crate) fn hill_estimator(sorted_ascending: &[f64], k: usize) -> f64 {
     let n = sorted_ascending.len();
     if n < 3 {
         return 0.0;
@@ -204,7 +204,7 @@ pub fn hill_estimator(sorted_ascending: &[f64], k: usize) -> f64 {
 /// top-k (see `SpillRuns::top_k`) instead of the full sample. Degenerate
 /// tails (fewer than 3 points, non-positive or all-equal values) return
 /// 0.0, matching [`hill_estimator`].
-pub fn hill_estimator_from_tail(tail: &[f64]) -> f64 {
+pub(crate) fn hill_estimator_from_tail(tail: &[f64]) -> f64 {
     if tail.len() < 3 {
         return 0.0;
     }

@@ -185,28 +185,6 @@ impl DifferentialTable {
             rows: rows.iter().zip(baseline).map(|(v, b)| v.delta(b)).collect(),
         }
     }
-
-    /// Sums the per-machine rows into one fleet row.
-    pub fn fleet_row(&self) -> FactsDelta {
-        let mut total = FactsDelta {
-            machine: u32::MAX,
-            ..FactsDelta::default()
-        };
-        for r in &self.rows {
-            total.replayed_requests += r.replayed_requests;
-            total.skipped_records += r.skipped_records;
-            total.read_hits += r.read_hits;
-            total.read_misses += r.read_misses;
-            total.fastio_reads += r.fastio_reads;
-            total.irp_reads += r.irp_reads;
-            total.paging_reads += r.paging_reads;
-            total.paging_writes += r.paging_writes;
-            total.demand_read_bytes += r.demand_read_bytes;
-            total.readahead_bytes += r.readahead_bytes;
-            total.disk_busy_ticks += r.disk_busy_ticks;
-        }
-        total
-    }
 }
 
 /// The §9-style per-variant summary a person reads: the three families
@@ -336,9 +314,6 @@ mod tests {
         let table = DifferentialTable::build("boosted", &variant, &base);
         assert_eq!(table.rows[0].read_hits, 5);
         assert_eq!(table.rows[1].read_hits, -5);
-        let fleet = table.fleet_row();
-        assert_eq!(fleet.read_hits, 0);
-        assert_eq!(fleet.machine, u32::MAX);
     }
 
     #[test]

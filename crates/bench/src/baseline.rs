@@ -57,14 +57,14 @@ impl Baseline {
     /// The iteration count one bench entry was recorded at: its own
     /// `{name}_iters` field when present, else the file-wide count.
     /// Baselines predating per-entry counts fall back to the global one.
-    pub fn iters_for(&self, name: &str) -> Option<u32> {
+    pub(crate) fn iters_for(&self, name: &str) -> Option<u32> {
         self.get(&format!("{name}_iters"))
             .map(|v| v as u32)
             .or_else(|| self.iterations())
     }
 
     /// Every bench with a recorded `*_min_ns` floor, suffix stripped.
-    pub fn min_ns_benches(&self) -> impl Iterator<Item = (&str, u128)> {
+    pub(crate) fn min_ns_benches(&self) -> impl Iterator<Item = (&str, u128)> {
         self.values
             .iter()
             .filter_map(|(k, &v)| Some((k.strip_suffix("_min_ns")?, v)))

@@ -35,4 +35,3 @@ pub use manager::{
 };
 pub use metrics::CacheMetrics;
 pub use range_set::RangeSet;
-pub use read_ahead::{ReadAheadDecision, ReadAheadState};

@@ -48,8 +48,10 @@ pub struct CacheConfig {
     /// Files at least this large get the boosted granularity.
     pub boost_threshold: u64,
     /// Period of the lazy-writer scan (§9.2: every second); must be
-    /// positive. What-if replay honours it. A study scans every second,
-    /// because `StudyConfig` carries no `CacheConfig`.
+    /// positive. The machine steps its writer by it under every driver:
+    /// the synthetic bench and what-if replay take it from their config,
+    /// and a study scans every second, because `StudyConfig` carries no
+    /// `CacheConfig`.
     pub lazy_write_interval: SimDuration,
     /// Ablation: disable read-ahead entirely (demand paging only).
     pub readahead_enabled: bool,
@@ -211,7 +213,8 @@ impl<K: Ord + Clone> CacheManager<K> {
     }
 
     /// Number of cache maps currently live.
-    pub fn cached_files(&self) -> usize {
+    #[cfg(test)]
+    fn cached_files(&self) -> usize {
         self.files.len()
     }
 
@@ -477,9 +480,8 @@ impl<K: Ord + Clone> CacheManager<K> {
         ios
     }
 
-    /// One lazy-writer scan (§9.2). A study scans every second, because
-    /// `StudyConfig` carries no `CacheConfig`; what-if replay scans once
-    /// per [`CacheConfig::lazy_write_interval`]. Returns the paging writes
+    /// One lazy-writer scan (§9.2); the machine runs one per
+    /// [`CacheConfig::lazy_write_interval`]. Returns the paging writes
     /// to issue, plus the keys whose deferred close can now complete.
     pub fn lazy_scan(&mut self, now: SimTime) -> (Vec<PagingAction<K>>, Vec<K>) {
         let _span = self.telemetry.span(Phase::Cache, "cache.lazy_scan", now);
@@ -621,8 +623,8 @@ impl<K: Ord + Clone> CacheManager<K> {
 
     /// Recomputes the resident total from the cache maps — the slow
     /// ground truth for the incremental counter.
-    #[doc(hidden)]
-    pub fn recounted_resident_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn recounted_resident_bytes(&self) -> u64 {
         self.files
             .values()
             .map(|f| f.resident.covered_bytes())
@@ -657,7 +659,8 @@ impl<K: Ord + Clone> CacheManager<K> {
     }
 
     /// Read-ahead granularity currently in force for a cached file.
-    pub fn file_granularity(&self, key: &K) -> Option<u64> {
+    #[cfg(test)]
+    fn file_granularity(&self, key: &K) -> Option<u64> {
         self.files.get(key).map(|fc| fc.ra.granularity())
     }
 
@@ -668,8 +671,8 @@ impl<K: Ord + Clone> CacheManager<K> {
 
     /// Size of the lazy writer's worklist — the only maps the per-second
     /// scan touches. Clean resident maps never appear here.
-    #[doc(hidden)]
-    pub fn scan_worklist_len(&self) -> usize {
+    #[cfg(test)]
+    fn scan_worklist_len(&self) -> usize {
         self.attention.len()
     }
 }

@@ -20,7 +20,8 @@ impl RangeSet {
     }
 
     /// Number of disjoint ranges.
-    pub fn range_count(&self) -> usize {
+    #[cfg(test)]
+    fn range_count(&self) -> usize {
         self.ranges.len()
     }
 

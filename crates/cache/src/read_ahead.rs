@@ -14,11 +14,11 @@
 //!   sequential classification by about 1.5 %).
 
 /// Mask applied to offsets before comparing for sequentiality.
-pub const FUZZY_MASK: u64 = !0x7F;
+pub(crate) const FUZZY_MASK: u64 = !0x7F;
 
 /// What the policy wants prefetched after a read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReadAheadDecision {
+pub(crate) enum ReadAheadDecision {
     /// No prefetch.
     None,
     /// Prefetch `[start, start + len)`.
@@ -32,7 +32,7 @@ pub enum ReadAheadDecision {
 
 /// Per-file read-ahead state.
 #[derive(Clone, Debug)]
-pub struct ReadAheadState {
+pub(crate) struct ReadAheadState {
     granularity: u64,
     sequential_only: bool,
     last_end: Option<u64>,
@@ -63,12 +63,14 @@ impl ReadAheadState {
     }
 
     /// The per-file granularity (after any file-system boost).
-    pub fn granularity(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn granularity(&self) -> u64 {
         self.granularity
     }
 
     /// Length of the current sequential run, in requests.
-    pub fn run_length(&self) -> u32 {
+    #[cfg(test)]
+    fn run_length(&self) -> u32 {
         self.run_length
     }
 
@@ -80,7 +82,7 @@ impl ReadAheadState {
     /// same 128-byte block. Re-reads and backwards seeks inside the block
     /// are not sequential — treating them as such inflates run lengths
     /// and over-triggers prefetch on looping readers.
-    pub fn is_sequential_next(&self, offset: u64) -> bool {
+    pub(crate) fn is_sequential_next(&self, offset: u64) -> bool {
         match self.last_end {
             Some(end) => {
                 offset == end || (offset > end && (offset & FUZZY_MASK) == (end & FUZZY_MASK))
@@ -93,7 +95,7 @@ impl ReadAheadState {
     ///
     /// `file_size` clamps prefetch decisions; a zero-length file never
     /// prefetches.
-    pub fn on_read(&mut self, offset: u64, len: u64, file_size: u64) -> ReadAheadDecision {
+    pub(crate) fn on_read(&mut self, offset: u64, len: u64, file_size: u64) -> ReadAheadDecision {
         let first = self.last_end.is_none();
         if first {
             self.run_length = 1;
@@ -148,7 +150,7 @@ impl ReadAheadState {
     }
 
     /// Notes that the file grew (writes extend the prefetch clamp).
-    pub fn note_size(&mut self, file_size: u64) {
+    pub(crate) fn note_size(&mut self, file_size: u64) {
         self.prefetched_to = self.prefetched_to.min(file_size);
     }
 }

@@ -46,6 +46,4 @@ pub use shard::{ShardOptions, ShardReport, ShardedStudyData};
 pub use study::{LossReport, MachineOutput, StreamedStudyData, Study, StudyData, StudyFault};
 pub use synthetic::SyntheticBench;
 pub use warehouse::{StreamOptions, WarehouseIngest};
-pub use whatif::{
-    audit_variant, variant_ledgers, VariantRun, WhatIfError, WhatIfReport, WhatIfStudy,
-};
+pub use whatif::{audit_variant, VariantRun, WhatIfError, WhatIfReport, WhatIfStudy};

@@ -29,7 +29,7 @@ use nt_io::{
     DiskParams, EventKind, HandleId, IoMetrics, Machine, MachineConfig, MajorFunction,
     NullObserver, ProcessId,
 };
-use nt_sim::{SimDuration, SimTime};
+use nt_sim::SimTime;
 use nt_trace::steal::run_indexed;
 use nt_trace::TraceRecord;
 use nt_vm::VmMetrics;
@@ -192,9 +192,6 @@ struct MachineReplay {
     machine: Machine<NullObserver>,
     handles: BTreeMap<u64, HandleId>,
     volumes: Vec<VolumeId>,
-    /// The variant's lazy-writer period, and the time of its next scan.
-    lazy_interval: SimDuration,
-    next_lazy: SimTime,
     file_seq: u64,
 }
 
@@ -216,27 +213,11 @@ impl MachineReplay {
                 config.disk.clone(),
             ));
         }
-        let lazy_interval = config.cache.lazy_write_interval;
-        // A zero period would scan forever without advancing the clock.
-        assert!(
-            !lazy_interval.is_zero(),
-            "lazy_write_interval must be positive"
-        );
         MachineReplay {
             machine,
             handles: BTreeMap::new(),
             volumes,
-            lazy_interval,
-            next_lazy: SimTime::ZERO + lazy_interval,
             file_seq: 0,
-        }
-    }
-
-    fn tick_to(&mut self, now: SimTime) {
-        while self.next_lazy <= now {
-            let at = self.next_lazy;
-            self.machine.lazy_tick(at);
-            self.next_lazy = at + self.lazy_interval;
         }
     }
 
@@ -296,7 +277,7 @@ pub fn replay_stream(stream: &ReplayStream, config: &ReplayConfig) -> MachineVar
             continue;
         }
         let now = SimTime::from_ticks(rec.start_ticks);
-        mr.tick_to(now);
+        mr.machine.run_lazy_writer(now);
         match rec.kind() {
             EventKind::Irp(MajorFunction::Create) => {
                 if rec.status.is_error() {
@@ -378,11 +359,11 @@ pub fn replay_stream(stream: &ReplayStream, config: &ReplayConfig) -> MachineVar
 
     // Drain: give the lazy writer thirty scans past the last request,
     // then pump outstanding completions so the counters quiesce.
-    let end = mr.next_lazy + mr.lazy_interval * 30;
-    for s in 0..30 {
-        mr.machine.lazy_tick(mr.next_lazy + mr.lazy_interval * s);
+    let mut due = mr.machine.next_lazy_scan();
+    for _ in 0..30 {
+        due = mr.machine.run_lazy_writer(due);
     }
-    mr.machine.pump(end);
+    mr.machine.pump(due);
 
     let io = mr.machine.metrics();
     let cache = mr.machine.cache_metrics();
@@ -415,6 +396,7 @@ mod tests {
     use crate::config::StudyConfig;
     use crate::study::Study;
     use crate::whatif::WhatIfStudy;
+    use nt_sim::SimDuration;
     use std::sync::OnceLock;
 
     struct Holder {

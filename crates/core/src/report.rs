@@ -798,7 +798,7 @@ pub fn section10(data: &StudyData) -> String {
 }
 
 /// Per-category table-1 style breakdown (a this-reproduction extra).
-pub fn category_breakdown(data: &StudyData) -> String {
+pub(crate) fn category_breakdown(data: &StudyData) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Per-category machine counters");
     for cat in UsageCategory::ALL {

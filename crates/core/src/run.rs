@@ -193,7 +193,7 @@ impl MachineRun {
     /// live recorder the health watchdog reports into it on the sampler
     /// cadence. Off handles make this a no-op, so the study driver calls
     /// it unconditionally after build.
-    pub fn set_instruments(&mut self, tracer: &ShipmentTracer, recorder: &FlightRecorder) {
+    pub(crate) fn set_instruments(&mut self, tracer: &ShipmentTracer, recorder: &FlightRecorder) {
         self.machine
             .observer_mut()
             .set_shipment_hooks(tracer.clone(), recorder.clone());
@@ -212,7 +212,7 @@ impl MachineRun {
     }
 
     /// Drains the findings the watchdog raised during the run.
-    pub fn take_health(&mut self) -> Vec<HealthFinding> {
+    pub(crate) fn take_health(&mut self) -> Vec<HealthFinding> {
         std::mem::take(&mut self.health)
     }
 
@@ -305,10 +305,10 @@ impl MachineRun {
             next_pid: u32,
             sample_every: Option<SimDuration>,
         }
-        fn lazy_tick(w: &mut World<'_>, eng: &mut Engine<World<'_>>) {
-            w.run.machine.lazy_tick(eng.now());
+        fn lazy_write(w: &mut World<'_>, eng: &mut Engine<World<'_>>) {
+            let next = w.run.machine.run_lazy_writer(eng.now());
             if eng.now() < w.end {
-                eng.schedule_in(SimDuration::from_secs(1), lazy_tick);
+                eng.schedule_at(next, lazy_write);
             }
         }
         // The telemetry sampler: reads gauges off the machine and the
@@ -459,7 +459,8 @@ impl MachineRun {
 
         {
             let mut engine: Engine<World<'_>> = Engine::new();
-            engine.schedule_at(SimTime::from_secs(1).max(now), lazy_tick);
+            // The lazy writer starts once logon has run.
+            engine.schedule_at(self.machine.defer_lazy_writer(now), lazy_write);
             engine.schedule_at(SimTime::from_secs(30).max(now), ship);
             engine.schedule_at(
                 (SimTime::ZERO + config.snapshot_interval).max(now),
@@ -536,12 +537,8 @@ impl MachineRun {
         // Drain: the lazy writer finishes every deferred close before the
         // agent's final flush (big dirty development files can take a
         // while at one burst per scan).
-        let mut s = 0;
-        while (self.machine.deferred_closes() > 0 || s < 5) && s < 2_000 {
-            s += 1;
-            self.machine.lazy_tick(end + SimDuration::from_secs(s));
-        }
-        self.machine.pump(end + SimDuration::from_secs(s + 10));
+        let drained = self.machine.drain_lazy_writer(end, 2_000);
+        self.machine.pump(drained + SimDuration::from_secs(10));
         self.take_snapshot(end);
         self.machine.observer_mut().final_flush(server);
     }

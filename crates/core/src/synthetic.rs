@@ -87,13 +87,9 @@ impl SyntheticBench {
     pub fn run(&mut self, duration: SimDuration) -> IoMetrics {
         let end = SimTime::ZERO + duration;
         let mut now = SimTime::from_millis(1);
-        let mut next_lazy = SimTime::from_secs(1);
         let process = ProcessId(1);
         while now < end {
-            while next_lazy <= now {
-                self.machine.lazy_tick(next_lazy);
-                next_lazy += SimDuration::from_secs(1);
-            }
+            self.machine.run_lazy_writer(now);
             self.open_ticks.push(now.ticks());
 
             let u: f64 = self.rng.gen();
@@ -142,12 +138,8 @@ impl SyntheticBench {
             now += SimDuration::from_ticks(gap);
         }
         // Drain.
-        let mut s = 0;
-        while (self.machine.deferred_closes() > 0 || s < 5) && s < 600 {
-            s += 1;
-            self.machine.lazy_tick(end + SimDuration::from_secs(s));
-        }
-        self.machine.pump(end + SimDuration::from_secs(s + 5));
+        let drained = self.machine.drain_lazy_writer(end, 600);
+        self.machine.pump(drained + SimDuration::from_secs(5));
         self.machine.metrics()
     }
 
@@ -274,21 +266,32 @@ mod tests {
     fn synthetic_bench_compares_cache_configs() {
         let data = Study::run(&StudyConfig::smoke_test(32)).expect("smoke study runs");
         let profile = fit_profile(&data.trace_set).expect("fit succeeds");
-        let run = |fastio: bool| {
-            let mut bench = SyntheticBench::new(
-                profile.clone(),
-                MachineConfig {
-                    disable_fastio: !fastio,
-                    ..MachineConfig::default()
-                },
-                300,
-                4,
-            );
-            bench.run(SimDuration::from_secs(60))
+        let run = |config: MachineConfig, seconds: u64| {
+            let mut bench = SyntheticBench::new(profile.clone(), config, 300, 4);
+            bench.run(SimDuration::from_secs(seconds));
+            bench
         };
-        let with = run(true);
-        let without = run(false);
+        let fastio = |on: bool| MachineConfig {
+            disable_fastio: !on,
+            ..MachineConfig::default()
+        };
+        let with = run(fastio(true), 60).machine().metrics();
+        let without = run(fastio(false), 60).machine().metrics();
         assert!(with.fastio_reads > 0);
         assert_eq!(without.fastio_reads, 0, "the knob reaches the bench");
+
+        // The lazy-writer period reaches the bench too. A minute of load
+        // gives the same counters at 1 s and 8 s, so this runs fifteen.
+        let lazy_every = |secs: u64| MachineConfig {
+            cache: nt_cache::CacheConfig {
+                lazy_write_interval: SimDuration::from_secs(secs),
+                ..nt_cache::CacheConfig::default()
+            },
+            ..MachineConfig::default()
+        };
+        let (every_second, every_8s) = (run(lazy_every(1), 900), run(lazy_every(8), 900));
+        let (fast, slow) = (every_second.machine(), every_8s.machine());
+        assert_ne!(fast.cache_metrics(), slow.cache_metrics());
+        assert_ne!(fast.disk_busy_ticks(), slow.disk_busy_ticks());
     }
 }

@@ -367,7 +367,7 @@ impl WhatIfStudy {
 ///
 /// Public so tests can perturb an outcome and prove the reconciliation
 /// failure names the variant it came from.
-pub fn variant_ledgers(variant: &str, outcomes: &[MachineVariantOutcome]) -> Vec<Ledger> {
+pub(crate) fn variant_ledgers(variant: &str, outcomes: &[MachineVariantOutcome]) -> Vec<Ledger> {
     outcomes
         .iter()
         .map(|o| {

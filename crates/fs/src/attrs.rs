@@ -15,18 +15,6 @@ use nt_sim::SimTime;
 pub struct FileAttributes(u32);
 
 impl FileAttributes {
-    /// FILE_ATTRIBUTE_READONLY.
-    pub const READONLY: FileAttributes = FileAttributes(0x0001);
-    /// FILE_ATTRIBUTE_HIDDEN.
-    pub const HIDDEN: FileAttributes = FileAttributes(0x0002);
-    /// FILE_ATTRIBUTE_SYSTEM.
-    pub const SYSTEM: FileAttributes = FileAttributes(0x0004);
-    /// FILE_ATTRIBUTE_DIRECTORY.
-    pub const DIRECTORY: FileAttributes = FileAttributes(0x0010);
-    /// FILE_ATTRIBUTE_ARCHIVE.
-    pub const ARCHIVE: FileAttributes = FileAttributes(0x0020);
-    /// FILE_ATTRIBUTE_NORMAL.
-    pub const NORMAL: FileAttributes = FileAttributes(0x0080);
     /// FILE_ATTRIBUTE_TEMPORARY — §6.3: tells the lazy writer not to queue
     /// the file's dirty pages for disk writes; the file dies at close.
     pub const TEMPORARY: FileAttributes = FileAttributes(0x0100);
@@ -86,20 +74,12 @@ pub struct FileTimes {
 
 impl FileTimes {
     /// Fresh timestamps for a file created at `now`, per file-system rules.
-    pub fn at_creation(now: SimTime, maintains_all: bool) -> Self {
+    pub(crate) fn at_creation(now: SimTime, maintains_all: bool) -> Self {
         FileTimes {
             creation: maintains_all.then_some(now),
             last_access: maintains_all.then_some(now),
             last_write: now,
         }
-    }
-
-    /// The "functional lifetime" of Satyanarayanan \[18\], used by §5 when
-    /// creation times are untrustworthy: last-write minus last-access,
-    /// `None` when last-access is unavailable (FAT).
-    pub fn functional_lifetime(&self) -> Option<i64> {
-        self.last_access
-            .map(|a| self.last_write.ticks() as i64 - a.ticks() as i64)
     }
 
     /// True when the timestamps are self-inconsistent in the way §5
@@ -118,13 +98,13 @@ mod tests {
 
     #[test]
     fn attribute_set_operations() {
-        let a = FileAttributes::TEMPORARY | FileAttributes::HIDDEN;
+        let a = FileAttributes::TEMPORARY | FileAttributes::COMPRESSED;
         assert!(a.contains(FileAttributes::TEMPORARY));
-        assert!(a.contains(FileAttributes::HIDDEN));
-        assert!(!a.contains(FileAttributes::SYSTEM));
-        let b = a.difference(FileAttributes::HIDDEN);
+        assert!(a.contains(FileAttributes::COMPRESSED));
+        assert!(!FileAttributes::TEMPORARY.contains(FileAttributes::COMPRESSED));
+        let b = a.difference(FileAttributes::COMPRESSED);
         assert!(b.contains(FileAttributes::TEMPORARY));
-        assert!(!b.contains(FileAttributes::HIDDEN));
+        assert!(!b.contains(FileAttributes::COMPRESSED));
         assert_eq!(FileAttributes::empty().bits(), 0);
     }
 
@@ -146,9 +126,5 @@ mod tests {
         assert!(!ft.change_newer_than_access());
         ft.last_write = SimTime::from_secs(20);
         assert!(ft.change_newer_than_access());
-        assert_eq!(
-            ft.functional_lifetime(),
-            Some(10 * nt_sim::TICKS_PER_SEC as i64)
-        );
     }
 }

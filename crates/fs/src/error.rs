@@ -7,7 +7,7 @@
 use std::fmt;
 
 /// Result alias for file-system state operations.
-pub type FsResult<T> = Result<T, FsError>;
+pub(crate) type FsResult<T> = Result<T, FsError>;
 
 /// Errors from namespace and metadata operations.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

@@ -35,8 +35,8 @@ pub mod path;
 pub mod volume;
 
 pub use attrs::{FileAttributes, FileTimes};
-pub use error::{FsError, FsResult};
-pub use namespace::{Namespace, VolumeId, VolumeLocation};
+pub use error::FsError;
+pub use namespace::{Namespace, VolumeId};
 pub use node::{Node, NodeId, NodeKind};
-pub use path::{NtPath, NtPathBuf};
+pub use path::NtPath;
 pub use volume::{FsKind, Volume, VolumeConfig, VolumeStats};

@@ -18,7 +18,7 @@ pub struct VolumeId(pub u32);
 /// Where a volume physically lives — drives the latency model and the
 /// local-vs-remote split of figure 5.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum VolumeLocation {
+pub(crate) enum VolumeLocation {
     /// A local disk with a drive letter (e.g. `C`).
     Local {
         /// Drive letter.
@@ -115,7 +115,7 @@ impl Namespace {
     }
 
     /// The location of a volume.
-    pub fn location(&self, id: VolumeId) -> FsResult<&VolumeLocation> {
+    pub(crate) fn location(&self, id: VolumeId) -> FsResult<&VolumeLocation> {
         self.volumes
             .get(id.0 as usize)
             .map(|(l, _)| l)

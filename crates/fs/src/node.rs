@@ -107,7 +107,7 @@ impl Node {
     }
 
     /// Mutable file metadata, if this is a file.
-    pub fn file_mut(&mut self) -> Option<&mut FileMeta> {
+    pub(crate) fn file_mut(&mut self) -> Option<&mut FileMeta> {
         match &mut self.kind {
             NodeKind::File(f) => Some(f),
             NodeKind::Directory(_) => None,

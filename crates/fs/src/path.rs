@@ -16,9 +16,6 @@ pub struct NtPath {
     components: Vec<String>,
 }
 
-/// An owned, growable NT path.
-pub type NtPathBuf = NtPath;
-
 impl NtPath {
     /// The volume root `\`.
     pub fn root() -> Self {
@@ -115,16 +112,6 @@ impl fmt::Display for NtPath {
     }
 }
 
-/// Extracts the lower-cased extension from a bare file name.
-pub fn extension_of(name: &str) -> Option<String> {
-    let dot = name.rfind('.')?;
-    if dot == 0 || dot + 1 == name.len() {
-        None
-    } else {
-        Some(name[dot + 1..].to_ascii_lowercase())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,8 +153,6 @@ mod tests {
         assert_eq!(NtPath::parse(r"\x\.profile").extension(), None);
         assert_eq!(NtPath::parse(r"\x\trailing.").extension(), None);
         assert_eq!(NtPath::parse(r"\x\a.b.c").extension(), Some("c"));
-        assert_eq!(extension_of("Makefile"), None);
-        assert_eq!(extension_of("a.OBJ"), Some("obj".to_string()));
     }
 
     #[test]

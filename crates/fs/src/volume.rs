@@ -20,12 +20,12 @@ pub enum FsKind {
 
 impl FsKind {
     /// Whether creation and last-access timestamps are maintained.
-    pub fn maintains_all_times(self) -> bool {
+    pub(crate) fn maintains_all_times(self) -> bool {
         matches!(self, FsKind::Ntfs)
     }
 
     /// Default cluster size in bytes.
-    pub fn default_cluster_size(self) -> u64 {
+    pub(crate) fn default_cluster_size(self) -> u64 {
         match self {
             FsKind::Fat => 16_384,
             FsKind::Ntfs => 4_096,
@@ -210,11 +210,6 @@ impl Volume {
         }
     }
 
-    /// True when the handle still refers to a live node.
-    pub fn is_live(&self, id: NodeId) -> bool {
-        self.node(id).is_ok()
-    }
-
     /// Looks up a child by (case-insensitive) name in a directory.
     pub fn child(&self, dir: NodeId, name: &str) -> FsResult<NodeId> {
         self.child_by_key(dir, &name.to_ascii_lowercase())
@@ -235,28 +230,6 @@ impl Volume {
             cur = self.child_by_key(cur, comp)?;
         }
         Ok(cur)
-    }
-
-    /// Reconstructs the absolute path of a node.
-    pub fn path_of(&self, id: NodeId) -> FsResult<NtPath> {
-        let mut comps = Vec::new();
-        let mut cur = id;
-        loop {
-            let node = self.node(cur)?;
-            match node.parent {
-                Some(p) => {
-                    comps.push(node.name.clone());
-                    cur = p;
-                }
-                None => break,
-            }
-        }
-        comps.reverse();
-        let mut path = NtPath::root();
-        for c in &comps {
-            path.push(c);
-        }
-        Ok(path)
     }
 
     /// Creates a subdirectory.
@@ -306,7 +279,7 @@ impl Volume {
     }
 
     /// Creates an empty file with explicit attributes.
-    pub fn create_file_with(
+    pub(crate) fn create_file_with(
         &mut self,
         parent: NodeId,
         name: &str,
@@ -591,7 +564,6 @@ mod tests {
         let f = v.create_file(d, "X.TXT", T1).unwrap();
         assert_eq!(v.lookup(&NtPath::parse(r"\A\B\x.txt")).unwrap(), f);
         assert_eq!(v.child(d, "X.txt").unwrap(), f);
-        assert_eq!(v.path_of(f).unwrap().to_string(), r"\a\b\x.txt");
         assert_eq!(v.stats().files, 1);
         assert_eq!(v.stats().directories, 2);
     }
@@ -646,7 +618,7 @@ mod tests {
         let g = v.create_file(v.root(), "g", T2).unwrap();
         assert_ne!(f, g);
         assert_eq!(v.node(f).unwrap_err(), FsError::StaleNode);
-        assert!(v.is_live(g));
+        assert!(v.node(g).is_ok());
     }
 
     #[test]

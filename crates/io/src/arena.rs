@@ -203,12 +203,12 @@ impl<T> Arena<T> {
     }
 
     /// [`Arena::get_mut`] keyed by a packed handle.
-    pub fn get_raw_mut(&mut self, raw: u64) -> Option<&mut T> {
+    pub(crate) fn get_raw_mut(&mut self, raw: u64) -> Option<&mut T> {
         self.get_mut(ArenaHandle::unpack(raw))
     }
 
     /// [`Arena::remove`] keyed by a packed handle.
-    pub fn remove_raw(&mut self, raw: u64) -> Option<T> {
+    pub(crate) fn remove_raw(&mut self, raw: u64) -> Option<T> {
         self.remove(ArenaHandle::unpack(raw))
     }
 

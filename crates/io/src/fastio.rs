@@ -54,7 +54,7 @@ impl FastIoDispatch {
     /// The effective table of two stacked drivers: a routine exists for
     /// the stack only if every layer implements it.
     #[must_use]
-    pub const fn intersect(self, other: Self) -> Self {
+    pub(crate) const fn intersect(self, other: Self) -> Self {
         FastIoDispatch(self.0 & other.0)
     }
 

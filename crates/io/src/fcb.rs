@@ -19,7 +19,7 @@ use crate::types::FcbId;
 
 /// Per-FCB bookkeeping.
 #[derive(Clone, Debug)]
-pub struct Fcb {
+pub(crate) struct Fcb {
     /// The monotonic trace-visible identity (§3.2's FCB field).
     pub id: FcbId,
     /// The file's identity.
@@ -39,7 +39,7 @@ pub struct Fcb {
 /// The FCB table of one machine. Slots are [`ArenaHandle`]s; stale
 /// handles (FCB reclaimed, slot reused) never resolve.
 #[derive(Default)]
-pub struct FcbTable {
+pub(crate) struct FcbTable {
     by_file: BTreeMap<(VolumeId, NodeId), ArenaHandle>,
     fcbs: Arena<Fcb>,
     next: u64,
@@ -52,13 +52,9 @@ impl FcbTable {
     }
 
     /// Number of live FCBs.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.fcbs.len()
-    }
-
-    /// True when no FCBs are live.
-    pub fn is_empty(&self) -> bool {
-        self.fcbs.is_empty()
     }
 
     /// Returns the FCB for a file — slot and trace id — creating one on

@@ -1,6 +1,6 @@
 //! The stock filter drivers the study's stack ships with.
 //!
-//! * [`ObserverFilter`] — the paper's instrument itself: wraps an
+//! * `ObserverFilter` — the paper's instrument itself: wraps an
 //!   [`IoObserver`] (the trace agent, a test vector, or nothing) as a
 //!   stack layer that consumes every trace record.
 //! * [`SpanFilter`] — nt-obs span instrumentation as a layer: opens a
@@ -30,7 +30,7 @@ use crate::stack::{FilterAction, FilterDriver, IrpFrame};
 /// false, the FastIO table stays full), so a stack holding nothing but
 /// an `ObserverFilter` adds no work to dispatch beyond the record
 /// broadcast the observer exists for.
-pub struct ObserverFilter<O: IoObserver> {
+pub(crate) struct ObserverFilter<O: IoObserver> {
     observer: O,
 }
 
@@ -46,7 +46,7 @@ impl<O: IoObserver> ObserverFilter<O> {
     }
 
     /// Mutable access to the wrapped observer.
-    pub fn inner_mut(&mut self) -> &mut O {
+    pub(crate) fn inner_mut(&mut self) -> &mut O {
         &mut self.observer
     }
 }

@@ -93,7 +93,7 @@ pub(crate) const METADATA_TICKS: u64 = 120;
 /// The machine-wide latency model plus per-volume disk queues. The
 /// CPU-side costs are this module's constants, calibrated to the study's
 /// 200 MHz P6 workstations; only the disks vary.
-pub struct LatencyModel {
+pub(crate) struct LatencyModel {
     disks: Vec<DiskParams>,
     /// Per-volume time at which the disk becomes idle (FIFO queue).
     free_at: Vec<SimTime>,
@@ -115,30 +115,30 @@ impl LatencyModel {
     }
 
     /// Registers one more volume, returning its index.
-    pub fn add_volume(&mut self, disk: DiskParams) -> usize {
+    pub(crate) fn add_volume(&mut self, disk: DiskParams) -> usize {
         self.disks.push(disk);
         self.free_at.push(SimTime::ZERO);
         self.disks.len() - 1
     }
 
     /// Service time of a FastIO cache copy of `bytes`.
-    pub fn fastio_copy(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn fastio_copy(&self, bytes: u64) -> SimDuration {
         SimDuration::from_ticks(FASTIO_BASE_TICKS + bytes / COPY_BYTES_PER_TICK)
     }
 
     /// Service time of an IRP that is satisfied without disk I/O
     /// (cache-resident data or cached metadata) copying `bytes`.
-    pub fn irp_cached(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn irp_cached(&self, bytes: u64) -> SimDuration {
         SimDuration::from_ticks(IRP_BASE_TICKS + bytes / COPY_BYTES_PER_TICK)
     }
 
     /// Service time of a metadata operation (control, query, directory).
-    pub fn metadata_op(&self) -> SimDuration {
+    pub(crate) fn metadata_op(&self) -> SimDuration {
         SimDuration::from_ticks(IRP_BASE_TICKS + METADATA_TICKS)
     }
 
     /// FastIO metadata query (QueryBasicInfo etc.).
-    pub fn fastio_metadata(&self) -> SimDuration {
+    pub(crate) fn fastio_metadata(&self) -> SimDuration {
         SimDuration::from_ticks(FASTIO_BASE_TICKS + METADATA_TICKS / 4)
     }
 
@@ -147,7 +147,7 @@ impl LatencyModel {
     /// sampled positioning cost and the sequential transfer.
     ///
     /// Advances the volume's queue; returns the absolute completion time.
-    pub fn disk_io(
+    pub(crate) fn disk_io(
         &mut self,
         volume: usize,
         bytes: u64,
@@ -168,11 +168,6 @@ impl LatencyModel {
         self.free_at[volume] = done;
         self.busy_ticks += service.ticks();
         done
-    }
-
-    /// Time at which a volume's disk queue drains (for tests/metrics).
-    pub fn queue_free_at(&self, volume: usize) -> SimTime {
-        self.free_at[volume]
     }
 
     /// Cumulative disk service ticks across all volumes (queueing
@@ -213,11 +208,9 @@ mod tests {
         let d1 = m.disk_io(0, 65_536, now, &mut rng);
         let d2 = m.disk_io(0, 65_536, now, &mut rng);
         assert!(d2 > d1, "second transfer waits for the first");
-        assert_eq!(m.queue_free_at(0), d2);
         // The other volume's queue is independent.
         let d3 = m.disk_io(1, 4_096, now, &mut rng);
         assert!(d3 < d2 + SimDuration::from_secs(1));
-        assert!(m.queue_free_at(1) == d3);
     }
 
     #[test]

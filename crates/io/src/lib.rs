@@ -21,9 +21,9 @@
 //! * [`IoObserver`] — the study's instrument: every IRP and FastIO call
 //!   is reported with dual 100 ns timestamps, exactly the payload of the
 //!   trace records (§3.2). It attaches to the stack as a filter driver
-//!   ([`ObserverFilter`]), alongside the span layer ([`SpanFilter`]) and
+//!   (`ObserverFilter`), alongside the span layer ([`SpanFilter`]) and
 //!   the example third-party scanner ([`AntivirusFilter`]).
-//! * [`LatencyModel`] — service-time model for cache copies, IRP
+//! * `LatencyModel` — service-time model for cache copies, IRP
 //!   overhead, local IDE/SCSI disks and redirector round-trips, producing
 //!   the figure-13 latency split between the four major request types.
 //!
@@ -49,13 +49,12 @@ pub mod types;
 
 pub use arena::{Arena, ArenaHandle};
 pub use fastio::{irp_fallback, FastIoDispatch};
-pub use fcb::{Fcb, FcbTable};
-pub use filters::{AntivirusFilter, FastIoVeto, ObserverFilter, SpanFilter};
-pub use latency::{DiskParams, LatencyModel};
+pub use filters::{AntivirusFilter, FastIoVeto, SpanFilter};
+pub use latency::DiskParams;
 pub use machine::{IoMetrics, Machine, MachineConfig, OpReply};
 pub use observer::{FileObjectInfo, IoObserver, NullObserver, VecObserver};
 pub use request::{EventKind, FastIoKind, IoEvent, MajorFunction, SetInfoKind};
-pub use sharing::{LockTable, ShareRegistry};
+pub use sharing::ShareRegistry;
 pub use stack::{DriverStack, FilterAction, FilterDriver, IrpFrame, LayerCounters};
 pub use status::NtStatus;
 pub use types::{

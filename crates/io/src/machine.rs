@@ -11,14 +11,17 @@
 //! completion time through the latency model and reports every IRP and
 //! FastIO call — including the paging I/O triggered by the cache and VM
 //! managers — to the stack, where the study's filter driver
-//! ([`crate::filters::ObserverFilter`]) consumes the records.
+//! (`ObserverFilter`) consumes the records.
 //!
 //! Background activity (read-ahead completions, the deferred second stage
 //! of the two-stage close) is queued internally with its due time and
 //! applied by [`Machine::pump`], which every public operation calls first.
-//! The lazy writer is driven externally by calling [`Machine::lazy_tick`]
-//! once per second of virtual time, mirroring the real scan cadence (§9.2);
-//! what-if replay steps it by [`CacheConfig::lazy_write_interval`].
+//! The machine owns the lazy writer's schedule: one scan per
+//! [`CacheConfig::lazy_write_interval`] (§9.2: every second). The driver
+//! that owns the clock runs it by calling [`Machine::run_lazy_writer`]
+//! with the current time: the live study's engine re-arms on the due
+//! time it returns, and the synthetic bench and what-if replay call it
+//! before each request they issue.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -45,7 +48,7 @@ use crate::types::{AccessMode, CreateOptions, FcbId, FileObjectId, HandleId, Pro
 
 /// Stable identity of a file for cache/VM keying: sections and cache maps
 /// outlive FCBs (image pages survive process exit, §3.3).
-pub type FileKey = (VolumeId, NodeId);
+pub(crate) type FileKey = (VolumeId, NodeId);
 
 /// One pended change-notification: `(handle, file object, fcb, process,
 /// registration time)`.
@@ -266,7 +269,7 @@ pub(crate) enum Pending {
 ///
 /// The type parameter is the machine's primary observer — the trace
 /// agent, a test vector, or [`crate::observer::NullObserver`] — which
-/// [`Machine::new`] wraps in an [`ObserverFilter`] at the bottom of the
+/// [`Machine::new`] wraps in an `ObserverFilter` at the bottom of the
 /// driver stack. Further layers attach above it through
 /// [`Machine::attach_filter`].
 pub struct Machine<O: IoObserver> {
@@ -301,6 +304,9 @@ pub struct Machine<O: IoObserver> {
     pub(crate) shares: crate::sharing::ShareRegistry,
     pub(crate) metrics: IoMetrics,
     pub(crate) config: MachineConfig,
+    /// When the lazy writer's next scan is due; it scans once per
+    /// `config.cache.lazy_write_interval`.
+    pub(crate) next_lazy_scan: SimTime,
     /// False while the network link to the file servers is partitioned;
     /// requests against redirector volumes then fail with
     /// [`NtStatus::NetworkUnreachable`].
@@ -311,7 +317,15 @@ pub struct Machine<O: IoObserver> {
 impl<O: IoObserver> Machine<O> {
     /// Creates a machine with no volumes, its observer attached as the
     /// lowest filter in the driver stack.
+    ///
+    /// Panics when `config.cache.lazy_write_interval` is zero: the lazy
+    /// writer could never advance the clock.
     pub fn new(config: MachineConfig, observer: O) -> Self {
+        let lazy_period = config.cache.lazy_write_interval;
+        assert!(
+            !lazy_period.is_zero(),
+            "lazy_write_interval must be positive"
+        );
         let mut stack = DriverStack::new();
         stack.attach(Box::new(ObserverFilter::new(observer)));
         Machine {
@@ -332,6 +346,7 @@ impl<O: IoObserver> Machine<O> {
             shares: crate::sharing::ShareRegistry::new(),
             metrics: IoMetrics::default(),
             config,
+            next_lazy_scan: SimTime::ZERO + lazy_period,
             network_up: true,
             _observer: PhantomData,
         }

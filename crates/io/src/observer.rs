@@ -29,7 +29,7 @@ pub struct FileObjectInfo {
 /// The record consumer at the bottom of the driver stack.
 ///
 /// `'static` because observers ride inside a boxed
-/// [`crate::filters::ObserverFilter`] layer in the machine's
+/// `ObserverFilter` layer in the machine's
 /// [`crate::stack::DriverStack`].
 pub trait IoObserver: 'static {
     /// Whether this observer consumes records at all. When `false` the

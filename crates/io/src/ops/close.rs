@@ -216,8 +216,52 @@ impl<O: IoObserver> Machine<O> {
         OpReply::at(NtStatus::Success, end)
     }
 
-    /// One lazy-writer scan; call once per lazy-writer period of virtual
-    /// time (§9.2: every second).
+    /// Runs every lazy-writer scan due at or before `now`, each at its
+    /// own due time, one [`nt_cache::CacheConfig::lazy_write_interval`]
+    /// apart, and returns when the next scan is due.
+    pub fn run_lazy_writer(&mut self, now: SimTime) -> SimTime {
+        while self.next_lazy_scan <= now {
+            let at = self.next_lazy_scan;
+            self.lazy_tick(at);
+            self.next_lazy_scan = at + self.config.cache.lazy_write_interval;
+        }
+        self.next_lazy_scan
+    }
+
+    /// Moves the next lazy-writer scan to `at` when it is due earlier:
+    /// the scans before `at` are skipped, not run late. Returns when the
+    /// next scan is due. The live study starts its writer this way once
+    /// logon has run.
+    pub fn defer_lazy_writer(&mut self, at: SimTime) -> SimTime {
+        self.next_lazy_scan = self.next_lazy_scan.max(at);
+        self.next_lazy_scan
+    }
+
+    /// When the next lazy-writer scan is due.
+    pub fn next_lazy_scan(&self) -> SimTime {
+        self.next_lazy_scan
+    }
+
+    /// Drains the lazy writer after a run that ended at `end`: scans one
+    /// period apart from `end` on, at least five and until no deferred
+    /// close is left, but at most `max_scans`. Returns the last scan's
+    /// time.
+    pub fn drain_lazy_writer(&mut self, end: SimTime, max_scans: u32) -> SimTime {
+        let period = self.config.cache.lazy_write_interval;
+        let mut at = end;
+        let mut scans = 0;
+        while (self.deferred_closes() > 0 || scans < 5) && scans < max_scans {
+            scans += 1;
+            at += period;
+            self.lazy_tick(at);
+        }
+        self.next_lazy_scan = at + period;
+        at
+    }
+
+    /// One lazy-writer scan (§9.2). Drivers step the writer through
+    /// [`Machine::run_lazy_writer`]; tests and examples call this
+    /// directly.
     ///
     /// Issues the paging writes the cache manager selects, completes any
     /// deferred closes whose dirty data has drained, and trims cold cache

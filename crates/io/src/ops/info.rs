@@ -1,7 +1,7 @@
 //! Metadata queries and sets, volume control and the §8.3/§8.4 control
 //! traffic.
 
-use nt_fs::{FileTimes, NtPath, VolumeId};
+use nt_fs::{NtPath, VolumeId};
 use nt_sim::SimTime;
 
 use crate::machine::{emit_event, Machine, OpReply};
@@ -399,45 +399,6 @@ impl<O: IoObserver> Machine<O> {
                 EventKind::Irp(MajorFunction::SetInformation),
                 Some(handle),
                 Some(SetInfoKind::Rename),
-                status,
-                now,
-            )
-        })
-    }
-
-    /// Sets timestamps/attributes (FileBasicInformation) — what installers
-    /// use to back-date creation times (§5).
-    pub fn set_basic_information(
-        &mut self,
-        handle: HandleId,
-        times: FileTimes,
-        now: SimTime,
-    ) -> OpReply {
-        self.pump(now);
-        let frame = self.info_frame(
-            MajorFunction::SetInformation,
-            "set_basic_information",
-            handle,
-            now,
-        );
-        self.dispatch(frame, |m, f| {
-            let now = f.now;
-            let Some(h) = m.handles.get_raw(handle.0) else {
-                return OpReply::at(NtStatus::InvalidHandle, now);
-            };
-            let (volume, node) = (h.volume, h.node);
-            let status = match m
-                .ns
-                .volume_mut(volume)
-                .and_then(|v| v.set_times(node, times))
-            {
-                Ok(()) => NtStatus::Success,
-                Err(e) => NtStatus::from(e),
-            };
-            m.metadata_irp(
-                EventKind::Irp(MajorFunction::SetInformation),
-                Some(handle),
-                Some(SetInfoKind::Basic),
                 status,
                 now,
             )

@@ -1,8 +1,8 @@
 //! The data path: reads, writes and flushes, with the §10 FastIO-vs-IRP
 //! split.
 //!
-//! All four data entry points ([`Machine::read`], [`Machine::write`],
-//! [`Machine::mdl_read`], [`Machine::mdl_write`]) share one prologue —
+//! All three data entry points ([`Machine::read`], [`Machine::write`],
+//! [`Machine::mdl_read`]) share one prologue —
 //! `Machine::data_op` — that validates the handle, checks the access
 //! mode and extracts the fields the FSD needs; the FastIO-vs-IRP
 //! epilogue both copy paths share lives in `Machine::data_path`. The

@@ -16,7 +16,7 @@ use crate::types::{AccessMode, CreateOptions, Disposition, HandleId, ProcessId};
 impl<O: IoObserver> Machine<O> {
     /// Loads an executable image through a section: create, section
     /// acquire, paging reads (or a warm standby hit), handle close. The
-    /// image stays resident after [`Machine::unload_image`] per §3.3.
+    /// image stays resident after its process unmaps it, per §3.3.
     ///
     /// The wrapper frame carries no major function — the create it issues
     /// internally descends the stack as its own packet — so a filter sees
@@ -162,7 +162,8 @@ impl<O: IoObserver> Machine<O> {
 
     /// Releases a process's reference on an image section; the pages stay
     /// on the standby list.
-    pub fn unload_image(&mut self, volume: VolumeId, path: &NtPath) {
+    #[cfg(test)]
+    fn unload_image(&mut self, volume: VolumeId, path: &NtPath) {
         if let Ok(fr) = self.ns.resolve(volume, path) {
             self.vm.unmap(&(fr.volume, fr.node));
         }
@@ -402,124 +403,6 @@ impl<O: IoObserver> Machine<O> {
             end: rel,
         }
     }
-
-    /// An MDL write: the caller fills cache pages directly
-    /// (PrepareMdlWrite / MdlWriteComplete).
-    pub fn mdl_write(&mut self, handle: HandleId, offset: u64, len: u64, now: SimTime) -> OpReply {
-        self.pump(now);
-        let d = match self.data_op(handle, Some(offset), DataDir::Write, now) {
-            Ok(d) => d,
-            Err(reply) => return reply,
-        };
-        let frame = IrpFrame {
-            major: None,
-            label: "mdl_write",
-            handle: Some(handle),
-            process: Some(d.process),
-            offset,
-            length: len,
-            now,
-        };
-        self.dispatch(frame, |m, f| m.mdl_write_fsd(handle, offset, len, f.now))
-    }
-
-    fn mdl_write_fsd(&mut self, handle: HandleId, offset: u64, len: u64, now: SimTime) -> OpReply {
-        let d = match self.data_op(handle, Some(offset), DataDir::Write, now) {
-            Ok(d) => d,
-            Err(reply) => return reply,
-        };
-        if let Err(e) = self
-            .ns
-            .volume_mut(d.volume)
-            .and_then(|v| v.note_write(d.node, offset, len, now))
-        {
-            return OpReply::at(NtStatus::from(e), now);
-        }
-        if let Some(f) = self.fcbs.get_mut(d.fcb_slot) {
-            f.written = true;
-        }
-        self.metrics.write_dispatches += 1;
-        let file_size = self
-            .ns
-            .volume(d.volume)
-            .ok()
-            .and_then(|v| v.file_size(d.node).ok())
-            .unwrap_or(0);
-        let outcome = self
-            .cache
-            .write(&d.key, offset, len, file_size, Self::hints_for(d.options));
-        let mut done = now;
-        for io in &outcome.ios {
-            let fin = self
-                .latency
-                .disk_io(d.volume.0 as usize, io.len, now, &mut self.rng);
-            self.metrics.paging_writes += 1;
-            self.metrics.paging_write_bytes += io.len;
-            done = done.max(fin);
-            self.emit_write_event(
-                EventKind::Irp(MajorFunction::Write),
-                d.fo,
-                d.fcb,
-                d.process,
-                d.volume,
-                d.local,
-                true,
-                io.offset,
-                io.len,
-                file_size,
-                0,
-                now,
-                fin,
-            );
-        }
-        let end = done + self.latency.fastio_metadata();
-        if self.stack.fastio_supported(FastIoKind::PrepareMdlWrite) {
-            self.metrics.fastio_writes += 1;
-        } else {
-            self.metrics.irp_writes += 1;
-        }
-        self.metrics.bytes_written += len;
-        for (kind, s, e) in [
-            (FastIoKind::PrepareMdlWrite, now, end),
-            (
-                FastIoKind::MdlWriteComplete,
-                end,
-                end + self.latency.fastio_metadata(),
-            ),
-        ] {
-            emit_event!(
-                self,
-                IoEvent {
-                    kind: self.fastio_event_kind(kind),
-                    file_object: d.fo,
-                    fcb: d.fcb,
-                    process: d.process,
-                    volume: d.volume.0,
-                    local: d.local,
-                    paging_io: false,
-                    readahead: false,
-                    offset,
-                    length: len,
-                    transferred: len,
-                    file_size,
-                    byte_offset: 0,
-                    status: NtStatus::Success,
-                    start: s,
-                    end: e,
-                    access: None,
-                    disposition: None,
-                    options: None,
-                    set_info: None,
-                    created: false,
-                }
-            );
-        }
-        OpReply {
-            status: NtStatus::Success,
-            transferred: len,
-            end: end + self.latency.fastio_metadata(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -584,9 +467,8 @@ mod tests {
     fn mdl_interface_moves_data_without_copy_cost() {
         let (mut m, vol) = machine();
         let h = open_new(&mut m, vol, r"\served.dat", t(1));
-        let w = m.mdl_write(h, 0, 65_536, t(1));
+        let w = m.write(h, Some(0), 65_536, t(1));
         assert_eq!(w.status, NtStatus::Success);
-        assert_eq!(w.transferred, 65_536);
         let warm = m.mdl_read(h, 0, 65_536, t(2));
         assert_eq!(warm.status, NtStatus::Success);
         // Zero-copy: a 64 KB warm MDL read is as cheap as metadata, far
@@ -600,8 +482,6 @@ mod tests {
         let kinds: Vec<EventKind> = m.observer().events.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EventKind::FastIo(FastIoKind::MdlRead)));
         assert!(kinds.contains(&EventKind::FastIo(FastIoKind::MdlReadComplete)));
-        assert!(kinds.contains(&EventKind::FastIo(FastIoKind::PrepareMdlWrite)));
-        assert!(kinds.contains(&EventKind::FastIo(FastIoKind::MdlWriteComplete)));
         m.close(h, t(3));
     }
 }

@@ -13,7 +13,7 @@ use crate::types::{AccessMode, HandleId, ShareMode};
 
 /// One opener's contribution to the share state of a file.
 #[derive(Clone, Copy, Debug)]
-pub struct ShareEntry {
+pub(crate) struct ShareEntry {
     /// Access the opener was granted.
     pub access: AccessMode,
     /// What the opener allows others to do.
@@ -25,7 +25,11 @@ pub struct ShareEntry {
 /// NT semantics: the new opener's requested access must be permitted by
 /// every existing opener's share mode, and the new opener's share mode
 /// must permit every existing opener's access.
-pub fn share_compatible(existing: &[ShareEntry], access: AccessMode, share: ShareMode) -> bool {
+pub(crate) fn share_compatible(
+    existing: &[ShareEntry],
+    access: AccessMode,
+    share: ShareMode,
+) -> bool {
     for e in existing {
         // Existing opener must allow what the newcomer wants.
         if access.can_read() && !e.share.read {
@@ -53,7 +57,7 @@ pub fn share_compatible(existing: &[ShareEntry], access: AccessMode, share: Shar
 
 /// One byte-range lock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ByteRangeLock {
+pub(crate) struct ByteRangeLock {
     /// Lock start offset.
     pub offset: u64,
     /// Lock length.
@@ -74,7 +78,7 @@ impl ByteRangeLock {
 
 /// Per-file byte-range lock table (keyed by FCB at the machine level).
 #[derive(Clone, Debug, Default)]
-pub struct LockTable {
+pub(crate) struct LockTable {
     locks: Vec<ByteRangeLock>,
 }
 
@@ -85,7 +89,8 @@ impl LockTable {
     }
 
     /// Number of live locks.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.locks.len()
     }
 
@@ -132,7 +137,7 @@ impl LockTable {
 
     /// Releases every lock held by a handle (UnlockAll / handle cleanup).
     /// Returns how many were dropped.
-    pub fn unlock_all(&mut self, owner: HandleId) -> usize {
+    pub(crate) fn unlock_all(&mut self, owner: HandleId) -> usize {
         let before = self.locks.len();
         self.locks.retain(|l| l.owner != owner);
         before - self.locks.len()
@@ -140,7 +145,7 @@ impl LockTable {
 
     /// True when `[offset, offset+len)` can be written by `owner`:
     /// no conflicting lock held by someone else.
-    pub fn write_allowed(&self, owner: HandleId, offset: u64, len: u64) -> bool {
+    pub(crate) fn write_allowed(&self, owner: HandleId, offset: u64, len: u64) -> bool {
         !self
             .locks
             .iter()
@@ -149,7 +154,7 @@ impl LockTable {
 
     /// True when the range can be read by `owner` (only exclusive locks
     /// of other handles block reads).
-    pub fn read_allowed(&self, owner: HandleId, offset: u64, len: u64) -> bool {
+    pub(crate) fn read_allowed(&self, owner: HandleId, offset: u64, len: u64) -> bool {
         !self
             .locks
             .iter()
@@ -260,17 +265,18 @@ impl ShareRegistry {
     }
 
     /// The lock table of a file.
-    pub fn locks_mut(&mut self, fcb: ArenaHandle) -> &mut LockTable {
+    pub(crate) fn locks_mut(&mut self, fcb: ArenaHandle) -> &mut LockTable {
         &mut self.state_mut(fcb).locks
     }
 
     /// Read-only view of a file's locks.
-    pub fn locks(&self, fcb: ArenaHandle) -> Option<&LockTable> {
+    pub(crate) fn locks(&self, fcb: ArenaHandle) -> Option<&LockTable> {
         self.state(fcb).map(|s| &s.locks)
     }
 
     /// Openers currently registered on a file.
-    pub fn openers(&self, fcb: ArenaHandle) -> usize {
+    #[cfg(test)]
+    fn openers(&self, fcb: ArenaHandle) -> usize {
         self.state(fcb).map_or(0, |s| s.entries.len())
     }
 }

@@ -122,7 +122,7 @@ pub trait FilterDriver: 'static {
     /// Downcast support for [`DriverStack::find`].
     fn as_any(&self) -> &dyn Any;
 
-    /// Downcast support for [`DriverStack::find_mut`].
+    /// Downcast support for `DriverStack::find_mut`.
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
@@ -204,7 +204,7 @@ impl DriverStack {
 
     /// True when some layer consumes trace records.
     #[inline]
-    pub fn events_wanted(&self) -> bool {
+    pub(crate) fn events_wanted(&self) -> bool {
         self.events_wanted
     }
 
@@ -222,7 +222,7 @@ impl DriverStack {
     /// Whether a FastIO call of `kind` goes through, or falls back to
     /// its IRP (§10's per-entry opt-out rule).
     #[inline]
-    pub fn fastio_supported(&self, kind: crate::request::FastIoKind) -> bool {
+    pub(crate) fn fastio_supported(&self, kind: crate::request::FastIoKind) -> bool {
         self.fastio.supports(kind)
     }
 
@@ -305,7 +305,7 @@ impl DriverStack {
     }
 
     /// Mutable access to the first layer of concrete type `T`.
-    pub fn find_mut<T: FilterDriver>(&mut self) -> Option<&mut T> {
+    pub(crate) fn find_mut<T: FilterDriver>(&mut self) -> Option<&mut T> {
         self.filters
             .iter_mut()
             .find_map(|f| f.as_any_mut().downcast_mut())

@@ -233,7 +233,7 @@ pub(crate) fn push_json_string(out: &mut String, s: &str) {
 }
 
 /// Renders one row as a JSONL line (no trailing newline).
-pub fn row_to_json(row: &SeriesRow) -> String {
+pub(crate) fn row_to_json(row: &SeriesRow) -> String {
     use std::fmt::Write as _;
     let mut line = String::with_capacity(64 + row.series.points.len() * 16);
     line.push_str("{\"series\":");

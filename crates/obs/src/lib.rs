@@ -50,7 +50,8 @@ pub mod watchdog;
 pub use export::{write_timeseries_jsonl, ExportError, SeriesRow};
 pub use profile::{PhaseBudget, PhaseStat, RuntimeProfile};
 pub use recorder::{FlightEvent, FlightRecorder, RecorderScope};
-pub use series::{SeriesData, SeriesKind, SeriesRegistry};
+use series::SeriesRegistry;
+pub use series::{SeriesData, SeriesKind};
 pub use shipment::{write_chrome_trace, Hop, HopSpan, ShipmentTracer, TraceContext};
 pub use watchdog::{HealthFinding, Watchdog};
 
@@ -71,9 +72,6 @@ pub enum Phase {
     Trace,
     /// Analysis ingest: record parsing, online accumulators, table builds.
     Analysis,
-    /// Work done by optional filter drivers layered above the FSD. No
-    /// stock filter records spans under it.
-    Filter,
     /// NTT warehouse I/O: segment export at study finish, re-ingest of
     /// stored segments.
     Warehouse,
@@ -84,13 +82,12 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in display order.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 7] = [
         Phase::Dispatch,
         Phase::Cache,
         Phase::Vm,
         Phase::Trace,
         Phase::Analysis,
-        Phase::Filter,
         Phase::Warehouse,
         Phase::Replay,
     ];
@@ -103,7 +100,6 @@ impl Phase {
             Phase::Vm => "vm",
             Phase::Trace => "trace",
             Phase::Analysis => "analysis",
-            Phase::Filter => "filter",
             Phase::Warehouse => "warehouse",
             Phase::Replay => "replay",
         }
@@ -116,9 +112,8 @@ impl Phase {
             Phase::Vm => 2,
             Phase::Trace => 3,
             Phase::Analysis => 4,
-            Phase::Filter => 5,
-            Phase::Warehouse => 6,
-            Phase::Replay => 7,
+            Phase::Warehouse => 5,
+            Phase::Replay => 6,
         }
     }
 }

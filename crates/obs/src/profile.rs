@@ -58,7 +58,7 @@ impl RuntimeProfile {
     }
 
     /// Total number of closed spans.
-    pub fn total_spans(&self) -> u64 {
+    pub(crate) fn total_spans(&self) -> u64 {
         self.phases.iter().map(|s| s.spans).sum()
     }
 

@@ -41,7 +41,7 @@ struct RingSeries {
 ///
 /// The registry is tiny (a handful of series per machine) so lookup is a
 /// linear scan — no hashing, no allocation past the rings themselves.
-pub struct SeriesRegistry {
+pub(crate) struct SeriesRegistry {
     capacity: usize,
     series: Vec<RingSeries>,
 }

@@ -394,7 +394,7 @@ fn push_micros(out: &mut String, ticks: u64) {
 /// pipeline tier (agents, collectors, analysis, warehouse), one
 /// "thread" per machine, complete (`"ph":"X"`) events with ids in the
 /// args.
-pub fn chrome_trace_json(spans: &[HopSpan]) -> String {
+pub(crate) fn chrome_trace_json(spans: &[HopSpan]) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(256 + spans.len() * 160);
     out.push_str("{\"traceEvents\":[\n");

@@ -71,7 +71,7 @@ impl HealthFinding {
 
     /// The finding as the JSON fields of a flight-recorder line (no
     /// enclosing braces; starts with `"kind":...`).
-    pub fn json_fields(&self) -> String {
+    pub(crate) fn json_fields(&self) -> String {
         match self {
             HealthFinding::StalledShard {
                 shard,
@@ -149,14 +149,14 @@ pub struct Watchdog {
 
 impl Watchdog {
     /// Loss-rate threshold: 10‰ (1%) of recorded records lost.
-    pub const LOSS_BURN_PER_MILLE: u64 = 10;
+    pub(crate) const LOSS_BURN_PER_MILLE: u64 = 10;
     /// Minimum recorded records before the burn rate is meaningful.
-    pub const LOSS_BURN_FLOOR: u64 = 1_000;
+    pub(crate) const LOSS_BURN_FLOOR: u64 = 1_000;
     /// Pending-batch depth that counts as a backlogged collector.
-    pub const BACKLOG_BATCHES: u64 = 3;
+    pub(crate) const BACKLOG_BATCHES: u64 = 3;
     /// Quiet time (in 100ns ticks) before a shard counts as stalled:
     /// 120 simulated seconds, four 30-second shipping cadences.
-    pub const STALL_TICKS: u64 = 120 * 10_000_000;
+    pub(crate) const STALL_TICKS: u64 = 120 * 10_000_000;
 
     /// Fresh watchdog with both latches armed.
     pub fn new() -> Self {
@@ -212,7 +212,7 @@ impl Watchdog {
     }
 
     /// Post-run shard check: a shard whose last successful delivery sits
-    /// more than [`Self::STALL_TICKS`] before the end of the period
+    /// more than `STALL_TICKS` before the end of the period
     /// stalled. Evaluated once per shard at merge time.
     pub fn stalled_shard(
         shard: u32,

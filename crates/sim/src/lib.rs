@@ -25,4 +25,4 @@ pub mod time;
 
 pub use engine::Engine;
 pub use rng::{derive_seed, rng_for, SimRng};
-pub use time::{SimDuration, SimTime, TICKS_PER_MICRO, TICKS_PER_MILLI, TICKS_PER_SEC};
+pub use time::{SimDuration, SimTime, TICKS_PER_SEC};

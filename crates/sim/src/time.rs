@@ -9,9 +9,9 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Number of 100 ns ticks in one microsecond.
-pub const TICKS_PER_MICRO: u64 = 10;
+pub(crate) const TICKS_PER_MICRO: u64 = 10;
 /// Number of 100 ns ticks in one millisecond.
-pub const TICKS_PER_MILLI: u64 = 10_000;
+pub(crate) const TICKS_PER_MILLI: u64 = 10_000;
 /// Number of 100 ns ticks in one second.
 pub const TICKS_PER_SEC: u64 = 10_000_000;
 
@@ -73,11 +73,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference, `None` when `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -128,11 +123,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / TICKS_PER_MICRO
-    }
-
     /// Whole milliseconds (truncating).
     pub const fn as_millis(self) -> u64 {
         self.0 / TICKS_PER_MILLI
@@ -146,11 +136,6 @@ impl SimDuration {
     /// Seconds as a float, for statistics.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / TICKS_PER_SEC as f64
-    }
-
-    /// Milliseconds as a float, for statistics.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / TICKS_PER_MILLI as f64
     }
 
     /// True when the span is zero.
@@ -292,7 +277,6 @@ mod tests {
         let b = SimTime::from_secs(2);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
         assert_eq!(b.saturating_since(a), SimDuration::from_secs(1));
-        assert_eq!(a.checked_since(b), None);
     }
 
     #[test]
@@ -318,6 +302,5 @@ mod tests {
     fn float_seconds_are_consistent() {
         let d = SimDuration::from_millis(2500);
         assert!((d.as_secs_f64() - 2.5).abs() < 1e-12);
-        assert!((d.as_millis_f64() - 2500.0).abs() < 1e-9);
     }
 }

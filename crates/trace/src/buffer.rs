@@ -11,7 +11,7 @@
 use crate::record::TraceRecord;
 
 /// Records per storage buffer (§3.2: 3,000).
-pub const BUFFER_CAPACITY: usize = 3_000;
+pub(crate) const BUFFER_CAPACITY: usize = 3_000;
 
 /// One storage buffer.
 #[derive(Debug, Default)]
@@ -122,7 +122,7 @@ impl TripleBuffer {
 
     /// Returns a delivered batch's storage for reuse. The pool keeps at
     /// most three spares — one per storage buffer.
-    pub fn recycle(&mut self, mut batch: Vec<TraceRecord>) {
+    pub(crate) fn recycle(&mut self, mut batch: Vec<TraceRecord>) {
         if self.spare.len() < 3 {
             batch.clear();
             self.spare.push(batch);

@@ -61,7 +61,7 @@ impl RecordBatch {
     }
 
     /// Compressed size in bytes.
-    pub fn compressed_bytes(&self) -> usize {
+    pub(crate) fn compressed_bytes(&self) -> usize {
         self.compressed.len()
     }
 
@@ -136,7 +136,7 @@ impl CollectionServer {
     }
 
     /// Stores one shipped buffer with the agent's own sequence number.
-    pub fn ingest_seq(&mut self, machine: MachineId, seq: u64, records: &[TraceRecord]) {
+    pub(crate) fn ingest_seq(&mut self, machine: MachineId, seq: u64, records: &[TraceRecord]) {
         if !records.is_empty() {
             self.batches
                 .push((machine, seq, RecordBatch::compress(records)));
@@ -144,7 +144,7 @@ impl CollectionServer {
     }
 
     /// Stores a file-object name record with the agent's sequence number.
-    pub fn ingest_name_seq(&mut self, machine: MachineId, seq: u64, name: NameRecord) {
+    pub(crate) fn ingest_name_seq(&mut self, machine: MachineId, seq: u64, name: NameRecord) {
         self.names.push((machine, seq, name));
     }
 

@@ -47,7 +47,7 @@ impl TickWindow {
 }
 
 /// True when any window in the slice contains `t`.
-pub fn any_contains(windows: &[TickWindow], t: u64) -> bool {
+pub(crate) fn any_contains(windows: &[TickWindow], t: u64) -> bool {
     windows.iter().any(|w| w.contains(t))
 }
 

@@ -35,10 +35,10 @@ pub mod snapshot;
 pub mod steal;
 
 pub use agent::AgentState;
-pub use buffer::{TripleBuffer, BUFFER_CAPACITY};
+pub use buffer::TripleBuffer;
 pub use collector::{CollectionServer, MachineId, RecordBatch};
 pub use dedup::filter_paging_duplicates;
-pub use fault::{any_contains, LossLedger, TickWindow};
+pub use fault::{LossLedger, TickWindow};
 pub use pool::{BatchMeta, CollectorHandle, RecordSink, ShipmentConsumer, StreamingTotals};
 pub use record::{NameRecord, TraceRecord, RECORD_SIZE};
 pub use snapshot::{Snapshot, SnapshotDiff, SnapshotWalker, WalkRecord};

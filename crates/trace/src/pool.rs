@@ -122,7 +122,7 @@ pub struct StreamingTotals {
     pub total_records: usize,
     /// Compressed footprint the batches *would* occupy on a collection
     /// server (each shipment is compressed for accounting exactly like
-    /// [`CollectionServer::ingest_seq`] stores it, then dropped).
+    /// `CollectionServer::ingest_seq` stores it, then dropped).
     pub stored_bytes: usize,
 }
 

@@ -67,14 +67,14 @@ impl TraceRecord {
     /// reconstructing whole records.
     pub const FLAG_PAGING: u8 = 1 << 0;
     /// The read-ahead header bit.
-    pub const FLAG_READAHEAD: u8 = 1 << 1;
+    pub(crate) const FLAG_READAHEAD: u8 = 1 << 1;
     /// The local-volume header bit.
     pub const FLAG_LOCAL: u8 = 1 << 2;
     /// The file-was-created header bit.
-    pub const FLAG_CREATED: u8 = 1 << 3;
+    pub(crate) const FLAG_CREATED: u8 = 1 << 3;
 
     /// Builds a record from a live I/O event.
-    pub fn from_event(ev: &IoEvent) -> Self {
+    pub(crate) fn from_event(ev: &IoEvent) -> Self {
         let mut flags = 0;
         if ev.paging_io {
             flags |= FLAG_PAGING;

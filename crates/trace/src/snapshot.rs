@@ -81,13 +81,6 @@ impl Snapshot {
         self.records.iter().map(|r| r.size).sum()
     }
 
-    /// Files under a path prefix (e.g. the `\winnt\profiles` tree of §5).
-    pub fn files_under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a WalkRecord> {
-        self.records
-            .iter()
-            .filter(move |r| !r.is_dir && r.path.starts_with(prefix))
-    }
-
     /// Fraction of files whose last-change is newer than their last-access
     /// — the §5 timestamp-inconsistency measure (2–4 % in the study).
     pub fn inconsistent_time_fraction(&self) -> f64 {
@@ -248,22 +241,6 @@ impl SnapshotDiff {
     pub fn churn(&self) -> usize {
         self.added.len() + self.changed.len()
     }
-
-    /// Fraction of the churn under a path prefix (§5: up to 93 % of daily
-    /// changes sit in the WWW cache inside the profile).
-    pub fn churn_fraction_under(&self, prefix: &str) -> f64 {
-        let total = self.churn();
-        if total == 0 {
-            return 0.0;
-        }
-        let under = self
-            .added
-            .iter()
-            .chain(self.changed.iter())
-            .filter(|p| p.starts_with(prefix))
-            .count();
-        under as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -331,14 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn files_under_prefix() {
-        let v = build_volume();
-        let snap = SnapshotWalker::walk_volume(VolumeId(0), &v, t(2));
-        assert_eq!(snap.files_under(r"\winnt\profiles").count(), 1);
-        assert_eq!(snap.files_under(r"\nothing").count(), 0);
-    }
-
-    #[test]
     fn diff_detects_adds_changes_removes() {
         let mut v = build_volume();
         let before = SnapshotWalker::walk_volume(VolumeId(0), &v, t(2));
@@ -359,7 +328,6 @@ mod tests {
         assert_eq!(diff.changed, vec![r"\winnt\profiles\alice\ntuser.dat"]);
         assert_eq!(diff.removed, vec![r"\boot.ini"]);
         assert_eq!(diff.churn(), 2);
-        assert!((diff.churn_fraction_under(r"\winnt\profiles") - 1.0).abs() < 1e-12);
     }
 
     #[test]

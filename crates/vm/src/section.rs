@@ -128,7 +128,8 @@ impl<K: Ord + Clone> VmManager<K> {
     }
 
     /// Pages currently resident across all sections.
-    pub fn resident_pages(&self) -> u64 {
+    #[cfg(test)]
+    fn resident_pages(&self) -> u64 {
         self.resident_pages
     }
 
@@ -222,7 +223,8 @@ impl<K: Ord + Clone> VmManager<K> {
     }
 
     /// True when the key currently has a section object.
-    pub fn has_section(&self, key: &K) -> bool {
+    #[cfg(test)]
+    fn has_section(&self, key: &K) -> bool {
         self.sections.contains_key(key)
     }
 

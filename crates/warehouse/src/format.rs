@@ -30,21 +30,21 @@ use crate::NttError;
 use nt_trace::RECORD_SIZE;
 
 /// Leading magic: `NTTW`.
-pub const MAGIC: [u8; 4] = *b"NTTW";
+pub(crate) const MAGIC: [u8; 4] = *b"NTTW";
 /// Trailing footer magic: `NTTWEND1`.
-pub const FOOTER_MAGIC: [u8; 8] = *b"NTTWEND1";
+pub(crate) const FOOTER_MAGIC: [u8; 8] = *b"NTTWEND1";
 /// Current format version.
 pub const NTT_VERSION: u16 = 1;
 /// Size of the fixed header.
 pub const HEADER_SIZE: usize = 16;
 /// Size of the fixed footer.
-pub const FOOTER_SIZE: usize = 8 * 10 + KIND_SLOTS * 8 + 8 + 8;
+pub(crate) const FOOTER_SIZE: usize = 8 * 10 + KIND_SLOTS * 8 + 8 + 8;
 /// Size of one name-table entry.
-pub const NAME_ENTRY_SIZE: usize = 32;
+pub(crate) const NAME_ENTRY_SIZE: usize = 32;
 /// Size of one batch-table entry (a record count).
-pub const BATCH_ENTRY_SIZE: usize = 4;
+pub(crate) const BATCH_ENTRY_SIZE: usize = 4;
 /// Per-kind count slots in the footer — the full 54-kind taxonomy.
-pub const KIND_SLOTS: usize = 54;
+pub(crate) const KIND_SLOTS: usize = 54;
 
 /// The decoded footer: section table, time span, per-kind counts.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -95,7 +95,7 @@ impl Footer {
         out.extend_from_slice(&FOOTER_MAGIC);
     }
 
-    /// Decodes a footer from the last [`FOOTER_SIZE`] bytes of `data`
+    /// Decodes a footer from the last `FOOTER_SIZE` bytes of `data`
     /// and cross-checks the section table against the file length.
     /// Does **not** verify the checksum — the caller does that once it
     /// knows how much body the footer claims.
@@ -191,7 +191,7 @@ impl Footer {
 }
 
 /// Encodes the 16-byte header for `machine`.
-pub fn encode_header(out: &mut Vec<u8>, machine: u32) {
+pub(crate) fn encode_header(out: &mut Vec<u8>, machine: u32) {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&NTT_VERSION.to_le_bytes());
     out.extend_from_slice(&(HEADER_SIZE as u16).to_le_bytes());

@@ -53,7 +53,7 @@ pub mod import;
 pub mod reader;
 pub mod writer;
 
-pub use format::{Footer, FOOTER_SIZE, HEADER_SIZE, NTT_VERSION};
+pub use format::{Footer, HEADER_SIZE, NTT_VERSION};
 pub use import::{import_strace, ImportLedger, StraceImport};
 pub use reader::{segment_paths, NameView, RecordView, Segment, SegmentReader};
 pub use writer::{SegmentStats, SegmentWriter};

@@ -6,7 +6,7 @@ use std::path::Path;
 use bytes::BytesMut;
 use nt_trace::{NameRecord, TraceRecord, RECORD_SIZE};
 
-use crate::format::{encode_header, xxh64, Footer, KIND_SLOTS};
+use crate::format::{encode_header, xxh64, Footer, FOOTER_SIZE, KIND_SLOTS};
 use crate::NttError;
 
 /// End-of-write accounting for one segment.
@@ -131,7 +131,7 @@ impl SegmentWriter {
                 + self.batch_lens.len() * 4
                 + self.strings.len()
                 + self.names.len()
-                + crate::FOOTER_SIZE,
+                + FOOTER_SIZE,
         );
         encode_header(&mut out, self.machine);
         let records_off = out.len() as u64;
@@ -165,10 +165,10 @@ impl SegmentWriter {
         };
         // The checksum covers everything before its own field: body plus
         // the footer's section table.
-        let mut tail = Vec::with_capacity(crate::FOOTER_SIZE);
+        let mut tail = Vec::with_capacity(FOOTER_SIZE);
         footer.encode(&mut tail);
-        let checksummed_len = out.len() + crate::FOOTER_SIZE - 16;
-        out.extend_from_slice(&tail[..crate::FOOTER_SIZE - 16]);
+        let checksummed_len = out.len() + FOOTER_SIZE - 16;
+        out.extend_from_slice(&tail[..FOOTER_SIZE - 16]);
         debug_assert_eq!(out.len(), checksummed_len);
         footer.checksum = xxh64(&out);
         out.extend_from_slice(&footer.checksum.to_le_bytes());

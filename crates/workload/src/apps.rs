@@ -131,7 +131,7 @@ pub fn notepad_save(volume: VolumeId, target: &NtPath, bytes: u64) -> Vec<Planne
 /// A control-only stat session: the §8.3-dominant open that performs no
 /// data transfer. With `probe_missing` the open fails with not-found —
 /// the "open as existence test" §8.4 describes.
-pub fn stat_session(
+pub(crate) fn stat_session(
     volume: VolumeId,
     path: &NtPath,
     probe_missing: bool,
@@ -161,7 +161,7 @@ pub fn stat_session(
 
 /// Explorer browsing a directory: open it, enumerate, stat a few entries,
 /// with the runtime's volume-mounted checks sprinkled in (§8.3).
-pub fn explorer_browse(
+pub(crate) fn explorer_browse(
     volume: VolumeId,
     dir: &NtPath,
     entries: &[TargetFile],
@@ -197,7 +197,7 @@ pub fn explorer_browse(
 /// Reads a file, mostly whole-file sequential (§6.2's dominant pattern).
 /// `style` selects the access pattern.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReadStyle {
+pub(crate) enum ReadStyle {
     /// From byte 0 to EOF in sequential chunks.
     WholeSequential,
     /// A sequential run that starts inside the file or stops early.
@@ -207,7 +207,11 @@ pub enum ReadStyle {
 }
 
 /// Plans a read-only data session over `target`.
-pub fn read_session(target: &TargetFile, style: ReadStyle, rng: &mut impl Rng) -> Vec<PlannedOp> {
+pub(crate) fn read_session(
+    target: &TargetFile,
+    style: ReadStyle,
+    rng: &mut impl Rng,
+) -> Vec<PlannedOp> {
     let sizes = SizeMixture::reads();
     let mut plan = vec![PlannedOp::then(open(
         target.volume,
@@ -299,7 +303,7 @@ pub fn read_session(target: &TargetFile, style: ReadStyle, rng: &mut impl Rng) -
 
 /// A single-I/O read session (§9.1: 31 % of read sessions issue exactly
 /// one read; the prefetch it triggers is never used again).
-pub fn peek_session(target: &TargetFile, rng: &mut impl Rng) -> Vec<PlannedOp> {
+pub(crate) fn peek_session(target: &TargetFile, rng: &mut impl Rng) -> Vec<PlannedOp> {
     let len = SizeMixture::reads().sample(rng).min(target.size.max(1));
     vec![
         PlannedOp::then(open(
@@ -323,7 +327,7 @@ pub fn peek_session(target: &TargetFile, rng: &mut impl Rng) -> Vec<PlannedOp> {
 /// lazy writer; 4 % "actively control their caching by using flush
 /// requests", 87 % of whom flush after every write; and 1.4 % disable
 /// write caching at open time with FILE_WRITE_THROUGH.
-pub fn write_session(
+pub(crate) fn write_session(
     volume: VolumeId,
     path: &NtPath,
     bytes: u64,
@@ -401,7 +405,7 @@ pub fn write_session(
 /// explicit delete, by overwrite-at-reopen, or (rarely, 1 %) by the
 /// temporary attribute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScratchDeath {
+pub(crate) enum ScratchDeath {
     /// FileDispositionInformation then close (62 % of §6.3 deletions).
     ExplicitDelete {
         /// Pause between the close of the writing open and the delete.
@@ -417,7 +421,7 @@ pub enum ScratchDeath {
 }
 
 /// Plans a scratch-file lifetime.
-pub fn scratch_file(
+pub(crate) fn scratch_file(
     volume: VolumeId,
     path: &NtPath,
     bytes: u64,
@@ -505,7 +509,7 @@ pub fn scratch_file(
 /// One development-environment build step (§6.1's peak-load case): read
 /// sources, then read+write the 5–8 MB precompiled-header and incremental
 /// -link files in large chunks.
-pub fn devenv_build(
+pub(crate) fn devenv_build(
     volume: VolumeId,
     sources: &[TargetFile],
     build_dir: &NtPath,
@@ -547,7 +551,7 @@ pub fn devenv_build(
 
 /// The non-Microsoft mailer (§10): appends to its mailbox with a single
 /// 4 MB buffer write.
-pub fn mailer_save(volume: VolumeId, mailbox: &NtPath) -> Vec<PlannedOp> {
+pub(crate) fn mailer_save(volume: VolumeId, mailbox: &NtPath) -> Vec<PlannedOp> {
     vec![
         PlannedOp::then(open(
             volume,
@@ -565,7 +569,7 @@ pub fn mailer_save(volume: VolumeId, mailbox: &NtPath) -> Vec<PlannedOp> {
 
 /// A Microsoft Java tool reading a class file in 2- and 4-byte pieces,
 /// "often resulting in thousands of reads for a single class file" (§10).
-pub fn java_tool_read(target: &TargetFile, rng: &mut impl Rng) -> Vec<PlannedOp> {
+pub(crate) fn java_tool_read(target: &TargetFile, rng: &mut impl Rng) -> Vec<PlannedOp> {
     let mut plan = vec![PlannedOp::then(open(
         target.volume,
         &target.path,
@@ -589,7 +593,7 @@ pub fn java_tool_read(target: &TargetFile, rng: &mut impl Rng) -> Vec<PlannedOp>
 /// One web-browsing step against the WWW cache (§5: up to 90 % of profile
 /// churn): cache probes that miss create new entries; hits re-read them;
 /// the cache index is updated with small random-offset writes.
-pub fn browser_step(
+pub(crate) fn browser_step(
     volume: VolumeId,
     cache_dir: &NtPath,
     cached: &[TargetFile],
@@ -665,7 +669,7 @@ pub fn browser_step(
 
 /// winlogon's profile download at logon (§5): every changed profile file
 /// is rewritten locally from the profile server.
-pub fn winlogon_profile_sync(
+pub(crate) fn winlogon_profile_sync(
     volume: VolumeId,
     profile_dir: &NtPath,
     n_files: usize,
@@ -687,7 +691,7 @@ pub fn winlogon_profile_sync(
 
 /// A background service heartbeat: the §8.3 control-operation stream that
 /// exists even on an "idle" machine.
-pub fn background_service(
+pub(crate) fn background_service(
     volume: VolumeId,
     log: &NtPath,
     config: &NtPath,
@@ -720,7 +724,7 @@ pub fn background_service(
 /// A scientific application mapping a 100–300 MB data file and touching
 /// small portions at a time (§6.1: they "read small portions of the files
 /// at a time, and in many cases do so through memory-mapped files").
-pub fn scientific_session(target: &TargetFile, rng: &mut impl Rng) -> Vec<PlannedOp> {
+pub(crate) fn scientific_session(target: &TargetFile, rng: &mut impl Rng) -> Vec<PlannedOp> {
     let mut plan = vec![
         PlannedOp::then(open(
             target.volume,
@@ -808,7 +812,7 @@ pub fn cifs_server_session(target: &TargetFile, rng: &mut impl Rng) -> Vec<Plann
 /// the file is opened read-write and accessed at random offsets — the
 /// table-3 read/write class, 74 % random in the study. Long-running
 /// engines keep the file open; this models one batch of page accesses.
-pub fn db_session(target: &TargetFile, rng: &mut impl Rng) -> Vec<PlannedOp> {
+pub(crate) fn db_session(target: &TargetFile, rng: &mut impl Rng) -> Vec<PlannedOp> {
     // §9: read caching is disabled for only 0.2 % of data files — mostly
     // system-service databases opened read-write with write-through; all
     // of their requests take the IRP path.
@@ -871,7 +875,7 @@ pub fn db_session(target: &TargetFile, rng: &mut impl Rng) -> Vec<PlannedOp> {
 /// Launching an application: load the exe image plus a heavy-tailed
 /// number of DLLs (§7: "the number of dynamic loadable libraries accessed
 /// … obey the characteristics of heavy-tail distributions").
-pub fn app_launch(
+pub(crate) fn app_launch(
     exe: &TargetFile,
     dlls: &[TargetFile],
     configs: &[TargetFile],

@@ -42,7 +42,7 @@ impl Pareto {
 /// A Pareto truncated at `cap` (re-draw by inversion on the truncated
 /// CDF, not rejection, so sampling cost is constant).
 #[derive(Clone, Copy, Debug)]
-pub struct BoundedPareto {
+pub(crate) struct BoundedPareto {
     /// Scale (minimum value).
     pub xm: f64,
     /// Tail index.
@@ -77,7 +77,7 @@ impl BoundedPareto {
 /// holding times. With probability `tail_prob` the sample comes from the
 /// Pareto tail, otherwise from the log-normal body.
 #[derive(Clone, Copy, Debug)]
-pub struct BodyTail {
+pub(crate) struct BodyTail {
     body: LogNormal<f64>,
     tail: Pareto,
     /// Probability of drawing from the tail.
@@ -110,7 +110,7 @@ impl BodyTail {
 /// there is a strong preference for very small (2–8 bytes) and very large
 /// (48 Kbytes and higher) reads."
 #[derive(Clone, Copy, Debug)]
-pub struct SizeMixture {
+pub(crate) struct SizeMixture {
     kind: SizeMixtureKind,
 }
 
@@ -194,7 +194,7 @@ pub fn heavy_gap(rng: &mut impl Rng, median: SimDuration, alpha: f64) -> SimDura
 }
 
 /// Weighted choice over a small static table.
-pub fn weighted_choice<'a, T>(rng: &mut impl Rng, table: &'a [(T, f64)]) -> &'a T {
+pub(crate) fn weighted_choice<'a, T>(rng: &mut impl Rng, table: &'a [(T, f64)]) -> &'a T {
     let total: f64 = table.iter().map(|(_, w)| w).sum();
     let mut x = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
     for (item, w) in table {

@@ -15,7 +15,7 @@ use crate::dist::{BodyTail, Pareto};
 
 /// Categories the study's dimension tables group extensions into.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum FileCategory {
+pub(crate) enum FileCategory {
     /// Executable images.
     Executable,
     /// Dynamic loadable libraries.
@@ -64,7 +64,7 @@ impl FileCategory {
     /// A representative size model for files of this category; the
     /// executables/libraries/fonts carry the heavy tail that dominates
     /// the §5 size distribution.
-    pub fn size_model(self) -> BodyTail {
+    pub(crate) fn size_model(self) -> BodyTail {
         match self {
             FileCategory::Executable => BodyTail::new(11.5, 1.3, Pareto::new(1.0e6, 1.2), 0.20),
             FileCategory::Library => BodyTail::new(11.0, 1.2, Pareto::new(8.0e5, 1.2), 0.18),
@@ -155,10 +155,10 @@ pub struct ContentBuilder;
 /// Well-known paths the analysis keys on.
 pub mod paths {
     /// The profile tree prefix (§5: 87–99 % of local user files).
-    pub const PROFILES: &str = r"\winnt\profiles";
+    pub(crate) const PROFILES: &str = r"\winnt\profiles";
 
     /// WWW cache directory name inside a profile.
-    pub const WEB_CACHE: &str = "temporary internet files";
+    pub(crate) const WEB_CACHE: &str = "temporary internet files";
 
     /// Profile tree of one user.
     pub fn profile_of(user: &str) -> String {
@@ -166,7 +166,7 @@ pub mod paths {
     }
 
     /// WWW cache of one user.
-    pub fn web_cache_of(user: &str) -> String {
+    pub(crate) fn web_cache_of(user: &str) -> String {
         format!(r"{PROFILES}\{user}\{WEB_CACHE}")
     }
 }

@@ -33,7 +33,7 @@ pub mod filetypes;
 pub mod plan;
 pub mod users;
 
-pub use dist::{BodyTail, BoundedPareto, Pareto, SizeMixture};
-pub use filetypes::{ContentBuilder, ContentPlan, FileCategory};
-pub use plan::{run_plan, FileOp, OffsetSpec, PlannedOp, SessionStats};
+pub use dist::Pareto;
+pub use filetypes::{ContentBuilder, ContentPlan};
+pub use plan::{run_plan, PlannedOp, SessionStats};
 pub use users::{UsageCategory, UserModel};

@@ -8,7 +8,7 @@
 //! machine, threading each operation's completion time into the next
 //! operation's start.
 
-use nt_fs::{FileTimes, NtPath, VolumeId};
+use nt_fs::{NtPath, VolumeId};
 use nt_io::{
     AccessMode, CreateOptions, Disposition, HandleId, IoObserver, Machine, NtStatus, ProcessId,
 };
@@ -16,7 +16,7 @@ use nt_sim::{SimDuration, SimTime};
 
 /// Where a read/write points.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OffsetSpec {
+pub(crate) enum OffsetSpec {
     /// Continue from the file object's current byte offset (sequential).
     Current,
     /// An absolute offset (random access).
@@ -36,7 +36,7 @@ impl OffsetSpec {
 /// handle opened by the most recent successful `Open` that has not been
 /// closed (a small handle stack supports nested opens).
 #[derive(Clone, Debug)]
-pub enum FileOp {
+pub(crate) enum FileOp {
     /// Open/create a file.
     Open {
         /// Volume to open on.
@@ -72,11 +72,6 @@ pub enum FileOp {
     SetEof(u64),
     /// Flush dirty data.
     Flush,
-    /// One QueryDirectory batch on the current handle.
-    QueryDir {
-        /// Entries per batch.
-        batch: usize,
-    },
     /// Enumerate the whole directory (repeated QueryDirectory batches).
     EnumerateDir {
         /// Entries per batch.
@@ -98,25 +93,8 @@ pub enum FileOp {
     },
     /// A control operation that fails (feeds §8.4's 8 %).
     InvalidControl,
-    /// Rename the current handle's file.
-    Rename {
-        /// New path (same volume).
-        to: NtPath,
-    },
-    /// Set timestamps (installer behaviour, §5).
-    SetTimes {
-        /// The times to apply.
-        times: FileTimes,
-    },
     /// Load an executable image (memory-mapped, §3.3).
     LoadImage {
-        /// Volume of the image.
-        volume: VolumeId,
-        /// Image path.
-        path: NtPath,
-    },
-    /// Release the image section reference.
-    UnloadImage {
         /// Volume of the image.
         volume: VolumeId,
         /// Image path.
@@ -147,17 +125,8 @@ pub enum FileOp {
         /// Lock length.
         len: u64,
     },
-    /// Arm a change-notification on the current (directory) handle.
-    WatchDirectory,
     /// Zero-copy MDL read (kernel services only, §10).
     MdlRead {
-        /// Byte offset.
-        offset: u64,
-        /// Length.
-        len: u64,
-    },
-    /// Zero-copy MDL write.
-    MdlWrite {
         /// Byte offset.
         offset: u64,
         /// Length.
@@ -169,19 +138,19 @@ pub enum FileOp {
 #[derive(Clone, Debug)]
 pub struct PlannedOp {
     /// Delay between the previous operation's completion and this issue.
-    pub gap: SimDuration,
+    pub(crate) gap: SimDuration,
     /// The operation.
-    pub op: FileOp,
+    pub(crate) op: FileOp,
 }
 
 impl PlannedOp {
     /// A step issued `gap` after the previous completion.
-    pub fn after(gap: SimDuration, op: FileOp) -> Self {
+    pub(crate) fn after(gap: SimDuration, op: FileOp) -> Self {
         PlannedOp { gap, op }
     }
 
     /// A step issued immediately at the previous completion.
-    pub fn then(op: FileOp) -> Self {
+    pub(crate) fn then(op: FileOp) -> Self {
         PlannedOp {
             gap: SimDuration::ZERO,
             op,
@@ -287,10 +256,6 @@ pub fn run_plan_keep_open<O: IoObserver>(
                 Some(&h) => machine.flush(h, t),
                 None => continue,
             },
-            FileOp::QueryDir { batch } => match stack.last() {
-                Some(&h) => machine.query_directory(h, *batch, t),
-                None => continue,
-            },
             FileOp::EnumerateDir { batch } => match stack.last() {
                 Some(&h) => {
                     let mut r = machine.query_directory(h, *batch, t);
@@ -320,19 +285,7 @@ pub fn run_plan_keep_open<O: IoObserver>(
                 Some(&h) => machine.invalid_control(h, t),
                 None => continue,
             },
-            FileOp::Rename { to } => match stack.last() {
-                Some(&h) => machine.rename(h, to, t),
-                None => continue,
-            },
-            FileOp::SetTimes { times } => match stack.last() {
-                Some(&h) => machine.set_basic_information(h, *times, t),
-                None => continue,
-            },
             FileOp::LoadImage { volume, path } => machine.load_image(process, *volume, path, t),
-            FileOp::UnloadImage { volume, path } => {
-                machine.unload_image(*volume, path);
-                continue;
-            }
             FileOp::MapFile => match stack.last() {
                 Some(&h) => machine.map_file(h, t),
                 None => continue,
@@ -357,22 +310,10 @@ pub fn run_plan_keep_open<O: IoObserver>(
                 Some(&h) => machine.unlock(h, *offset, *len, t),
                 None => continue,
             },
-            FileOp::WatchDirectory => match stack.last() {
-                Some(&h) => machine.watch_directory(h, t),
-                None => continue,
-            },
             FileOp::MdlRead { offset, len } => match stack.last() {
                 Some(&h) => {
                     let r = machine.mdl_read(h, *offset, *len, t);
                     stats.bytes_read += r.transferred;
-                    r
-                }
-                None => continue,
-            },
-            FileOp::MdlWrite { offset, len } => match stack.last() {
-                Some(&h) => {
-                    let r = machine.mdl_write(h, *offset, *len, t);
-                    stats.bytes_written += r.transferred;
                     r
                 }
                 None => continue,

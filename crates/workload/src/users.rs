@@ -44,13 +44,13 @@ impl UsageCategory {
 
     /// The deployed 45-machine split across [`UsageCategory::ALL`] —
     /// walk-up pool, group, personal, administrative, scientific.
-    pub const PAPER_SPLIT: [usize; 5] = [10, 12, 14, 5, 4];
+    pub(crate) const PAPER_SPLIT: [usize; 5] = [10, 12, 14, 5, 4];
 
     /// Apportions `machines` across the categories in the paper's
     /// 10/12/14/5/4 proportions (largest-remainder method, ties broken
     /// in `ALL` order), returning the per-category counts. The counts
     /// always sum to `machines`, and `paper_mix(45)` reproduces
-    /// [`UsageCategory::PAPER_SPLIT`] exactly — the org-scale roster is
+    /// the deployed 10/12/14/5/4 split exactly — the org-scale roster is
     /// the paper's deployment, scaled, not a new population model.
     pub fn paper_mix(machines: usize) -> [usize; 5] {
         const TOTAL: usize = 45;
