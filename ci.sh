@@ -80,8 +80,10 @@ rm -f "$tour_a" "$tour_b"
 step "cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
 
-step "cargo test --workspace"
-cargo test -q --workspace --offline
+# The root package's tests ran in the tier-1 step above; this step adds
+# every other workspace member's.
+step "cargo test --workspace (every member but the root package)"
+cargo test -q --workspace --exclude nt-repro --offline
 
 # The benchmark package sits outside the workspace (own [workspace] and
 # lock), so no step above builds it against a changed study API.

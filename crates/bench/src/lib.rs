@@ -18,12 +18,11 @@ pub enum Scale {
     /// 45 machines, 1 simulated hour — the default evaluation scale.
     Evaluation,
     /// 45 machines, 4 simulated weeks — the paper's deployment. Expect a
-    /// very long run. Memory is not bounded by analysis state here: each
-    /// machine keeps its §3.1 snapshots, and those drive resident memory
-    /// growth (3.3 GB peak at 24 simulated hours of the evaluation
-    /// roster, against 22 MB of analysis state). Measure it with the
-    /// benchmark's `peak_rss_mb` metric (`benchmark/README.md`) before
-    /// planning a run; [`run_study`] also retains every record.
+    /// very long run. Each machine holds two §3.1 snapshots per volume,
+    /// the first and the latest, so snapshots do not grow with the
+    /// period; but [`run_study`] retains every record, which does. The
+    /// streaming driver without retention is the bounded way to run it
+    /// (EXPERIMENTS.md, "Streaming at paper scale").
     Paper,
 }
 

@@ -30,7 +30,9 @@ pub struct MachineRun {
     machine: Machine<TraceFilter>,
     user: UserModel,
     rng: SimRng,
-    /// Snapshots taken so far.
+    /// §3.1 snapshots: every volume's first, then every volume's latest
+    /// once a second has been taken, each group in
+    /// [`nt_fs::Namespace::volume_ids`] order.
     pub snapshots: Vec<Snapshot>,
     telemetry: Telemetry,
     /// Simulated cadence of the gauge/counter sampler; `None` when
@@ -222,12 +224,24 @@ impl MachineRun {
         self.machine.observer().last_delivery_ticks()
     }
 
-    /// Takes a §3.1 snapshot of every volume.
+    /// Takes a §3.1 snapshot of every volume. The first call's snapshots
+    /// are kept; later calls re-take each volume's latest in place, since
+    /// nothing reads a walk between the first and the latest.
     pub fn take_snapshot(&mut self, now: SimTime) {
-        self.snapshots.extend(SnapshotWalker::walk_namespace(
-            self.machine.namespace(),
-            now,
-        ));
+        let ns = self.machine.namespace();
+        let volumes = ns.volume_ids().count();
+        if self.snapshots.len() < 2 * volumes {
+            for id in ns.volume_ids() {
+                let volume = ns.volume(id).expect("listed volume");
+                self.snapshots
+                    .push(SnapshotWalker::walk_volume(id, volume, now));
+            }
+        } else {
+            for (latest, id) in self.snapshots[volumes..].iter_mut().zip(ns.volume_ids()) {
+                let volume = ns.volume(id).expect("listed volume");
+                SnapshotWalker::rewalk(latest, volume, now);
+            }
+        }
     }
 
     /// Runs the machine for the configured duration, shipping trace
@@ -405,10 +419,11 @@ impl MachineRun {
                 eng.schedule_in(next, ship);
             }
         }
+        // The closing walk after logoff and drain supersedes a periodic
+        // one due at `end`.
         fn snapshot(w: &mut World<'_>, eng: &mut Engine<World<'_>>) {
-            let at = eng.now();
-            w.run.take_snapshot(at);
-            if at < w.end {
+            w.run.take_snapshot(eng.now());
+            if eng.now() + w.snapshot_interval < w.end {
                 eng.schedule_in(w.snapshot_interval, snapshot);
             }
         }
@@ -462,10 +477,10 @@ impl MachineRun {
             // The lazy writer starts once logon has run.
             engine.schedule_at(self.machine.defer_lazy_writer(now), lazy_write);
             engine.schedule_at(SimTime::from_secs(30).max(now), ship);
-            engine.schedule_at(
-                (SimTime::ZERO + config.snapshot_interval).max(now),
-                snapshot,
-            );
+            let first_walk = (SimTime::ZERO + config.snapshot_interval).max(now);
+            if first_walk < end {
+                engine.schedule_at(first_walk, snapshot);
+            }
             engine.schedule_at(
                 now + SimDuration::from_secs(self.rng.gen_range(60..400)),
                 server_noise,
@@ -594,7 +609,19 @@ mod tests {
         let mut server = CollectionServer::new();
         run.simulate(&config, &mut server);
         assert!(server.total_records() > 100, "records shipped");
-        assert!(run.snapshots.len() >= 4, "initial + periodic + final");
+        // Each volume's first snapshot, then its latest, re-taken in place
+        // by the periodic walks and the closing one.
+        let ns = run.machine.namespace();
+        let volumes: Vec<_> = ns.volume_ids().collect();
+        let end = SimTime::ZERO + config.duration;
+        assert_eq!(run.snapshots.len(), 2 * volumes.len());
+        for (i, &id) in volumes.iter().enumerate() {
+            let (first, latest) = (&run.snapshots[i], &run.snapshots[volumes.len() + i]);
+            assert_eq!((first.volume, first.taken_at), (id, SimTime::ZERO));
+            assert_eq!((latest.volume, latest.taken_at), (id, end));
+            let fresh = SnapshotWalker::walk_volume(id, ns.volume(id).unwrap(), end);
+            assert_eq!(latest.records, fresh.records);
+        }
         let m = run.io_metrics();
         assert!(m.opens > 10);
         assert!(m.bytes_read + m.bytes_written > 0);

@@ -28,7 +28,9 @@ pub struct MachineOutput {
     pub id: MachineId,
     /// Usage category.
     pub category: UsageCategory,
-    /// §3.1 snapshots, in time order (interleaved across volumes).
+    /// §3.1 snapshots, in time order: every volume's first, then every
+    /// volume's latest, each group in volume order (see
+    /// [`MachineRun::snapshots`](crate::MachineRun::snapshots)).
     pub snapshots: Vec<Snapshot>,
     /// I/O counters.
     pub io: nt_io::IoMetrics,

@@ -537,8 +537,7 @@ impl Volume {
         let node = self.node(id)?;
         visit(depth, id, node);
         if let NodeKind::Directory(d) = &node.kind {
-            let children: Vec<NodeId> = d.children.values().copied().collect();
-            for child in children {
+            for &child in d.children.values() {
                 self.walk_inner(child, depth + 1, visit)?;
             }
         }

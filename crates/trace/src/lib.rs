@@ -14,7 +14,10 @@
 //!    sinks on the thread that shipped it.
 //! 2. **Daily file-system snapshots** (§3.1) — a recursive walk of every
 //!    traced volume producing [`WalkRecord`]s from which the tree can be
-//!    recovered, taken at 4 a.m. by the agent.
+//!    recovered, taken at 4 a.m. by the agent. A later walk can re-take a
+//!    [`Snapshot`] in place ([`SnapshotWalker::rewalk`]), so a machine
+//!    holds each volume's first and latest snapshot, which are all §5
+//!    reads.
 //!
 //! §3.3's accounting problem starts the way the paper's did: *all*
 //! paging requests are recorded, and all of them are kept. The analyses

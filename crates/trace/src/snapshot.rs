@@ -7,7 +7,7 @@
 //! directory in such a way that the original tree can be recovered from
 //! the sequence."
 
-use nt_fs::{Namespace, NodeKind, Volume, VolumeId};
+use nt_fs::{NodeKind, Volume, VolumeId};
 use nt_sim::SimTime;
 
 /// One record of the recursive walk.
@@ -106,84 +106,77 @@ pub struct SnapshotWalker;
 impl SnapshotWalker {
     /// Walks one volume.
     pub fn walk_volume(volume_id: VolumeId, volume: &Volume, now: SimTime) -> Snapshot {
-        let mut records = Vec::new();
-        let mut path_stack: Vec<String> = Vec::new();
-        volume
-            .walk(volume.root(), &mut |depth, _, node| {
-                path_stack.truncate(depth.saturating_sub(1));
-                if depth > 0 {
-                    path_stack.push(node.name.clone());
-                }
-                let path = if path_stack.is_empty() {
-                    "\\".to_string()
-                } else {
-                    format!("\\{}", path_stack.join("\\"))
-                };
-                match &node.kind {
-                    NodeKind::File(meta) => records.push(WalkRecord {
-                        depth,
-                        path,
-                        is_dir: false,
-                        size: meta.size,
-                        creation: node.times.creation,
-                        last_access: node.times.last_access,
-                        last_write: node.times.last_write,
-                        n_files: 0,
-                        n_subdirs: 0,
-                    }),
-                    NodeKind::Directory(_) => {
-                        // Child counts need a second look at the node.
-                        records.push(WalkRecord {
-                            depth,
-                            path,
-                            is_dir: true,
-                            size: 0,
-                            creation: node.times.creation,
-                            last_access: node.times.last_access,
-                            last_write: node.times.last_write,
-                            n_files: 0,
-                            n_subdirs: 0,
-                        });
-                    }
-                }
-            })
-            .expect("walking a live volume");
-        // Fill directory child counts from the records themselves.
-        let mut i = 0;
-        while i < records.len() {
-            if records[i].is_dir {
-                let depth = records[i].depth;
-                let mut files = 0;
-                let mut dirs = 0;
-                for r in records.iter().skip(i + 1) {
-                    if r.depth <= depth {
-                        break;
-                    }
-                    if r.depth == depth + 1 {
-                        if r.is_dir {
-                            dirs += 1;
-                        } else {
-                            files += 1;
-                        }
-                    }
-                }
-                records[i].n_files = files;
-                records[i].n_subdirs = dirs;
-            }
-            i += 1;
-        }
-        Snapshot {
+        let mut snapshot = Snapshot {
             volume: volume_id,
             taken_at: now,
-            records,
-        }
+            records: Vec::new(),
+        };
+        Self::rewalk(&mut snapshot, volume, now);
+        snapshot
     }
 
-    /// Walks every volume of a namespace.
-    pub fn walk_namespace(ns: &Namespace, now: SimTime) -> Vec<Snapshot> {
-        ns.volume_ids()
-            .map(|id| Self::walk_volume(id, ns.volume(id).expect("listed volume"), now))
-            .collect()
+    /// Re-takes `snapshot` of `volume` at `now`, in place and in one pass.
+    /// Records are overwritten in walk order, each keeping its `path`
+    /// buffer, then the list grows or shrinks to the tree's size, so the
+    /// result equals a fresh [`SnapshotWalker::walk_volume`].
+    pub fn rewalk(snapshot: &mut Snapshot, volume: &Volume, now: SimTime) {
+        let records = &mut snapshot.records;
+        let mut len = 0;
+        // The path of the node being visited ("" at the root), and for
+        // each directory on the way down to it the index of its record
+        // and the length of its path.
+        let mut path = String::new();
+        let mut open: Vec<(usize, usize)> = Vec::new();
+        volume
+            .walk(volume.root(), &mut |depth, _, node| {
+                open.truncate(depth);
+                let (is_dir, size) = match &node.kind {
+                    NodeKind::File(meta) => (false, meta.size),
+                    NodeKind::Directory(_) => (true, 0),
+                };
+                if let Some(&(parent, parent_len)) = open.last() {
+                    path.truncate(parent_len);
+                    path.push('\\');
+                    path.push_str(&node.name);
+                    let parent = &mut records[parent];
+                    if is_dir {
+                        parent.n_subdirs += 1;
+                    } else {
+                        parent.n_files += 1;
+                    }
+                }
+                if is_dir {
+                    open.push((len, path.len()));
+                }
+                let shown = if depth == 0 { "\\" } else { path.as_str() };
+                let record = WalkRecord {
+                    depth,
+                    path: String::new(),
+                    is_dir,
+                    size,
+                    creation: node.times.creation,
+                    last_access: node.times.last_access,
+                    last_write: node.times.last_write,
+                    n_files: 0,
+                    n_subdirs: 0,
+                };
+                match records.get_mut(len) {
+                    Some(slot) => {
+                        let mut buf = std::mem::replace(slot, record).path;
+                        buf.clear();
+                        buf.push_str(shown);
+                        slot.path = buf;
+                    }
+                    None => records.push(WalkRecord {
+                        path: shown.to_owned(),
+                        ..record
+                    }),
+                }
+                len += 1;
+            })
+            .expect("walking a live volume");
+        records.truncate(len);
+        snapshot.taken_at = now;
     }
 }
 
@@ -246,7 +239,8 @@ impl SnapshotDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nt_fs::{Volume, VolumeConfig};
+    use nt_fs::{NodeId, Volume, VolumeConfig};
+    use proptest::prelude::*;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -343,12 +337,157 @@ mod tests {
         assert_eq!(exts, vec![Some("ini"), Some("dat")]);
     }
 
-    #[test]
-    fn namespace_walk_covers_all_volumes() {
-        let mut ns = Namespace::new();
-        ns.mount_local('C', VolumeConfig::local_ntfs(1 << 20));
-        ns.mount_share("srv", "home", VolumeConfig::local_ntfs(1 << 20));
-        let snaps = SnapshotWalker::walk_namespace(&ns, t(1));
-        assert_eq!(snaps.len(), 2);
+    /// The reference walk: plain [`Volume::read_dir`] recursion, sharing
+    /// no code with the walker.
+    fn reference_walk(v: &Volume, dir: NodeId, path: &str, depth: usize) -> Vec<WalkRecord> {
+        let node = v.node(dir).unwrap();
+        let children = v.read_dir(dir).unwrap();
+        let n_subdirs = children
+            .iter()
+            .filter(|(_, id)| v.node(*id).unwrap().dir().is_some())
+            .count();
+        let mut out = vec![WalkRecord {
+            depth,
+            path: if depth == 0 { "\\".into() } else { path.into() },
+            is_dir: true,
+            size: 0,
+            creation: node.times.creation,
+            last_access: node.times.last_access,
+            last_write: node.times.last_write,
+            n_files: (children.len() - n_subdirs) as u32,
+            n_subdirs: n_subdirs as u32,
+        }];
+        for (name, id) in children {
+            let child_path = format!("{path}\\{name}");
+            let child = v.node(id).unwrap();
+            match child.file() {
+                Some(meta) => out.push(WalkRecord {
+                    depth: depth + 1,
+                    path: child_path,
+                    is_dir: false,
+                    size: meta.size,
+                    creation: child.times.creation,
+                    last_access: child.times.last_access,
+                    last_write: child.times.last_write,
+                    n_files: 0,
+                    n_subdirs: 0,
+                }),
+                None => out.extend(reference_walk(v, id, &child_path, depth + 1)),
+            }
+        }
+        out
+    }
+
+    /// Every directory with its depth, and every file, in walk order.
+    fn live_nodes(v: &Volume) -> (Vec<(NodeId, usize)>, Vec<NodeId>) {
+        fn visit(
+            v: &Volume,
+            dir: NodeId,
+            depth: usize,
+            nodes: &mut (Vec<(NodeId, usize)>, Vec<NodeId>),
+        ) {
+            nodes.0.push((dir, depth));
+            for (_, id) in v.read_dir(dir).unwrap() {
+                if v.node(id).unwrap().dir().is_some() {
+                    visit(v, id, depth + 1, nodes);
+                } else {
+                    nodes.1.push(id);
+                }
+            }
+        }
+        let mut nodes = (Vec::new(), Vec::new());
+        visit(v, v.root(), 0, &mut nodes);
+        nodes
+    }
+
+    fn remove_tree(v: &mut Volume, id: NodeId, now: SimTime) {
+        if v.node(id).unwrap().dir().is_some() {
+            for (_, child) in v.read_dir(id).unwrap() {
+                remove_tree(v, child, now);
+            }
+        }
+        v.remove(id, now).unwrap();
+    }
+
+    /// Kinds 0–1 grow the tree, 2–3 move and resize, 4–5 shrink it.
+    /// `pick` and `arg` choose the node, the target and the name or size.
+    fn apply(v: &mut Volume, (kind, pick, arg): (u8, u32, u32), now: SimTime) {
+        let (dirs, files) = live_nodes(v);
+        let (dir, depth) = dirs[pick as usize % dirs.len()];
+        let file = (!files.is_empty()).then(|| files[pick as usize % files.len()]);
+        // Failures (a name already taken) leave the tree as it was.
+        let _ = match kind {
+            0 if depth < 4 => v.mkdir(dir, &format!("d{}", arg % 6), now).map(drop),
+            1 => v
+                .create_file(dir, &format!("F{}.Txt", arg % 9), now)
+                .map(drop),
+            2 => {
+                // A directory moves only to a target no deeper than its
+                // parent: never into its own subtree, never below depth 4.
+                let (target, target_depth) = dirs[arg as usize % dirs.len()];
+                if pick % 2 == 0 && depth > 0 && target_depth < depth {
+                    v.rename(dir, target, &format!("d{}", arg % 7), now)
+                } else if let Some(f) = file {
+                    v.rename(f, target, &format!("f{}.dat", arg % 5), now)
+                } else {
+                    Ok(())
+                }
+            }
+            3 => file.map_or(Ok(()), |f| {
+                v.set_file_size(f, u64::from(arg % 100_000), now)
+            }),
+            4 => file.map_or(Ok(()), |f| v.remove(f, now)),
+            5 if depth > 0 => {
+                remove_tree(v, dir, now);
+                Ok(())
+            }
+            _ => Ok(()),
+        };
+    }
+
+    fn ops(kinds: std::ops::Range<u8>) -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
+        prop::collection::vec((kinds, any::<u32>(), any::<u32>()), 0..40)
+    }
+
+    proptest! {
+        #[test]
+        fn rewalk_in_place_equals_a_fresh_walk_and_the_reference(
+            fat in any::<bool>(),
+            build in ops(0..4),
+            grow in ops(0..4),
+            shrink in ops(2..6),
+        ) {
+            let config = if fat { VolumeConfig::local_fat(1 << 40) } else { VolumeConfig::local_ntfs(1 << 40) };
+            let mut v = Volume::new(config);
+            let mut clock = 0;
+            let mut tick = || {
+                clock += 1;
+                t(clock)
+            };
+            for op in build {
+                apply(&mut v, op, tick());
+            }
+            let mut snap = SnapshotWalker::walk_volume(VolumeId(3), &v, tick());
+            prop_assert_eq!(&snap.records, &reference_walk(&v, v.root(), "", 0));
+            for (phase, mutations) in [("grow", grow), ("shrink", shrink)] {
+                let before = snap.records.len();
+                for op in mutations {
+                    apply(&mut v, op, tick());
+                }
+                let now = tick();
+                SnapshotWalker::rewalk(&mut snap, &v, now);
+                let fresh = SnapshotWalker::walk_volume(VolumeId(3), &v, now);
+                let reference = reference_walk(&v, v.root(), "", 0);
+                prop_assert_eq!((snap.volume, snap.taken_at), (fresh.volume, fresh.taken_at));
+                prop_assert_eq!(snap.records.len(), reference.len(), "{} phase", phase);
+                for (i, (rewalked, want)) in snap.records.iter().zip(&reference).enumerate() {
+                    prop_assert_eq!(rewalked, want, "{} phase, record {}", phase, i);
+                }
+                prop_assert_eq!(&fresh.records, &reference, "{} phase", phase);
+                let after = snap.records.len();
+                let kept_direction = if phase == "grow" { after >= before } else { after <= before };
+                prop_assert!(kept_direction, "{} phase went from {} to {} records", phase, before, after);
+            }
+        }
     }
 }

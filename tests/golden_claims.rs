@@ -7,6 +7,10 @@
 //! floating-point reassociation (e.g. a different merge order) does not
 //! churn the golden file.
 //!
+//! The §5 content report of the same study, rendered from its §3.1
+//! snapshots, is compared byte for byte against
+//! `tests/golden/section5_smoke.txt`.
+//!
 //! When a change legitimately moves the numbers — a workload tweak, a new
 //! record kind — regenerate with:
 //!
@@ -19,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use nt_study::{ShardOptions, Study, StudyConfig};
+use nt_study::{report, ShardOptions, Study, StudyConfig};
 
 const GOLDEN_SEED: u64 = 1999; // SOSP'99.
 
@@ -38,11 +42,11 @@ const EXACT: &[&str] = &[
 /// Tolerance for derived ratios, quantiles and tail exponents.
 const REL_TOL: f64 = 0.05;
 
-fn golden_path() -> PathBuf {
+fn golden_file(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("smoke_summary.json")
+        .join(name)
 }
 
 /// Computes every locked metric from a fresh streaming run.
@@ -129,7 +133,7 @@ fn parse(text: &str) -> BTreeMap<String, f64> {
 #[test]
 fn summary_matches_the_golden_claims() {
     let measured = measure();
-    let path = golden_path();
+    let path = golden_file("smoke_summary.json");
     if std::env::var("GOLDEN_REGEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, render(&measured)).unwrap();
@@ -169,8 +173,33 @@ fn summary_matches_the_golden_claims() {
 }
 
 #[test]
+fn section5_matches_the_golden_report() {
+    let data = Study::run(&StudyConfig::smoke_test(GOLDEN_SEED)).expect("golden study runs");
+    let measured = report::section5(&data);
+    let path = golden_file("section5_smoke.txt");
+    if std::env::var("GOLDEN_REGEN").is_ok() {
+        std::fs::write(&path, &measured).unwrap();
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with GOLDEN_REGEN=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        measured, golden,
+        "the §5 report drifted; if intentional, GOLDEN_REGEN=1 and review the diff"
+    );
+}
+
+#[test]
 fn golden_file_is_well_formed() {
-    let golden = parse(&std::fs::read_to_string(golden_path()).expect("golden file is checked in"));
+    let golden = parse(
+        &std::fs::read_to_string(golden_file("smoke_summary.json"))
+            .expect("golden file is checked in"),
+    );
     assert!(golden.len() >= 15, "got {} metrics", golden.len());
     for (k, v) in &golden {
         assert!(v.is_finite(), "{k} is not finite");
