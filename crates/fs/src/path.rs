@@ -4,64 +4,68 @@
 //! in the file type, not in the individual names" (§3.1); accordingly the
 //! path machinery here keeps full component names for namespace operations
 //! but exposes [`NtPath::extension`] as the primary classification hook.
+//! A path is one lower-cased string, so cloning or printing one copies a
+//! single buffer.
 
 use std::fmt;
 
-/// A borrowed, parsed NT path such as `\winnt\profiles\alice\ntuser.dat`.
+/// An owned, parsed NT path such as `\winnt\profiles\alice\ntuser.dat`.
 ///
 /// Paths are always absolute within a volume (rooted at `\`). Comparison is
 /// ASCII-case-insensitive, matching NT namespace semantics.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct NtPath {
-    components: Vec<String>,
+    /// Every component lower-cased and preceded by `\` (`\a\b\c`); empty
+    /// for the root. No component is empty.
+    text: String,
 }
 
 impl NtPath {
     /// The volume root `\`.
     pub fn root() -> Self {
-        NtPath {
-            components: Vec::new(),
-        }
+        NtPath::default()
     }
 
     /// Parses a backslash-separated path. Leading backslash is optional;
     /// empty components are ignored. Components are lower-cased on parse so
     /// that equality and hashing are case-insensitive.
     pub fn parse(s: &str) -> Self {
-        NtPath {
-            components: s
-                .split('\\')
-                .filter(|c| !c.is_empty())
-                .map(|c| c.to_ascii_lowercase())
-                .collect(),
-        }
+        let mut p = NtPath {
+            text: String::with_capacity(s.len() + 1),
+        };
+        p.push(s);
+        p
     }
 
     /// The path components, already lower-cased.
-    pub fn components(&self) -> &[String] {
-        &self.components
+    pub fn components(&self) -> impl Iterator<Item = &str> {
+        self.text.split('\\').skip(1)
     }
 
     /// Number of components; the root has zero.
     pub fn depth(&self) -> usize {
-        self.components.len()
+        self.text.bytes().filter(|&b| b == b'\\').count()
     }
 
     /// The final component, if any.
     pub fn file_name(&self) -> Option<&str> {
-        self.components.last().map(|s| s.as_str())
+        let slash = self.text.rfind('\\')?;
+        Some(&self.text[slash + 1..])
     }
 
     /// The path without its final component; the root's parent is the root.
     pub fn parent(&self) -> NtPath {
-        let mut p = self.clone();
-        p.components.pop();
-        p
+        let end = self.text.rfind('\\').unwrap_or(0);
+        NtPath {
+            text: self.text[..end].to_owned(),
+        }
     }
 
     /// Appends a component, returning the extended path.
     pub fn join(&self, component: &str) -> NtPath {
-        let mut p = self.clone();
+        let mut text = String::with_capacity(self.text.len() + component.len() + 1);
+        text.push_str(&self.text);
+        let mut p = NtPath { text };
         p.push(component);
         p
     }
@@ -69,7 +73,10 @@ impl NtPath {
     /// Appends a component in place.
     pub fn push(&mut self, component: &str) {
         for c in component.split('\\').filter(|c| !c.is_empty()) {
-            self.components.push(c.to_ascii_lowercase());
+            self.text.push('\\');
+            let start = self.text.len();
+            self.text.push_str(c);
+            self.text[start..].make_ascii_lowercase();
         }
     }
 
@@ -95,20 +102,19 @@ impl NtPath {
 
     /// True when `prefix` is an ancestor of (or equal to) this path.
     pub fn starts_with(&self, prefix: &NtPath) -> bool {
-        self.components.len() >= prefix.components.len()
-            && self.components[..prefix.components.len()] == prefix.components[..]
+        self.text
+            .strip_prefix(prefix.text.as_str())
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('\\'))
     }
 }
 
 impl fmt::Display for NtPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.components.is_empty() {
-            return write!(f, "\\");
-        }
-        for c in &self.components {
-            write!(f, "\\{c}")?;
-        }
-        Ok(())
+        f.write_str(if self.text.is_empty() {
+            "\\"
+        } else {
+            &self.text
+        })
     }
 }
 

@@ -385,6 +385,15 @@ impl Volume {
                 return Err(FsError::AlreadyExists);
             }
         }
+        // A directory moved under itself would leave the tree as a cycle
+        // that no walk or lookup from the root reaches; NT refuses it.
+        let mut ancestor = Some(new_parent);
+        while let Some(a) = ancestor {
+            if a == id {
+                return Err(FsError::InvalidOperation);
+            }
+            ancestor = self.node(a)?.parent;
+        }
         let (old_parent, old_name) = {
             let node = self.node(id)?;
             (
@@ -646,6 +655,38 @@ mod tests {
         let f = v.create_file(v.root(), "a", T1).unwrap();
         v.create_file(v.root(), "b", T1).unwrap();
         assert_eq!(v.rename(f, v.root(), "B", T2), Err(FsError::AlreadyExists));
+    }
+
+    #[test]
+    fn rename_into_own_subtree_is_refused() {
+        let mut v = vol();
+        let a = v.mkdir(v.root(), "a", T1).unwrap();
+        let b = v.mkdir(a, "b", T1).unwrap();
+        v.create_file(b, "f", T1).unwrap();
+        let tree = |v: &Volume| {
+            let mut nodes = Vec::new();
+            v.walk(v.root(), &mut |depth, id, node| {
+                nodes.push((depth, id, format!("{node:?}")));
+            })
+            .unwrap();
+            nodes
+        };
+        let before = tree(&v);
+        let stats = v.stats();
+        // `\a` into `\a\b`, then `\a` into itself.
+        for new_parent in [b, a] {
+            assert_eq!(
+                v.rename(a, new_parent, "a", T2),
+                Err(FsError::InvalidOperation)
+            );
+            assert_eq!(tree(&v), before);
+            assert_eq!(v.stats(), stats);
+            assert_eq!(v.lookup(&NtPath::parse(r"\a")), Ok(a));
+            assert!(v.lookup(&NtPath::parse(r"\a\b\f")).is_ok());
+        }
+        // Moving a directory up out of its parent is still allowed.
+        v.rename(b, v.root(), "b", T2).unwrap();
+        assert_eq!(v.lookup(&NtPath::parse(r"\b")), Ok(b));
     }
 
     #[test]

@@ -367,12 +367,15 @@ impl ContentBuilder {
         now: SimTime,
         rng: &mut impl Rng,
     ) -> Result<usize, FsError> {
+        use std::fmt::Write as _;
         let mut made = 0;
+        let mut name = String::new();
         for i in 0..files {
             let cat = *crate::dist::weighted_choice(rng, mix);
             let exts = cat.extensions();
             let ext = exts[rng.gen_range(0..exts.len())];
-            let name = format!("f{i:05}.{ext}");
+            name.clear();
+            let _ = write!(name, "f{i:05}.{ext}");
             let node = match volume.create_file(dir, &name, now) {
                 Ok(n) => n,
                 Err(FsError::AlreadyExists) => continue,

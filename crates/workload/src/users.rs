@@ -101,38 +101,53 @@ impl WorkingSet {
     /// study's file categories. `cap` bounds each bucket.
     pub fn sample(volume_id: VolumeId, volume: &Volume, cap: usize) -> WorkingSet {
         let mut ws = WorkingSet::default();
-        let mut path_stack: Vec<String> = Vec::new();
+        // The path of the node being visited ("" at the root), and the
+        // length of each open directory's path on the way down to it.
+        let mut path = String::new();
+        let mut open: Vec<usize> = Vec::new();
         volume
             .walk(volume.root(), &mut |depth, _, node: &Node| {
-                path_stack.truncate(depth.saturating_sub(1));
-                if depth > 0 {
-                    path_stack.push(node.name.clone());
+                open.truncate(depth);
+                if let Some(&parent_len) = open.last() {
+                    path.truncate(parent_len);
+                    path.push('\\');
+                    path.push_str(&node.name);
                 }
-                let path = || NtPath::parse(&format!("\\{}", path_stack.join("\\")));
                 if let Some(meta) = node.file() {
-                    let t = TargetFile {
-                        volume: volume_id,
-                        path: path(),
-                        size: meta.size,
-                    };
-                    if meta.size >= (4 << 20) && ws.bigs.len() < cap {
-                        ws.bigs.push(t.clone());
-                    }
+                    let big = meta.size >= (4 << 20) && ws.bigs.len() < cap;
                     let bucket = match FileCategory::of_extension(node.extension()) {
                         FileCategory::Document | FileCategory::System | FileCategory::Other => {
-                            &mut ws.docs
+                            Some(&mut ws.docs)
                         }
-                        FileCategory::Source => &mut ws.sources,
-                        FileCategory::Executable => &mut ws.exes,
-                        FileCategory::Library => &mut ws.dlls,
-                        FileCategory::Development => &mut ws.classes,
-                        _ => return,
-                    };
-                    if bucket.len() < cap {
-                        bucket.push(t);
+                        FileCategory::Source => Some(&mut ws.sources),
+                        FileCategory::Executable => Some(&mut ws.exes),
+                        FileCategory::Library => Some(&mut ws.dlls),
+                        FileCategory::Development => Some(&mut ws.classes),
+                        _ => None,
                     }
-                } else if depth > 0 && depth <= 3 && ws.dirs.len() < cap {
-                    ws.dirs.push(path());
+                    .filter(|bucket| bucket.len() < cap);
+                    if !big && bucket.is_none() {
+                        return;
+                    }
+                    let t = TargetFile {
+                        volume: volume_id,
+                        path: NtPath::parse(&path),
+                        size: meta.size,
+                    };
+                    match bucket {
+                        Some(bucket) => {
+                            if big {
+                                ws.bigs.push(t.clone());
+                            }
+                            bucket.push(t);
+                        }
+                        None => ws.bigs.push(t),
+                    }
+                } else {
+                    open.push(path.len());
+                    if (1..=3).contains(&depth) && ws.dirs.len() < cap {
+                        ws.dirs.push(NtPath::parse(&path));
+                    }
                 }
             })
             .expect("sampling a live volume");
@@ -344,16 +359,17 @@ impl UserModel {
         let local = self.local;
         match choice {
             AppChoice::Explorer => {
+                let root = NtPath::root();
                 let dir = if self.ws.dirs.is_empty() {
-                    NtPath::root()
+                    &root
                 } else {
-                    self.ws.dirs[rng.gen_range(0..self.ws.dirs.len())].clone()
+                    &self.ws.dirs[rng.gen_range(0..self.ws.dirs.len())]
                 };
-                let entries: Vec<TargetFile> = self.ws.docs.iter().take(12).cloned().collect();
-                apps::explorer_browse(local, &dir, &entries, rng)
+                let entries = &self.ws.docs[..self.ws.docs.len().min(12)];
+                apps::explorer_browse(local, dir, entries, rng)
             }
             AppChoice::Stat => match Self::pick(rng, &self.ws.docs, &self.ws.exes) {
-                Some(t) => apps::stat_session(local, &t.path.clone(), false, rng),
+                Some(t) => apps::stat_session(local, &t.path, false, rng),
                 None => apps::stat_session(local, &NtPath::parse(r"\winnt\win.ini"), false, rng),
             },
             AppChoice::FailedProbe => {
@@ -420,12 +436,11 @@ impl UserModel {
             }
             AppChoice::DocRead => match Self::pick(rng, &self.ws.docs, &self.ws.sources) {
                 Some(t) => {
-                    let t = t.clone();
                     if rng.gen_bool(0.45) {
                         // §9.1: 31 % of read sessions use a single I/O.
-                        apps::peek_session(&t, rng)
+                        apps::peek_session(t, rng)
                     } else {
-                        apps::read_session(&t, Self::read_style(rng), rng)
+                        apps::read_session(t, Self::read_style(rng), rng)
                     }
                 }
                 None => Vec::new(),
@@ -463,9 +478,8 @@ impl UserModel {
             }
             AppChoice::AppLaunch => match Self::pick(rng, &self.ws.exes, &self.ws.dlls) {
                 Some(exe) => {
-                    let exe = exe.clone();
-                    let configs: Vec<_> = self.ws.docs.iter().take(40).cloned().collect();
-                    apps::app_launch(&exe, &self.ws.dlls, &configs, rng)
+                    let configs = &self.ws.docs[..self.ws.docs.len().min(40)];
+                    apps::app_launch(exe, &self.ws.dlls, configs, rng)
                 }
                 None => Vec::new(),
             },
@@ -480,18 +494,18 @@ impl UserModel {
                 &NtPath::parse(&format!(r"{}\inbox.mbx", paths::profile_of(&self.user))),
             ),
             AppChoice::JavaTool => match Self::pick(rng, &self.ws.classes, &self.ws.docs) {
-                Some(t) => apps::java_tool_read(&t.clone(), rng),
+                Some(t) => apps::java_tool_read(t, rng),
                 None => Vec::new(),
             },
             AppChoice::DevBuild => {
-                let sources: Vec<TargetFile> = self.ws.sources.iter().take(16).cloned().collect();
+                let sources = &self.ws.sources[..self.ws.sources.len().min(16)];
                 if sources.is_empty() {
                     return Vec::new();
                 }
-                apps::devenv_build(local, &sources, &NtPath::parse(r"\temp\build"), rng)
+                apps::devenv_build(local, sources, &NtPath::parse(r"\temp\build"), rng)
             }
             AppChoice::SourceRead => match Self::pick(rng, &self.ws.sources, &self.ws.docs) {
-                Some(t) => apps::read_session(&t.clone(), Self::read_style(rng), rng),
+                Some(t) => apps::read_session(t, Self::read_style(rng), rng),
                 None => Vec::new(),
             },
             AppChoice::Database => {
@@ -503,11 +517,11 @@ impl UserModel {
                 apps::db_session(&db, rng)
             }
             AppChoice::Scientific => match Self::pick(rng, &self.ws.bigs, &self.ws.docs) {
-                Some(t) => apps::scientific_session(&t.clone(), rng),
+                Some(t) => apps::scientific_session(t, rng),
                 None => Vec::new(),
             },
             AppChoice::BigRead => match Self::pick(rng, &self.ws.bigs, &self.ws.docs) {
-                Some(t) => apps::read_session(&t.clone(), Self::read_style(rng), rng),
+                Some(t) => apps::read_session(t, Self::read_style(rng), rng),
                 None => Vec::new(),
             },
             AppChoice::ShareDoc => {
@@ -572,6 +586,128 @@ mod tests {
         )
         .unwrap();
         WorkingSet::sample(VolumeId(0), &vol, 200)
+    }
+
+    /// What [`WorkingSet::sample`] keeps, built only from `read_dir`
+    /// recursion, `format!`-joined paths and `NtPath::parse`.
+    fn reference_sample(volume_id: VolumeId, vol: &Volume, cap: usize) -> WorkingSet {
+        fn visit(
+            vol: &Volume,
+            dir: nt_fs::NodeId,
+            path: &str,
+            depth: usize,
+            cap: usize,
+            volume_id: VolumeId,
+            ws: &mut WorkingSet,
+        ) {
+            for (name, id) in vol.read_dir(dir).unwrap() {
+                let child = format!("{path}\\{name}");
+                let node = vol.node(id).unwrap();
+                let Some(meta) = node.file() else {
+                    if depth <= 3 && ws.dirs.len() < cap {
+                        ws.dirs.push(NtPath::parse(&child));
+                    }
+                    visit(vol, id, &child, depth + 1, cap, volume_id, ws);
+                    continue;
+                };
+                let t = TargetFile {
+                    volume: volume_id,
+                    path: NtPath::parse(&child),
+                    size: meta.size,
+                };
+                if meta.size >= 4 << 20 && ws.bigs.len() < cap {
+                    ws.bigs.push(t.clone());
+                }
+                let bucket = match FileCategory::of_extension(node.extension()) {
+                    FileCategory::Document | FileCategory::System | FileCategory::Other => {
+                        &mut ws.docs
+                    }
+                    FileCategory::Source => &mut ws.sources,
+                    FileCategory::Executable => &mut ws.exes,
+                    FileCategory::Library => &mut ws.dlls,
+                    FileCategory::Development => &mut ws.classes,
+                    _ => continue,
+                };
+                if bucket.len() < cap {
+                    bucket.push(t);
+                }
+            }
+        }
+        let mut ws = WorkingSet::default();
+        visit(vol, vol.root(), "", 1, cap, volume_id, &mut ws);
+        ws
+    }
+
+    #[test]
+    fn sample_equals_the_reference_sample() {
+        let fields = |bucket: &[TargetFile]| -> Vec<(VolumeId, String, u64)> {
+            bucket
+                .iter()
+                .map(|t| (t.volume, t.path.to_string(), t.size))
+                .collect()
+        };
+        for (seed, developer) in [(3, false), (4, true)] {
+            for fat in [false, true] {
+                let mut vol = Volume::new(if fat {
+                    VolumeConfig::local_fat(8 << 30)
+                } else {
+                    VolumeConfig::local_ntfs(8 << 30)
+                });
+                let plan = if developer {
+                    crate::filetypes::ContentPlan::developer("tess")
+                } else {
+                    crate::filetypes::ContentPlan::desktop("tess")
+                };
+                let plan = crate::filetypes::ContentPlan {
+                    target_files: 6_000,
+                    web_cache_files: 800,
+                    ..plan
+                };
+                let mut rng = SmallRng::seed_from_u64(seed);
+                crate::filetypes::ContentBuilder::build(
+                    &mut vol,
+                    &plan,
+                    nt_sim::SimTime::from_secs(5),
+                    &mut rng,
+                )
+                .unwrap();
+                for cap in [50, 100_000] {
+                    let got = WorkingSet::sample(VolumeId(2), &vol, cap);
+                    let want = reference_sample(VolumeId(2), &vol, cap);
+                    let case = format!("developer {developer}, fat {fat}, cap {cap}");
+                    for (name, got, want) in [
+                        ("docs", &got.docs, &want.docs),
+                        ("sources", &got.sources, &want.sources),
+                        ("exes", &got.exes, &want.exes),
+                        ("dlls", &got.dlls, &want.dlls),
+                        ("bigs", &got.bigs, &want.bigs),
+                        ("classes", &got.classes, &want.classes),
+                        ("cache_entries", &got.cache_entries, &want.cache_entries),
+                    ] {
+                        assert_eq!(fields(got), fields(want), "{name}: {case}");
+                        assert!(got.len() <= cap);
+                    }
+                    assert_eq!(got.dirs, want.dirs, "dirs: {case}");
+                    let full = [&got.docs, &got.exes, &got.dlls]
+                        .iter()
+                        .filter(|b| b.len() == cap)
+                        .count();
+                    if cap == 50 {
+                        // Full buckets, and a big file kept in `bigs` only.
+                        let categorised =
+                            [&got.docs, &got.sources, &got.exes, &got.dlls, &got.classes];
+                        let only_big = got.bigs.iter().any(|t| {
+                            !categorised
+                                .iter()
+                                .any(|b| b.iter().any(|u| u.path == t.path))
+                        });
+                        assert!(full == 3 && only_big, "{case}");
+                    } else {
+                        assert!(full == 0 && !got.bigs.is_empty(), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -379,6 +379,19 @@ proptest! {
 // Path parsing.
 // ---------------------------------------------------------------------
 
+/// Path text over letters of both cases, digits, `.` and space, with runs
+/// of `\` leading, trailing and between components (so doubled too).
+const PATH_TEXT: &str = r"(\\{0,3}[A-Za-z0-9. ]{0,5}){0,5}\\{0,3}";
+
+/// The reference model of a parsed path: its lower-cased, non-empty
+/// components.
+fn path_model(raw: &str) -> Vec<String> {
+    raw.split('\\')
+        .filter(|c| !c.is_empty())
+        .map(|c| c.to_ascii_lowercase())
+        .collect()
+}
+
 proptest! {
     #[test]
     fn path_display_parse_roundtrip(parts in prop::collection::vec("[a-z0-9]{1,8}(\\.[a-z0-9]{1,3})?", 0..6)) {
@@ -389,6 +402,65 @@ proptest! {
         let shown = p.to_string();
         let back = NtPath::parse(&shown);
         prop_assert_eq!(back, p);
+    }
+
+    #[test]
+    fn path_matches_a_component_list_model(
+        raw in PATH_TEXT,
+        other in PATH_TEXT,
+        tail in PATH_TEXT,
+    ) {
+        let want = path_model(&raw);
+        let p = NtPath::parse(&raw);
+        prop_assert_eq!(p.components().collect::<Vec<_>>(), want.clone());
+        prop_assert_eq!(p.depth(), want.len());
+        prop_assert_eq!(p.file_name(), want.last().map(String::as_str));
+        let extension = want.last().and_then(|name| {
+            let dot = name.rfind('.')?;
+            (dot > 0 && dot + 1 < name.len()).then(|| &name[dot + 1..])
+        });
+        prop_assert_eq!(p.extension(), extension);
+        let shown = if want.is_empty() { "\\".to_string() } else { format!("\\{}", want.join("\\")) };
+        prop_assert_eq!(p.to_string(), shown);
+
+        let up = &want[..want.len().saturating_sub(1)];
+        let parent = p.parent();
+        prop_assert_eq!(parent.components().collect::<Vec<_>>(), up.to_vec());
+        let mut extended = want.clone();
+        extended.extend(path_model(&tail));
+        let joined = p.join(&tail);
+        prop_assert_eq!(joined.components().collect::<Vec<_>>(), extended);
+        let mut pushed = p.clone();
+        pushed.push(&tail);
+        prop_assert_eq!(&pushed, &joined);
+
+        // Every prefix of the components is an ancestor; a sibling whose
+        // name extends or shortens the last name is not.
+        for k in 0..=want.len() {
+            let prefix = NtPath::parse(&want[..k].join("\\"));
+            prop_assert!(p.starts_with(&prefix), "{} under {}", p, prefix);
+            prop_assert_eq!(prefix.starts_with(&p), k == want.len());
+        }
+        if let Some(last) = want.last() {
+            let mut siblings = vec![format!("{last}x")];
+            if last.len() > 1 {
+                siblings.push(last[..last.len() - 1].to_string());
+            }
+            for name in siblings {
+                let sibling = parent.join(&name);
+                prop_assert!(!p.starts_with(&sibling), "{} under {}", p, sibling);
+                prop_assert!(!sibling.starts_with(&p), "{} under {}", sibling, p);
+                prop_assert_ne!(&sibling, &p);
+            }
+        }
+
+        // Equality is equality of the models: against an unrelated path,
+        // the parent, and the same text re-cased with doubled separators.
+        let q = NtPath::parse(&other);
+        prop_assert_eq!(p == q, want == path_model(&other));
+        prop_assert_eq!(p == parent, want.is_empty());
+        let respelled = raw.to_ascii_uppercase().replace('\\', "\\\\");
+        prop_assert_eq!(NtPath::parse(&respelled), p);
     }
 
     #[test]
