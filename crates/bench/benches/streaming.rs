@@ -94,42 +94,65 @@ fn iterations() -> u32 {
         .unwrap_or(3)
 }
 
-/// One registered benchmark: its name, the per-iteration element count,
-/// and the closure the harness can run again. Keeping the closure (not
-/// just the measurement) is what lets the full gate re-measure a bench
-/// that misses its budget instead of failing on one noisy round.
+/// One registered benchmark: its name and its set-up, which builds the
+/// bench's fixture and returns the per-iteration element count with the
+/// closure to time over it. Each measurement (the full gate's re-measure
+/// included) calls the set-up and drops the fixture after its timed runs,
+/// so no bench is timed over the heap another bench's fixture left
+/// behind, and the gate can re-measure a bench that misses its budget
+/// instead of failing on one noisy round.
 struct Bench {
     name: &'static str,
-    elements: u64,
-    run: Box<dyn FnMut()>,
+    setup: Box<dyn Fn() -> (u64, Run)>,
 }
 
-/// `n` timed iterations of one bench: (mean ns/iter, fastest iteration).
-fn measure_rounds(bench: &mut Bench, n: u32) -> (u128, u128) {
+/// The closure a bench times; it owns the bench's fixture.
+type Run = Box<dyn FnMut()>;
+
+impl Bench {
+    fn new<R: FnMut() + 'static>(
+        name: &'static str,
+        setup: impl Fn() -> (u64, R) + 'static,
+    ) -> Self {
+        let setup = move || {
+            let (elements, run) = setup();
+            (elements, Box::new(run) as Run)
+        };
+        Bench {
+            name,
+            setup: Box::new(setup),
+        }
+    }
+}
+
+/// Sets one bench up and times `n` iterations of it: (elements, mean
+/// ns/iter, fastest iteration). The fixture is dropped on return.
+fn measure_rounds(bench: &Bench, n: u32) -> (u64, u128, u128) {
+    let (elements, mut run) = (bench.setup)();
     let mut total = 0u128;
     let mut min_ns = u128::MAX;
     for _ in 0..n {
         let start = Instant::now();
-        (bench.run)();
+        run();
         let ns = start.elapsed().as_nanos();
         total += ns;
         min_ns = min_ns.min(ns);
     }
-    (total / u128::from(n), min_ns)
+    (elements, total / u128::from(n), min_ns)
 }
 
-fn measure(bench: &mut Bench) -> Sample {
+fn measure(bench: &Bench) -> Sample {
     let n = iterations();
-    let (ns_per_iter, min_ns) = measure_rounds(bench, n);
+    let (elements, ns_per_iter, min_ns) = measure_rounds(bench, n);
     eprintln!(
-        "bench streaming/{}: {ns_per_iter} ns/iter ({} elements)",
-        bench.name, bench.elements
+        "bench streaming/{}: {ns_per_iter} ns/iter ({elements} elements)",
+        bench.name
     );
     Sample {
         name: bench.name,
         ns_per_iter,
         min_ns,
-        elements: bench.elements,
+        elements,
         iters: n,
     }
 }
@@ -164,7 +187,7 @@ const WAREHOUSE_TOLERANCE: f64 = 25.0;
 /// is systematic and stays over in every round, while host noise — a
 /// background compile landing on one single-iteration minimum — spikes
 /// one round and passes the next.
-fn gate_full_baseline(baseline: &Baseline, benches: &mut [Bench], samples: &mut [Sample]) {
+fn gate_full_baseline(baseline: &Baseline, benches: &[Bench], samples: &mut [Sample]) {
     let mut checks = Vec::new();
     for round in 1..=3 {
         let current: Vec<(String, u128, u32)> = samples
@@ -185,7 +208,7 @@ fn gate_full_baseline(baseline: &Baseline, benches: &mut [Bench], samples: &mut 
             over.len(),
             over.join(", ")
         );
-        for bench in benches.iter_mut() {
+        for bench in benches {
             if !over.contains(&bench.name) {
                 continue;
             }
@@ -193,7 +216,7 @@ fn gate_full_baseline(baseline: &Baseline, benches: &mut [Bench], samples: &mut 
                 .iter_mut()
                 .find(|s| s.name == bench.name)
                 .expect("every bench was sampled");
-            let (_, min_ns) = measure_rounds(bench, sample.iters);
+            let (_, _, min_ns) = measure_rounds(bench, sample.iters);
             sample.min_ns = sample.min_ns.min(min_ns);
         }
     }
@@ -237,7 +260,7 @@ fn gate_full_baseline(baseline: &Baseline, benches: &mut [Bench], samples: &mut 
 /// memory-bandwidth pressure — hits both phases alike and cancels,
 /// while a real regression on the instrumented simulate path moves
 /// the ratio.
-fn gate(baseline_path: &str, benches: &mut [Bench], samples: &mut [Sample]) {
+fn gate(baseline_path: &str, benches: &[Bench], samples: &mut [Sample]) {
     let json = std::fs::read_to_string(baseline_path)
         .unwrap_or_else(|e| panic!("bench gate needs {baseline_path}: {e}"));
     let baseline = Baseline::parse(&json);
@@ -462,7 +485,7 @@ fn encode_warehouse_segment(
     w.finish()
 }
 
-/// One machine-run's worth of records and names, built once.
+/// One machine-run's worth of records and names.
 fn one_machine_stream() -> (Vec<nt_trace::TraceRecord>, Vec<nt_trace::NameRecord>) {
     let mut config = StudyConfig::smoke_test(9);
     config.duration = SimDuration::from_secs(120);
@@ -482,10 +505,8 @@ fn main() {
     let mut benches: Vec<Bench> = Vec::new();
 
     // Substrate: raw event dispatch, the floor under every simulated op.
-    benches.push(Bench {
-        name: "engine_schedule_and_fire_10k",
-        elements: 10_000,
-        run: Box::new(|| {
+    benches.push(Bench::new("engine_schedule_and_fire_10k", || {
+        (10_000, || {
             let mut engine: Engine<u64> = Engine::new();
             for i in 0..10_000u64 {
                 engine.schedule_at(SimTime::from_micros(i * 7 % 9_999), |w, _| *w += 1);
@@ -493,33 +514,28 @@ fn main() {
             let mut fired = 0u64;
             engine.run(&mut fired);
             std::hint::black_box(fired);
-        }),
-    });
+        })
+    }));
 
     // Substrate: range coalescing, the cache manager's hot structure.
-    benches.push(Bench {
-        name: "range_set_insert_coalesce_1k",
-        elements: 1_000,
-        run: Box::new(|| {
+    benches.push(Bench::new("range_set_insert_coalesce_1k", || {
+        (1_000, || {
             let mut rs = RangeSet::new();
             for i in 0..1_000u64 {
                 let s = (i * 37) % 100_000;
                 rs.insert(s, s + 64);
             }
             std::hint::black_box(rs.covered_bytes());
-        }),
-    });
+        })
+    }));
 
     // Driver-stack dispatch: 100k warm FastIO reads through a machine
-    // whose stack holds only the (non-intercepting) observer layer — the
-    // shape every production machine has with telemetry off. The number
-    // is the per-op floor of the trait-object stack; the NT_BENCH_GATE
-    // ratio below proves the refactor kept the end-to-end simulate phase
-    // within budget of the pre-refactor baseline.
-    benches.push(Bench {
-        name: "machine_dispatch_warm_read_100k",
-        elements: 100_000,
-        run: Box::new(|| {
+    // whose driver stack is empty — the shape every production machine
+    // has. The number is the per-op floor of dispatch; the NT_BENCH_GATE
+    // ratio below proves the end-to-end simulate phase stays within
+    // budget of its baseline.
+    benches.push(Bench::new("machine_dispatch_warm_read_100k", || {
+        (100_000, || {
             use nt_fs::{NtPath, VolumeConfig};
             use nt_io::{
                 AccessMode, CreateOptions, DiskParams, Disposition, Machine, MachineConfig,
@@ -548,87 +564,74 @@ fn main() {
                 at = m.read(h, Some(0), 4_096, at).end;
             }
             std::hint::black_box(m.metrics().fastio_reads);
-        }),
-    });
+        })
+    }));
 
     // Sketch ingestion: the per-record overhead the streaming sinks add.
-    benches.push(Bench {
-        name: "histogram_sketch_record_100k",
-        elements: 100_000,
-        run: Box::new(|| {
+    benches.push(Bench::new("histogram_sketch_record_100k", || {
+        (100_000, || {
             let mut h = HistogramSketch::new();
             for i in 0..100_000u64 {
                 h.record(((i * 2_654_435_761) % (1 << 24)) as f64);
             }
             std::hint::black_box(h.len());
-        }),
-    });
+        })
+    }));
 
     // Head-to-head on identical input: one machine's stream through a
     // MachineSink (online aggregates) vs TraceSet::build (fact tables).
-    let (records, names) = one_machine_stream();
-    let n = records.len() as u64;
-    {
-        let (records, names) = (records.clone(), names.clone());
-        benches.push(Bench {
-            name: "sink_ingest_one_machine",
-            elements: n,
-            run: Box::new(move || {
-                let mut sink = MachineSink::new(0, &StreamConfig::default());
-                for (seq, chunk) in records.chunks(3_000).enumerate() {
-                    sink.on_batch(Some(seq as u64), chunk.to_vec(), None);
-                }
-                for name in &names {
-                    sink.on_name(name.clone());
-                }
-                std::hint::black_box(sink.records());
-            }),
-        });
-    }
-    benches.push(Bench {
-        name: "trace_set_build_one_machine",
-        elements: n,
-        run: Box::new(move || {
+    benches.push(Bench::new("sink_ingest_one_machine", || {
+        let (records, names) = one_machine_stream();
+        (records.len() as u64, move || {
+            let mut sink = MachineSink::new(0, &StreamConfig::default());
+            for (seq, chunk) in records.chunks(3_000).enumerate() {
+                sink.on_batch(Some(seq as u64), chunk.to_vec(), None);
+            }
+            for name in &names {
+                sink.on_name(name.clone());
+            }
+            std::hint::black_box(sink.records());
+        })
+    }));
+    benches.push(Bench::new("trace_set_build_one_machine", || {
+        let (records, names) = one_machine_stream();
+        (records.len() as u64, move || {
             std::hint::black_box(
                 TraceSet::build(vec![(0, records.clone(), names.clone())])
                     .instances
                     .len(),
             );
-        }),
-    });
+        })
+    }));
 
     // Warehouse encode: 100k records through the NTT segment writer —
     // interning, batch table, footer accounting, checksum, all of it.
-    let (wrecords, wnames) = warehouse_stream_100k();
-    benches.push(Bench {
-        name: "warehouse_export_100k",
-        elements: 100_000,
-        run: Box::new(move || {
-            std::hint::black_box(encode_warehouse_segment(&wrecords, &wnames).len());
-        }),
-    });
+    benches.push(Bench::new("warehouse_export_100k", || {
+        let (records, names) = warehouse_stream_100k();
+        (100_000, move || {
+            std::hint::black_box(encode_warehouse_segment(&records, &names).len());
+        })
+    }));
 
     // End to end at smoke scale: the full study on one worker thread
     // and one shard, scheduler-jitter-free.
     let config = StudyConfig::smoke_test(13);
     {
         let config = config.clone();
-        benches.push(Bench {
-            name: "smoke_study_serial",
-            elements: 1,
-            run: Box::new(move || {
+        benches.push(Bench::new("smoke_study_serial", move || {
+            let config = config.clone();
+            (1, move || {
                 std::hint::black_box(smoke_study(&config, 1));
-            }),
-        });
+            })
+        }));
     }
     // The same study through the sharded collection tree — the whole
     // agent → shard → fleet reduction, auto-sized workers.
     {
         let config = config.clone();
-        benches.push(Bench {
-            name: "sharded_study_smoke",
-            elements: 1,
-            run: Box::new(move || {
+        benches.push(Bench::new("sharded_study_smoke", move || {
+            let config = config.clone();
+            (1, move || {
                 let options = ShardOptions {
                     shards: 4,
                     ..ShardOptions::default()
@@ -639,8 +642,8 @@ fn main() {
                         .data
                         .total_records,
                 );
-            }),
-        });
+            })
+        }));
     }
 
     // What-if matrix replay: a smoke-scale trace answered under a
@@ -649,12 +652,10 @@ fn main() {
     // conservation audit, and the differential tables. Every trace
     // record is replayed once per matrix row.
     {
-        let trace = Study::run(&config).expect("study runs").trace_set;
-        let replays = trace.records.len() as u64 * 4;
-        benches.push(Bench {
-            name: "whatif_matrix_smoke",
-            elements: replays,
-            run: Box::new(move || {
+        let config = config.clone();
+        benches.push(Bench::new("whatif_matrix_smoke", move || {
+            let trace = Study::run(&config).expect("study runs").trace_set;
+            (trace.records.len() as u64 * 4, move || {
                 use nt_io::DiskParams;
                 let report = WhatIfStudy::new(ReplayConfig::default())
                     .variant(
@@ -684,11 +685,11 @@ fn main() {
                     .run_trace_set(&trace)
                     .expect("smoke variants reconcile");
                 std::hint::black_box(report.tables.len());
-            }),
-        });
+            })
+        }));
     }
 
-    let mut samples: Vec<Sample> = benches.iter_mut().map(measure).collect();
+    let mut samples: Vec<Sample> = benches.iter().map(measure).collect();
 
     // Context the timings need: stream volume and the streaming memory
     // footprint at this scale.
@@ -706,7 +707,7 @@ fn main() {
 
     let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming.json");
     if std::env::var("NT_BENCH_GATE").is_ok() {
-        gate(baseline_path, &mut benches, &mut samples);
+        gate(baseline_path, &benches, &mut samples);
     }
 
     if std::env::var("NT_BENCH_WRITE").is_ok() {

@@ -1,7 +1,7 @@
 //! Driving one traced workstation through the study period.
 
 use nt_fs::VolumeConfig;
-use nt_io::{DiskParams, FastIoVeto, Machine, MachineConfig, ProcessId, SpanFilter};
+use nt_io::{DiskParams, FastIoVeto, Machine, MachineConfig, ProcessId};
 use nt_obs::{
     FlightEvent, FlightRecorder, HealthFinding, RecorderScope, ShipmentTracer, Telemetry, Watchdog,
 };
@@ -88,11 +88,6 @@ impl MachineRun {
         filter.set_telemetry(telemetry.clone());
         let mut machine = Machine::new(machine_config, filter);
         machine.set_telemetry(telemetry.clone());
-        if config.telemetry.options().is_some() {
-            // Dispatch spans ride the driver stack: the span layer sits
-            // above the trace agent and brackets every packet's descent.
-            machine.attach_filter(Box::new(SpanFilter::new(telemetry.clone())));
-        }
         if config.force_irp_fallback {
             machine.attach_filter(Box::new(FastIoVeto));
         }

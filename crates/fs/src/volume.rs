@@ -381,7 +381,10 @@ impl Volume {
         {
             let np = self.node(new_parent)?;
             let d = np.dir().ok_or(FsError::NotADirectory)?;
-            if d.children.contains_key(&lname) {
+            // Names compare without case, so a rename onto the node's own
+            // name, or one that changes only its case, finds the node
+            // itself; NT accepts both.
+            if d.children.get(&lname).is_some_and(|&other| other != id) {
                 return Err(FsError::AlreadyExists);
             }
         }
@@ -655,6 +658,25 @@ mod tests {
         let f = v.create_file(v.root(), "a", T1).unwrap();
         v.create_file(v.root(), "b", T1).unwrap();
         assert_eq!(v.rename(f, v.root(), "B", T2), Err(FsError::AlreadyExists));
+    }
+
+    #[test]
+    fn case_only_rename_keeps_the_node() {
+        let mut v = vol();
+        let d = v.mkdir(v.root(), "docs", T1).unwrap();
+        let f = v.create_file(d, "Report.DOC", T1).unwrap();
+        v.create_file(d, "notes.txt", T1).unwrap();
+        let stats = v.stats();
+        for name in ["report.doc", "REPORT.doc"] {
+            assert_eq!(v.rename(f, d, name, T2), Ok(()));
+            assert_eq!(v.lookup(&NtPath::parse(r"\docs\report.doc")), Ok(f));
+            assert_eq!(v.stats(), stats);
+        }
+        // A sibling's name is still taken, in any case.
+        for name in ["notes.txt", "NOTES.TXT", "Notes.Txt"] {
+            assert_eq!(v.rename(f, d, name, T2), Err(FsError::AlreadyExists));
+        }
+        assert_eq!(v.lookup(&NtPath::parse(r"\docs\report.doc")), Ok(f));
     }
 
     #[test]

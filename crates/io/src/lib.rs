@@ -17,12 +17,11 @@
 //!   itself: every request descends the stack `IoCallDriver`-style, each
 //!   layer may complete, modify or pass it, and each layer's
 //!   [`FastIoDispatch`] table can opt individual FastIO routines out,
-//!   forcing the documented IRP fallback (§10).
+//!   forcing the documented IRP fallback (§10). The stock layers are the
+//!   example third-party scanner ([`AntivirusFilter`]) and [`FastIoVeto`].
 //! * [`IoObserver`] — the study's instrument: every IRP and FastIO call
-//!   is reported with dual 100 ns timestamps, exactly the payload of the
-//!   trace records (§3.2). It attaches to the stack as a filter driver
-//!   (`ObserverFilter`), alongside the span layer ([`SpanFilter`]) and
-//!   the example third-party scanner ([`AntivirusFilter`]).
+//!   the FSD completes is reported to the machine's observer with dual
+//!   100 ns timestamps, exactly the payload of the trace records (§3.2).
 //! * `LatencyModel` — service-time model for cache copies, IRP
 //!   overhead, local IDE/SCSI disks and redirector round-trips, producing
 //!   the figure-13 latency split between the four major request types.
@@ -49,7 +48,7 @@ pub mod types;
 
 pub use arena::{Arena, ArenaHandle};
 pub use fastio::{irp_fallback, FastIoDispatch};
-pub use filters::{AntivirusFilter, FastIoVeto, SpanFilter};
+pub use filters::{AntivirusFilter, FastIoVeto};
 pub use latency::DiskParams;
 pub use machine::{IoMetrics, Machine, MachineConfig, OpReply};
 pub use observer::{FileObjectInfo, IoObserver, NullObserver, VecObserver};

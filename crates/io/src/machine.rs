@@ -10,8 +10,7 @@
 //! The FSD plus cache-manager/VM fast path at the bottom computes the
 //! completion time through the latency model and reports every IRP and
 //! FastIO call — including the paging I/O triggered by the cache and VM
-//! managers — to the stack, where the study's filter driver
-//! (`ObserverFilter`) consumes the records.
+//! managers — to the machine's observer, the study's trace agent.
 //!
 //! Background activity (read-ahead completions, the deferred second stage
 //! of the two-stage close) is queued internally with its due time and
@@ -25,11 +24,10 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::marker::PhantomData;
 
 use nt_cache::{CacheConfig, CacheManager, CacheOpenHints, CLEAN_CLOSE_DELAY};
 use nt_fs::{FileAttributes, Namespace, NodeId, VolumeConfig, VolumeId};
-use nt_obs::Telemetry;
+use nt_obs::{Phase, Telemetry};
 use nt_sim::SimTime;
 use nt_vm::VmManager;
 use rand::rngs::SmallRng;
@@ -38,7 +36,6 @@ use rand::SeedableRng;
 use crate::arena::{Arena, ArenaHandle};
 use crate::fastio::irp_fallback;
 use crate::fcb::FcbTable;
-use crate::filters::ObserverFilter;
 use crate::latency::{DiskParams, LatencyModel};
 use crate::observer::IoObserver;
 use crate::request::{EventKind, FastIoKind, IoEvent, MajorFunction};
@@ -54,10 +51,11 @@ pub(crate) type FileKey = (VolumeId, NodeId);
 /// registration time)`.
 pub(crate) type WatchEntry = (HandleId, FileObjectId, FcbId, ProcessId, SimTime);
 
-/// Hands one trace event to the driver stack, counting it either way.
+/// Hands one trace event to the machine's observer, counting it either
+/// way.
 ///
-/// The `IoEvent` expression is only evaluated when some attached layer
-/// consumes records ([`DriverStack::events_wanted`]): a machine whose
+/// Expands inside `impl<O: IoObserver> Machine<O>`. The `IoEvent`
+/// expression is only evaluated when `O::ENABLED`: a machine whose
 /// observer is `NullObserver` skips the whole struct construction on its
 /// request hot path. The counter still advances so the conservation
 /// ledger's TRACE_EVENTS debit stays identical whether or not anyone is
@@ -65,9 +63,9 @@ pub(crate) type WatchEntry = (HandleId, FileObjectId, FcbId, ProcessId, SimTime)
 macro_rules! emit_event {
     ($self:ident, $ev:expr) => {{
         $self.metrics.events_emitted += 1;
-        if $self.stack.events_wanted() {
+        if O::ENABLED {
             let ev = $ev;
-            $self.stack.event(&ev);
+            $self.observer.event(&ev);
         }
     }};
 }
@@ -267,11 +265,10 @@ pub(crate) enum Pending {
 
 /// One simulated workstation.
 ///
-/// The type parameter is the machine's primary observer — the trace
-/// agent, a test vector, or [`crate::observer::NullObserver`] — which
-/// [`Machine::new`] wraps in an `ObserverFilter` at the bottom of the
-/// driver stack. Further layers attach above it through
-/// [`Machine::attach_filter`].
+/// The type parameter is the machine's observer — the trace agent, a test
+/// vector, or [`crate::observer::NullObserver`] — which receives every
+/// record the FSD completes. Filters that act on packets attach to the
+/// driver stack through [`Machine::attach_filter`].
 pub struct Machine<O: IoObserver> {
     pub(crate) ns: Namespace,
     pub(crate) fcbs: FcbTable,
@@ -311,12 +308,14 @@ pub struct Machine<O: IoObserver> {
     /// requests against redirector volumes then fail with
     /// [`NtStatus::NetworkUnreachable`].
     pub(crate) network_up: bool,
-    _observer: PhantomData<O>,
+    pub(crate) observer: O,
+    /// Opens each dispatch's span; the cache and VM managers hold clones.
+    pub(crate) telemetry: Telemetry,
 }
 
 impl<O: IoObserver> Machine<O> {
-    /// Creates a machine with no volumes, its observer attached as the
-    /// lowest filter in the driver stack.
+    /// Creates a machine with no volumes and an empty driver stack,
+    /// reporting its records to `observer`.
     ///
     /// Panics when `config.cache.lazy_write_interval` is zero: the lazy
     /// writer could never advance the clock.
@@ -326,15 +325,13 @@ impl<O: IoObserver> Machine<O> {
             !lazy_period.is_zero(),
             "lazy_write_interval must be positive"
         );
-        let mut stack = DriverStack::new();
-        stack.attach(Box::new(ObserverFilter::new(observer)));
         Machine {
             ns: Namespace::new(),
             fcbs: FcbTable::new(),
             cache: CacheManager::new(config.cache.clone()),
             vm: VmManager::new(),
             latency: LatencyModel::new(Vec::new()),
-            stack,
+            stack: DriverStack::new(),
             rng: SmallRng::seed_from_u64(config.seed),
             handles: Arena::new(),
             next_fo: 1,
@@ -348,16 +345,18 @@ impl<O: IoObserver> Machine<O> {
             config,
             next_lazy_scan: SimTime::ZERO + lazy_period,
             network_up: true,
-            _observer: PhantomData,
+            observer,
+            telemetry: Telemetry::off(),
         }
     }
 
-    /// Attaches a telemetry handle, sharing it with the cache and VM
-    /// managers so their spans nest under the dispatch spans a
-    /// [`crate::filters::SpanFilter`] opens.
+    /// Attaches a telemetry handle: every dispatch opens a
+    /// [`Phase::Dispatch`] span through it, and the cache and VM managers
+    /// share it so their spans nest under the dispatch spans.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.cache.set_telemetry(telemetry.clone());
-        self.vm.set_telemetry(telemetry);
+        self.vm.set_telemetry(telemetry.clone());
+        self.telemetry = telemetry;
     }
 
     /// Partitions (`false`) or heals (`true`) the network link. While
@@ -408,25 +407,19 @@ impl<O: IoObserver> Machine<O> {
     }
 
     /// Attaches `filter` at the top of the driver stack, above every
-    /// layer already present (including the machine's own observer).
+    /// layer already present.
     pub fn attach_filter(&mut self, filter: Box<dyn FilterDriver>) {
         self.stack.attach(filter);
     }
 
-    /// The machine's primary observer (the one [`Machine::new`] wrapped).
+    /// The machine's observer (the one [`Machine::new`] was given).
     pub fn observer(&self) -> &O {
-        self.stack
-            .find::<ObserverFilter<O>>()
-            .expect("Machine::new attaches the observer filter")
-            .inner()
+        &self.observer
     }
 
     /// Mutable observer access (e.g. to drain collected records).
     pub fn observer_mut(&mut self) -> &mut O {
-        self.stack
-            .find_mut::<ObserverFilter<O>>()
-            .expect("Machine::new attaches the observer filter")
-            .inner_mut()
+        &mut self.observer
     }
 
     /// Request counters.
@@ -480,14 +473,16 @@ impl<O: IoObserver> Machine<O> {
     /// it, into the FSD closure; the reply ascends back through every
     /// layer the packet passed.
     ///
+    /// One [`Phase::Dispatch`] span, named after the frame's label,
+    /// brackets the whole request; with telemetry off its guard is empty.
     /// When no attached filter intercepts packets the descent is skipped
-    /// outright, so an observation-only stack costs dispatch nothing —
-    /// the <3 % overhead budget of the streaming bench gate.
+    /// outright.
     pub(crate) fn dispatch_with<R: Default>(
         &mut self,
         mut frame: IrpFrame,
         fsd: impl FnOnce(&mut Self, &IrpFrame) -> (OpReply, R),
     ) -> (OpReply, R) {
+        let _span = self.telemetry.span(Phase::Dispatch, frame.label, frame.now);
         if !self.stack.intercepting() {
             let out = fsd(self, &frame);
             self.stack.note_fsd_completion();

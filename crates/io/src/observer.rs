@@ -1,9 +1,10 @@
-//! The filter-driver attachment point.
+//! The trace agent's attachment point.
 //!
 //! The study inserted a filter driver above every local file-system driver
-//! instance and the network redirector (§3.2). [`IoObserver`] is that
-//! attachment: the I/O manager reports every IRP and FastIO call, plus the
-//! auxiliary record mapping each new file object to its name.
+//! instance and the network redirector (§3.2). [`IoObserver`] is what that
+//! driver recorded: the machine reports every IRP and FastIO call the FSD
+//! completes, plus the auxiliary record mapping each new file object to
+//! its name.
 
 use crate::request::IoEvent;
 use crate::types::{FileObjectId, ProcessId};
@@ -26,12 +27,8 @@ pub struct FileObjectInfo {
     pub at: SimTime,
 }
 
-/// The record consumer at the bottom of the driver stack.
-///
-/// `'static` because observers ride inside a boxed
-/// `ObserverFilter` layer in the machine's
-/// [`crate::stack::DriverStack`].
-pub trait IoObserver: 'static {
+/// The record consumer a [`crate::Machine`] owns.
+pub trait IoObserver {
     /// Whether this observer consumes records at all. When `false` the
     /// machine skips building `IoEvent`/`FileObjectInfo` values entirely
     /// — an untraced machine pays nothing on the request hot path. The

@@ -17,7 +17,7 @@ impl<O: IoObserver> Machine<O> {
     /// drains the dirty pages (1–4 s) for write-cached ones.
     pub fn close(&mut self, handle: HandleId, now: SimTime) -> OpReply {
         self.pump(now);
-        let frame = self.info_frame(MajorFunction::Cleanup, "close", handle, now);
+        let frame = Self::info_frame(MajorFunction::Cleanup, "close", now);
         self.dispatch(frame, |m, f| m.close_fsd(handle, f.now))
     }
 
@@ -271,10 +271,6 @@ impl<O: IoObserver> Machine<O> {
         let frame = IrpFrame {
             major: None,
             label: "lazy_tick",
-            handle: None,
-            process: None,
-            offset: 0,
-            length: 0,
             now,
         };
         self.dispatch(frame, |m, f| {

@@ -34,10 +34,6 @@ impl<O: IoObserver> Machine<O> {
         let frame = IrpFrame {
             major: Some(MajorFunction::Create),
             label: "create",
-            handle: None,
-            process: Some(process),
-            offset: 0,
-            length: 0,
             now,
         };
         self.dispatch_with(frame, |m, f| {
@@ -58,28 +54,24 @@ impl<O: IoObserver> Machine<O> {
         now: SimTime,
     ) -> (OpReply, Option<HandleId>) {
         let fo = self.next_file_object();
-        // The name record (and its path copy) only exists when some layer
-        // consumes records; an untraced machine never builds it.
-        if self.stack.events_wanted() {
-            let info = FileObjectInfo {
+        // The name record (and its path copy) only exists when the
+        // observer consumes records; an untraced machine never builds it.
+        if O::ENABLED {
+            self.observer.file_object(&FileObjectInfo {
                 id: fo,
                 volume: volume.0,
                 path: path.to_string(),
                 process,
                 at: now,
-            };
-            self.stack.file_object(&info);
+            });
         }
         let local = self.ns.is_local(volume);
-
-        // A partitioned network link fails the open before the redirector
-        // reaches the server; nothing on the remote volume changes.
-        if !local && !self.network_up {
-            let end = now + self.latency.metadata_op();
-            self.metrics.open_failures += 1;
-            self.metrics.network_failures += 1;
+        // Every failed open: counted, recorded with its status and no FCB.
+        let fail = |m: &mut Self, status: NtStatus| {
+            let end = now + m.latency.metadata_op();
+            m.metrics.open_failures += 1;
             emit_event!(
-                self,
+                m,
                 IoEvent {
                     kind: EventKind::Irp(MajorFunction::Create),
                     file_object: fo,
@@ -94,7 +86,7 @@ impl<O: IoObserver> Machine<O> {
                     transferred: 0,
                     file_size: 0,
                     byte_offset: 0,
-                    status: NtStatus::NetworkUnreachable,
+                    status,
                     start: now,
                     end,
                     access: Some(access),
@@ -104,83 +96,34 @@ impl<O: IoObserver> Machine<O> {
                     created: false,
                 }
             );
-            return (OpReply::at(NtStatus::NetworkUnreachable, end), None);
+            (OpReply::at(status, end), None)
+        };
+
+        // A partitioned network link fails the open before the redirector
+        // reaches the server; nothing on the remote volume changes.
+        if !local && !self.network_up {
+            self.metrics.network_failures += 1;
+            return fail(self, NtStatus::NetworkUnreachable);
         }
 
         // Share-mode arbitration happens before any side effect of the
         // open (in particular before a truncating disposition destroys
         // data).
-        if let Ok(node) = self.ns.volume(volume).and_then(|v| v.lookup(path)) {
+        let found = self.ns.volume(volume).and_then(|v| v.lookup(path));
+        if let Ok(node) = found {
             let live_fcb = self.fcbs.find(volume, node);
             let compatible = live_fcb
                 .map(|slot| self.shares.compatible(slot, access, options.share))
                 .unwrap_or(true);
             if !compatible {
-                let end = now + self.latency.metadata_op();
-                self.metrics.open_failures += 1;
                 self.metrics.sharing_violations += 1;
-                emit_event!(
-                    self,
-                    IoEvent {
-                        kind: EventKind::Irp(MajorFunction::Create),
-                        file_object: fo,
-                        fcb: FcbId(u64::MAX),
-                        process,
-                        volume: volume.0,
-                        local,
-                        paging_io: false,
-                        readahead: false,
-                        offset: 0,
-                        length: 0,
-                        transferred: 0,
-                        file_size: 0,
-                        byte_offset: 0,
-                        status: NtStatus::SharingViolation,
-                        start: now,
-                        end,
-                        access: Some(access),
-                        disposition: Some(disposition),
-                        options: Some(options),
-                        set_info: None,
-                        created: false,
-                    }
-                );
-                return (OpReply::at(NtStatus::SharingViolation, end), None);
+                return fail(self, NtStatus::SharingViolation);
             }
         }
-        let resolved = self.resolve_create(volume, path, disposition, options, now);
+        let resolved = self.resolve_create(volume, path, found, disposition, options, now);
         let end = now + self.latency.metadata_op();
         match resolved {
-            Err(status) => {
-                self.metrics.open_failures += 1;
-                emit_event!(
-                    self,
-                    IoEvent {
-                        kind: EventKind::Irp(MajorFunction::Create),
-                        file_object: fo,
-                        fcb: FcbId(u64::MAX),
-                        process,
-                        volume: volume.0,
-                        local,
-                        paging_io: false,
-                        readahead: false,
-                        offset: 0,
-                        length: 0,
-                        transferred: 0,
-                        file_size: 0,
-                        byte_offset: 0,
-                        status,
-                        start: now,
-                        end,
-                        access: Some(access),
-                        disposition: Some(disposition),
-                        options: Some(options),
-                        set_info: None,
-                        created: false,
-                    }
-                );
-                (OpReply::at(status, end), None)
-            }
+            Err(status) => fail(self, status),
             Ok((node, truncated, created)) => {
                 let (fcb_slot, fcb) = self.fcbs.open(volume, node);
                 if truncated {
@@ -273,16 +216,19 @@ impl<O: IoObserver> Machine<O> {
         }
     }
 
+    /// Opens or creates the node `path` names; `found` is the caller's
+    /// lookup of `path` on `volume`.
     fn resolve_create(
         &mut self,
         volume: VolumeId,
         path: &NtPath,
+        found: Result<NodeId, FsError>,
         disposition: Disposition,
         options: CreateOptions,
         now: SimTime,
     ) -> Result<(NodeId, bool, bool), NtStatus> {
         let vol = self.ns.volume_mut(volume).map_err(NtStatus::from)?;
-        match vol.lookup(path) {
+        match found {
             Ok(node) => {
                 let is_dir = vol
                     .node(node)

@@ -15,12 +15,7 @@ impl<O: IoObserver> Machine<O> {
     /// Returns up to `batch` entries per call; NoMoreFiles terminates.
     pub fn query_directory(&mut self, handle: HandleId, batch: usize, now: SimTime) -> OpReply {
         self.pump(now);
-        let frame = self.info_frame(
-            MajorFunction::DirectoryControl,
-            "query_directory",
-            handle,
-            now,
-        );
+        let frame = Self::info_frame(MajorFunction::DirectoryControl, "query_directory", now);
         self.dispatch(frame, |m, f| m.query_directory_fsd(handle, batch, f.now))
     }
 
@@ -95,12 +90,7 @@ impl<O: IoObserver> Machine<O> {
     /// re-arm after each notification.
     pub fn watch_directory(&mut self, handle: HandleId, now: SimTime) -> OpReply {
         self.pump(now);
-        let frame = self.info_frame(
-            MajorFunction::DirectoryControl,
-            "watch_directory",
-            handle,
-            now,
-        );
+        let frame = Self::info_frame(MajorFunction::DirectoryControl, "watch_directory", now);
         self.dispatch(frame, |m, f| {
             let now = f.now;
             let Some(h) = m.handles.get_raw(handle.0) else {

@@ -63,33 +63,18 @@ impl<O: IoObserver> Machine<O> {
         OpReply::at(status, end)
     }
 
-    /// Builds the frame a handle-addressed metadata IRP descends with.
-    pub(crate) fn info_frame(
-        &self,
-        major: MajorFunction,
-        label: &'static str,
-        handle: HandleId,
-        now: SimTime,
-    ) -> IrpFrame {
+    /// Builds the frame a metadata IRP descends with.
+    pub(crate) fn info_frame(major: MajorFunction, label: &'static str, now: SimTime) -> IrpFrame {
         IrpFrame {
             major: Some(major),
             label,
-            handle: Some(handle),
-            process: self.handles.get_raw(handle.0).map(|h| h.process),
-            offset: 0,
-            length: 0,
             now,
         }
     }
 
     /// IRP_MJ_QUERY_INFORMATION on an open handle (attributes, sizes).
     pub fn query_information(&mut self, handle: HandleId, now: SimTime) -> OpReply {
-        let frame = self.info_frame(
-            MajorFunction::QueryInformation,
-            "query_information",
-            handle,
-            now,
-        );
+        let frame = Self::info_frame(MajorFunction::QueryInformation, "query_information", now);
         self.dispatch(frame, |m, f| {
             let ok = m.handles.contains_raw(handle.0);
             m.metadata_irp(
@@ -117,12 +102,7 @@ impl<O: IoObserver> Machine<O> {
         if self.stack.fastio_supported(FastIoKind::QueryBasicInfo) {
             return self.fast_query_basic_fsd(handle, now);
         }
-        let frame = self.info_frame(
-            MajorFunction::QueryInformation,
-            "fast_query_basic",
-            handle,
-            now,
-        );
+        let frame = Self::info_frame(MajorFunction::QueryInformation, "fast_query_basic", now);
         self.dispatch(frame, |m, f| m.fast_query_basic_fsd(handle, f.now))
     }
 
@@ -175,10 +155,6 @@ impl<O: IoObserver> Machine<O> {
         let frame = IrpFrame {
             major: Some(MajorFunction::FileSystemControl),
             label: "is_volume_mounted",
-            handle: None,
-            process: Some(process),
-            offset: 0,
-            length: 0,
             now,
         };
         self.dispatch(frame, |m, f| {
@@ -228,10 +204,6 @@ impl<O: IoObserver> Machine<O> {
         let frame = IrpFrame {
             major: Some(MajorFunction::QueryVolumeInformation),
             label: "query_volume_information",
-            handle: None,
-            process: Some(process),
-            offset: 0,
-            length: 0,
             now,
         };
         self.dispatch(frame, |m, f| {
@@ -278,7 +250,7 @@ impl<O: IoObserver> Machine<O> {
 
     /// An unsupported device control — a §8.4 control failure.
     pub fn invalid_control(&mut self, handle: HandleId, now: SimTime) -> OpReply {
-        let frame = self.info_frame(MajorFunction::DeviceControl, "invalid_control", handle, now);
+        let frame = Self::info_frame(MajorFunction::DeviceControl, "invalid_control", now);
         self.dispatch(frame, |m, f| {
             m.metadata_irp(
                 EventKind::Irp(MajorFunction::DeviceControl),
@@ -293,12 +265,7 @@ impl<O: IoObserver> Machine<O> {
     /// SetEndOfFile (IRP_MJ_SET_INFORMATION / FileEndOfFileInformation).
     pub fn set_end_of_file(&mut self, handle: HandleId, size: u64, now: SimTime) -> OpReply {
         self.pump(now);
-        let frame = self.info_frame(
-            MajorFunction::SetInformation,
-            "set_end_of_file",
-            handle,
-            now,
-        );
+        let frame = Self::info_frame(MajorFunction::SetInformation, "set_end_of_file", now);
         self.dispatch(frame, |m, f| {
             let now = f.now;
             let Some(h) = m.handles.get_raw(handle.0) else {
@@ -327,12 +294,7 @@ impl<O: IoObserver> Machine<O> {
     /// §6.3 explicit-delete path used by Win32 DeleteFile.
     pub fn set_delete_disposition(&mut self, handle: HandleId, now: SimTime) -> OpReply {
         self.pump(now);
-        let frame = self.info_frame(
-            MajorFunction::SetInformation,
-            "set_delete_disposition",
-            handle,
-            now,
-        );
+        let frame = Self::info_frame(MajorFunction::SetInformation, "set_delete_disposition", now);
         self.dispatch(frame, |m, f| {
             let now = f.now;
             let Some(h) = m.handles.get_raw(handle.0) else {
@@ -365,7 +327,7 @@ impl<O: IoObserver> Machine<O> {
     /// Renames the file (FileRenameInformation).
     pub fn rename(&mut self, handle: HandleId, new_path: &NtPath, now: SimTime) -> OpReply {
         self.pump(now);
-        let frame = self.info_frame(MajorFunction::SetInformation, "rename", handle, now);
+        let frame = Self::info_frame(MajorFunction::SetInformation, "rename", now);
         self.dispatch(frame, |m, f| {
             let now = f.now;
             let Some(h) = m.handles.get_raw(handle.0) else {
@@ -410,6 +372,8 @@ impl<O: IoObserver> Machine<O> {
 mod tests {
     use crate::ops::testkit::{machine, open_new, t, P};
     use crate::request::{EventKind, MajorFunction};
+    use crate::status::NtStatus;
+    use nt_fs::NtPath;
 
     #[test]
     fn control_failures_are_counted() {
@@ -431,5 +395,16 @@ mod tests {
             .events
             .iter()
             .any(|e| e.kind == EventKind::Irp(MajorFunction::FileSystemControl)));
+    }
+
+    #[test]
+    fn case_only_rename_succeeds() {
+        let (mut m, vol) = machine();
+        let h = open_new(&mut m, vol, r"\Report.DOC", t(1));
+        let r = m.rename(h, &NtPath::parse(r"\REPORT.doc"), t(2));
+        assert_eq!(r.status, NtStatus::Success);
+        m.close(h, t(3));
+        let v = m.namespace().volume(vol).unwrap();
+        assert!(v.lookup(&NtPath::parse(r"\report.doc")).is_ok());
     }
 }

@@ -98,9 +98,7 @@ impl<O: IoObserver> Machine<O> {
         if self.stack.fastio_supported(FastIoKind::Lock) {
             return self.lock_fsd(handle, offset, len, exclusive, now);
         }
-        let mut frame = self.info_frame(MajorFunction::LockControl, "lock", handle, now);
-        frame.offset = offset;
-        frame.length = len;
+        let frame = Self::info_frame(MajorFunction::LockControl, "lock", now);
         self.dispatch(frame, |m, f| {
             m.lock_fsd(handle, offset, len, exclusive, f.now)
         })
@@ -127,9 +125,7 @@ impl<O: IoObserver> Machine<O> {
         if self.stack.fastio_supported(FastIoKind::UnlockSingle) {
             return self.unlock_fsd(handle, offset, len, now);
         }
-        let mut frame = self.info_frame(MajorFunction::LockControl, "unlock", handle, now);
-        frame.offset = offset;
-        frame.length = len;
+        let frame = Self::info_frame(MajorFunction::LockControl, "unlock", now);
         self.dispatch(frame, |m, f| m.unlock_fsd(handle, offset, len, f.now))
     }
 }

@@ -77,6 +77,7 @@ mod tests {
     use std::any::Any;
 
     use nt_fs::{NtPath, VolumeConfig};
+    use nt_obs::{Phase, Telemetry};
     use nt_sim::SimDuration;
 
     use crate::filters::{AntivirusFilter, FastIoVeto};
@@ -335,33 +336,32 @@ mod tests {
         }
     }
 
+    /// Completes every write above the FSD.
+    struct Firewall {
+        blocked: u64,
+    }
+
+    impl FilterDriver for Firewall {
+        fn name(&self) -> &'static str {
+            "firewall"
+        }
+        fn intercepts(&self) -> bool {
+            true
+        }
+        fn pre(&mut self, frame: &mut IrpFrame) -> FilterAction {
+            if frame.major == Some(MajorFunction::Write) {
+                self.blocked += 1;
+                return FilterAction::Complete(OpReply::at(NtStatus::AccessDenied, frame.now));
+            }
+            FilterAction::Pass
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
     #[test]
     fn a_filter_may_complete_above_the_fsd() {
-        struct Firewall {
-            blocked: u64,
-        }
-        impl FilterDriver for Firewall {
-            fn name(&self) -> &'static str {
-                "firewall"
-            }
-            fn intercepts(&self) -> bool {
-                true
-            }
-            fn pre(&mut self, frame: &mut IrpFrame) -> FilterAction {
-                if frame.major == Some(MajorFunction::Write) {
-                    self.blocked += 1;
-                    return FilterAction::Complete(OpReply::at(NtStatus::AccessDenied, frame.now));
-                }
-                FilterAction::Pass
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-
         let (mut m, vol) = machine();
         m.attach_filter(Box::new(Firewall { blocked: 0 }));
         let h = open_new(&mut m, vol, r"\guarded.txt", t(1));
@@ -389,5 +389,51 @@ mod tests {
         assert_eq!(top.0, "firewall");
         assert_eq!(top.1.completed, 1, "the firewall completed the write");
         assert!(rest.iter().all(|(_, c)| c.completed == 0));
+    }
+
+    #[test]
+    fn every_dispatch_opens_one_span() {
+        // Create, write, read, flush and close, then one lazy-writer tick:
+        // six packets, each dispatched once.
+        fn drive(m: &mut Machine<VecObserver>, vol: nt_fs::VolumeId) {
+            let h = open_new(m, vol, r"\spans.dat", t(1));
+            m.write(h, Some(0), 8_192, t(2));
+            m.read(h, Some(0), 4_096, t(3));
+            m.flush(h, t(4));
+            m.close(h, t(5));
+            m.lazy_tick(t(6));
+        }
+        let dispatch_spans = |telemetry: &Telemetry| {
+            let report = telemetry.report().expect("a profiler records");
+            report.profile.phase(Phase::Dispatch).spans
+        };
+
+        let (mut m, vol) = machine();
+        let telemetry = Telemetry::profiler();
+        m.set_telemetry(telemetry.clone());
+        drive(&mut m, vol);
+        assert_eq!(m.stack().fsd_completed(), 6);
+        assert_eq!(dispatch_spans(&telemetry), m.stack().fsd_completed());
+        assert!(m.stack().layers().is_empty(), "no filter attached");
+
+        // A packet a filter completes above the FSD still gets its span.
+        let (mut m, vol) = machine();
+        m.attach_filter(Box::new(Firewall { blocked: 0 }));
+        let telemetry = Telemetry::profiler();
+        m.set_telemetry(telemetry.clone());
+        drive(&mut m, vol);
+        let blocked = m.stack().find::<Firewall>().expect("attached").blocked;
+        assert_eq!(blocked, 1);
+        assert_eq!(
+            dispatch_spans(&telemetry),
+            m.stack().fsd_completed() + blocked
+        );
+        let names: Vec<_> = m.stack().layers().iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, ["firewall"]);
+
+        // Telemetry off: the machine records no profile.
+        let (mut m, vol) = machine();
+        drive(&mut m, vol);
+        assert!(m.telemetry.report().is_none());
     }
 }

@@ -224,10 +224,6 @@ impl<O: IoObserver> Machine<O> {
         let frame = IrpFrame {
             major: Some(MajorFunction::Read),
             label: "read",
-            handle: Some(handle),
-            process: Some(d.process),
-            offset: d.offset,
-            length: len,
             now,
         };
         self.dispatch(frame, |m, f| m.read_fsd(handle, d, len, f.now))
@@ -431,10 +427,6 @@ impl<O: IoObserver> Machine<O> {
         let frame = IrpFrame {
             major: Some(MajorFunction::Write),
             label: "write",
-            handle: Some(handle),
-            process: Some(d.process),
-            offset: d.offset,
-            length: len,
             now,
         };
         self.dispatch(frame, |m, f| m.write_fsd(handle, d, len, f.now))
@@ -566,17 +558,12 @@ impl<O: IoObserver> Machine<O> {
     /// dominant explicit strategy was flushing after every write).
     pub fn flush(&mut self, handle: HandleId, now: SimTime) -> OpReply {
         self.pump(now);
-        let Some(h) = self.handles.get_raw(handle.0) else {
+        if !self.handles.contains_raw(handle.0) {
             return OpReply::at(NtStatus::InvalidHandle, now);
-        };
-        let process = h.process;
+        }
         let frame = IrpFrame {
             major: Some(MajorFunction::FlushBuffers),
             label: "flush",
-            handle: Some(handle),
-            process: Some(process),
-            offset: 0,
-            length: 0,
             now,
         };
         self.dispatch(frame, |m, f| m.flush_fsd(handle, f.now))

@@ -31,10 +31,6 @@ impl<O: IoObserver> Machine<O> {
         let frame = IrpFrame {
             major: None,
             label: "load_image",
-            handle: None,
-            process: Some(process),
-            offset: 0,
-            length: 0,
             now,
         };
         self.dispatch(frame, |m, f| m.load_image_fsd(process, volume, path, f.now))
@@ -199,10 +195,6 @@ impl<O: IoObserver> Machine<O> {
         let frame = IrpFrame {
             major: None,
             label: "mapped_read",
-            handle: Some(handle),
-            process: self.handles.get_raw(handle.0).map(|h| h.process),
-            offset,
-            length: len,
             now,
         };
         self.dispatch(frame, |m, f| m.mapped_read_fsd(handle, offset, len, f.now))
@@ -270,17 +262,12 @@ impl<O: IoObserver> Machine<O> {
     /// clients.
     pub fn mdl_read(&mut self, handle: HandleId, offset: u64, len: u64, now: SimTime) -> OpReply {
         self.pump(now);
-        let d = match self.data_op(handle, Some(offset), DataDir::Read, now) {
-            Ok(d) => d,
-            Err(reply) => return reply,
-        };
+        if let Err(reply) = self.data_op(handle, Some(offset), DataDir::Read, now) {
+            return reply;
+        }
         let frame = IrpFrame {
             major: None,
             label: "mdl_read",
-            handle: Some(handle),
-            process: Some(d.process),
-            offset,
-            length: len,
             now,
         };
         self.dispatch(frame, |m, f| m.mdl_read_fsd(handle, offset, len, f.now))

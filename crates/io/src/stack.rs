@@ -4,8 +4,10 @@
 //! into an I/O request packet (IRP) which the I/O manager hands to the
 //! highest driver in the stack; each driver may complete the request,
 //! pass it down, or do work on both the way down and — via a completion
-//! routine — the way back up." The study's tracer was exactly such a
-//! layer: a filter driver attached above the FSD.
+//! routine — the way back up." The study's tracer was such a layer, but
+//! it only recorded what the FSD completed, so here it is the machine's
+//! own observer ([`crate::IoObserver`]) and the stack holds the filters
+//! that act on packets.
 //!
 //! [`DriverStack`] reifies that chain. Every IRP the machine dispatches
 //! descends the attached [`FilterDriver`]s in order (`IoCallDriver`
@@ -27,9 +29,7 @@ use nt_sim::SimTime;
 
 use crate::fastio::FastIoDispatch;
 use crate::machine::OpReply;
-use crate::observer::FileObjectInfo;
-use crate::request::{IoEvent, MajorFunction};
-use crate::types::{HandleId, ProcessId};
+use crate::request::MajorFunction;
 
 /// The request packet a filter sees on the way down.
 ///
@@ -45,14 +45,6 @@ pub struct IrpFrame {
     pub major: Option<MajorFunction>,
     /// Stable label for span instrumentation ("read", "close", …).
     pub label: &'static str,
-    /// Target handle, when the request has one.
-    pub handle: Option<HandleId>,
-    /// Requesting process, when known at dispatch time.
-    pub process: Option<ProcessId>,
-    /// Request byte offset (data ops), 0 otherwise.
-    pub offset: u64,
-    /// Requested length in bytes (data ops), 0 otherwise.
-    pub length: u64,
     /// Arrival time at the current layer.
     pub now: SimTime,
 }
@@ -68,13 +60,12 @@ pub enum FilterAction {
 
 /// One layer in the driver stack.
 ///
-/// All methods have pass-through defaults, so a filter implements only
-/// what it cares about: an observer overrides [`FilterDriver::event`], a
-/// latency-adding layer overrides [`FilterDriver::pre`], a FastIO veto
-/// overrides [`FilterDriver::fastio`]. Filters that override `pre`/`post`
-/// must also return `true` from [`FilterDriver::intercepts`]; the stack
-/// skips the whole descent when no attached layer intercepts, keeping an
-/// observation-only stack off the dispatch hot path.
+/// All methods but `name` and `as_any` have pass-through defaults, so a
+/// filter implements only what it cares about: a latency-adding layer
+/// overrides [`FilterDriver::pre`], a FastIO veto overrides
+/// [`FilterDriver::fastio`]. Filters that override `pre`/`post` must also
+/// return `true` from [`FilterDriver::intercepts`]; the stack skips the
+/// whole descent when no attached layer intercepts.
 pub trait FilterDriver: 'static {
     /// Display name (layer diagrams, runtime profile, examples).
     fn name(&self) -> &'static str;
@@ -103,27 +94,8 @@ pub trait FilterDriver: 'static {
         false
     }
 
-    /// Whether this layer consumes trace records. When no attached layer
-    /// does, the machine skips building [`IoEvent`] values entirely.
-    fn wants_events(&self) -> bool {
-        false
-    }
-
-    /// A completed request's trace record (both paths, §3.2).
-    fn event(&mut self, event: &IoEvent) {
-        let _ = event;
-    }
-
-    /// The auxiliary record mapping a new file object to its name.
-    fn file_object(&mut self, info: &FileObjectInfo) {
-        let _ = info;
-    }
-
     /// Downcast support for [`DriverStack::find`].
     fn as_any(&self) -> &dyn Any;
-
-    /// Downcast support for `DriverStack::find_mut`.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// Where a request was completed, per layer (examples' per-layer view).
@@ -144,8 +116,6 @@ pub struct DriverStack {
     counters: Vec<LayerCounters>,
     /// Packets that reached the FSD at the bottom.
     fsd_completed: u64,
-    /// Cached OR of `wants_events` over the layers.
-    events_wanted: bool,
     /// Cached OR of `intercepts` over the layers.
     intercepting: bool,
     /// Cached intersection of the layers' FastIO tables (the FSD's own
@@ -167,7 +137,6 @@ impl DriverStack {
             filters: Vec::new(),
             counters: Vec::new(),
             fsd_completed: 0,
-            events_wanted: false,
             intercepting: false,
             fastio: FastIoDispatch::full(),
             frames: Vec::new(),
@@ -184,7 +153,6 @@ impl DriverStack {
 
     /// Recomputes the cached aggregate views of the layers.
     fn refresh(&mut self) {
-        self.events_wanted = self.filters.iter().any(|f| f.wants_events());
         self.intercepting = self.filters.iter().any(|f| f.intercepts());
         self.fastio = self
             .filters
@@ -200,12 +168,6 @@ impl DriverStack {
     /// True when no filter is attached.
     pub fn is_empty(&self) -> bool {
         self.filters.is_empty()
-    }
-
-    /// True when some layer consumes trace records.
-    #[inline]
-    pub(crate) fn events_wanted(&self) -> bool {
-        self.events_wanted
     }
 
     /// True when some layer intercepts packets (pre/post).
@@ -224,25 +186,6 @@ impl DriverStack {
     #[inline]
     pub(crate) fn fastio_supported(&self, kind: crate::request::FastIoKind) -> bool {
         self.fastio.supports(kind)
-    }
-
-    /// Broadcasts a trace record to every layer that wants one.
-    #[inline]
-    pub fn event(&mut self, event: &IoEvent) {
-        for f in &mut self.filters {
-            if f.wants_events() {
-                f.event(event);
-            }
-        }
-    }
-
-    /// Broadcasts a file-object name record.
-    pub fn file_object(&mut self, info: &FileObjectInfo) {
-        for f in &mut self.filters {
-            if f.wants_events() {
-                f.file_object(info);
-            }
-        }
     }
 
     /// Runs layer `i`'s pre hook, recording where the packet went.
@@ -303,13 +246,6 @@ impl DriverStack {
     pub fn find<T: FilterDriver>(&self) -> Option<&T> {
         self.filters.iter().find_map(|f| f.as_any().downcast_ref())
     }
-
-    /// Mutable access to the first layer of concrete type `T`.
-    pub(crate) fn find_mut<T: FilterDriver>(&mut self) -> Option<&mut T> {
-        self.filters
-            .iter_mut()
-            .find_map(|f| f.as_any_mut().downcast_mut())
-    }
 }
 
 impl Default for DriverStack {
@@ -343,9 +279,6 @@ mod tests {
         fn as_any(&self) -> &dyn Any {
             self
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     struct Veto;
@@ -357,9 +290,6 @@ mod tests {
             FastIoDispatch::full().without(FastIoKind::Read)
         }
         fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
             self
         }
     }
@@ -377,7 +307,7 @@ mod tests {
         assert!(s.intercepting());
         assert_eq!(s.layers()[0].0, "completer", "last attached is on top");
         assert!(s.find::<Veto>().is_some());
-        assert!(s.find_mut::<Completer>().is_some());
+        assert!(s.find::<Completer>().is_some());
     }
 
     #[test]
@@ -387,10 +317,6 @@ mod tests {
         let mut frame = IrpFrame {
             major: Some(MajorFunction::Read),
             label: "read",
-            handle: None,
-            process: None,
-            offset: 0,
-            length: 0,
             now: SimTime::ZERO,
         };
         match s.pre(0, &mut frame) {

@@ -19,8 +19,8 @@ use nt_workload::plan::run_plan;
 
 fn main() {
     let mut machine = Machine::new(MachineConfig::default(), TraceFilter::new(MachineId(0)));
-    // A third-party filter driver above the trace agent, the way §3.2
-    // says virus scanners attach: every create and read pays a scan.
+    // A third-party filter driver in the stack above the FSD, the way
+    // §3.2 says virus scanners attach: every create and read pays a scan.
     machine.attach_filter(Box::new(AntivirusFilter::new(SimDuration::from_micros(
         200,
     ))));

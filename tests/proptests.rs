@@ -847,11 +847,9 @@ proptest! {
                             );
                             if model.contains_key(&(to_dir, to_name)) && !same {
                                 prop_assert_eq!(r.unwrap_err(), FsError::AlreadyExists);
-                            } else if same {
-                                // Renaming onto itself collides with its own
-                                // entry in this model's semantics.
-                                prop_assert!(r.is_err());
                             } else {
+                                // A rename onto the file's own name succeeds
+                                // and leaves it where it is, as NT does.
                                 prop_assert!(r.is_ok());
                                 let size = model.remove(&(dir, name)).expect("tracked");
                                 model.insert((to_dir, to_name), size);
