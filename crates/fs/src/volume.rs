@@ -232,6 +232,18 @@ impl Volume {
         Ok(cur)
     }
 
+    /// Resolves `path` and its parent in one walk: `(parent, node)`, each
+    /// what [`Volume::lookup`] of that path returns. A create that finds
+    /// the name missing links the new node under the parent.
+    pub fn lookup_with_parent(&self, path: &NtPath) -> (FsResult<NodeId>, FsResult<NodeId>) {
+        let (mut parent, mut node) = (Ok(self.root), Ok(self.root));
+        for comp in path.components() {
+            parent = node;
+            node = parent.and_then(|dir| self.child_by_key(dir, comp));
+        }
+        (parent, node)
+    }
+
     /// Creates a subdirectory.
     pub fn mkdir(&mut self, parent: NodeId, name: &str, now: SimTime) -> FsResult<NodeId> {
         let lname = name.to_ascii_lowercase();
@@ -592,6 +604,27 @@ mod tests {
     fn lookup_missing_is_not_found() {
         let v = vol();
         assert_eq!(v.lookup(&NtPath::parse(r"\nope")), Err(FsError::NotFound));
+    }
+
+    #[test]
+    fn lookup_with_parent_is_two_lookups_in_one_walk() {
+        let mut v = vol();
+        let d = v.mkdir_all(&NtPath::parse(r"\a\b"), T1).unwrap();
+        v.create_file(d, "f.txt", T1).unwrap();
+        // Root, a file, a missing name, a missing parent, and a file
+        // used as a directory at the last and at an inner component.
+        for path in [
+            r"\",
+            r"\a\b\f.txt",
+            r"\a\b\new.txt",
+            r"\a\nope\new.txt",
+            r"\a\b\f.txt\x",
+            r"\a\b\f.txt\x\y",
+        ] {
+            let path = NtPath::parse(path);
+            let want = (v.lookup(&path.parent()), v.lookup(&path));
+            assert_eq!(v.lookup_with_parent(&path), want, "{path}");
+        }
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //! * [`IoObserver`] — the study's instrument: every IRP and FastIO call
 //!   the FSD completes is reported to the machine's observer with dual
 //!   100 ns timestamps, exactly the payload of the trace records (§3.2).
+//!   One constructor lays every [`IoEvent`] out: it copies the identity
+//!   the request resolved from its handle (file object, FCB, process,
+//!   volume) and zeroes what the request does not set, so each
+//!   completion point names only its own fields.
 //! * `LatencyModel` — service-time model for cache copies, IRP
 //!   overhead, local IDE/SCSI disks and redirector round-trips, producing
 //!   the figure-13 latency split between the four major request types.

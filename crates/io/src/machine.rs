@@ -47,19 +47,45 @@ use crate::types::{AccessMode, CreateOptions, FcbId, FileObjectId, HandleId, Pro
 /// outlive FCBs (image pages survive process exit, §3.3).
 pub(crate) type FileKey = (VolumeId, NodeId);
 
-/// One pended change-notification: `(handle, file object, fcb, process,
-/// registration time)`.
-pub(crate) type WatchEntry = (HandleId, FileObjectId, FcbId, ProcessId, SimTime);
+/// The identity a request's records carry: the file object, its FCB, the
+/// requesting process and the volume. A request resolves its handle once
+/// and hands this value on, to [`Machine::record`] and to whatever it
+/// queues (a pended close, a deferred close, a change notification).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Origin {
+    pub(crate) fo: FileObjectId,
+    pub(crate) fcb: FcbId,
+    pub(crate) process: ProcessId,
+    pub(crate) volume: VolumeId,
+}
+
+impl Origin {
+    /// A request no file object stands behind: an FSCTL or volume query,
+    /// a failed open (which then names its own file object), a lazy write
+    /// no close waits on, a query on an invalid handle.
+    pub(crate) fn unnamed(process: ProcessId, volume: VolumeId) -> Self {
+        Origin {
+            fo: FileObjectId(0),
+            fcb: FcbId(u64::MAX),
+            process,
+            volume,
+        }
+    }
+}
+
+/// One pended change-notification: `(handle, its origin, registration
+/// time)`.
+pub(crate) type WatchEntry = (HandleId, Origin, SimTime);
 
 /// Hands one trace event to the machine's observer, counting it either
 /// way.
 ///
 /// Expands inside `impl<O: IoObserver> Machine<O>`. The `IoEvent`
-/// expression is only evaluated when `O::ENABLED`: a machine whose
-/// observer is `NullObserver` skips the whole struct construction on its
-/// request hot path. The counter still advances so the conservation
-/// ledger's TRACE_EVENTS debit stays identical whether or not anyone is
-/// listening.
+/// expression — a site's own fields over [`Machine::record`] — is only
+/// evaluated when `O::ENABLED`: a machine whose observer is
+/// `NullObserver` builds no record on its request hot path. The counter
+/// still advances so the conservation ledger's TRACE_EVENTS debit stays
+/// identical whether or not anyone is listening.
 macro_rules! emit_event {
     ($self:ident, $ev:expr) => {{
         $self.metrics.events_emitted += 1;
@@ -234,12 +260,9 @@ impl Default for MachineConfig {
 }
 
 pub(crate) struct OpenHandle {
-    pub(crate) fo: FileObjectId,
-    pub(crate) fcb: FcbId,
+    pub(crate) origin: Origin,
     pub(crate) fcb_slot: ArenaHandle,
-    pub(crate) volume: VolumeId,
     pub(crate) node: NodeId,
-    pub(crate) process: ProcessId,
     pub(crate) access: AccessMode,
     pub(crate) options: CreateOptions,
     pub(crate) byte_offset: u64,
@@ -254,12 +277,9 @@ pub(crate) enum Pending {
         len: u64,
     },
     CloseIrp {
-        fo: FileObjectId,
-        fcb: FcbId,
+        origin: Origin,
         fcb_slot: ArenaHandle,
-        volume: VolumeId,
         node: NodeId,
-        process: ProcessId,
     },
 }
 
@@ -289,9 +309,7 @@ pub struct Machine<O: IoObserver> {
     /// stored time is each cleanup's completion, which its close IRP
     /// must not precede. BTreeMap: iteration feeds events, so the order
     /// must be deterministic.
-    #[allow(clippy::type_complexity)]
-    pub(crate) deferred_close:
-        BTreeMap<FileKey, Vec<(FileObjectId, FcbId, ArenaHandle, ProcessId, SimTime)>>,
+    pub(crate) deferred_close: BTreeMap<FileKey, Vec<(Origin, ArenaHandle, SimTime)>>,
     /// Pending change-notification IRPs per watched directory. The IRP
     /// stays pended from registration until a change in the directory
     /// completes it (FindFirstChangeNotification). BTreeMap for the same
@@ -566,76 +584,92 @@ impl<O: IoObserver> Machine<O> {
                     self.cache.complete_paging_read(&key, offset, len);
                 }
                 Pending::CloseIrp {
-                    fo,
-                    fcb,
+                    origin,
                     fcb_slot,
-                    volume,
                     node,
-                    process,
-                } => {
-                    self.emit_close_irp(fo, fcb, fcb_slot, volume, node, process, due);
-                }
+                } => self.emit_close_irp(origin, fcb_slot, node, due),
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The record of a request from `origin` of `kind`, served from
+    /// `start` to `end`: the one place a record's layout is decided. It
+    /// names the origin's identity and whether its volume is local,
+    /// reports success, and zeroes every field the request does not set.
+    /// Each emit site names only its own fields over it:
+    /// `IoEvent { offset, length, ..self.record(origin, kind, start, end) }`.
+    pub(crate) fn record(
+        &self,
+        origin: Origin,
+        kind: EventKind,
+        start: SimTime,
+        end: SimTime,
+    ) -> IoEvent {
+        IoEvent {
+            kind,
+            file_object: origin.fo,
+            fcb: origin.fcb,
+            process: origin.process,
+            volume: origin.volume.0,
+            local: self.ns.is_local(origin.volume),
+            paging_io: false,
+            readahead: false,
+            offset: 0,
+            length: 0,
+            transferred: 0,
+            file_size: 0,
+            byte_offset: 0,
+            status: NtStatus::Success,
+            start,
+            end,
+            access: None,
+            disposition: None,
+            options: None,
+            set_info: None,
+            created: false,
+        }
+    }
+
+    /// The size of `node`, or 0 once it is gone (a deleted file's close).
+    pub(crate) fn file_size_of(&self, volume: VolumeId, node: NodeId) -> u64 {
+        self.ns
+            .volume(volume)
+            .and_then(|v| v.file_size(node))
+            .unwrap_or(0)
+    }
+
+    /// The second stage of the two-stage close: the close IRP, after
+    /// which the file object's FCB reference goes.
     pub(crate) fn emit_close_irp(
         &mut self,
-        fo: FileObjectId,
-        fcb: FcbId,
+        origin: Origin,
         fcb_slot: ArenaHandle,
-        volume: VolumeId,
         node: NodeId,
-        process: ProcessId,
         now: SimTime,
     ) {
         let end = now + self.latency.fastio_metadata();
-        let file_size = self
-            .ns
-            .volume(volume)
-            .ok()
-            .and_then(|v| v.file_size(node).ok())
-            .unwrap_or(0);
         emit_event!(
             self,
             IoEvent {
-                kind: EventKind::Irp(MajorFunction::Close),
-                file_object: fo,
-                fcb,
-                process,
-                volume: volume.0,
-                local: self.ns.is_local(volume),
-                paging_io: false,
-                readahead: false,
-                offset: 0,
-                length: 0,
-                transferred: 0,
-                file_size,
-                byte_offset: 0,
-                status: NtStatus::Success,
-                start: now,
-                end,
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
+                file_size: self.file_size_of(origin.volume, node),
+                ..self.record(origin, EventKind::Irp(MajorFunction::Close), now, end)
             }
         );
         self.metrics.closes += 1;
         self.fcbs.close(fcb_slot);
     }
 
-    /// Completes any deferred closes queued on `key` — the cache map is
-    /// about to be purged (delete/overwrite), so the lazy writer will
-    /// never signal the drain.
+    /// Completes any deferred closes queued on `key`: the lazy writer
+    /// drained the file, or its cache map is about to be purged
+    /// (delete/overwrite) and the drain will never come.
     pub(crate) fn release_deferred(&mut self, key: FileKey, now: SimTime) {
         if let Some(waiters) = self.deferred_close.remove(&key) {
-            let (volume, node) = key;
-            for (fo, fcb, fcb_slot, process, cleaned) in waiters {
+            for (origin, fcb_slot, cleaned) in waiters {
+                // Catch-up scans may run with a timestamp before the
+                // cleanup that registered this close; the close IRP
+                // never precedes its cleanup.
                 let at = now.max(cleaned + CLEAN_CLOSE_DELAY);
-                self.emit_close_irp(fo, fcb, fcb_slot, volume, node, process, at);
+                self.emit_close_irp(origin, fcb_slot, key.1, at);
             }
         }
     }
@@ -676,97 +710,5 @@ impl<O: IoObserver> Machine<O> {
         if let Some(h) = self.handles.get_raw_mut(handle.0) {
             h.byte_offset = new_offset;
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn emit_read_event(
-        &mut self,
-        kind: EventKind,
-        fo: FileObjectId,
-        fcb: FcbId,
-        process: ProcessId,
-        volume: VolumeId,
-        local: bool,
-        paging: bool,
-        readahead: bool,
-        offset: u64,
-        length: u64,
-        transferred: u64,
-        file_size: u64,
-        byte_offset: u64,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        emit_event!(
-            self,
-            IoEvent {
-                kind,
-                file_object: fo,
-                fcb,
-                process,
-                volume: volume.0,
-                local,
-                paging_io: paging,
-                readahead,
-                offset,
-                length,
-                transferred,
-                file_size,
-                byte_offset,
-                status: NtStatus::Success,
-                start,
-                end,
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
-            }
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn emit_write_event(
-        &mut self,
-        kind: EventKind,
-        fo: FileObjectId,
-        fcb: FcbId,
-        process: ProcessId,
-        volume: VolumeId,
-        local: bool,
-        paging: bool,
-        offset: u64,
-        length: u64,
-        file_size: u64,
-        byte_offset: u64,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        emit_event!(
-            self,
-            IoEvent {
-                kind,
-                file_object: fo,
-                fcb,
-                process,
-                volume: volume.0,
-                local,
-                paging_io: paging,
-                readahead: false,
-                offset,
-                length,
-                transferred: length,
-                file_size,
-                byte_offset,
-                status: NtStatus::Success,
-                start,
-                end,
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
-            }
-        );
     }
 }

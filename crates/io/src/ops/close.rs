@@ -4,12 +4,12 @@ use nt_cache::CLEAN_CLOSE_DELAY;
 use nt_sim::{SimDuration, SimTime};
 
 use crate::latency::METADATA_TICKS;
-use crate::machine::{emit_event, FileKey, Machine, OpReply, Pending};
+use crate::machine::{emit_event, Machine, OpReply, Origin, Pending};
 use crate::observer::IoObserver;
 use crate::request::{EventKind, FastIoKind, IoEvent, MajorFunction, SetInfoKind};
 use crate::stack::IrpFrame;
 use crate::status::NtStatus;
-use crate::types::{FcbId, FileObjectId, HandleId, ProcessId};
+use crate::types::{HandleId, ProcessId};
 
 impl<O: IoObserver> Machine<O> {
     /// Closes a handle: emits the cleanup IRP now; the close IRP follows
@@ -25,48 +25,22 @@ impl<O: IoObserver> Machine<O> {
         let Some(h) = self.handles.remove_raw(handle.0) else {
             return OpReply::at(NtStatus::InvalidHandle, now);
         };
-        let (fo, fcb, fcb_slot, volume, node, process, options) = (
-            h.fo, h.fcb, h.fcb_slot, h.volume, h.node, h.process, h.options,
-        );
+        let (origin, fcb_slot, node, options) = (h.origin, h.fcb_slot, h.node, h.options);
+        let key = (origin.volume, node);
         if h.mapped {
-            self.vm.unmap(&(volume, node));
+            self.vm.unmap(&key);
         }
         self.cancel_watches(handle);
-        let local = self.ns.is_local(volume);
-        let key: FileKey = (volume, node);
-        let file_size = self
-            .ns
-            .volume(volume)
-            .ok()
-            .and_then(|v| v.file_size(node).ok())
-            .unwrap_or(0);
+        let file_size = self.file_size_of(origin.volume, node);
 
         let end = now + self.latency.metadata_op();
         self.metrics.cleanups += 1;
         emit_event!(
             self,
             IoEvent {
-                kind: EventKind::Irp(MajorFunction::Cleanup),
-                file_object: fo,
-                fcb,
-                process,
-                volume: volume.0,
-                local,
-                paging_io: false,
-                readahead: false,
-                offset: 0,
-                length: 0,
-                transferred: 0,
                 file_size,
                 byte_offset: h.byte_offset,
-                status: NtStatus::Success,
-                start: now,
-                end,
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
+                ..self.record(origin, EventKind::Irp(MajorFunction::Cleanup), now, end)
             }
         );
 
@@ -74,50 +48,29 @@ impl<O: IoObserver> Machine<O> {
         // cleanup, as NT does; held locks produce an UnlockAll call.
         let dropped = self.shares.locks_mut(fcb_slot).unlock_all(handle);
         if dropped > 0 {
+            let kind = self.fastio_event_kind(FastIoKind::UnlockAll);
+            let unlocked = now + self.latency.fastio_metadata();
             emit_event!(
                 self,
                 IoEvent {
-                    kind: self.fastio_event_kind(FastIoKind::UnlockAll),
-                    file_object: fo,
-                    fcb,
-                    process,
-                    volume: volume.0,
-                    local,
-                    paging_io: false,
-                    readahead: false,
-                    offset: 0,
                     length: dropped as u64,
-                    transferred: 0,
                     file_size,
-                    byte_offset: 0,
-                    status: NtStatus::Success,
-                    start: now,
-                    end: now + self.latency.fastio_metadata(),
-                    access: None,
-                    disposition: None,
-                    options: None,
-                    set_info: None,
-                    created: false,
+                    ..self.record(origin, kind, now, unlocked)
                 }
             );
         }
         self.shares.close(fcb_slot, handle);
 
+        let close_irp = Pending::CloseIrp {
+            origin,
+            fcb_slot,
+            node,
+        };
         let last_handle = self.fcbs.cleanup(fcb_slot);
         if !last_handle {
             // Other handles remain: the file object closes quickly, the
             // FCB stays.
-            self.schedule(
-                end + CLEAN_CLOSE_DELAY,
-                Pending::CloseIrp {
-                    fo,
-                    fcb,
-                    fcb_slot,
-                    volume,
-                    node,
-                    process,
-                },
-            );
+            self.schedule(end + CLEAN_CLOSE_DELAY, close_irp);
             return OpReply::at(NtStatus::Success, end);
         }
 
@@ -134,27 +87,20 @@ impl<O: IoObserver> Machine<O> {
             self.release_deferred(key, end);
             self.cache.purge(&key);
             self.vm.purge(&key);
-            let parent = self.parent_of(volume, node);
-            let _ = self.ns.volume_mut(volume).and_then(|v| v.remove(node, now));
+            let parent = self.parent_of(origin.volume, node);
+            let _ = self
+                .ns
+                .volume_mut(origin.volume)
+                .and_then(|v| v.remove(node, now));
             if let Some(parent) = parent {
-                self.fire_watches(volume, parent, now);
+                self.fire_watches(origin.volume, parent, now);
             }
             if options.temporary || options.delete_on_close {
                 self.metrics.delete_on_close += 1;
             } else {
                 self.metrics.explicit_deletes += 1;
             }
-            self.schedule(
-                end + CLEAN_CLOSE_DELAY,
-                Pending::CloseIrp {
-                    fo,
-                    fcb,
-                    fcb_slot,
-                    volume,
-                    node,
-                    process,
-                },
-            );
+            self.schedule(end + CLEAN_CLOSE_DELAY, close_irp);
             return OpReply::at(NtStatus::Success, end);
         }
 
@@ -163,55 +109,26 @@ impl<O: IoObserver> Machine<O> {
             // §8.3: the cache manager trims page-granular lazy writes back
             // to the true end of file before close.
             let se = end + SimDuration::from_ticks(METADATA_TICKS);
+            let kind = EventKind::Irp(MajorFunction::SetInformation);
             emit_event!(
                 self,
                 IoEvent {
-                    kind: EventKind::Irp(MajorFunction::SetInformation),
-                    file_object: fo,
-                    fcb,
-                    process,
-                    volume: volume.0,
-                    local,
-                    paging_io: false,
-                    readahead: false,
                     offset: file_size,
-                    length: 0,
-                    transferred: 0,
                     file_size,
-                    byte_offset: 0,
-                    status: NtStatus::Success,
-                    start: end,
-                    end: se,
-                    access: None,
-                    disposition: None,
-                    options: None,
                     set_info: Some(SetInfoKind::EndOfFile),
-                    created: false,
+                    ..self.record(origin, kind, end, se)
                 }
             );
             self.metrics.control_ops += 1;
         }
         match outcome.close_after {
-            Some(delay) => {
-                self.schedule(
-                    end + delay,
-                    Pending::CloseIrp {
-                        fo,
-                        fcb,
-                        fcb_slot,
-                        volume,
-                        node,
-                        process,
-                    },
-                );
-            }
-            None => {
-                // Close follows the lazy-writer drain (§8.1: 1–4 s).
-                self.deferred_close
-                    .entry(key)
-                    .or_default()
-                    .push((fo, fcb, fcb_slot, process, end));
-            }
+            Some(delay) => self.schedule(end + delay, close_irp),
+            // Close follows the lazy-writer drain (§8.1: 1–4 s).
+            None => self
+                .deferred_close
+                .entry(key)
+                .or_default()
+                .push((origin, fcb_slot, end)),
         }
         OpReply::at(NtStatus::Success, end)
     }
@@ -283,51 +200,33 @@ impl<O: IoObserver> Machine<O> {
         let (actions, closable) = self.cache.lazy_scan(now);
         for action in actions {
             let (volume, node) = action.key;
-            let local = self.ns.is_local(volume);
+            let io = action.io;
             let done = self
                 .latency
-                .disk_io(volume.0 as usize, action.io.len, now, &mut self.rng);
+                .disk_io(volume.0 as usize, io.len, now, &mut self.rng);
             self.metrics.paging_writes += 1;
-            self.metrics.paging_write_bytes += action.io.len;
-            let (fo, fcb, process) = self
+            self.metrics.paging_write_bytes += io.len;
+            // The write names the file object whose close waits on it;
+            // with none waiting, the system process issues it.
+            let origin = self
                 .deferred_close
                 .get(&action.key)
-                .and_then(|v| v.last().copied())
-                .map(|(fo, fcb, _, process, _)| (fo, fcb, process))
-                .unwrap_or((FileObjectId(0), FcbId(u64::MAX), ProcessId(4)));
-            let file_size = self
-                .ns
-                .volume(volume)
-                .ok()
-                .and_then(|v| v.file_size(node).ok())
-                .unwrap_or(0);
-            self.emit_write_event(
-                EventKind::Irp(MajorFunction::Write),
-                fo,
-                fcb,
-                process,
-                volume,
-                local,
-                true,
-                action.io.offset,
-                action.io.len,
-                file_size,
-                0,
-                now,
-                done,
+                .and_then(|v| v.last())
+                .map_or(Origin::unnamed(ProcessId(4), volume), |w| w.0);
+            emit_event!(
+                self,
+                IoEvent {
+                    paging_io: true,
+                    offset: io.offset,
+                    length: io.len,
+                    transferred: io.len,
+                    file_size: self.file_size_of(volume, node),
+                    ..self.record(origin, EventKind::Irp(MajorFunction::Write), now, done)
+                }
             );
         }
         for key in closable {
-            if let Some(waiters) = self.deferred_close.remove(&key) {
-                let (volume, node) = key;
-                for (fo, fcb, fcb_slot, process, cleaned) in waiters {
-                    // Catch-up scans may run with a timestamp before the
-                    // cleanup that registered this close; the close IRP
-                    // never precedes its cleanup.
-                    let at = now.max(cleaned + CLEAN_CLOSE_DELAY);
-                    self.emit_close_irp(fo, fcb, fcb_slot, volume, node, process, at);
-                }
-            }
+            self.release_deferred(key, now);
         }
         // Keep resident cache data within the machine's memory budget by
         // dropping the coldest clean maps (standby-list reclaim).

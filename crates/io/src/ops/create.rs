@@ -4,12 +4,12 @@
 use nt_fs::{FileAttributes, FsError, NodeId, NtPath, VolumeId};
 use nt_sim::SimTime;
 
-use crate::machine::{emit_event, Machine, OpReply, OpenHandle};
+use crate::machine::{emit_event, Machine, OpReply, OpenHandle, Origin};
 use crate::observer::{FileObjectInfo, IoObserver};
 use crate::request::{EventKind, IoEvent, MajorFunction};
 use crate::stack::IrpFrame;
 use crate::status::NtStatus;
-use crate::types::{AccessMode, CreateOptions, Disposition, FcbId, HandleId, ProcessId};
+use crate::types::{AccessMode, CreateOptions, Disposition, HandleId, ProcessId};
 
 impl<O: IoObserver> Machine<O> {
     /// Opens or creates a file (IRP_MJ_CREATE).
@@ -65,35 +65,26 @@ impl<O: IoObserver> Machine<O> {
                 at: now,
             });
         }
-        let local = self.ns.is_local(volume);
-        // Every failed open: counted, recorded with its status and no FCB.
+        // A failed open names its own file object, with no FCB.
+        let origin = Origin {
+            fo,
+            ..Origin::unnamed(process, volume)
+        };
+        let create = |m: &Self, origin, end| IoEvent {
+            access: Some(access),
+            disposition: Some(disposition),
+            options: Some(options),
+            ..m.record(origin, EventKind::Irp(MajorFunction::Create), now, end)
+        };
+        // Every failed open: counted and recorded with its status.
         let fail = |m: &mut Self, status: NtStatus| {
             let end = now + m.latency.metadata_op();
             m.metrics.open_failures += 1;
             emit_event!(
                 m,
                 IoEvent {
-                    kind: EventKind::Irp(MajorFunction::Create),
-                    file_object: fo,
-                    fcb: FcbId(u64::MAX),
-                    process,
-                    volume: volume.0,
-                    local,
-                    paging_io: false,
-                    readahead: false,
-                    offset: 0,
-                    length: 0,
-                    transferred: 0,
-                    file_size: 0,
-                    byte_offset: 0,
                     status,
-                    start: now,
-                    end,
-                    access: Some(access),
-                    disposition: Some(disposition),
-                    options: Some(options),
-                    set_info: None,
-                    created: false,
+                    ..create(m, origin, end)
                 }
             );
             (OpReply::at(status, end), None)
@@ -101,16 +92,20 @@ impl<O: IoObserver> Machine<O> {
 
         // A partitioned network link fails the open before the redirector
         // reaches the server; nothing on the remote volume changes.
-        if !local && !self.network_up {
+        if !self.network_up && !self.ns.is_local(volume) {
             self.metrics.network_failures += 1;
             return fail(self, NtStatus::NetworkUnreachable);
         }
 
         // Share-mode arbitration happens before any side effect of the
         // open (in particular before a truncating disposition destroys
-        // data).
-        let found = self.ns.volume(volume).and_then(|v| v.lookup(path));
-        if let Ok(node) = found {
+        // data). One walk resolves the name and, for a create, its
+        // parent.
+        let walk = self
+            .ns
+            .volume(volume)
+            .map_or_else(|e| (Err(e), Err(e)), |v| v.lookup_with_parent(path));
+        if let Ok(node) = walk.1 {
             let live_fcb = self.fcbs.find(volume, node);
             let compatible = live_fcb
                 .map(|slot| self.shares.compatible(slot, access, options.share))
@@ -120,124 +115,89 @@ impl<O: IoObserver> Machine<O> {
                 return fail(self, NtStatus::SharingViolation);
             }
         }
-        let resolved = self.resolve_create(volume, path, found, disposition, options, now);
+        let resolved = self.resolve_create(volume, path, walk, disposition, options, now);
         let end = now + self.latency.metadata_op();
-        match resolved {
-            Err(status) => fail(self, status),
-            Ok((node, truncated, created)) => {
-                let (fcb_slot, fcb) = self.fcbs.open(volume, node);
-                if truncated {
-                    // §6.3: an overwrite may find unwritten dirty pages in
-                    // the cache; they are purged, never written — and any
-                    // close still waiting on the old data completes now.
-                    self.release_deferred((volume, node), now);
-                    self.cache.purge(&(volume, node));
-                    self.vm.purge(&(volume, node));
-                    self.metrics.overwrite_truncates += 1;
-                }
-                if options.temporary {
-                    let _ = self.ns.volume_mut(volume).and_then(|v| {
-                        let attrs = v
-                            .node(node)
-                            .ok()
-                            .and_then(|n| n.file().map(|f| f.attributes))
-                            .unwrap_or_default();
-                        v.set_attributes(node, attrs | FileAttributes::TEMPORARY)
-                    });
-                }
-                let file_size = self
-                    .ns
-                    .volume(volume)
+        let (node, truncated, created) = match resolved {
+            Ok(resolved) => resolved,
+            Err(status) => return fail(self, status),
+        };
+        let (fcb_slot, fcb) = self.fcbs.open(volume, node);
+        let origin = Origin { fcb, ..origin };
+        if truncated {
+            // §6.3: an overwrite may find unwritten dirty pages in the
+            // cache; they are purged, never written — and any close still
+            // waiting on the old data completes now.
+            self.release_deferred((volume, node), now);
+            self.cache.purge(&(volume, node));
+            self.vm.purge(&(volume, node));
+            self.metrics.overwrite_truncates += 1;
+        }
+        if options.temporary {
+            let _ = self.ns.volume_mut(volume).and_then(|v| {
+                let attrs = v
+                    .node(node)
                     .ok()
-                    .and_then(|v| v.file_size(node).ok())
-                    .unwrap_or(0);
-                if created || truncated {
-                    if let Some(parent) = self.parent_of(volume, node) {
-                        self.fire_watches(volume, parent, now);
-                    }
-                }
-                let handle = HandleId(
-                    self.handles
-                        .insert(OpenHandle {
-                            fo,
-                            fcb,
-                            fcb_slot,
-                            volume,
-                            node,
-                            process,
-                            access,
-                            options,
-                            byte_offset: 0,
-                            dir_cursor: 0,
-                            mapped: false,
-                        })
-                        .pack(),
-                );
-                let registered = self
-                    .shares
-                    .try_open(fcb_slot, handle, access, options.share);
-                debug_assert!(registered, "compatibility was checked above");
-                self.metrics.opens += 1;
-                emit_event!(
-                    self,
-                    IoEvent {
-                        kind: EventKind::Irp(MajorFunction::Create),
-                        file_object: fo,
-                        fcb,
-                        process,
-                        volume: volume.0,
-                        local,
-                        paging_io: false,
-                        readahead: false,
-                        offset: 0,
-                        length: 0,
-                        transferred: 0,
-                        file_size,
-                        byte_offset: 0,
-                        status: NtStatus::Success,
-                        start: now,
-                        end,
-                        access: Some(access),
-                        disposition: Some(disposition),
-                        options: Some(options),
-                        set_info: None,
-                        created,
-                    }
-                );
-                (
-                    OpReply {
-                        status: NtStatus::Success,
-                        transferred: 0,
-                        end,
-                    },
-                    Some(handle),
-                )
+                    .and_then(|n| n.file().map(|f| f.attributes))
+                    .unwrap_or_default();
+                v.set_attributes(node, attrs | FileAttributes::TEMPORARY)
+            });
+        }
+        if created || truncated {
+            if let Some(parent) = self.parent_of(volume, node) {
+                self.fire_watches(volume, parent, now);
             }
         }
+        let handle = HandleId(
+            self.handles
+                .insert(OpenHandle {
+                    origin,
+                    fcb_slot,
+                    node,
+                    access,
+                    options,
+                    byte_offset: 0,
+                    dir_cursor: 0,
+                    mapped: false,
+                })
+                .pack(),
+        );
+        let registered = self
+            .shares
+            .try_open(fcb_slot, handle, access, options.share);
+        debug_assert!(registered, "compatibility was checked above");
+        self.metrics.opens += 1;
+        emit_event!(
+            self,
+            IoEvent {
+                file_size: self.file_size_of(volume, node),
+                created,
+                ..create(self, origin, end)
+            }
+        );
+        (OpReply::at(NtStatus::Success, end), Some(handle))
     }
 
-    /// Opens or creates the node `path` names; `found` is the caller's
-    /// lookup of `path` on `volume`.
+    /// Opens or creates the node `path` names; `walk` is the caller's
+    /// `(parent, node)` lookup of `path` on `volume`.
     fn resolve_create(
         &mut self,
         volume: VolumeId,
         path: &NtPath,
-        found: Result<NodeId, FsError>,
+        walk: (Result<NodeId, FsError>, Result<NodeId, FsError>),
         disposition: Disposition,
         options: CreateOptions,
         now: SimTime,
     ) -> Result<(NodeId, bool, bool), NtStatus> {
         let vol = self.ns.volume_mut(volume).map_err(NtStatus::from)?;
+        let (parent, found) = walk;
         match found {
             Ok(node) => {
                 let is_dir = vol
                     .node(node)
                     .map(|n| n.kind.is_directory())
                     .unwrap_or(false);
-                if is_dir && !options.directory {
-                    // Opening a directory as a file is allowed for control
-                    // access in NT; only data access fails. We allow it.
-                }
+                // Opening a directory as a file is allowed for control
+                // access in NT; only data access fails. We allow it.
                 if !is_dir && options.directory {
                     return Err(NtStatus::NotADirectory);
                 }
@@ -257,10 +217,7 @@ impl<O: IoObserver> Machine<O> {
                 if !disposition.may_create() {
                     return Err(NtStatus::ObjectNameNotFound);
                 }
-                let parent_path = path.parent();
-                let parent = vol
-                    .lookup(&parent_path)
-                    .map_err(|_| NtStatus::ObjectPathNotFound)?;
+                let parent = parent.map_err(|_| NtStatus::ObjectPathNotFound)?;
                 let name = path.file_name().ok_or(NtStatus::InvalidParameter)?;
                 let node = if options.directory {
                     vol.mkdir(parent, name, now).map_err(NtStatus::from)?

@@ -4,7 +4,7 @@
 use nt_fs::{NodeId, VolumeId};
 use nt_sim::SimTime;
 
-use crate::machine::{emit_event, FileKey, Machine, OpReply};
+use crate::machine::{emit_event, Machine, OpReply};
 use crate::observer::IoObserver;
 use crate::request::{EventKind, IoEvent, MajorFunction};
 use crate::status::NtStatus;
@@ -23,20 +23,11 @@ impl<O: IoObserver> Machine<O> {
         let Some(h) = self.handles.get_raw(handle.0) else {
             return OpReply::at(NtStatus::InvalidHandle, now);
         };
-        let (fo, fcb, volume, node, process, cursor) =
-            (h.fo, h.fcb, h.volume, h.node, h.process, h.dir_cursor);
-        let local = self.ns.is_local(volume);
-        let entries = match self.ns.volume(volume).and_then(|v| v.read_dir(node)) {
+        let (origin, node, cursor) = (h.origin, h.node, h.dir_cursor);
+        let major = MajorFunction::DirectoryControl;
+        let entries = match self.ns.volume(origin.volume).and_then(|v| v.read_dir(node)) {
             Ok(e) => e,
-            Err(e) => {
-                return self.metadata_irp(
-                    EventKind::Irp(MajorFunction::DirectoryControl),
-                    Some(handle),
-                    None,
-                    NtStatus::from(e),
-                    now,
-                )
-            }
+            Err(e) => return self.metadata_irp(major, origin, None, NtStatus::from(e), now),
         };
         let remaining = entries.len().saturating_sub(cursor);
         let returned = remaining.min(batch.max(1));
@@ -53,27 +44,12 @@ impl<O: IoObserver> Machine<O> {
         emit_event!(
             self,
             IoEvent {
-                kind: EventKind::Irp(MajorFunction::DirectoryControl),
-                file_object: fo,
-                fcb,
-                process,
-                volume: volume.0,
-                local,
-                paging_io: false,
-                readahead: false,
                 offset: cursor as u64,
                 length: batch as u64,
                 transferred: returned as u64,
                 file_size: entries.len() as u64,
-                byte_offset: 0,
                 status,
-                start: now,
-                end,
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
+                ..self.record(origin, EventKind::Irp(major), now, end)
             }
         );
         OpReply {
@@ -96,28 +72,20 @@ impl<O: IoObserver> Machine<O> {
             let Some(h) = m.handles.get_raw(handle.0) else {
                 return OpReply::at(NtStatus::InvalidHandle, now);
             };
+            let (origin, node) = (h.origin, h.node);
             let is_dir =
-                m.ns.volume(h.volume)
-                    .ok()
-                    .and_then(|v| v.node(h.node).ok())
-                    .map(|n| n.kind.is_directory())
-                    .unwrap_or(false);
+                m.ns.volume(origin.volume)
+                    .and_then(|v| v.node(node))
+                    .is_ok_and(|n| n.kind.is_directory());
             if !is_dir {
-                return m.metadata_irp(
-                    EventKind::Irp(MajorFunction::DirectoryControl),
-                    Some(handle),
-                    None,
-                    NtStatus::NotADirectory,
-                    now,
-                );
+                let status = NtStatus::NotADirectory;
+                return m.metadata_irp(MajorFunction::DirectoryControl, origin, None, status, now);
             }
-            let key: FileKey = (h.volume, h.node);
-            let entry = (handle, h.fo, h.fcb, h.process, now);
-            let waiters = m.watches.entry(key).or_default();
+            let waiters = m.watches.entry((origin.volume, node)).or_default();
             // Re-arming an already-pending watch is a no-op (the
             // application keeps one notification outstanding per handle).
             if !waiters.iter().any(|(wh, ..)| *wh == handle) {
-                waiters.push(entry);
+                waiters.push((handle, origin, now));
             }
             // The request pends: nothing completes yet, so the reply
             // returns control to the caller immediately.
@@ -130,33 +98,14 @@ impl<O: IoObserver> Machine<O> {
         let Some(waiters) = self.watches.remove(&(volume, dir)) else {
             return;
         };
-        let local = self.ns.is_local(volume);
-        for (_, fo, fcb, process, registered) in waiters {
+        for (_, origin, registered) in waiters {
             self.metrics.control_ops += 1;
+            let kind = EventKind::Irp(MajorFunction::DirectoryControl);
             emit_event!(
                 self,
                 IoEvent {
-                    kind: EventKind::Irp(MajorFunction::DirectoryControl),
-                    file_object: fo,
-                    fcb,
-                    process,
-                    volume: volume.0,
-                    local,
-                    paging_io: false,
-                    readahead: false,
-                    offset: 0,
-                    length: 0,
                     transferred: 1,
-                    file_size: 0,
-                    byte_offset: 0,
-                    status: NtStatus::Success,
-                    start: registered,
-                    end: now,
-                    access: None,
-                    disposition: None,
-                    options: None,
-                    set_info: None,
-                    created: false,
+                    ..self.record(origin, kind, registered, now)
                 }
             );
         }

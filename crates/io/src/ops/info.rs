@@ -4,31 +4,27 @@
 use nt_fs::{NtPath, VolumeId};
 use nt_sim::SimTime;
 
-use crate::machine::{emit_event, Machine, OpReply};
+use crate::machine::{emit_event, Machine, OpReply, Origin};
 use crate::observer::IoObserver;
 use crate::request::{EventKind, FastIoKind, IoEvent, MajorFunction, SetInfoKind};
 use crate::stack::IrpFrame;
 use crate::status::NtStatus;
-use crate::types::{FcbId, FileObjectId, HandleId, ProcessId};
+use crate::types::{HandleId, ProcessId};
 
 impl<O: IoObserver> Machine<O> {
-    /// Generic metadata operation helper (query information, set basic
-    /// information, volume queries, FSCTLs). `status` decides the §8.4
+    /// Generic metadata IRP (query information, device control, set
+    /// information, a refused directory request) on behalf of `origin`,
+    /// which the caller resolved. `status` decides the §8.4
     /// control-failure accounting.
     pub(crate) fn metadata_irp(
         &mut self,
-        kind: EventKind,
-        handle: Option<HandleId>,
+        major: MajorFunction,
+        origin: Origin,
         set_info: Option<SetInfoKind>,
         status: NtStatus,
         now: SimTime,
     ) -> OpReply {
         self.pump(now);
-        let (fo, fcb, volume, process) = match handle.and_then(|h| self.handles.get_raw(h.0)) {
-            Some(h) => (h.fo, h.fcb, h.volume, h.process),
-            None => (FileObjectId(0), FcbId(u64::MAX), VolumeId(0), ProcessId(0)),
-        };
-        let local = self.ns.is_local(volume);
         let end = now + self.latency.metadata_op();
         self.metrics.control_ops += 1;
         if status.is_error() {
@@ -37,27 +33,9 @@ impl<O: IoObserver> Machine<O> {
         emit_event!(
             self,
             IoEvent {
-                kind,
-                file_object: fo,
-                fcb,
-                process,
-                volume: volume.0,
-                local,
-                paging_io: false,
-                readahead: false,
-                offset: 0,
-                length: 0,
-                transferred: 0,
-                file_size: 0,
-                byte_offset: 0,
                 status,
-                start: now,
-                end,
-                access: None,
-                disposition: None,
-                options: None,
                 set_info,
-                created: false,
+                ..self.record(origin, EventKind::Irp(major), now, end)
             }
         );
         OpReply::at(status, end)
@@ -76,18 +54,14 @@ impl<O: IoObserver> Machine<O> {
     pub fn query_information(&mut self, handle: HandleId, now: SimTime) -> OpReply {
         let frame = Self::info_frame(MajorFunction::QueryInformation, "query_information", now);
         self.dispatch(frame, |m, f| {
-            let ok = m.handles.contains_raw(handle.0);
-            m.metadata_irp(
-                EventKind::Irp(MajorFunction::QueryInformation),
-                ok.then_some(handle),
-                None,
-                if ok {
-                    NtStatus::Success
-                } else {
-                    NtStatus::InvalidHandle
-                },
-                f.now,
-            )
+            let (origin, status) = match m.handles.get_raw(handle.0) {
+                Some(h) => (h.origin, NtStatus::Success),
+                None => (
+                    Origin::unnamed(ProcessId(0), VolumeId(0)),
+                    NtStatus::InvalidHandle,
+                ),
+            };
+            m.metadata_irp(MajorFunction::QueryInformation, origin, None, status, f.now)
         })
     }
 
@@ -110,36 +84,11 @@ impl<O: IoObserver> Machine<O> {
         let Some(h) = self.handles.get_raw(handle.0) else {
             return OpReply::at(NtStatus::InvalidHandle, now);
         };
-        let (fo, fcb, volume, process) = (h.fo, h.fcb, h.volume, h.process);
-        let local = self.ns.is_local(volume);
+        let origin = h.origin;
         let end = now + self.latency.fastio_metadata();
         self.metrics.control_ops += 1;
-        emit_event!(
-            self,
-            IoEvent {
-                kind: self.fastio_event_kind(FastIoKind::QueryBasicInfo),
-                file_object: fo,
-                fcb,
-                process,
-                volume: volume.0,
-                local,
-                paging_io: false,
-                readahead: false,
-                offset: 0,
-                length: 0,
-                transferred: 0,
-                file_size: 0,
-                byte_offset: 0,
-                status: NtStatus::Success,
-                start: now,
-                end,
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
-            }
-        );
+        let kind = self.fastio_event_kind(FastIoKind::QueryBasicInfo);
+        emit_event!(self, self.record(origin, kind, now, end));
         OpReply::at(NtStatus::Success, end)
     }
 
@@ -158,35 +107,12 @@ impl<O: IoObserver> Machine<O> {
             now,
         };
         self.dispatch(frame, |m, f| {
-            let now = f.now;
-            let local = m.ns.is_local(volume);
-            let end = now + m.latency.fastio_metadata();
+            let end = f.now + m.latency.fastio_metadata();
             m.metrics.control_ops += 1;
+            let kind = EventKind::Irp(MajorFunction::FileSystemControl);
             emit_event!(
                 m,
-                IoEvent {
-                    kind: EventKind::Irp(MajorFunction::FileSystemControl),
-                    file_object: FileObjectId(0),
-                    fcb: FcbId(u64::MAX),
-                    process,
-                    volume: volume.0,
-                    local,
-                    paging_io: false,
-                    readahead: false,
-                    offset: 0,
-                    length: 0,
-                    transferred: 0,
-                    file_size: 0,
-                    byte_offset: 0,
-                    status: NtStatus::Success,
-                    start: now,
-                    end,
-                    access: None,
-                    disposition: None,
-                    options: None,
-                    set_info: None,
-                    created: false,
-                }
+                m.record(Origin::unnamed(process, volume), kind, f.now, end)
             );
             OpReply::at(NtStatus::Success, end)
         })
@@ -206,42 +132,24 @@ impl<O: IoObserver> Machine<O> {
             label: "query_volume_information",
             now,
         };
+        // Not `metadata_irp`: that pumps again, at the filter-adjusted
+        // clock.
         self.dispatch(frame, |m, f| {
-            let now = f.now;
             let status = match m.ns.volume(volume) {
                 Ok(_) => NtStatus::Success,
                 Err(e) => NtStatus::from(e),
             };
-            let local = m.ns.is_local(volume);
-            let end = now + m.latency.metadata_op();
+            let end = f.now + m.latency.metadata_op();
             m.metrics.control_ops += 1;
             if status.is_error() {
                 m.metrics.control_failures += 1;
             }
+            let kind = EventKind::Irp(MajorFunction::QueryVolumeInformation);
             emit_event!(
                 m,
                 IoEvent {
-                    kind: EventKind::Irp(MajorFunction::QueryVolumeInformation),
-                    file_object: FileObjectId(0),
-                    fcb: FcbId(u64::MAX),
-                    process,
-                    volume: volume.0,
-                    local,
-                    paging_io: false,
-                    readahead: false,
-                    offset: 0,
-                    length: 0,
-                    transferred: 0,
-                    file_size: 0,
-                    byte_offset: 0,
                     status,
-                    start: now,
-                    end,
-                    access: None,
-                    disposition: None,
-                    options: None,
-                    set_info: None,
-                    created: false,
+                    ..m.record(Origin::unnamed(process, volume), kind, f.now, end)
                 }
             );
             OpReply::at(status, end)
@@ -252,13 +160,12 @@ impl<O: IoObserver> Machine<O> {
     pub fn invalid_control(&mut self, handle: HandleId, now: SimTime) -> OpReply {
         let frame = Self::info_frame(MajorFunction::DeviceControl, "invalid_control", now);
         self.dispatch(frame, |m, f| {
-            m.metadata_irp(
-                EventKind::Irp(MajorFunction::DeviceControl),
-                Some(handle),
-                None,
-                NtStatus::InvalidDeviceRequest,
-                f.now,
-            )
+            let origin = m
+                .handles
+                .get_raw(handle.0)
+                .map_or(Origin::unnamed(ProcessId(0), VolumeId(0)), |h| h.origin);
+            let status = NtStatus::InvalidDeviceRequest;
+            m.metadata_irp(MajorFunction::DeviceControl, origin, None, status, f.now)
         })
     }
 
@@ -271,22 +178,13 @@ impl<O: IoObserver> Machine<O> {
             let Some(h) = m.handles.get_raw(handle.0) else {
                 return OpReply::at(NtStatus::InvalidHandle, now);
             };
-            let (volume, node) = (h.volume, h.node);
-            let status = match m
-                .ns
-                .volume_mut(volume)
-                .and_then(|v| v.set_file_size(node, size, now))
-            {
-                Ok(()) => NtStatus::Success,
-                Err(e) => NtStatus::from(e),
-            };
-            m.metadata_irp(
-                EventKind::Irp(MajorFunction::SetInformation),
-                Some(handle),
-                Some(SetInfoKind::EndOfFile),
-                status,
-                now,
-            )
+            let (origin, node) = (h.origin, h.node);
+            let status =
+                m.ns.volume_mut(origin.volume)
+                    .and_then(|v| v.set_file_size(node, size, now))
+                    .map_or_else(NtStatus::from, |()| NtStatus::Success);
+            let class = Some(SetInfoKind::EndOfFile);
+            m.metadata_irp(MajorFunction::SetInformation, origin, class, status, now)
         })
     }
 
@@ -300,10 +198,10 @@ impl<O: IoObserver> Machine<O> {
             let Some(h) = m.handles.get_raw(handle.0) else {
                 return OpReply::at(NtStatus::InvalidHandle, now);
             };
-            let (volume, node, fcb_slot) = (h.volume, h.node, h.fcb_slot);
+            let (origin, node, fcb_slot) = (h.origin, h.node, h.fcb_slot);
             let status = match m
                 .ns
-                .volume_mut(volume)
+                .volume_mut(origin.volume)
                 .and_then(|v| v.set_delete_pending(node, true))
             {
                 Ok(()) => {
@@ -314,13 +212,8 @@ impl<O: IoObserver> Machine<O> {
                 }
                 Err(e) => NtStatus::from(e),
             };
-            m.metadata_irp(
-                EventKind::Irp(MajorFunction::SetInformation),
-                Some(handle),
-                Some(SetInfoKind::Disposition),
-                status,
-                now,
-            )
+            let class = Some(SetInfoKind::Disposition);
+            m.metadata_irp(MajorFunction::SetInformation, origin, class, status, now)
         })
     }
 
@@ -333,7 +226,8 @@ impl<O: IoObserver> Machine<O> {
             let Some(h) = m.handles.get_raw(handle.0) else {
                 return OpReply::at(NtStatus::InvalidHandle, now);
             };
-            let (volume, node) = (h.volume, h.node);
+            let (origin, node) = (h.origin, h.node);
+            let volume = origin.volume;
             let old_parent = m.parent_of(volume, node);
             let mut new_parent = None;
             let status = (|| -> Result<(), NtStatus> {
@@ -357,13 +251,8 @@ impl<O: IoObserver> Machine<O> {
                     m.fire_watches(volume, p, now);
                 }
             }
-            m.metadata_irp(
-                EventKind::Irp(MajorFunction::SetInformation),
-                Some(handle),
-                Some(SetInfoKind::Rename),
-                status,
-                now,
-            )
+            let class = Some(SetInfoKind::Rename);
+            m.metadata_irp(MajorFunction::SetInformation, origin, class, status, now)
         })
     }
 }

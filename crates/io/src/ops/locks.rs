@@ -3,7 +3,7 @@
 
 use nt_sim::SimTime;
 
-use crate::machine::{emit_event, Machine, OpReply};
+use crate::machine::{emit_event, Machine, OpReply, Origin};
 use crate::observer::IoObserver;
 use crate::request::{FastIoKind, IoEvent, MajorFunction};
 use crate::status::NtStatus;
@@ -13,42 +13,20 @@ impl<O: IoObserver> Machine<O> {
     fn lock_event(
         &mut self,
         kind: FastIoKind,
-        handle: HandleId,
+        origin: Origin,
         offset: u64,
         len: u64,
         status: NtStatus,
         now: SimTime,
     ) -> OpReply {
-        let Some(h) = self.handles.get_raw(handle.0) else {
-            return OpReply::at(NtStatus::InvalidHandle, now);
-        };
-        let (fo, fcb, volume, process) = (h.fo, h.fcb, h.volume, h.process);
-        let local = self.ns.is_local(volume);
         let end = now + self.latency.fastio_metadata();
         emit_event!(
             self,
             IoEvent {
-                kind: self.fastio_event_kind(kind),
-                file_object: fo,
-                fcb,
-                process,
-                volume: volume.0,
-                local,
-                paging_io: false,
-                readahead: false,
                 offset,
                 length: len,
-                transferred: 0,
-                file_size: 0,
-                byte_offset: 0,
                 status,
-                start: now,
-                end,
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
+                ..self.record(origin, self.fastio_event_kind(kind), now, end)
             }
         );
         OpReply::at(status, end)
@@ -65,22 +43,19 @@ impl<O: IoObserver> Machine<O> {
         let Some(h) = self.handles.get_raw(handle.0) else {
             return OpReply::at(NtStatus::InvalidHandle, now);
         };
-        let key = h.fcb_slot;
+        let origin = h.origin;
         let granted = self
             .shares
-            .locks_mut(key)
+            .locks_mut(h.fcb_slot)
             .lock(handle, offset, len, exclusive);
-        if granted {
-            self.metrics.locks_granted += 1;
-        } else {
-            self.metrics.lock_conflicts += 1;
-        }
         let status = if granted {
+            self.metrics.locks_granted += 1;
             NtStatus::Success
         } else {
+            self.metrics.lock_conflicts += 1;
             NtStatus::FileLockConflict
         };
-        self.lock_event(FastIoKind::Lock, handle, offset, len, status, now)
+        self.lock_event(FastIoKind::Lock, origin, offset, len, status, now)
     }
 
     /// Takes a byte-range lock on the current handle's file. Procedural
@@ -108,14 +83,17 @@ impl<O: IoObserver> Machine<O> {
         let Some(h) = self.handles.get_raw(handle.0) else {
             return OpReply::at(NtStatus::InvalidHandle, now);
         };
-        let key = h.fcb_slot;
-        let ok = self.shares.locks_mut(key).unlock(handle, offset, len);
-        let status = if ok {
+        let origin = h.origin;
+        let status = if self
+            .shares
+            .locks_mut(h.fcb_slot)
+            .unlock(handle, offset, len)
+        {
             NtStatus::Success
         } else {
             NtStatus::InvalidParameter
         };
-        self.lock_event(FastIoKind::UnlockSingle, handle, offset, len, status, now)
+        self.lock_event(FastIoKind::UnlockSingle, origin, offset, len, status, now)
     }
 
     /// Releases a byte-range lock (same FastIO-or-IRP routing as

@@ -10,16 +10,16 @@
 //! `Machine::dispatch`, so filter
 //! drivers see every data request whichever path the FSD ends up taking.
 
-use nt_fs::{NodeId, VolumeId};
+use nt_fs::NodeId;
 use nt_sim::SimTime;
 
 use crate::arena::ArenaHandle;
-use crate::machine::{emit_event, FileKey, Machine, OpReply};
+use crate::machine::{emit_event, FileKey, Machine, OpReply, Origin};
 use crate::observer::IoObserver;
 use crate::request::{EventKind, FastIoKind, IoEvent, MajorFunction};
 use crate::stack::IrpFrame;
 use crate::status::NtStatus;
-use crate::types::{CreateOptions, FcbId, FileObjectId, HandleId, ProcessId};
+use crate::types::{CreateOptions, HandleId};
 
 /// Which half of the data path a request rides; selects the access
 /// check, the § 8.4 failure counters and the FastIO entry points.
@@ -32,17 +32,13 @@ pub(crate) enum DataDir {
 /// Everything the shared prologue extracts from a validated data handle.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DataOp {
-    pub(crate) fo: FileObjectId,
-    pub(crate) fcb: FcbId,
+    pub(crate) origin: Origin,
     pub(crate) fcb_slot: ArenaHandle,
-    pub(crate) volume: VolumeId,
     pub(crate) node: NodeId,
-    pub(crate) process: ProcessId,
     pub(crate) options: CreateOptions,
     pub(crate) byte_offset: u64,
     /// The effective request offset (explicit, or the handle's cursor).
     pub(crate) offset: u64,
-    pub(crate) local: bool,
     pub(crate) key: FileKey,
 }
 
@@ -68,17 +64,13 @@ impl<O: IoObserver> Machine<O> {
             return Err(OpReply::at(NtStatus::AccessDenied, now));
         }
         Ok(DataOp {
-            fo: h.fo,
-            fcb: h.fcb,
+            origin: h.origin,
             fcb_slot: h.fcb_slot,
-            volume: h.volume,
             node: h.node,
-            process: h.process,
             options: h.options,
             byte_offset: h.byte_offset,
             offset: offset.unwrap_or(h.byte_offset),
-            local: self.ns.is_local(h.volume),
-            key: (h.volume, h.node),
+            key: (h.origin.volume, h.node),
         })
     }
 
@@ -91,7 +83,7 @@ impl<O: IoObserver> Machine<O> {
         len: u64,
         now: SimTime,
     ) -> Option<OpReply> {
-        if d.local || self.network_up {
+        if self.network_up || self.ns.is_local(d.origin.volume) {
             return None;
         }
         let end = now + self.latency.irp_cached(0);
@@ -106,33 +98,18 @@ impl<O: IoObserver> Machine<O> {
                 MajorFunction::Write
             }
         };
+        let status = NtStatus::NetworkUnreachable;
         emit_event!(
             self,
             IoEvent {
-                kind: EventKind::Irp(major),
-                file_object: d.fo,
-                fcb: d.fcb,
-                process: d.process,
-                volume: d.volume.0,
-                local: d.local,
-                paging_io: false,
-                readahead: false,
                 offset: d.offset,
                 length: len,
-                transferred: 0,
-                file_size: 0,
                 byte_offset: d.byte_offset,
-                status: NtStatus::NetworkUnreachable,
-                start: now,
-                end,
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
+                status,
+                ..self.record(d.origin, EventKind::Irp(major), now, end)
             }
         );
-        Some(OpReply::at(NtStatus::NetworkUnreachable, end))
+        Some(OpReply::at(status, end))
     }
 
     /// Byte-range lock arbitration: another handle's conflicting lock
@@ -234,174 +211,131 @@ impl<O: IoObserver> Machine<O> {
         if let Some(reply) = self.data_network_guard(&d, DataDir::Read, len, now) {
             return reply;
         }
-        let file_size = match self.ns.volume(d.volume).and_then(|v| v.file_size(d.node)) {
+        let file_size = match self
+            .ns
+            .volume(d.origin.volume)
+            .and_then(|v| v.file_size(d.node))
+        {
             Ok(s) => s,
             Err(e) => {
                 self.metrics.read_stat_failures += 1;
                 return OpReply::at(NtStatus::from(e), now);
             }
         };
+        let read = |m: &Self, kind, end| IoEvent {
+            offset: d.offset,
+            length: len,
+            file_size,
+            byte_offset: d.byte_offset,
+            ..m.record(d.origin, kind, now, end)
+        };
         if d.offset >= file_size {
             // §8.4: reads past end-of-file are the only read errors seen.
             let end = now + self.latency.irp_cached(0);
             self.metrics.read_errors += 1;
             self.metrics.irp_reads += 1;
+            let status = NtStatus::EndOfFile;
             emit_event!(
                 self,
                 IoEvent {
-                    kind: EventKind::Irp(MajorFunction::Read),
-                    file_object: d.fo,
-                    fcb: d.fcb,
-                    process: d.process,
-                    volume: d.volume.0,
-                    local: d.local,
-                    paging_io: false,
-                    readahead: false,
-                    offset: d.offset,
-                    length: len,
-                    transferred: 0,
-                    file_size,
-                    byte_offset: d.byte_offset,
-                    status: NtStatus::EndOfFile,
-                    start: now,
-                    end,
-                    access: None,
-                    disposition: None,
-                    options: None,
-                    set_info: None,
-                    created: false,
+                    status,
+                    ..read(self, EventKind::Irp(MajorFunction::Read), end)
                 }
             );
-            return OpReply::at(NtStatus::EndOfFile, end);
+            return OpReply::at(status, end);
         }
         if let Some(reply) = self.data_lock_guard(handle, &d, DataDir::Read, len, now) {
             return reply;
         }
         let transferred = len.min(file_size - d.offset);
+        let volume = d.origin.volume;
         let _ = self
             .ns
-            .volume_mut(d.volume)
+            .volume_mut(volume)
             .and_then(|v| v.note_read(d.node, now));
 
-        if d.options.no_intermediate_buffering {
+        let (kind, end) = if d.options.no_intermediate_buffering {
             // §9: caching disabled at open; everything takes the IRP path
             // straight to the disk.
             let end = self
                 .latency
-                .disk_io(d.volume.0 as usize, transferred, now, &mut self.rng);
+                .disk_io(volume.0 as usize, transferred, now, &mut self.rng);
             self.metrics.irp_reads += 1;
-            self.metrics.bytes_read += transferred;
-            self.emit_read_event(
-                EventKind::Irp(MajorFunction::Read),
-                d.fo,
-                d.fcb,
-                d.process,
-                d.volume,
-                d.local,
-                false,
-                false,
-                d.offset,
-                len,
-                transferred,
-                file_size,
-                d.byte_offset,
-                now,
-                end,
-            );
-            self.advance_offset(handle, d.offset + transferred);
-            return OpReply {
-                status: NtStatus::Success,
-                transferred,
-                end,
-            };
-        }
-
-        let outcome = self
-            .cache
-            .read(&d.key, d.offset, len, file_size, Self::hints_for(d.options));
-        // The map existed before this request exactly when the read did
-        // not have to initiate caching — saves a second map walk.
-        let was_cached = !outcome.initiated_caching;
-        self.metrics.cached_read_requested_bytes += transferred;
-
-        // NTFS compression: half the bytes move on the disk, and every
-        // cache copy pays a decompression penalty (the follow-up traces
-        // the paper mentions looked at exactly these reads).
-        let compressed = self.is_compressed(d.volume, d.node);
-
-        // Issue background read-ahead regardless of path.
-        let mut demand_done = now;
-        for io in &outcome.ios {
-            let disk_bytes = if compressed { io.len / 2 } else { io.len };
-            let done = self
-                .latency
-                .disk_io(d.volume.0 as usize, disk_bytes, now, &mut self.rng);
-            self.metrics.paging_reads += 1;
-            self.metrics.paging_read_bytes += io.len;
-            self.emit_read_event(
-                EventKind::Irp(MajorFunction::Read),
-                d.fo,
-                d.fcb,
-                d.process,
-                d.volume,
-                d.local,
-                true,
-                io.readahead,
-                io.offset,
-                io.len,
-                io.len,
-                file_size,
-                d.byte_offset,
-                now,
-                done,
-            );
-            if io.readahead && was_cached {
-                // Run-length-triggered read-ahead streams in the
-                // background; pages appear when the disk delivers them.
-                self.schedule(
-                    done,
-                    crate::machine::Pending::RaComplete {
-                        key: d.key,
-                        offset: io.offset,
-                        len: io.len,
-                    },
-                );
-            } else {
-                // Demand misses, and the caching-initiation prefetch: the
-                // first IRP read blocks until the read-ahead unit is in
-                // the cache (§9.1's "single prefetch" behaviour).
-                self.cache.complete_paging_read(&d.key, io.offset, io.len);
-                demand_done = demand_done.max(done);
-            }
-        }
-
-        // First read (caching initiation) or a miss bounces the FastIO
-        // attempt back to the IRP path.
-        let fast = was_cached && outcome.hit && !self.config.disable_fastio;
-        let slow_end = if outcome.hit {
-            now + self.latency.irp_cached(transferred)
+            (EventKind::Irp(MajorFunction::Read), end)
         } else {
-            demand_done + self.latency.fastio_copy(transferred)
+            let outcome =
+                self.cache
+                    .read(&d.key, d.offset, len, file_size, Self::hints_for(d.options));
+            // The map existed before this request exactly when the read
+            // did not have to initiate caching — saves a second map walk.
+            let was_cached = !outcome.initiated_caching;
+            self.metrics.cached_read_requested_bytes += transferred;
+
+            // NTFS compression: half the bytes move on the disk, and
+            // every cache copy pays a decompression penalty (the
+            // follow-up traces the paper mentions looked at exactly these
+            // reads).
+            let compressed = self.is_compressed(volume, d.node);
+
+            // Issue background read-ahead regardless of path.
+            let mut demand_done = now;
+            for io in &outcome.ios {
+                let disk_bytes = if compressed { io.len / 2 } else { io.len };
+                let done = self
+                    .latency
+                    .disk_io(volume.0 as usize, disk_bytes, now, &mut self.rng);
+                self.metrics.paging_reads += 1;
+                self.metrics.paging_read_bytes += io.len;
+                emit_event!(
+                    self,
+                    IoEvent {
+                        paging_io: true,
+                        readahead: io.readahead,
+                        offset: io.offset,
+                        length: io.len,
+                        transferred: io.len,
+                        ..read(self, EventKind::Irp(MajorFunction::Read), done)
+                    }
+                );
+                if io.readahead && was_cached {
+                    // Run-length-triggered read-ahead streams in the
+                    // background; pages appear when the disk delivers
+                    // them.
+                    self.schedule(
+                        done,
+                        crate::machine::Pending::RaComplete {
+                            key: d.key,
+                            offset: io.offset,
+                            len: io.len,
+                        },
+                    );
+                } else {
+                    // Demand misses, and the caching-initiation prefetch:
+                    // the first IRP read blocks until the read-ahead unit
+                    // is in the cache (§9.1's "single prefetch"
+                    // behaviour).
+                    self.cache.complete_paging_read(&d.key, io.offset, io.len);
+                    demand_done = demand_done.max(done);
+                }
+            }
+
+            // First read (caching initiation) or a miss bounces the
+            // FastIO attempt back to the IRP path.
+            let fast = was_cached && outcome.hit && !self.config.disable_fastio;
+            let slow_end = if outcome.hit {
+                now + self.latency.irp_cached(transferred)
+            } else {
+                demand_done + self.latency.fastio_copy(transferred)
+            };
+            self.data_path(DataDir::Read, fast, compressed, transferred, slow_end, now)
         };
-        let (kind, end) =
-            self.data_path(DataDir::Read, fast, compressed, transferred, slow_end, now);
         self.metrics.bytes_read += transferred;
-        self.emit_read_event(
-            kind,
-            d.fo,
-            d.fcb,
-            d.process,
-            d.volume,
-            d.local,
-            false,
-            false,
-            d.offset,
-            len,
-            transferred,
-            file_size,
-            d.byte_offset,
-            now,
-            end,
+        emit_event!(
+            self,
+            IoEvent {
+                transferred,
+                ..read(self, kind, end)
+            }
         );
         self.advance_offset(handle, d.offset + transferred);
         OpReply {
@@ -440,11 +374,12 @@ impl<O: IoObserver> Machine<O> {
         if let Some(reply) = self.data_lock_guard(handle, &d, DataDir::Write, len, now) {
             return reply;
         }
+        let volume = d.origin.volume;
         // Extend the file; disk-full is the only write failure mode and
         // the study saw none (workloads stay within capacity).
         if let Err(e) = self
             .ns
-            .volume_mut(d.volume)
+            .volume_mut(volume)
             .and_then(|v| v.note_write(d.node, d.offset, len, now))
         {
             self.metrics.write_stat_failures += 1;
@@ -454,98 +389,62 @@ impl<O: IoObserver> Machine<O> {
         if let Some(fcb_entry) = self.fcbs.get_mut(d.fcb_slot) {
             fcb_entry.written = true;
         }
-        let file_size = self
-            .ns
-            .volume(d.volume)
-            .ok()
-            .and_then(|v| v.file_size(d.node).ok())
-            .unwrap_or(0);
+        let file_size = self.file_size_of(volume, d.node);
+        let write = |m: &Self, kind, end| IoEvent {
+            offset: d.offset,
+            length: len,
+            transferred: len,
+            file_size,
+            byte_offset: d.byte_offset,
+            ..m.record(d.origin, kind, now, end)
+        };
 
-        if d.options.no_intermediate_buffering {
+        let (kind, end) = if d.options.no_intermediate_buffering {
             let end = self
                 .latency
-                .disk_io(d.volume.0 as usize, len, now, &mut self.rng);
+                .disk_io(volume.0 as usize, len, now, &mut self.rng);
             self.metrics.irp_writes += 1;
-            self.metrics.bytes_written += len;
-            self.emit_write_event(
-                EventKind::Irp(MajorFunction::Write),
-                d.fo,
-                d.fcb,
-                d.process,
-                d.volume,
-                d.local,
-                false,
-                d.offset,
-                len,
-                file_size,
-                d.byte_offset,
-                now,
-                end,
-            );
-            self.advance_offset(handle, d.offset + len);
-            return OpReply {
-                status: NtStatus::Success,
-                transferred: len,
-                end,
-            };
-        }
-
-        let outcome =
-            self.cache
-                .write(&d.key, d.offset, len, file_size, Self::hints_for(d.options));
-        let was_cached = !outcome.initiated_caching;
-
-        // Write-through paging writes go to disk now; the request waits.
-        let mut forced_done = now;
-        for io in &outcome.ios {
-            let done = self
-                .latency
-                .disk_io(d.volume.0 as usize, io.len, now, &mut self.rng);
-            forced_done = forced_done.max(done);
-            self.metrics.paging_writes += 1;
-            self.metrics.paging_write_bytes += io.len;
-            self.emit_write_event(
-                EventKind::Irp(MajorFunction::Write),
-                d.fo,
-                d.fcb,
-                d.process,
-                d.volume,
-                d.local,
-                true,
-                io.offset,
-                io.len,
-                file_size,
-                d.byte_offset,
-                now,
-                done,
-            );
-        }
-
-        let compressed = self.is_compressed(d.volume, d.node);
-        // §10: 96 % of writes ride FastIO into the cache.
-        let fast = was_cached && outcome.ios.is_empty() && !self.config.disable_fastio;
-        let slow_end = if outcome.ios.is_empty() {
-            now + self.latency.irp_cached(len)
+            (EventKind::Irp(MajorFunction::Write), end)
         } else {
-            forced_done
+            let outcome =
+                self.cache
+                    .write(&d.key, d.offset, len, file_size, Self::hints_for(d.options));
+            let was_cached = !outcome.initiated_caching;
+
+            // Write-through paging writes go to disk now; the request
+            // waits.
+            let mut forced_done = now;
+            for io in &outcome.ios {
+                let done = self
+                    .latency
+                    .disk_io(volume.0 as usize, io.len, now, &mut self.rng);
+                forced_done = forced_done.max(done);
+                self.metrics.paging_writes += 1;
+                self.metrics.paging_write_bytes += io.len;
+                emit_event!(
+                    self,
+                    IoEvent {
+                        paging_io: true,
+                        offset: io.offset,
+                        length: io.len,
+                        transferred: io.len,
+                        ..write(self, EventKind::Irp(MajorFunction::Write), done)
+                    }
+                );
+            }
+
+            let compressed = self.is_compressed(volume, d.node);
+            // §10: 96 % of writes ride FastIO into the cache.
+            let fast = was_cached && outcome.ios.is_empty() && !self.config.disable_fastio;
+            let slow_end = if outcome.ios.is_empty() {
+                now + self.latency.irp_cached(len)
+            } else {
+                forced_done
+            };
+            self.data_path(DataDir::Write, fast, compressed, len, slow_end, now)
         };
-        let (kind, end) = self.data_path(DataDir::Write, fast, compressed, len, slow_end, now);
         self.metrics.bytes_written += len;
-        self.emit_write_event(
-            kind,
-            d.fo,
-            d.fcb,
-            d.process,
-            d.volume,
-            d.local,
-            false,
-            d.offset,
-            len,
-            file_size,
-            d.byte_offset,
-            now,
-            end,
-        );
+        emit_event!(self, write(self, kind, end));
         self.advance_offset(handle, d.offset + len);
         OpReply {
             status: NtStatus::Success,
@@ -558,32 +457,23 @@ impl<O: IoObserver> Machine<O> {
     /// dominant explicit strategy was flushing after every write).
     pub fn flush(&mut self, handle: HandleId, now: SimTime) -> OpReply {
         self.pump(now);
-        if !self.handles.contains_raw(handle.0) {
+        let Some(h) = self.handles.get_raw(handle.0) else {
             return OpReply::at(NtStatus::InvalidHandle, now);
-        }
+        };
+        let (origin, node) = (h.origin, h.node);
         let frame = IrpFrame {
             major: Some(MajorFunction::FlushBuffers),
             label: "flush",
             now,
         };
-        self.dispatch(frame, |m, f| m.flush_fsd(handle, f.now))
+        self.dispatch(frame, |m, f| m.flush_fsd(origin, node, f.now))
     }
 
-    fn flush_fsd(&mut self, handle: HandleId, now: SimTime) -> OpReply {
-        let Some(h) = self.handles.get_raw(handle.0) else {
-            return OpReply::at(NtStatus::InvalidHandle, now);
-        };
-        let (fo, fcb, volume, node, process) = (h.fo, h.fcb, h.volume, h.node, h.process);
-        let local = self.ns.is_local(volume);
-        let key: FileKey = (volume, node);
-        let ios = self.cache.flush(&key);
+    fn flush_fsd(&mut self, origin: Origin, node: NodeId, now: SimTime) -> OpReply {
+        let volume = origin.volume;
+        let ios = self.cache.flush(&(volume, node));
         let mut end = now + self.latency.metadata_op();
-        let file_size = self
-            .ns
-            .volume(volume)
-            .ok()
-            .and_then(|v| v.file_size(node).ok())
-            .unwrap_or(0);
+        let file_size = self.file_size_of(volume, node);
         for io in &ios {
             let done = self
                 .latency
@@ -591,47 +481,25 @@ impl<O: IoObserver> Machine<O> {
             end = end.max(done);
             self.metrics.paging_writes += 1;
             self.metrics.paging_write_bytes += io.len;
-            self.emit_write_event(
-                EventKind::Irp(MajorFunction::Write),
-                fo,
-                fcb,
-                process,
-                volume,
-                local,
-                true,
-                io.offset,
-                io.len,
-                file_size,
-                0,
-                now,
-                done,
+            emit_event!(
+                self,
+                IoEvent {
+                    paging_io: true,
+                    offset: io.offset,
+                    length: io.len,
+                    transferred: io.len,
+                    file_size,
+                    ..self.record(origin, EventKind::Irp(MajorFunction::Write), now, done)
+                }
             );
         }
         self.metrics.control_ops += 1;
+        let kind = EventKind::Irp(MajorFunction::FlushBuffers);
         emit_event!(
             self,
             IoEvent {
-                kind: EventKind::Irp(MajorFunction::FlushBuffers),
-                file_object: fo,
-                fcb,
-                process,
-                volume: volume.0,
-                local,
-                paging_io: false,
-                readahead: false,
-                offset: 0,
-                length: 0,
-                transferred: 0,
                 file_size,
-                byte_offset: 0,
-                status: NtStatus::Success,
-                start: now,
-                end,
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
+                ..self.record(origin, kind, now, end)
             }
         );
         OpReply::at(NtStatus::Success, end)

@@ -5,9 +5,9 @@ use nt_fs::{NtPath, VolumeId};
 use nt_sim::{SimDuration, SimTime};
 use nt_vm::SectionKind;
 
-use crate::machine::{emit_event, FileKey, Machine, OpReply};
+use crate::machine::{emit_event, Machine, OpReply};
 use crate::observer::IoObserver;
-use crate::ops::read_write::DataDir;
+use crate::ops::read_write::{DataDir, DataOp};
 use crate::request::{EventKind, FastIoKind, IoEvent, MajorFunction};
 use crate::stack::IrpFrame;
 use crate::status::NtStatus;
@@ -56,43 +56,19 @@ impl<O: IoObserver> Machine<O> {
             return reply;
         };
         let h = self.handles.get_raw(handle.0).expect("just created");
-        let (fo, fcb, node) = (h.fo, h.fcb, h.node);
-        let local = self.ns.is_local(volume);
-        let key: FileKey = (volume, node);
-        let size = self
-            .ns
-            .volume(volume)
-            .ok()
-            .and_then(|v| v.file_size(node).ok())
-            .unwrap_or(0);
+        let (origin, node) = (h.origin, h.node);
+        let key = (volume, node);
+        let size = self.file_size_of(volume, node);
 
         let t = reply.end;
         // Section acquisition rides FastIO (or its FSCTL packet fallback).
         let acq_end = t + self.latency.fastio_metadata();
+        let kind = self.fastio_event_kind(FastIoKind::AcquireFileForNtCreateSection);
         emit_event!(
             self,
             IoEvent {
-                kind: self.fastio_event_kind(FastIoKind::AcquireFileForNtCreateSection),
-                file_object: fo,
-                fcb,
-                process,
-                volume: volume.0,
-                local,
-                paging_io: false,
-                readahead: false,
-                offset: 0,
-                length: 0,
-                transferred: 0,
                 file_size: size,
-                byte_offset: 0,
-                status: NtStatus::Success,
-                start: t,
-                end: acq_end,
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
+                ..self.record(origin, kind, t, acq_end)
             }
         );
         let reads = self.vm.load_image(&key, size, acq_end);
@@ -104,51 +80,28 @@ impl<O: IoObserver> Machine<O> {
             done = done.max(fin);
             self.metrics.paging_reads += 1;
             self.metrics.paging_read_bytes += r.len;
-            self.emit_read_event(
-                EventKind::Irp(MajorFunction::Read),
-                fo,
-                fcb,
-                process,
-                volume,
-                local,
-                true,
-                false,
-                r.offset,
-                r.len,
-                r.len,
-                size,
-                0,
-                acq_end,
-                fin,
+            emit_event!(
+                self,
+                IoEvent {
+                    paging_io: true,
+                    offset: r.offset,
+                    length: r.len,
+                    transferred: r.len,
+                    file_size: size,
+                    ..self.record(origin, EventKind::Irp(MajorFunction::Read), acq_end, fin)
+                }
             );
         }
+        let released = done + self.latency.fastio_metadata();
+        let kind = self.fastio_event_kind(FastIoKind::ReleaseFileForNtCreateSection);
         emit_event!(
             self,
             IoEvent {
-                kind: self.fastio_event_kind(FastIoKind::ReleaseFileForNtCreateSection),
-                file_object: fo,
-                fcb,
-                process,
-                volume: volume.0,
-                local,
-                paging_io: false,
-                readahead: false,
-                offset: 0,
-                length: 0,
-                transferred: 0,
                 file_size: size,
-                byte_offset: 0,
-                status: NtStatus::Success,
-                start: done,
-                end: done + self.latency.fastio_metadata(),
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
+                ..self.record(origin, kind, done, released)
             }
         );
-        let close = self.close(handle, done + self.latency.fastio_metadata());
+        let close = self.close(handle, released);
         OpReply {
             status: NtStatus::Success,
             transferred: size,
@@ -172,14 +125,9 @@ impl<O: IoObserver> Machine<O> {
             return OpReply::at(NtStatus::InvalidHandle, now);
         };
         h.mapped = true;
-        let (volume, node) = (h.volume, h.node);
-        let size = self
-            .ns
-            .volume(volume)
-            .ok()
-            .and_then(|v| v.file_size(node).ok())
-            .unwrap_or(0);
-        self.vm.map(&(volume, node), SectionKind::Data, size, now);
+        let key = (h.origin.volume, h.node);
+        let size = self.file_size_of(key.0, key.1);
+        self.vm.map(&key, SectionKind::Data, size, now);
         OpReply::at(NtStatus::Success, now + self.latency.fastio_metadata())
     }
 
@@ -210,16 +158,10 @@ impl<O: IoObserver> Machine<O> {
         let Some(h) = self.handles.get_raw(handle.0) else {
             return OpReply::at(NtStatus::InvalidHandle, now);
         };
-        let (fo, fcb, volume, node, process) = (h.fo, h.fcb, h.volume, h.node, h.process);
-        let local = self.ns.is_local(volume);
-        let key: FileKey = (volume, node);
-        let size = self
-            .ns
-            .volume(volume)
-            .ok()
-            .and_then(|v| v.file_size(node).ok())
-            .unwrap_or(0);
-        let reads = self.vm.fault(&key, offset, len, now);
+        let (origin, node) = (h.origin, h.node);
+        let volume = origin.volume;
+        let size = self.file_size_of(volume, node);
+        let reads = self.vm.fault(&(volume, node), offset, len, now);
         let mut end = now + SimDuration::from_micros(1);
         for r in &reads {
             let fin = self
@@ -228,28 +170,23 @@ impl<O: IoObserver> Machine<O> {
             end = end.max(fin);
             self.metrics.paging_reads += 1;
             self.metrics.paging_read_bytes += r.len;
-            self.emit_read_event(
-                EventKind::Irp(MajorFunction::Read),
-                fo,
-                fcb,
-                process,
-                volume,
-                local,
-                true,
-                false,
-                r.offset,
-                r.len,
-                r.len,
-                size,
-                0,
-                now,
-                fin,
+            emit_event!(
+                self,
+                IoEvent {
+                    paging_io: true,
+                    offset: r.offset,
+                    length: r.len,
+                    transferred: r.len,
+                    file_size: size,
+                    ..self.record(origin, EventKind::Irp(MajorFunction::Read), now, fin)
+                }
             );
         }
-        self.metrics.bytes_read += len.min(size.saturating_sub(offset));
+        let transferred = len.min(size.saturating_sub(offset));
+        self.metrics.bytes_read += transferred;
         OpReply {
             status: NtStatus::Success,
-            transferred: len.min(size.saturating_sub(offset)),
+            transferred,
             end,
         }
     }
@@ -262,28 +199,21 @@ impl<O: IoObserver> Machine<O> {
     /// clients.
     pub fn mdl_read(&mut self, handle: HandleId, offset: u64, len: u64, now: SimTime) -> OpReply {
         self.pump(now);
-        if let Err(reply) = self.data_op(handle, Some(offset), DataDir::Read, now) {
-            return reply;
-        }
+        let d = match self.data_op(handle, Some(offset), DataDir::Read, now) {
+            Ok(d) => d,
+            Err(reply) => return reply,
+        };
         let frame = IrpFrame {
             major: None,
             label: "mdl_read",
             now,
         };
-        self.dispatch(frame, |m, f| m.mdl_read_fsd(handle, offset, len, f.now))
+        self.dispatch(frame, |m, f| m.mdl_read_fsd(d, len, f.now))
     }
 
-    fn mdl_read_fsd(&mut self, handle: HandleId, offset: u64, len: u64, now: SimTime) -> OpReply {
-        let d = match self.data_op(handle, Some(offset), DataDir::Read, now) {
-            Ok(d) => d,
-            Err(reply) => return reply,
-        };
-        let file_size = self
-            .ns
-            .volume(d.volume)
-            .ok()
-            .and_then(|v| v.file_size(d.node).ok())
-            .unwrap_or(0);
+    fn mdl_read_fsd(&mut self, d: DataOp, len: u64, now: SimTime) -> OpReply {
+        let (volume, offset) = (d.origin.volume, d.offset);
+        let file_size = self.file_size_of(volume, d.node);
         if offset >= file_size {
             let end = now + self.latency.fastio_metadata();
             return OpReply::at(NtStatus::EndOfFile, end);
@@ -299,27 +229,22 @@ impl<O: IoObserver> Machine<O> {
         for io in &outcome.ios {
             let fin = self
                 .latency
-                .disk_io(d.volume.0 as usize, io.len, now, &mut self.rng);
+                .disk_io(volume.0 as usize, io.len, now, &mut self.rng);
             self.metrics.paging_reads += 1;
             self.metrics.paging_read_bytes += io.len;
             self.cache.complete_paging_read(&d.key, io.offset, io.len);
             done = done.max(fin);
-            self.emit_read_event(
-                EventKind::Irp(MajorFunction::Read),
-                d.fo,
-                d.fcb,
-                d.process,
-                d.volume,
-                d.local,
-                true,
-                io.readahead,
-                io.offset,
-                io.len,
-                io.len,
-                file_size,
-                0,
-                now,
-                fin,
+            emit_event!(
+                self,
+                IoEvent {
+                    paging_io: true,
+                    readahead: io.readahead,
+                    offset: io.offset,
+                    length: io.len,
+                    transferred: io.len,
+                    file_size,
+                    ..self.record(d.origin, EventKind::Irp(MajorFunction::Read), now, fin)
+                }
             );
         }
         // No copy: only the descriptor setup cost.
@@ -330,64 +255,29 @@ impl<O: IoObserver> Machine<O> {
             self.metrics.irp_reads += 1;
         }
         self.metrics.bytes_read += transferred;
-        emit_event!(
-            self,
-            IoEvent {
-                kind: self.fastio_event_kind(FastIoKind::MdlRead),
-                file_object: d.fo,
-                fcb: d.fcb,
-                process: d.process,
-                volume: d.volume.0,
-                local: d.local,
-                paging_io: false,
-                readahead: false,
-                offset,
-                length: len,
-                transferred,
-                file_size,
-                byte_offset: 0,
-                status: NtStatus::Success,
-                start: now,
-                end,
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
-            }
-        );
         // The caller releases the MDL when done.
-        let rel = end + self.latency.fastio_metadata();
-        emit_event!(
-            self,
-            IoEvent {
-                kind: self.fastio_event_kind(FastIoKind::MdlReadComplete),
-                file_object: d.fo,
-                fcb: d.fcb,
-                process: d.process,
-                volume: d.volume.0,
-                local: d.local,
-                paging_io: false,
-                readahead: false,
-                offset,
-                length: len,
-                transferred,
-                file_size,
-                byte_offset: 0,
-                status: NtStatus::Success,
-                start: end,
-                end: rel,
-                access: None,
-                disposition: None,
-                options: None,
-                set_info: None,
-                created: false,
-            }
-        );
+        let released = end + self.latency.fastio_metadata();
+        let mdl = [
+            (FastIoKind::MdlRead, now, end),
+            (FastIoKind::MdlReadComplete, end, released),
+        ];
+        for (routine, start, end) in mdl {
+            let kind = self.fastio_event_kind(routine);
+            emit_event!(
+                self,
+                IoEvent {
+                    offset,
+                    length: len,
+                    transferred,
+                    file_size,
+                    ..self.record(d.origin, kind, start, end)
+                }
+            );
+        }
         OpReply {
             status: NtStatus::Success,
             transferred,
-            end: rel,
+            end: released,
         }
     }
 }

@@ -233,6 +233,13 @@ pub enum SetInfoKind {
 /// the current byte offset and file size, and the result status", plus the
 /// two 100 ns timestamps and per-operation extras (offset/length/returned
 /// bytes for reads and writes, options and access for creates).
+///
+/// The machine builds every record from one layout: the identity fields
+/// come from the request's resolved handle, and a field the request does
+/// not set reads zero, `false` or `None`. A request no file object stands
+/// behind (an FSCTL, a volume query, a query on an invalid handle, a lazy
+/// write no close waits on) names file object 0 and FCB `u64::MAX`; a
+/// failed open names its own file object, with FCB `u64::MAX`.
 #[derive(Clone, Copy, Debug)]
 pub struct IoEvent {
     /// Which of the 54 request kinds this is.
