@@ -51,6 +51,9 @@ cargo test -q --offline --test filter_stack
 step "FSD records (every emit site's record pinned field by field, with and without the FastIO veto)"
 cargo test -q --offline --test fsd_records
 
+step "directory enumeration (a full enumeration allocates nothing; the count is read live)"
+cargo test -q --offline --test dir_enumeration
+
 step "sharded scale-up (a shard's head-count is the sum of its machines' collector-handle totals, its budget their summed peaks; shard/worker bit-identity, summaries compared whole)"
 cargo test -q --offline --release --test shard_scale
 

@@ -52,7 +52,7 @@ pub struct DirMeta {
 }
 
 impl DirMeta {
-    /// Number of child files.
+    /// Number of children: files and subdirectories alike.
     pub fn len(&self) -> usize {
         self.children.len()
     }

@@ -538,11 +538,15 @@ impl Volume {
         Ok(())
     }
 
-    /// Enumerates a directory's children in sorted-name order.
-    pub fn read_dir(&self, dir: NodeId) -> FsResult<Vec<(String, NodeId)>> {
+    /// Enumerates a directory's children in sorted-name order, lending
+    /// each name: `.len()` counts them without copying one.
+    pub fn read_dir(
+        &self,
+        dir: NodeId,
+    ) -> FsResult<impl ExactSizeIterator<Item = (&str, NodeId)> + '_> {
         let node = self.node(dir)?;
         let d = node.dir().ok_or(FsError::NotADirectory)?;
-        Ok(d.children.iter().map(|(n, id)| (n.clone(), *id)).collect())
+        Ok(d.children.iter().map(|(n, id)| (n.as_str(), *id)))
     }
 
     /// Depth-first pre-order walk from `start`, calling `visit` with each
@@ -598,6 +602,21 @@ mod tests {
         v.create_file(root, "f", T1).unwrap();
         assert_eq!(v.create_file(root, "F", T1), Err(FsError::AlreadyExists));
         assert_eq!(v.mkdir(root, "f", T1), Err(FsError::AlreadyExists));
+    }
+
+    #[test]
+    fn read_dir_lends_children_in_name_order() {
+        let mut v = vol();
+        let root = v.root();
+        let b = v.create_file(root, "B.txt", T1).unwrap();
+        let a = v.mkdir(root, "a", T1).unwrap();
+        let children = v.read_dir(root).unwrap();
+        assert_eq!(children.len(), 2, "files and subdirectories alike");
+        assert_eq!(children.collect::<Vec<_>>(), [("a", a), ("b.txt", b)]);
+        assert_eq!(v.read_dir(b).err(), Some(FsError::NotADirectory));
+        v.remove(a, T2).unwrap();
+        assert_eq!(v.read_dir(a).err(), Some(FsError::StaleNode));
+        assert_eq!(v.read_dir(root).unwrap().len(), 1);
     }
 
     #[test]

@@ -13,6 +13,8 @@ use crate::types::HandleId;
 impl<O: IoObserver> Machine<O> {
     /// Directory enumeration (IRP_MJ_DIRECTORY_CONTROL / QueryDirectory).
     /// Returns up to `batch` entries per call; NoMoreFiles terminates.
+    /// The record carries the directory's live entry count in
+    /// `file_size` and the handle's cursor before the call in `offset`.
     pub fn query_directory(&mut self, handle: HandleId, batch: usize, now: SimTime) -> OpReply {
         self.pump(now);
         let frame = Self::info_frame(MajorFunction::DirectoryControl, "query_directory", now);
@@ -20,25 +22,23 @@ impl<O: IoObserver> Machine<O> {
     }
 
     fn query_directory_fsd(&mut self, handle: HandleId, batch: usize, now: SimTime) -> OpReply {
-        let Some(h) = self.handles.get_raw(handle.0) else {
+        let Some(h) = self.handles.get_raw_mut(handle.0) else {
             return OpReply::at(NtStatus::InvalidHandle, now);
         };
-        let (origin, node, cursor) = (h.origin, h.node, h.dir_cursor);
+        let (origin, cursor) = (h.origin, h.dir_cursor);
         let major = MajorFunction::DirectoryControl;
-        let entries = match self.ns.volume(origin.volume).and_then(|v| v.read_dir(node)) {
-            Ok(e) => e,
+        let volume = self.ns.volume(origin.volume);
+        let entries = match volume.and_then(|v| v.read_dir(h.node)).map(|c| c.len()) {
+            Ok(n) => n,
             Err(e) => return self.metadata_irp(major, origin, None, NtStatus::from(e), now),
         };
-        let remaining = entries.len().saturating_sub(cursor);
-        let returned = remaining.min(batch.max(1));
+        let returned = entries.saturating_sub(cursor).min(batch.max(1));
+        h.dir_cursor += returned;
         let status = if returned == 0 {
             NtStatus::NoMoreFiles
         } else {
             NtStatus::Success
         };
-        if let Some(h) = self.handles.get_raw_mut(handle.0) {
-            h.dir_cursor += returned;
-        }
         let end = now + self.latency.metadata_op();
         self.metrics.control_ops += 1;
         emit_event!(
@@ -47,7 +47,7 @@ impl<O: IoObserver> Machine<O> {
                 offset: cursor as u64,
                 length: batch as u64,
                 transferred: returned as u64,
-                file_size: entries.len() as u64,
+                file_size: entries as u64,
                 status,
                 ..self.record(origin, EventKind::Irp(major), now, end)
             }
@@ -122,35 +122,55 @@ impl<O: IoObserver> Machine<O> {
 
 #[cfg(test)]
 mod tests {
+    use crate::machine::Machine;
+    use crate::observer::VecObserver;
     use crate::ops::testkit::{machine, t, P};
     use crate::request::{EventKind, MajorFunction};
     use crate::status::NtStatus;
-    use crate::types::{AccessMode, CreateOptions, Disposition};
-    use nt_fs::NtPath;
+    use crate::types::{AccessMode, CreateOptions, Disposition, HandleId};
+    use nt_fs::{NtPath, VolumeId};
+    use nt_sim::SimTime;
 
-    #[test]
-    fn directory_enumeration_batches() {
+    /// A machine whose root holds `files` files, and a directory handle
+    /// on that root.
+    fn root_with_files(files: usize) -> (Machine<VecObserver>, VolumeId, HandleId) {
         let (mut m, vol) = machine();
         {
             let v = m.namespace_mut().volume_mut(vol).unwrap();
             let root = v.root();
-            for i in 0..25 {
+            for i in 0..files {
                 v.create_file(root, &format!("f{i:02}"), t(0)).unwrap();
             }
         }
+        let h = open_dir(&mut m, vol, &NtPath::root(), t(1));
+        (m, vol, h)
+    }
+
+    fn open_dir(
+        m: &mut Machine<VecObserver>,
+        vol: VolumeId,
+        path: &NtPath,
+        at: SimTime,
+    ) -> HandleId {
+        let options = CreateOptions {
+            directory: true,
+            ..CreateOptions::default()
+        };
         let (_, h) = m.create(
             P,
             vol,
-            &NtPath::root(),
+            path,
             AccessMode::Control,
             Disposition::Open,
-            CreateOptions {
-                directory: true,
-                ..CreateOptions::default()
-            },
-            t(1),
+            options,
+            at,
         );
-        let h = h.unwrap();
+        h.expect("directory opens")
+    }
+
+    #[test]
+    fn directory_enumeration_batches() {
+        let (mut m, _, h) = root_with_files(25);
         let mut total = 0;
         let mut calls = 0;
         loop {
@@ -167,6 +187,49 @@ mod tests {
     }
 
     #[test]
+    fn each_query_reads_the_live_entry_count() {
+        let (mut m, vol, h) = root_with_files(25);
+        // One entry is created before the second batch and one removed
+        // before the third: each record's `file_size` is the count at its
+        // own call, and `transferred` what is left past the cursor.
+        let steps = [
+            ("", 25, 0, 10, NtStatus::Success),
+            ("create", 26, 10, 10, NtStatus::Success),
+            ("remove", 25, 20, 5, NtStatus::Success),
+            ("", 25, 25, 0, NtStatus::NoMoreFiles),
+        ];
+        for (i, (change, size, cursor, returned, status)) in steps.into_iter().enumerate() {
+            let now = t(2 + i as u64);
+            let v = m.namespace_mut().volume_mut(vol).unwrap();
+            let root = v.root();
+            match change {
+                "create" => drop(v.create_file(root, "g", now).unwrap()),
+                "remove" => v.remove(v.child(root, "f00").unwrap(), now).unwrap(),
+                _ => {}
+            }
+            assert_eq!(v.node(root).unwrap().dir().unwrap().len(), size);
+            let r = m.query_directory(h, 10, now);
+            assert_eq!((r.status, r.transferred), (status, returned));
+            let e = m.observer().events.last().unwrap();
+            assert_eq!(e.kind, EventKind::Irp(MajorFunction::DirectoryControl));
+            assert_eq!(
+                (e.file_size, e.offset, e.transferred, e.status),
+                (size as u64, cursor, returned, status)
+            );
+        }
+    }
+
+    #[test]
+    fn empty_directory_answers_no_more_files_at_once() {
+        let (mut m, _, h) = root_with_files(0);
+        let r = m.query_directory(h, 10, t(2));
+        assert_eq!((r.status, r.transferred), (NtStatus::NoMoreFiles, 0));
+        let e = m.observer().events.last().unwrap();
+        assert_eq!(e.kind, EventKind::Irp(MajorFunction::DirectoryControl));
+        assert_eq!((e.file_size, e.offset, e.transferred), (0, 0, 0));
+    }
+
+    #[test]
     fn change_notification_pends_until_a_change() {
         let (mut m, vol) = machine();
         {
@@ -174,19 +237,7 @@ mod tests {
             let root = v.root();
             v.mkdir(root, "watched", t(0)).unwrap();
         }
-        let (_, dh) = m.create(
-            P,
-            vol,
-            &NtPath::parse(r"\watched"),
-            AccessMode::Control,
-            Disposition::Open,
-            CreateOptions {
-                directory: true,
-                ..CreateOptions::default()
-            },
-            t(1),
-        );
-        let dh = dh.unwrap();
+        let dh = open_dir(&mut m, vol, &NtPath::parse(r"\watched"), t(1));
         let r = m.watch_directory(dh, t(2));
         assert_eq!(r.status, NtStatus::Success);
         // No notification yet.

@@ -341,7 +341,7 @@ mod tests {
     /// no code with the walker.
     fn reference_walk(v: &Volume, dir: NodeId, path: &str, depth: usize) -> Vec<WalkRecord> {
         let node = v.node(dir).unwrap();
-        let children = v.read_dir(dir).unwrap();
+        let children: Vec<_> = v.read_dir(dir).unwrap().collect();
         let n_subdirs = children
             .iter()
             .filter(|(_, id)| v.node(*id).unwrap().dir().is_some())
@@ -402,7 +402,8 @@ mod tests {
 
     fn remove_tree(v: &mut Volume, id: NodeId, now: SimTime) {
         if v.node(id).unwrap().dir().is_some() {
-            for (_, child) in v.read_dir(id).unwrap() {
+            let children: Vec<_> = v.read_dir(id).unwrap().map(|(_, c)| c).collect();
+            for child in children {
                 remove_tree(v, child, now);
             }
         }
