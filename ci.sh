@@ -54,6 +54,9 @@ cargo test -q --offline --test fsd_records
 step "directory enumeration (a full enumeration allocates nothing; the count is read live)"
 cargo test -q --offline --test dir_enumeration
 
+step "streaming sketches (dense buckets print and answer exactly as the BTreeMap model; merges order-free)"
+cargo test -q --offline -p nt-analysis sketch
+
 step "sharded scale-up (a shard's head-count is the sum of its machines' collector-handle totals, its budget their summed peaks; shard/worker bit-identity, summaries compared whole)"
 cargo test -q --offline --release --test shard_scale
 

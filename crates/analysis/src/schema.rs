@@ -7,7 +7,9 @@
 //! the [`Instance`] rows in a single pass, computing online the
 //! sequentiality summaries the table-3 and figure-1/2 analyses need.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use nt_io::EventKind;
 use nt_io::{AccessMode, CreateOptions, Disposition, MajorFunction, NtStatus, SetInfoKind};
@@ -260,8 +262,65 @@ pub struct TraceSet {
 #[derive(Debug, Default)]
 pub(crate) struct InstanceBuilder {
     machine: u32,
-    open: HashMap<u64, (Instance, SeqTracker, SeqTracker)>,
+    open: HashMap<u64, (Instance, SeqTracker, SeqTracker), SessionIdHash>,
     done: Vec<Instance>,
+}
+
+/// Hashes the open-session table's file-object ids: the id XORed with a
+/// per-map key, then one murmur3 `fmix64` round, in place of SipHash.
+///
+/// The ids come from the trace, and a foreign trace can choose them. The
+/// key, drawn from [`RandomState`] when the map is built, keeps such a
+/// trace from aiming its ids at shared low hash bits; an unkeyed Fx-style
+/// hash sends every id that differs only above bit 32 to the same low
+/// bits and makes the table quadratic. Nothing reads the map's order, so
+/// the key never reaches output.
+///
+/// The map's builder holds the key; each hasher it builds starts from the
+/// key and mixes every word it is given into that state.
+#[derive(Clone)]
+struct SessionIdHash(u64);
+
+impl Default for SessionIdHash {
+    fn default() -> Self {
+        SessionIdHash(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for SessionIdHash {
+    type Hasher = SessionIdHash;
+
+    fn build_hasher(&self) -> SessionIdHash {
+        self.clone()
+    }
+}
+
+impl Hasher for SessionIdHash {
+    fn write_u64(&mut self, id: u64) {
+        self.0 = fmix64(self.0 ^ id);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // The table's keys are `u64`s and arrive through `write_u64`;
+        // anything else folds in byte by byte so the hasher stays total.
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// murmur3's 64-bit finaliser: a bijection in which every output bit
+/// depends on every input bit.
+fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 impl InstanceBuilder {
@@ -269,8 +328,7 @@ impl InstanceBuilder {
     pub fn new(machine: u32) -> Self {
         InstanceBuilder {
             machine,
-            open: HashMap::new(),
-            done: Vec::new(),
+            ..InstanceBuilder::default()
         }
     }
 
@@ -849,6 +907,42 @@ mod tests {
         assert_eq!(writer.write_gaps.len(), 1);
         let reader = &ts.instances[1];
         assert_eq!(reader.read_runs, vec![8_192]);
+    }
+
+    #[test]
+    fn ids_that_differ_only_above_bit_32_spread_over_the_low_bits() {
+        // 65,536 ids into 65,536 values: a random function's fullest
+        // value holds about 8, and more than 16 is vanishingly rare.
+        for _ in 0..4 {
+            let hash = SessionIdHash::default();
+            let mut per_value = vec![0u32; 1 << 16];
+            for i in 0..1u64 << 16 {
+                per_value[(hash.hash_one(i << 32) & 0xffff) as usize] += 1;
+            }
+            let fullest = per_value.iter().max().copied();
+            assert!(fullest <= Some(16), "{fullest:?} ids share one value");
+        }
+    }
+
+    #[test]
+    fn the_session_key_never_reaches_the_instance_table() {
+        let (a, b) = (InstanceBuilder::new(0), InstanceBuilder::new(0));
+        assert_ne!(a.open.hasher().0, b.open.hasher().0, "two maps, two keys");
+        let ts = test_support::synthetic_trace_set(300, 11);
+        let stream: Vec<TraceRecord> = ts.records.iter().map(|(_, r)| r).collect();
+        // Without its closes, every session is still open at the end, so
+        // `finish` flushes the whole table.
+        let unclosed: Vec<TraceRecord> = stream
+            .iter()
+            .filter(|r| r.kind() != EventKind::Irp(MajorFunction::Close))
+            .cloned()
+            .collect();
+        for recs in [stream, unclosed] {
+            let first = TraceSet::build([(0, recs.clone(), Vec::new())]);
+            let second = TraceSet::build([(0, recs, Vec::new())]);
+            assert!(first.instances.len() > 100);
+            assert_eq!(first.instances, second.instances);
+        }
     }
 
     #[test]
