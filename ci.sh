@@ -39,6 +39,9 @@ cargo build --examples --offline
 step "cargo test (tier-1)"
 cargo test -q --offline
 
+step "golden claims (streaming summary, §5 content report and the full batch report, byte for byte)"
+cargo test -q --offline --test golden_claims
+
 step "conservation audit (machine, shard and fleet ledgers reconcile on every run)"
 cargo test -q --offline --test audit
 

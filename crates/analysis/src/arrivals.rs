@@ -117,7 +117,10 @@ pub fn open_arrivals_excluding(ts: &TraceSet, lossy: &LossWindows) -> OpenArriva
 /// seen so far and out-of-order arrivals are counted but not differenced.
 /// Figure-11 numbers from this accumulator are therefore approximate
 /// (the fact tables themselves stay exact); `reordered` reports how many
-/// arrivals the approximation skipped.
+/// arrivals the approximation skipped. That is why [`open_arrivals`] does
+/// not fold this accumulator the way the §8–§10 batch functions fold
+/// theirs: the sort and the high-water tick are two algorithms, not one
+/// classifier written twice.
 #[derive(Debug, Default, PartialEq)]
 pub struct ArrivalAccumulator {
     /// Inter-open gaps, all opens (ms).

@@ -17,7 +17,7 @@ pub struct ContentStats {
     pub total_bytes: u64,
     /// File-size CDF (bytes).
     pub size_cdf: Cdf,
-    /// Bytes per extension, descending.
+    /// Bytes per extension, descending, ties by extension.
     pub bytes_by_extension: Vec<(String, u64)>,
     /// Fraction of total bytes held by executables, DLLs and fonts
     /// (§5: these dominate local volumes).
@@ -67,7 +67,7 @@ pub fn content_stats(snap: &Snapshot) -> ContentStats {
         }
     }
     let mut bytes_by_extension: Vec<(String, u64)> = by_ext.into_iter().collect();
-    bytes_by_extension.sort_by_key(|(_, b)| std::cmp::Reverse(*b));
+    bytes_by_extension.sort_by(|(ea, ba), (eb, bb)| bb.cmp(ba).then_with(|| ea.cmp(eb)));
     ContentStats {
         files: files.len(),
         directories: snap.dir_count(),

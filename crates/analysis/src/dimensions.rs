@@ -208,8 +208,8 @@ pub fn type_cube(ts: &TraceSet) -> TypeCube {
 }
 
 impl TypeCube {
-    /// Leaf categories of one top category sorted by bytes moved — the
-    /// drill-down step of the §4 example.
+    /// Leaf categories of one top category sorted by bytes moved, ties in
+    /// category order — the drill-down step of the §4 example.
     pub fn drill_down(&self, top: TopCategory) -> Vec<(LeafCategory, Measures)> {
         let mut rows: Vec<(LeafCategory, Measures)> = self
             .by_leaf
@@ -217,11 +217,11 @@ impl TypeCube {
             .filter(|(l, _)| l.top() == top)
             .map(|(l, m)| (*l, *m))
             .collect();
-        rows.sort_by_key(|(_, m)| std::cmp::Reverse(m.bytes()));
+        rows.sort_by_key(|&(l, m)| (std::cmp::Reverse(m.bytes()), l));
         rows
     }
 
-    /// Extensions within a leaf category, sorted by opens.
+    /// Extensions within a leaf category, sorted by opens, ties by name.
     pub fn extensions_of(&self, leaf: LeafCategory) -> Vec<(&str, Measures)> {
         let mut rows: Vec<(&str, Measures)> = self
             .by_extension
@@ -229,7 +229,7 @@ impl TypeCube {
             .filter(|(e, _)| LeafCategory::of_extension(Some(e.as_str())) == leaf)
             .map(|(e, m)| (e.as_str(), *m))
             .collect();
-        rows.sort_by_key(|(_, m)| std::cmp::Reverse(m.opens));
+        rows.sort_by_key(|&(e, m)| (std::cmp::Reverse(m.opens), e));
         rows
     }
 

@@ -7,11 +7,12 @@
 //! plots the request-size CDFs — FastIO requests skew smaller, because
 //! multi-operation readers use targeted buffers (§10).
 
+use nt_io::{EventKind, NtStatus};
 use nt_trace::TraceRecord;
 
 use crate::cdf::Cdf;
 use crate::schema::TraceSet;
-use crate::sketch::HistogramSketch;
+use crate::sketch::{ExactSamples, HistogramSketch, Samples};
 
 /// The per-class latency and size CDFs.
 pub struct PathLatencies {
@@ -37,94 +38,59 @@ pub struct PathLatencies {
     pub fastio_write_fraction: f64,
 }
 
-/// Computes the figure-13/14 CDFs from non-paging data records.
+/// Computes the figure-13/14 CDFs from non-paging data records:
+/// [`LatencyAccumulator`] folded over every record with exact samples.
 pub fn path_latencies(ts: &TraceSet) -> PathLatencies {
-    let mut frl = Vec::new();
-    let mut fwl = Vec::new();
-    let mut irl = Vec::new();
-    let mut iwl = Vec::new();
-    let mut frs = Vec::new();
-    let mut fws = Vec::new();
-    let mut irs = Vec::new();
-    let mut iws = Vec::new();
-    // Columnar scan: codes + flags select data records, then only the
-    // status, timestamp and length columns are touched.
+    let mut acc = LatencyAccumulator::<ExactSamples>::default();
     let t = &ts.records;
     let (statuses, starts, ends, lengths) =
         (t.statuses(), t.start_ticks(), t.end_ticks(), t.lengths());
     for i in 0..t.len() {
-        let kind = t.kind_at(i);
-        if !(kind.is_read() || kind.is_write()) || t.is_paging(i) {
-            continue;
-        }
-        if statuses[i].is_error() {
-            continue;
-        }
-        let lat_us = ends[i].saturating_sub(starts[i]) as f64 / 10.0;
-        let size = lengths[i] as f64;
-        match (kind.is_fastio(), kind.is_read()) {
-            (true, true) => {
-                frl.push(lat_us);
-                frs.push(size);
-            }
-            (true, false) => {
-                fwl.push(lat_us);
-                fws.push(size);
-            }
-            (false, true) => {
-                irl.push(lat_us);
-                irs.push(size);
-            }
-            (false, false) => {
-                iwl.push(lat_us);
-                iws.push(size);
-            }
-        }
+        let latency_ticks = ends[i].saturating_sub(starts[i]);
+        acc.push_request(
+            t.kind_at(i),
+            t.is_paging(i),
+            statuses[i],
+            latency_ticks,
+            lengths[i],
+        );
     }
-    let reads = frl.len() + irl.len();
-    let writes = fwl.len() + iwl.len();
     PathLatencies {
-        fastio_read_fraction: if reads == 0 {
-            0.0
-        } else {
-            frl.len() as f64 / reads as f64
-        },
-        fastio_write_fraction: if writes == 0 {
-            0.0
-        } else {
-            fwl.len() as f64 / writes as f64
-        },
-        fastio_read_latency: Cdf::from_samples(frl),
-        fastio_write_latency: Cdf::from_samples(fwl),
-        irp_read_latency: Cdf::from_samples(irl),
-        irp_write_latency: Cdf::from_samples(iwl),
-        fastio_read_size: Cdf::from_samples(frs),
-        fastio_write_size: Cdf::from_samples(fws),
-        irp_read_size: Cdf::from_samples(irs),
-        irp_write_size: Cdf::from_samples(iws),
+        fastio_read_fraction: acc.fastio_read_fraction(),
+        fastio_write_fraction: acc.fastio_write_fraction(),
+        fastio_read_latency: Cdf::from_weighted(acc.fastio_read_latency),
+        fastio_write_latency: Cdf::from_weighted(acc.fastio_write_latency),
+        irp_read_latency: Cdf::from_weighted(acc.irp_read_latency),
+        irp_write_latency: Cdf::from_weighted(acc.irp_write_latency),
+        fastio_read_size: Cdf::from_weighted(acc.fastio_read_size),
+        fastio_write_size: Cdf::from_weighted(acc.fastio_write_size),
+        irp_read_size: Cdf::from_weighted(acc.irp_read_size),
+        irp_write_size: Cdf::from_weighted(acc.irp_write_size),
     }
 }
 
-/// Streaming counterpart of [`path_latencies`]: per-class latency and
-/// size sketches plus the FastIO fractions, maintained record by record.
+/// The one classifier of the figure-13/14 request classes: per-class
+/// latency and size samples, fed record by record. The streaming sinks
+/// keep them in sketches; [`path_latencies`] folds it over the fact
+/// tables with exact samples.
 #[derive(Debug, Default, PartialEq)]
-pub struct LatencyAccumulator {
-    /// FastIO read latency sketch (µs).
-    pub fastio_read_latency: HistogramSketch,
-    /// FastIO write latency sketch (µs).
-    pub fastio_write_latency: HistogramSketch,
-    /// IRP read latency sketch (µs).
-    pub irp_read_latency: HistogramSketch,
-    /// IRP write latency sketch (µs).
-    pub irp_write_latency: HistogramSketch,
-    /// FastIO read size sketch (bytes).
-    pub fastio_read_size: HistogramSketch,
-    /// FastIO write size sketch (bytes).
-    pub fastio_write_size: HistogramSketch,
-    /// IRP read size sketch (bytes).
-    pub irp_read_size: HistogramSketch,
-    /// IRP write size sketch (bytes).
-    pub irp_write_size: HistogramSketch,
+pub struct LatencyAccumulator<S = HistogramSketch> {
+    /// FastIO read latency (µs).
+    pub fastio_read_latency: S,
+    /// FastIO write latency (µs).
+    pub fastio_write_latency: S,
+    /// IRP read latency (µs).
+    pub irp_read_latency: S,
+    /// IRP write latency (µs).
+    pub irp_write_latency: S,
+    /// FastIO read size (bytes).
+    pub fastio_read_size: S,
+    /// FastIO write size (bytes).
+    pub fastio_write_size: S,
+    /// IRP read size (bytes).
+    pub irp_read_size: S,
+    /// IRP write size (bytes).
+    pub irp_write_size: S,
 }
 
 impl LatencyAccumulator {
@@ -133,15 +99,47 @@ impl LatencyAccumulator {
         LatencyAccumulator::default()
     }
 
-    /// Feeds one record; paging and error records are ignored, exactly
-    /// like the batch path.
+    /// Bytes of live sketch state.
+    pub(crate) fn state_bytes(&self) -> usize {
+        self.fastio_read_latency.state_bytes()
+            + self.fastio_write_latency.state_bytes()
+            + self.irp_read_latency.state_bytes()
+            + self.irp_write_latency.state_bytes()
+            + self.fastio_read_size.state_bytes()
+            + self.fastio_write_size.state_bytes()
+            + self.irp_read_size.state_bytes()
+            + self.irp_write_size.state_bytes()
+    }
+}
+
+impl<S: Samples> LatencyAccumulator<S> {
+    /// Feeds one record; paging, error and non-data records are ignored.
     pub(crate) fn push_record(&mut self, rec: &TraceRecord) {
-        let kind = rec.kind();
-        if !(kind.is_read() || kind.is_write()) || rec.is_paging() || rec.status.is_error() {
+        self.push_request(
+            rec.kind(),
+            rec.is_paging(),
+            rec.status,
+            rec.latency_ticks(),
+            rec.length,
+        );
+    }
+
+    /// [`LatencyAccumulator::push_record`] over the five fields it reads,
+    /// so that [`path_latencies`] feeds the fact table's columns without
+    /// rebuilding each row.
+    fn push_request(
+        &mut self,
+        kind: EventKind,
+        paging: bool,
+        status: NtStatus,
+        latency_ticks: u64,
+        length: u64,
+    ) {
+        if !(kind.is_read() || kind.is_write()) || paging || status.is_error() {
             return;
         }
-        let lat_us = rec.latency_ticks() as f64 / 10.0;
-        let size = rec.length as f64;
+        let lat_us = latency_ticks as f64 / 10.0;
+        let size = length as f64;
         let (lat, sz) = match (kind.is_fastio(), kind.is_read()) {
             (true, true) => (&mut self.fastio_read_latency, &mut self.fastio_read_size),
             (true, false) => (&mut self.fastio_write_latency, &mut self.fastio_write_size),
@@ -153,7 +151,7 @@ impl LatencyAccumulator {
     }
 
     /// Merges another machine's accumulator in.
-    pub fn merge(&mut self, other: &LatencyAccumulator) {
+    pub fn merge(&mut self, other: &Self) {
         self.fastio_read_latency.merge(&other.fastio_read_latency);
         self.fastio_write_latency.merge(&other.fastio_write_latency);
         self.irp_read_latency.merge(&other.irp_read_latency);
@@ -182,18 +180,6 @@ impl LatencyAccumulator {
         } else {
             self.fastio_write_latency.len() as f64 / total as f64
         }
-    }
-
-    /// Bytes of live sketch state.
-    pub(crate) fn state_bytes(&self) -> usize {
-        self.fastio_read_latency.state_bytes()
-            + self.fastio_write_latency.state_bytes()
-            + self.irp_read_latency.state_bytes()
-            + self.irp_write_latency.state_bytes()
-            + self.fastio_read_size.state_bytes()
-            + self.fastio_write_size.state_bytes()
-            + self.irp_read_size.state_bytes()
-            + self.irp_write_size.state_bytes()
     }
 }
 

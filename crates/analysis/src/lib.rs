@@ -38,6 +38,15 @@
 //!   feeding realistic file-system benchmarks).
 //! * [`whatif`] — differential fact tables and §9-style delta summaries
 //!   for the what-if replay studies in `nt-study`.
+//!
+//! Each statistic of [`ops`], [`latency`], [`sizes`] and [`sessions`] is
+//! classified once, by its module's accumulator, which is generic over
+//! where it keeps its samples ([`sketch::Samples`]). The streaming sinks
+//! keep them in [`HistogramSketch`]es; each module's batch function folds
+//! the same accumulator over the fact tables with exact samples and
+//! turns them into [`Cdf`]s. [`arrivals`] keeps two algorithms: the batch
+//! sorts each machine's opens, the stream differences against a
+//! high-water tick.
 
 pub mod activity;
 pub mod arrivals;

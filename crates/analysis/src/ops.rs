@@ -5,12 +5,12 @@
 
 use std::collections::HashMap;
 
-use nt_io::{EventKind, MajorFunction};
+use nt_io::{EventKind, MajorFunction, NtStatus};
 use nt_trace::TraceRecord;
 
 use crate::cdf::Cdf;
 use crate::schema::{Instance, TraceSet, UsageClass};
-use crate::sketch::HistogramSketch;
+use crate::sketch::{ExactSamples, HistogramSketch, Samples};
 
 /// The §8 summary numbers.
 #[derive(Clone, Debug)]
@@ -56,104 +56,42 @@ pub struct OperationalStats {
     pub read_reopen_fraction: f64,
 }
 
-/// Computes the §8 statistics.
+/// Computes the §8 statistics: [`OpsAccumulator`] folded over every
+/// record and instance with exact samples, plus the batch-only
+/// [`OperationalStats::read_reopen_fraction`].
 pub fn operational_stats(ts: &TraceSet) -> OperationalStats {
-    let mut opens_ok = 0u64;
-    let mut opens_failed = 0u64;
-    let mut fail_nf = 0u64;
-    let mut fail_col = 0u64;
-    let mut control_only = 0u64;
+    let mut acc = OpsAccumulator::<ExactSamples>::default();
+    let t = &ts.records;
+    let (statuses, lengths) = (t.statuses(), t.lengths());
+    for i in 0..t.len() {
+        acc.push_request(t.kind_at(i), t.is_paging(i), statuses[i], lengths[i]);
+    }
     for inst in &ts.instances {
-        if inst.opened() {
-            opens_ok += 1;
-            if !inst.is_data() {
-                control_only += 1;
-            }
-        } else {
-            opens_failed += 1;
-            match inst.open_status {
-                nt_io::NtStatus::ObjectNameNotFound | nt_io::NtStatus::ObjectPathNotFound => {
-                    fail_nf += 1
-                }
-                nt_io::NtStatus::ObjectNameCollision => fail_col += 1,
-                _ => {}
-            }
-        }
+        acc.push_instance(inst);
     }
-
-    // Error rates from the raw stream.
-    let mut reads = (0u64, 0u64); // (ok, fail)
-    let mut writes = (0u64, 0u64);
-    let mut controls = (0u64, 0u64);
-    let mut read_sizes = Vec::new();
-    let mut write_sizes = Vec::new();
-    let mut common = 0u64;
-    // Columnar scan over codes/flags/statuses/lengths only.
-    let (statuses, lengths) = (ts.records.statuses(), ts.records.lengths());
-    for i in 0..ts.records.len() {
-        let kind = ts.records.kind_at(i);
-        if ts.records.is_paging(i) {
-            continue;
-        }
-        if kind.is_read() {
-            if statuses[i].is_error() {
-                reads.1 += 1;
-            } else {
-                reads.0 += 1;
-                read_sizes.push(lengths[i] as f64);
-                if lengths[i] == 512 || lengths[i] == 4_096 {
-                    common += 1;
-                }
-            }
-        } else if kind.is_write() {
-            if statuses[i].is_error() {
-                writes.1 += 1;
-            } else {
-                writes.0 += 1;
-                write_sizes.push(lengths[i] as f64);
-            }
-        } else if !matches!(
-            kind,
-            EventKind::Irp(MajorFunction::Create)
-                | EventKind::Irp(MajorFunction::Cleanup)
-                | EventKind::Irp(MajorFunction::Close)
-        ) {
-            if statuses[i].is_error() {
-                controls.1 += 1;
-            } else {
-                controls.0 += 1;
-            }
-        }
+    OperationalStats {
+        opens_ok: acc.opens_ok,
+        opens_failed: acc.opens_failed,
+        open_fail_not_found: acc.open_fail_not_found(),
+        open_fail_collision: acc.open_fail_collision(),
+        control_only_fraction: acc.control_only_fraction(),
+        control_failure_rate: acc.control_failure_rate(),
+        read_failure_rate: acc.read_failure_rate(),
+        write_failure_rate: acc.write_failure_rate(),
+        read_512_4096_fraction: acc.read_512_4096_fraction(),
+        read_gaps_us: Cdf::from_weighted(acc.read_gaps_us),
+        write_gaps_us: Cdf::from_weighted(acc.write_gaps_us),
+        cleanup_to_close_read_us: Cdf::from_weighted(acc.cleanup_to_close_read_us),
+        cleanup_to_close_write_ms: Cdf::from_weighted(acc.cleanup_to_close_write_ms),
+        read_sizes: Cdf::from_weighted(acc.read_sizes),
+        write_sizes: Cdf::from_weighted(acc.write_sizes),
+        read_reopen_fraction: read_reopen_fraction(ts),
     }
+}
 
-    // Intra-session request gaps.
-    let read_gaps: Vec<f64> = ts
-        .instances
-        .iter()
-        .flat_map(|i| i.read_gaps.iter().map(|&g| g as f64 / 10.0))
-        .collect();
-    let write_gaps: Vec<f64> = ts
-        .instances
-        .iter()
-        .flat_map(|i| i.write_gaps.iter().map(|&g| g as f64 / 10.0))
-        .collect();
-
-    // Two-stage close gaps.
-    let mut c2c_read = Vec::new();
-    let mut c2c_write = Vec::new();
-    for inst in &ts.instances {
-        let (Some(cu), Some(cl)) = (inst.cleanup_ticks, inst.close_ticks) else {
-            continue;
-        };
-        let gap = cl.saturating_sub(cu);
-        if inst.writes > 0 {
-            c2c_write.push(gap as f64 / 10_000.0);
-        } else {
-            c2c_read.push(gap as f64 / 10.0);
-        }
-    }
-
-    // Reuse: read-opened paths seen more than once.
+/// File reuse: the fraction of read-only-opened paths opened more than
+/// once. Batch-only (see [`OpsAccumulator`]).
+fn read_reopen_fraction(ts: &TraceSet) -> f64 {
     let mut per_path: HashMap<(u32, &str), u32> = HashMap::new();
     for inst in &ts.instances {
         if inst.usage_class() == Some(UsageClass::ReadOnly) {
@@ -163,58 +101,17 @@ pub fn operational_stats(ts: &TraceSet) -> OperationalStats {
         }
     }
     let reopened = per_path.values().filter(|&&c| c > 1).count();
-    let read_reopen_fraction = if per_path.is_empty() {
+    if per_path.is_empty() {
         0.0
     } else {
         reopened as f64 / per_path.len() as f64
-    };
-
-    let rate = |(ok, fail): (u64, u64)| {
-        if ok + fail == 0 {
-            0.0
-        } else {
-            fail as f64 / (ok + fail) as f64
-        }
-    };
-    OperationalStats {
-        opens_ok,
-        opens_failed,
-        open_fail_not_found: if opens_failed == 0 {
-            0.0
-        } else {
-            fail_nf as f64 / opens_failed as f64
-        },
-        open_fail_collision: if opens_failed == 0 {
-            0.0
-        } else {
-            fail_col as f64 / opens_failed as f64
-        },
-        control_only_fraction: if opens_ok == 0 {
-            0.0
-        } else {
-            control_only as f64 / opens_ok as f64
-        },
-        control_failure_rate: rate(controls),
-        read_failure_rate: rate(reads),
-        write_failure_rate: rate(writes),
-        read_512_4096_fraction: if reads.0 == 0 {
-            0.0
-        } else {
-            common as f64 / reads.0 as f64
-        },
-        read_gaps_us: Cdf::from_samples(read_gaps),
-        write_gaps_us: Cdf::from_samples(write_gaps),
-        cleanup_to_close_read_us: Cdf::from_samples(c2c_read),
-        cleanup_to_close_write_ms: Cdf::from_samples(c2c_write),
-        read_sizes: Cdf::from_samples(read_sizes),
-        write_sizes: Cdf::from_samples(write_sizes),
-        read_reopen_fraction,
     }
 }
 
-/// Streaming counterpart of [`operational_stats`]: the same §8 counters
-/// and distributions maintained online over records and finished
-/// instances, with sketches standing in for the exact CDFs.
+/// The one classifier of the §8 counters and distributions, fed record
+/// by record and finished instance by instance. The streaming sinks keep
+/// its distributions in sketches; [`operational_stats`] folds it over the
+/// fact tables with exact samples.
 ///
 /// `read_reopen_fraction` is the one §8 number this accumulator does not
 /// reproduce — it needs the full per-path open multiset, which is exactly
@@ -222,7 +119,7 @@ pub fn operational_stats(ts: &TraceSet) -> OperationalStats {
 /// reuse analysis belongs to a dedicated pass over the spilled name
 /// dimension.
 #[derive(Debug, Default, PartialEq)]
-pub struct OpsAccumulator {
+pub struct OpsAccumulator<S = HistogramSketch> {
     /// Successful opens.
     pub opens_ok: u64,
     /// Failed opens.
@@ -241,18 +138,18 @@ pub struct OpsAccumulator {
     pub controls: (u64, u64),
     /// Reads of exactly 512 or 4096 bytes.
     pub common_read_sizes: u64,
-    /// Read-size sketch (bytes).
-    pub read_sizes: HistogramSketch,
-    /// Write-size sketch (bytes).
-    pub write_sizes: HistogramSketch,
-    /// Intra-session read-gap sketch (µs).
-    pub read_gaps_us: HistogramSketch,
-    /// Intra-session write-gap sketch (µs).
-    pub write_gaps_us: HistogramSketch,
+    /// Read sizes (bytes).
+    pub read_sizes: S,
+    /// Write sizes (bytes).
+    pub write_sizes: S,
+    /// Intra-session read gaps (µs).
+    pub read_gaps_us: S,
+    /// Intra-session write gaps (µs).
+    pub write_gaps_us: S,
     /// Cleanup-to-close gap for read sessions (µs).
-    pub cleanup_to_close_read_us: HistogramSketch,
+    pub cleanup_to_close_read_us: S,
     /// Cleanup-to-close gap for written files (ms).
-    pub cleanup_to_close_write_ms: HistogramSketch,
+    pub cleanup_to_close_write_ms: S,
 }
 
 impl OpsAccumulator {
@@ -261,28 +158,46 @@ impl OpsAccumulator {
         OpsAccumulator::default()
     }
 
+    /// Bytes of live sketch state.
+    pub(crate) fn state_bytes(&self) -> usize {
+        self.read_sizes.state_bytes()
+            + self.write_sizes.state_bytes()
+            + self.read_gaps_us.state_bytes()
+            + self.write_gaps_us.state_bytes()
+            + self.cleanup_to_close_read_us.state_bytes()
+            + self.cleanup_to_close_write_ms.state_bytes()
+    }
+}
+
+impl<S: Samples> OpsAccumulator<S> {
     /// Feeds one raw record (the per-record half of §8).
     pub(crate) fn push_record(&mut self, rec: &TraceRecord) {
-        let kind = rec.kind();
-        if rec.is_paging() {
+        self.push_request(rec.kind(), rec.is_paging(), rec.status, rec.length);
+    }
+
+    /// The per-record half of §8 over the four fields it reads, so that
+    /// [`operational_stats`] feeds the fact table's columns without
+    /// rebuilding each row.
+    fn push_request(&mut self, kind: EventKind, paging: bool, status: NtStatus, length: u64) {
+        if paging {
             return;
         }
         if kind.is_read() {
-            if rec.status.is_error() {
+            if status.is_error() {
                 self.reads.1 += 1;
             } else {
                 self.reads.0 += 1;
-                self.read_sizes.record(rec.length as f64);
-                if rec.length == 512 || rec.length == 4_096 {
+                self.read_sizes.record(length as f64);
+                if length == 512 || length == 4_096 {
                     self.common_read_sizes += 1;
                 }
             }
         } else if kind.is_write() {
-            if rec.status.is_error() {
+            if status.is_error() {
                 self.writes.1 += 1;
             } else {
                 self.writes.0 += 1;
-                self.write_sizes.record(rec.length as f64);
+                self.write_sizes.record(length as f64);
             }
         } else if !matches!(
             kind,
@@ -290,7 +205,7 @@ impl OpsAccumulator {
                 | EventKind::Irp(MajorFunction::Cleanup)
                 | EventKind::Irp(MajorFunction::Close)
         ) {
-            if rec.status.is_error() {
+            if status.is_error() {
                 self.controls.1 += 1;
             } else {
                 self.controls.0 += 1;
@@ -308,10 +223,10 @@ impl OpsAccumulator {
         } else {
             self.opens_failed += 1;
             match inst.open_status {
-                nt_io::NtStatus::ObjectNameNotFound | nt_io::NtStatus::ObjectPathNotFound => {
+                NtStatus::ObjectNameNotFound | NtStatus::ObjectPathNotFound => {
                     self.fail_not_found += 1
                 }
-                nt_io::NtStatus::ObjectNameCollision => self.fail_collision += 1,
+                NtStatus::ObjectNameCollision => self.fail_collision += 1,
                 _ => {}
             }
         }
@@ -332,7 +247,7 @@ impl OpsAccumulator {
     }
 
     /// Merges another machine's accumulator in.
-    pub fn merge(&mut self, other: &OpsAccumulator) {
+    pub fn merge(&mut self, other: &Self) {
         self.opens_ok += other.opens_ok;
         self.opens_failed += other.opens_failed;
         self.fail_not_found += other.fail_not_found;
@@ -412,16 +327,6 @@ impl OpsAccumulator {
         } else {
             self.common_read_sizes as f64 / self.reads.0 as f64
         }
-    }
-
-    /// Bytes of live sketch state.
-    pub(crate) fn state_bytes(&self) -> usize {
-        self.read_sizes.state_bytes()
-            + self.write_sizes.state_bytes()
-            + self.read_gaps_us.state_bytes()
-            + self.write_gaps_us.state_bytes()
-            + self.cleanup_to_close_read_us.state_bytes()
-            + self.cleanup_to_close_write_ms.state_bytes()
     }
 }
 

@@ -7,7 +7,7 @@
 
 use crate::cdf::Cdf;
 use crate::schema::{Instance, TraceSet, UsageClass};
-use crate::sketch::HistogramSketch;
+use crate::sketch::{ExactSamples, HistogramSketch, Samples};
 
 /// Duration CDFs in milliseconds.
 pub struct SessionDurations {
@@ -33,48 +33,47 @@ fn dur_ms(i: &Instance) -> Option<f64> {
     i.duration_ticks().map(|t| t as f64 / 10_000.0)
 }
 
-/// Computes the duration CDFs from the instance table.
+/// Computes the duration CDFs from the instance table:
+/// [`SessionAccumulator`] folded over every instance with exact samples.
 pub fn session_durations(ts: &TraceSet) -> SessionDurations {
-    let ok: Vec<&Instance> = ts
-        .instances
-        .iter()
-        .filter(|i| i.opened() && i.duration_ticks().is_some())
-        .collect();
-    let collect = |pred: &dyn Fn(&Instance) -> bool| {
-        Cdf::from_samples(ok.iter().filter(|i| pred(i)).filter_map(|i| dur_ms(i)))
-    };
+    let mut acc = SessionAccumulator::<ExactSamples>::default();
+    for inst in &ts.instances {
+        acc.push_instance(inst);
+    }
     SessionDurations {
-        all: collect(&|_| true),
-        data: collect(&|i| i.is_data()),
-        control: collect(&|i| !i.is_data()),
-        data_local: collect(&|i| i.is_data() && i.local),
-        data_network: collect(&|i| i.is_data() && !i.local),
-        read_only: collect(&|i| i.usage_class() == Some(crate::schema::UsageClass::ReadOnly)),
-        write_only: collect(&|i| i.usage_class() == Some(crate::schema::UsageClass::WriteOnly)),
-        read_write: collect(&|i| i.usage_class() == Some(crate::schema::UsageClass::ReadWrite)),
+        all: Cdf::from_weighted(acc.all),
+        data: Cdf::from_weighted(acc.data),
+        control: Cdf::from_weighted(acc.control),
+        data_local: Cdf::from_weighted(acc.data_local),
+        data_network: Cdf::from_weighted(acc.data_network),
+        read_only: Cdf::from_weighted(acc.read_only),
+        write_only: Cdf::from_weighted(acc.write_only),
+        read_write: Cdf::from_weighted(acc.read_write),
     }
 }
 
-/// Streaming counterpart of [`session_durations`]: the figure-5/12
-/// duration splits as sketches, maintained instance by instance.
+/// The one classifier of the figure-5/12 duration splits, fed instance by
+/// instance. The streaming sinks keep the splits in sketches;
+/// [`session_durations`] folds it over the instance table with exact
+/// samples.
 #[derive(Debug, Default, PartialEq)]
-pub struct SessionAccumulator {
+pub struct SessionAccumulator<S = HistogramSketch> {
     /// All successful sessions (ms).
-    pub all: HistogramSketch,
+    pub all: S,
     /// Data sessions.
-    pub data: HistogramSketch,
+    pub data: S,
     /// Control-only sessions.
-    pub control: HistogramSketch,
+    pub control: S,
     /// Data sessions on local volumes.
-    pub data_local: HistogramSketch,
+    pub data_local: S,
     /// Data sessions on redirector volumes.
-    pub data_network: HistogramSketch,
+    pub data_network: S,
     /// Read-only data sessions.
-    pub read_only: HistogramSketch,
+    pub read_only: S,
     /// Write-only data sessions.
-    pub write_only: HistogramSketch,
+    pub write_only: S,
     /// Read-write data sessions.
-    pub read_write: HistogramSketch,
+    pub read_write: S,
 }
 
 impl SessionAccumulator {
@@ -83,6 +82,25 @@ impl SessionAccumulator {
         SessionAccumulator::default()
     }
 
+    /// Bytes of live sketch state.
+    pub(crate) fn state_bytes(&self) -> usize {
+        [
+            &self.all,
+            &self.data,
+            &self.control,
+            &self.data_local,
+            &self.data_network,
+            &self.read_only,
+            &self.write_only,
+            &self.read_write,
+        ]
+        .iter()
+        .map(|s| s.state_bytes())
+        .sum()
+    }
+}
+
+impl<S: Samples> SessionAccumulator<S> {
     /// Feeds one finished instance.
     pub fn push_instance(&mut self, inst: &Instance) {
         if !inst.opened() {
@@ -111,7 +129,7 @@ impl SessionAccumulator {
     }
 
     /// Merges another machine's accumulator in.
-    pub fn merge(&mut self, other: &SessionAccumulator) {
+    pub fn merge(&mut self, other: &Self) {
         self.all.merge(&other.all);
         self.data.merge(&other.data);
         self.control.merge(&other.control);
@@ -120,23 +138,6 @@ impl SessionAccumulator {
         self.read_only.merge(&other.read_only);
         self.write_only.merge(&other.write_only);
         self.read_write.merge(&other.read_write);
-    }
-
-    /// Bytes of live sketch state.
-    pub(crate) fn state_bytes(&self) -> usize {
-        [
-            &self.all,
-            &self.data,
-            &self.control,
-            &self.data_local,
-            &self.data_network,
-            &self.read_only,
-            &self.write_only,
-            &self.read_write,
-        ]
-        .iter()
-        .map(|s| s.state_bytes())
-        .sum()
     }
 }
 

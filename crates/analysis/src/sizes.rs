@@ -7,7 +7,7 @@
 
 use crate::cdf::Cdf;
 use crate::schema::{Instance, TraceSet, UsageClass};
-use crate::sketch::HistogramSketch;
+use crate::sketch::{ExactSamples, HistogramSketch, Samples};
 
 /// Size CDFs per usage class; sizes in bytes.
 pub struct AccessedSizes {
@@ -29,47 +29,41 @@ pub struct AccessedSizes {
     pub all_by_bytes: Cdf,
 }
 
-/// Builds the accessed-file-size CDFs from the instance table.
+/// Builds the accessed-file-size CDFs from the instance table:
+/// [`SizeAccumulator`] folded over every instance with exact samples.
 pub fn accessed_sizes(ts: &TraceSet) -> AccessedSizes {
-    let data: Vec<(UsageClass, u64, u64)> = ts
-        .instances
-        .iter()
-        .filter_map(|i| Some((i.usage_class()?, i.file_size.max(1), i.bytes())))
-        .collect();
-    let opens = |class: Option<UsageClass>| {
-        Cdf::from_samples(
-            data.iter()
-                .filter(|(c, _, _)| class.is_none_or(|cl| *c == cl))
-                .map(|(_, s, _)| *s as f64),
-        )
-    };
-    let bytes = |class: Option<UsageClass>| {
-        Cdf::from_weighted(
-            data.iter()
-                .filter(|(c, _, b)| class.is_none_or(|cl| *c == cl) && *b > 0)
-                .map(|(_, s, b)| (*s as f64, *b as f64)),
-        )
-    };
+    let mut acc = SizeAccumulator::<ExactSamples>::default();
+    for inst in &ts.instances {
+        acc.push_instance(inst);
+    }
+    let all_by_opens = Cdf::from_weighted(acc.all_by_opens());
+    let all_by_bytes = Cdf::from_weighted(acc.all_by_bytes());
+    let [read_only_by_opens, write_only_by_opens, read_write_by_opens] =
+        acc.by_opens.map(Cdf::from_weighted);
+    let [read_only_by_bytes, write_only_by_bytes, read_write_by_bytes] =
+        acc.by_bytes.map(Cdf::from_weighted);
     AccessedSizes {
-        read_only_by_opens: opens(Some(UsageClass::ReadOnly)),
-        write_only_by_opens: opens(Some(UsageClass::WriteOnly)),
-        read_write_by_opens: opens(Some(UsageClass::ReadWrite)),
-        all_by_opens: opens(None),
-        read_only_by_bytes: bytes(Some(UsageClass::ReadOnly)),
-        write_only_by_bytes: bytes(Some(UsageClass::WriteOnly)),
-        read_write_by_bytes: bytes(Some(UsageClass::ReadWrite)),
-        all_by_bytes: bytes(None),
+        read_only_by_opens,
+        write_only_by_opens,
+        read_write_by_opens,
+        all_by_opens,
+        read_only_by_bytes,
+        write_only_by_bytes,
+        read_write_by_bytes,
+        all_by_bytes,
     }
 }
 
-/// Streaming counterpart of [`accessed_sizes`]: per-class size sketches
-/// (per-open and byte-weighted) maintained instance by instance.
+/// The one classifier of the figure-3/4 size samples: per-class sizes,
+/// per open and byte-weighted, fed instance by instance. The streaming
+/// sinks keep them in sketches; [`accessed_sizes`] folds it over the
+/// instance table with exact samples.
 #[derive(Debug, Default, PartialEq)]
-pub struct SizeAccumulator {
-    /// Per-open sketches indexed ReadOnly/WriteOnly/ReadWrite.
-    pub by_opens: [HistogramSketch; 3],
-    /// Byte-weighted sketches in the same order.
-    pub by_bytes: [HistogramSketch; 3],
+pub struct SizeAccumulator<S = HistogramSketch> {
+    /// Per-open sizes indexed ReadOnly/WriteOnly/ReadWrite.
+    pub by_opens: [S; 3],
+    /// Byte-weighted sizes in the same order.
+    pub by_bytes: [S; 3],
 }
 
 fn class_index(c: UsageClass) -> usize {
@@ -86,8 +80,18 @@ impl SizeAccumulator {
         SizeAccumulator::default()
     }
 
-    /// Feeds one finished instance (control-only sessions are skipped,
-    /// exactly like the batch path).
+    /// Bytes of live sketch state.
+    pub(crate) fn state_bytes(&self) -> usize {
+        self.by_opens
+            .iter()
+            .chain(self.by_bytes.iter())
+            .map(|s| s.state_bytes())
+            .sum()
+    }
+}
+
+impl<S: Samples> SizeAccumulator<S> {
+    /// Feeds one finished instance (control-only sessions are skipped).
     pub fn push_instance(&mut self, inst: &Instance) {
         let Some(class) = inst.usage_class() else {
             return;
@@ -102,37 +106,37 @@ impl SizeAccumulator {
     }
 
     /// Merges another machine's accumulator in.
-    pub fn merge(&mut self, other: &SizeAccumulator) {
+    pub fn merge(&mut self, other: &Self) {
         for i in 0..3 {
             self.by_opens[i].merge(&other.by_opens[i]);
             self.by_bytes[i].merge(&other.by_bytes[i]);
         }
     }
 
-    /// Combined per-open sketch across all classes (figure 3).
-    pub fn all_by_opens(&self) -> HistogramSketch {
-        let mut all = self.by_opens[0].clone();
-        all.merge(&self.by_opens[1]);
-        all.merge(&self.by_opens[2]);
-        all
+    /// Combined per-open samples across all classes (figure 3).
+    pub fn all_by_opens(&self) -> S
+    where
+        S: Clone,
+    {
+        all_classes(&self.by_opens)
     }
 
-    /// Combined byte-weighted sketch across all classes (figure 4).
-    pub fn all_by_bytes(&self) -> HistogramSketch {
-        let mut all = self.by_bytes[0].clone();
-        all.merge(&self.by_bytes[1]);
-        all.merge(&self.by_bytes[2]);
-        all
+    /// Combined byte-weighted samples across all classes (figure 4).
+    pub fn all_by_bytes(&self) -> S
+    where
+        S: Clone,
+    {
+        all_classes(&self.by_bytes)
     }
+}
 
-    /// Bytes of live sketch state.
-    pub(crate) fn state_bytes(&self) -> usize {
-        self.by_opens
-            .iter()
-            .chain(self.by_bytes.iter())
-            .map(|s| s.state_bytes())
-            .sum()
+/// The three classes' samples merged, in class order.
+fn all_classes<S: Samples + Clone>([first, rest @ ..]: &[S; 3]) -> S {
+    let mut all = first.clone();
+    for class in rest {
+        all.merge(class);
     }
+    all
 }
 
 #[cfg(test)]

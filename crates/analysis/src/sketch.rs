@@ -13,6 +13,9 @@
 //! * [`SpillRuns`] — a bounded sample buffer that spills sorted runs to a
 //!   directory and streams them back in one k-way merged ascending pass,
 //!   for the tail analyses (Hill/LLCD) that need order statistics.
+//!
+//! [`Samples`] lets one accumulator keep a distribution in either a
+//! sketch (streaming) or an exact list (batch).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -166,12 +169,18 @@ impl HistogramSketch {
         self.count == 0
     }
 
-    /// Smallest recorded value; `None` on an empty sketch.
+    /// Smallest recorded value; `None` on an empty sketch. A `Default`
+    /// sketch, as every accumulator builds, starts `min` at 0.0 where
+    /// [`HistogramSketch::new`] starts it at +∞, so over positive samples
+    /// it reads `Some(0.0)`. The start stays: a summary's `Debug` text
+    /// prints the field, and the benchmark's expected digests hash it.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0 && self.min.is_finite()).then_some(self.min)
     }
 
-    /// Largest recorded value.
+    /// Largest recorded value. A `Default` sketch starts `max` at 0.0
+    /// (see [`HistogramSketch::min`]), so over negative samples it reads
+    /// `Some(0.0)`.
     pub fn max(&self) -> Option<f64> {
         (self.count > 0 && self.max.is_finite()).then_some(self.max)
     }
@@ -255,6 +264,68 @@ impl HistogramSketch {
     /// most 4,097 slots.
     pub(crate) fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.counts.len() * 8
+    }
+}
+
+/// Where an accumulator keeps one distribution's samples: a
+/// [`HistogramSketch`] in the streaming sinks, or the exact `(value,
+/// weight)` list, a `Vec<(f64, f64)>`, from which a batch function builds
+/// a [`Cdf`](crate::cdf::Cdf).
+pub trait Samples {
+    /// Records one sample with an integer weight; a zero weight is
+    /// ignored.
+    fn record_weighted(&mut self, v: f64, weight: u64);
+
+    /// Records one sample with weight 1.
+    #[inline]
+    fn record(&mut self, v: f64) {
+        self.record_weighted(v, 1);
+    }
+
+    /// Merges another machine's samples in.
+    fn merge(&mut self, other: &Self);
+
+    /// Number of recorded samples (unweighted).
+    fn len(&self) -> u64;
+
+    /// True when nothing has been recorded.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Samples for HistogramSketch {
+    #[inline]
+    fn record_weighted(&mut self, v: f64, weight: u64) {
+        HistogramSketch::record_weighted(self, v, weight);
+    }
+
+    fn merge(&mut self, other: &Self) {
+        HistogramSketch::merge(self, other);
+    }
+
+    fn len(&self) -> u64 {
+        HistogramSketch::len(self)
+    }
+}
+
+/// Exact samples: the `(value, weight)` list that
+/// [`Cdf::from_weighted`](crate::cdf::Cdf) takes, in recording order.
+pub(crate) type ExactSamples = Vec<(f64, f64)>;
+
+impl Samples for ExactSamples {
+    fn record_weighted(&mut self, v: f64, weight: u64) {
+        if weight > 0 {
+            self.push((v, weight as f64));
+        }
+    }
+
+    fn merge(&mut self, other: &Self) {
+        self.extend_from_slice(other);
+    }
+
+    fn len(&self) -> u64 {
+        Vec::len(self) as u64
     }
 }
 

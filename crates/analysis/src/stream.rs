@@ -18,10 +18,13 @@
 //! With `retain` enabled the sinks additionally keep the raw stream and
 //! rebuild the exact [`TraceSet`] fact tables at the end. `Study::run`
 //! retains at every scale, because the report code and the tests read
-//! those tables, and the tests use them to prove the streaming
-//! aggregates match a batch build of the same records. Retention costs
-//! memory in proportion to the trace, so a run that must stay bounded —
-//! the paper-scale roster — leaves it off.
+//! those tables. The retain tests prove that the rebuilt tables equal a
+//! batch build of the same records, and that a warehouse re-ingest
+//! rebuilds the live run's tables. They prove nothing about the sketches:
+//! those share their classifier with the batch functions, and the sketch
+//! tests bound their bucket error. Retention costs memory in proportion
+//! to the trace, so a run that must stay bounded — the paper-scale
+//! roster — leaves it off.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -33,7 +36,7 @@ use nt_trace::{BatchMeta, MachineId, NameRecord, ShipmentConsumer, TraceRecord};
 use crate::arrivals::ArrivalAccumulator;
 use crate::latency::LatencyAccumulator;
 use crate::ops::OpsAccumulator;
-use crate::schema::{InstanceBuilder, TraceSet};
+use crate::schema::{Instance, InstanceBuilder, TraceSet};
 use crate::sessions::SessionAccumulator;
 use crate::sizes::SizeAccumulator;
 use crate::sketch::SpillRuns;
@@ -185,21 +188,28 @@ impl MachineSink {
             self.retained_records.extend(records);
         }
         for inst in self.builder.drain_done() {
-            self.ops.push_instance(&inst);
-            self.sessions.push_instance(&inst);
-            self.sizes.push_instance(&inst);
-            self.arrivals.push_instance(&inst);
-            if inst.usage_class().is_some() {
-                self.size_spill.push(inst.file_size.max(1) as f64);
-            }
-            if let Some(t) = inst.duration_ticks() {
-                let ms = t as f64 / 10_000.0;
-                if ms > 0.0 {
-                    self.duration_spill.push(ms);
-                }
-            }
+            self.finish_session(&inst);
         }
         self.note_peaks();
+    }
+
+    /// Folds one finished session into the accumulators and the spills.
+    /// A session still open at trace end has a duration when its cleanup
+    /// was traced but its close was not, and is spilled like any other.
+    fn finish_session(&mut self, inst: &Instance) {
+        self.ops.push_instance(inst);
+        self.sessions.push_instance(inst);
+        self.sizes.push_instance(inst);
+        self.arrivals.push_instance(inst);
+        if inst.usage_class().is_some() {
+            self.size_spill.push(inst.file_size.max(1) as f64);
+        }
+        if let Some(t) = inst.duration_ticks() {
+            let ms = t as f64 / 10_000.0;
+            if ms > 0.0 {
+                self.duration_spill.push(ms);
+            }
+        }
     }
 
     /// Consumes one file-object name record. Names only feed the path
@@ -239,15 +249,9 @@ impl MachineSink {
     /// Closes the sink into a one-machine partial.
     fn into_shard(mut self) -> ShardSummary {
         self.note_peaks();
-        for inst in self.builder.finish() {
-            self.ops.push_instance(&inst);
-            self.sessions.push_instance(&inst);
-            self.sizes.push_instance(&inst);
-            self.arrivals.push_instance(&inst);
-            if inst.usage_class().is_some() {
-                self.size_spill.push(inst.file_size.max(1) as f64);
-            }
-            // Still-open sessions have no duration; nothing to spill.
+        let builder = std::mem::replace(&mut self.builder, InstanceBuilder::new(self.machine));
+        for inst in builder.finish() {
+            self.finish_session(&inst);
         }
         ShardSummary {
             summary: StudySummary {
@@ -529,6 +533,7 @@ mod tests {
     use super::*;
     use crate::ops::operational_stats;
     use crate::schema::test_support::synthetic_trace_set;
+    use nt_io::{EventKind, MajorFunction};
 
     /// Rebuilds shippable raw streams from a synthetic trace set.
     fn raw_streams(ts: &TraceSet) -> (Vec<TraceRecord>, Vec<NameRecord>) {
@@ -594,6 +599,36 @@ mod tests {
         assert!(s.size_tail_alpha >= 0.0 && s.size_tail_alpha.is_finite());
         assert!(s.peak_state_bytes > 0);
         assert!(s.records > 0);
+    }
+
+    #[test]
+    fn a_session_cut_after_its_cleanup_reaches_the_sketch_and_the_spill() {
+        // The stream ends after a session's cleanup, its close lost: the
+        // session flushed at trace end has a duration, and both the
+        // duration sketch and the spill behind `duration_tail_alpha`
+        // count it.
+        let ts = synthetic_trace_set(50, 43);
+        let records: Vec<TraceRecord> = ts.records.iter().map(|(_, r)| r).collect();
+        let open = *records
+            .iter()
+            .find(|r| r.kind() == EventKind::Irp(MajorFunction::Create) && r.status.is_success())
+            .expect("a successful open");
+        let cleanup = *records
+            .iter()
+            .find(|r| {
+                r.file_object == open.file_object
+                    && r.kind() == EventKind::Irp(MajorFunction::Cleanup)
+            })
+            .expect("its cleanup");
+        let mut sink = MachineSink::new(0, &StreamConfig::default());
+        sink.on_batch(Some(0), vec![open, cleanup], None);
+        let shard = sink.into_shard();
+        let ms = (cleanup.start_ticks - open.start_ticks) as f64 / 10_000.0;
+        assert!(ms > 0.0);
+        assert_eq!(shard.summary.sessions.all.len(), 1);
+        assert_eq!(shard.summary.sessions.all.max(), Some(ms));
+        let mut spill = shard.duration_spill.expect("a sink spills durations");
+        assert_eq!(spill.top_k(1), vec![ms]);
     }
 
     #[test]

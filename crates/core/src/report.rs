@@ -548,7 +548,7 @@ pub fn section4(data: &StudyData) -> String {
         cube.consistent()
     );
     let mut tops: Vec<_> = cube.by_top.iter().collect();
-    tops.sort_by_key(|(_, m)| std::cmp::Reverse(m.bytes()));
+    tops.sort_by_key(|&(&top, m)| (std::cmp::Reverse(m.bytes()), top));
     for (top, m) in tops {
         let _ = writeln!(
             out,
@@ -588,7 +588,7 @@ pub fn section7(data: &StudyData) -> String {
         a.span_alpha, a.files_alpha
     );
     let mut rows: Vec<_> = a.per_process.iter().collect();
-    rows.sort_by_key(|(_, s)| std::cmp::Reverse(s.opens));
+    rows.sort_by_key(|&(&key, s)| (std::cmp::Reverse(s.opens), key));
     for ((m, p), s) in rows.into_iter().take(8) {
         let _ = writeln!(
             out,

@@ -11,6 +11,13 @@
 //! snapshots, is compared byte for byte against
 //! `tests/golden/section5_smoke.txt`.
 //!
+//! The full batch report of the same study — every table, figure and
+//! section from the retained fact tables, plus one digest per CSV series —
+//! is compared byte for byte against `tests/golden/report_smoke.txt`. It
+//! is rendered from a run on one worker and a run on two, and rendered
+//! twice from one of them, so a ranked list that leaves ties in hash
+//! order fails it.
+//!
 //! When a change legitimately moves the numbers — a workload tweak, a new
 //! record kind — regenerate with:
 //!
@@ -21,9 +28,10 @@
 //! and review the diff like any other source change: it *is* the claim.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use nt_study::{report, ShardOptions, Study, StudyConfig};
+use nt_study::{report, ShardOptions, Study, StudyConfig, StudyData};
 
 const GOLDEN_SEED: u64 = 1999; // SOSP'99.
 
@@ -191,6 +199,85 @@ fn section5_matches_the_golden_report() {
     assert_eq!(
         measured, golden,
         "the §5 report drifted; if intentional, GOLDEN_REGEN=1 and review the diff"
+    );
+}
+
+/// The golden study, retained, on `workers` threads: the data every
+/// report function reads.
+fn report_data(workers: usize) -> StudyData {
+    let run = Study::try_run_sharded(
+        &StudyConfig::smoke_test(GOLDEN_SEED),
+        &ShardOptions {
+            workers: Some(workers),
+            retain: true,
+            ..ShardOptions::default()
+        },
+    )
+    .expect("golden study runs")
+    .data;
+    StudyData {
+        trace_set: run.trace_set.expect("retain keeps the fact tables"),
+        config: run.config,
+        machines: run.machines,
+        total_records: run.total_records,
+        stored_bytes: run.stored_bytes,
+        profile: run.profile,
+    }
+}
+
+/// `report::full_report` as text, then each `report::csv_series` row as
+/// its name, its point count and an FNV-1a digest of its points' bits:
+/// the raw rows would add ~100 KB of full-precision floats.
+fn render_report(data: &StudyData) -> String {
+    let mut out = report::full_report(data);
+    out.push_str("CSV series (points, FNV-1a of the points' bits)\n");
+    for (name, points) in report::csv_series(data) {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for (x, y) in &points {
+            for b in x
+                .to_bits()
+                .to_le_bytes()
+                .into_iter()
+                .chain(y.to_bits().to_le_bytes())
+            {
+                digest ^= u64::from(b);
+                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let _ = writeln!(out, "  {name}: {} {digest:016x}", points.len());
+    }
+    out
+}
+
+#[test]
+fn full_report_matches_the_golden_report() {
+    let serial = report_data(1);
+    let measured = render_report(&serial);
+    assert_eq!(
+        render_report(&serial),
+        measured,
+        "two renders of one study differ"
+    );
+    assert_eq!(
+        render_report(&report_data(2)),
+        measured,
+        "the study on one worker and on two render different reports"
+    );
+    let path = golden_file("report_smoke.txt");
+    if std::env::var("GOLDEN_REGEN").is_ok() {
+        std::fs::write(&path, &measured).unwrap();
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with GOLDEN_REGEN=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        measured, golden,
+        "the batch report drifted; if intentional, GOLDEN_REGEN=1 and review the diff"
     );
 }
 
