@@ -78,7 +78,8 @@ rm -f "$roundtrip_a" "$roundtrip_b"
 step "causal shipment tracing (faulted sharded smoke: Chrome trace validates, dump reconciles with LossLedger)"
 cargo test -q --offline --test shipment_trace
 
-step "what-if replay (stored traces read through the re-ingest's per-segment reader: bit-identity across workers/sources, the first bad file's typed error from both doors, variant audit, golden deltas)"
+step "what-if replay (each machine's stream compiled once, every policy cell runs that one program: the replay's edge cases pinned; stored traces read through the re-ingest's per-segment reader: bit-identity across workers/sources, the first bad file's typed error from both doors, variant audit, golden deltas)"
+cargo test -q --offline -p nt-study replay::
 cargo test -q --offline --test whatif
 
 step "warehouse tour determinism (parallel extraction from both sources: two runs, identical stdout)"

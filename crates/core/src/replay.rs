@@ -14,20 +14,26 @@
 //! Paging records in the input are skipped: they are an *output* of the
 //! original cache policy and are regenerated by the replayed one.
 //!
-//! Everything here iterates in sorted order — `BTreeMap`s for handles
-//! and machines, a total-order sort for each machine's records — so a
-//! replay is a pure function of (trace, config): bit-identical between
-//! runs, processes, worker counts and trace sources.
+//! A stream is compiled once into a `ReplayProgram`: the record decode,
+//! the skip and control rules, the create paths and a dense slot per file
+//! object are fixed before any policy runs, and each policy cell runs the
+//! program with its handles in a slot vector.
+//!
+//! Everything here iterates in a fixed order — a `BTreeMap` for machines,
+//! a total-order sort for each machine's records, slots numbered in
+//! stream order — so a replay is a pure function of (trace, config):
+//! bit-identical between runs, processes, worker counts and trace
+//! sources.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use nt_analysis::whatif::ReplayFacts;
 use nt_analysis::TraceSet;
 use nt_cache::{CacheConfig, CacheMetrics};
 use nt_fs::{NtPath, VolumeConfig, VolumeId};
 use nt_io::{
-    DiskParams, EventKind, HandleId, IoMetrics, Machine, MachineConfig, MajorFunction,
-    NullObserver, ProcessId,
+    AccessMode, CreateOptions, DiskParams, Disposition, EventKind, HandleId, IoMetrics, Machine,
+    MachineConfig, MajorFunction, NullObserver, ProcessId,
 };
 use nt_sim::SimTime;
 use nt_trace::steal::run_indexed;
@@ -98,11 +104,17 @@ impl ReplayStream {
     /// its names and normalizes. A panicking task is re-raised as a
     /// panic that names its machine.
     pub fn from_trace_set(ts: &TraceSet) -> Vec<ReplayStream> {
-        Self::extract(ts, host_workers())
+        Self::extract(ts, host_workers(), |stream| stream)
     }
 
-    /// [`ReplayStream::from_trace_set`] on `workers` threads.
-    pub(crate) fn extract(ts: &TraceSet, workers: usize) -> Vec<ReplayStream> {
+    /// [`ReplayStream::from_trace_set`] on `workers` threads, each task
+    /// handing its normalized stream to `finish` and keeping what that
+    /// makes of it.
+    pub(crate) fn extract<T: Send>(
+        ts: &TraceSet,
+        workers: usize,
+        finish: impl Fn(ReplayStream) -> T + Sync,
+    ) -> Vec<T> {
         let mut rows: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         for (i, &machine) in ts.records.machines().iter().enumerate() {
             rows.entry(machine).or_default().push(i);
@@ -129,7 +141,7 @@ impl ReplayStream {
                 }),
             };
             stream.normalize();
-            stream
+            finish(stream)
         })
     }
 }
@@ -188,15 +200,183 @@ pub struct MachineVariantOutcome {
     pub residual_dirty_bytes: u64,
 }
 
-struct MachineReplay {
-    machine: Machine<NullObserver>,
-    handles: BTreeMap<u64, HandleId>,
-    volumes: Vec<VolumeId>,
-    file_seq: u64,
+/// One machine's stream compiled for replay: every per-record decision
+/// that no policy changes, made once. A what-if study compiles each
+/// stream as it extracts it and runs the program once per policy row.
+///
+/// The compile keeps the replay's rules exact. Paging records and failed
+/// creates are skipped, and every record that is neither a create nor a
+/// data request is control traffic, whatever the policy. Each create,
+/// read, write and cleanup becomes one op, in stream order. The lazy
+/// writer steps to each op's arrival before the op runs, and once more to
+/// the last non-paging arrival before the drain; the scans a control or
+/// skipped record would have stepped to are the same scans, run at the
+/// same due times, because nothing else happens between them.
+pub(crate) struct ReplayProgram {
+    machine: u32,
+    /// Local volumes the replayed machine mounts: one past the highest
+    /// recorded volume index, and at least one.
+    volumes: u32,
+    source_records: u64,
+    /// Paging records and failed creates.
+    skipped_records: u64,
+    /// Every record that is neither a create nor a data request,
+    /// cleanups included.
+    control_records: u64,
+    /// The paths the creates open, parsed once.
+    paths: Vec<NtPath>,
+    /// File-object slots, numbered densely in order of first appearance.
+    slots: usize,
+    ops: Vec<Op>,
+    /// The last non-paging record's arrival: the lazy writer's last step
+    /// before the drain.
+    last_arrival: Option<SimTime>,
 }
 
-impl MachineReplay {
-    fn new(config: &ReplayConfig, volumes_needed: u32) -> Self {
+/// One replayed request: its arrival and the file object it names.
+struct Op {
+    at: SimTime,
+    slot: u32,
+    step: Step,
+}
+
+enum Step {
+    Create(Create),
+    Read {
+        offset: u64,
+        length: u64,
+    },
+    Write {
+        offset: u64,
+        length: u64,
+    },
+    /// Closes the slot's handle, when it holds one.
+    Cleanup,
+}
+
+/// A create as the replay issues it: permissive access and a disposition
+/// that cannot fail on a file the trace found existing.
+struct Create {
+    process: ProcessId,
+    volume: u32,
+    path: u32,
+    access: AccessMode,
+    disposition: Disposition,
+    options: CreateOptions,
+    /// The size the file gets if the replayed namespace lacks it.
+    size: u64,
+}
+
+impl ReplayProgram {
+    /// Compiles one normalized stream.
+    pub(crate) fn compile(stream: &ReplayStream) -> ReplayProgram {
+        let volumes = stream
+            .records
+            .iter()
+            .map(|r| r.volume + 1)
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        let mut program = ReplayProgram {
+            machine: stream.machine,
+            volumes,
+            source_records: stream.records.len() as u64,
+            skipped_records: 0,
+            control_records: 0,
+            paths: Vec::new(),
+            slots: 0,
+            ops: Vec::new(),
+            last_arrival: None,
+        };
+        // Looked up, never iterated: slots and paths are numbered in
+        // stream order.
+        let mut slots: HashMap<u64, u32> = HashMap::new();
+        let mut named: HashMap<u64, u32> = HashMap::new();
+        // Records without a captured name still need a namespace slot.
+        let mut anonymous = 0u64;
+        for rec in &stream.records {
+            if rec.is_paging() {
+                program.skipped_records += 1;
+                continue;
+            }
+            let at = SimTime::from_ticks(rec.start_ticks);
+            program.last_arrival = Some(at);
+            let step = match rec.kind() {
+                EventKind::Irp(MajorFunction::Create) => {
+                    if rec.status.is_error() {
+                        program.skipped_records += 1;
+                        continue;
+                    }
+                    let path = match stream.names.get(&rec.file_object) {
+                        Some(name) => *named
+                            .entry(rec.file_object)
+                            .or_insert_with(|| push_path(&mut program.paths, name)),
+                        None => {
+                            anonymous += 1;
+                            let name = format!(r"\replay\anon{anonymous:08}.dat");
+                            push_path(&mut program.paths, &name)
+                        }
+                    };
+                    let disposition = rec.disposition.unwrap_or(Disposition::OpenIf);
+                    // Replay with permissive sharing/access so the
+                    // recorded data operations cannot be refused.
+                    let access = match rec.access.unwrap_or(AccessMode::ReadWrite) {
+                        a @ (AccessMode::Control | AccessMode::Delete) => a,
+                        _ => AccessMode::ReadWrite,
+                    };
+                    Step::Create(Create {
+                        process: ProcessId(rec.process),
+                        volume: if rec.volume < volumes { rec.volume } else { 0 },
+                        path,
+                        access,
+                        disposition: if disposition.may_create() || disposition.truncates() {
+                            disposition
+                        } else {
+                            Disposition::OpenIf
+                        },
+                        options: rec.options.unwrap_or_default(),
+                        size: if disposition.truncates() {
+                            0
+                        } else {
+                            rec.file_size
+                        },
+                    })
+                }
+                k if k.is_read() => Step::Read {
+                    offset: rec.offset,
+                    length: rec.length,
+                },
+                k if k.is_write() => Step::Write {
+                    offset: rec.offset,
+                    length: rec.length,
+                },
+                EventKind::Irp(MajorFunction::Cleanup) => {
+                    program.control_records += 1;
+                    Step::Cleanup
+                }
+                _ => {
+                    // Control traffic does not interact with the cache
+                    // policies under study.
+                    program.control_records += 1;
+                    continue;
+                }
+            };
+            let next = slots.len() as u32;
+            let slot = *slots.entry(rec.file_object).or_insert(next);
+            program.ops.push(Op { at, slot, step });
+        }
+        program.slots = slots.len();
+        program
+    }
+
+    /// The traced machine.
+    pub(crate) fn machine(&self) -> u32 {
+        self.machine
+    }
+
+    /// Replays the program under one policy variant. Panics when
+    /// `config.cache.lazy_write_interval` is zero.
+    pub(crate) fn run(&self, config: &ReplayConfig) -> MachineVariantOutcome {
         let machine_config = MachineConfig {
             cache: config.cache.clone(),
             disable_fastio: config.disable_fastio,
@@ -204,190 +384,151 @@ impl MachineReplay {
             ..MachineConfig::default()
         };
         let mut machine = Machine::new(machine_config, NullObserver);
-        let mut volumes = Vec::new();
-        for v in 0..volumes_needed.max(1) {
-            let drive = (b'C' + (v as u8 % 20)) as char;
-            volumes.push(machine.add_local_volume(
-                drive,
-                VolumeConfig::local_ntfs(32 << 30),
-                config.disk.clone(),
-            ));
-        }
-        MachineReplay {
-            machine,
-            handles: BTreeMap::new(),
-            volumes,
-            file_seq: 0,
-        }
-    }
+        let volumes: Vec<VolumeId> = (0..self.volumes)
+            .map(|v| {
+                let drive = (b'C' + (v as u8 % 20)) as char;
+                machine.add_local_volume(
+                    drive,
+                    VolumeConfig::local_ntfs(32 << 30),
+                    config.disk.clone(),
+                )
+            })
+            .collect();
+        let mut handles: Vec<Option<HandleId>> = vec![None; self.slots];
+        let mut facts = ReplayFacts {
+            machine: self.machine,
+            source_records: self.source_records,
+            skipped_records: self.skipped_records,
+            control_records: self.control_records,
+            ..ReplayFacts::default()
+        };
 
-    /// Ensures the file exists at the recorded size; replayed traces may
-    /// reference files created before the trace started.
-    fn ensure_file(&mut self, volume: VolumeId, path: &NtPath, size: u64) {
-        let Ok(vol) = self.machine.namespace_mut().volume_mut(volume) else {
-            return;
-        };
-        if vol.lookup(path).is_ok() {
-            return;
+        for op in &self.ops {
+            machine.run_lazy_writer(op.at);
+            let handle = &mut handles[op.slot as usize];
+            match op.step {
+                Step::Create(ref c) => {
+                    let volume = volumes[c.volume as usize];
+                    let path = &self.paths[c.path as usize];
+                    ensure_file(&mut machine, volume, path, c.size);
+                    let (reply, opened) = machine.create(
+                        c.process,
+                        volume,
+                        path,
+                        c.access,
+                        c.disposition,
+                        c.options,
+                        op.at,
+                    );
+                    match opened {
+                        Some(h) if reply.status.is_success() => {
+                            *handle = Some(h);
+                            facts.replayed_requests += 1;
+                        }
+                        _ => facts.skipped_records += 1,
+                    }
+                }
+                Step::Read { offset, length } => {
+                    let Some(h) = *handle else {
+                        facts.skipped_records += 1;
+                        continue;
+                    };
+                    machine.read(h, Some(offset), length, op.at);
+                    facts.replayed_requests += 1;
+                }
+                Step::Write { offset, length } => {
+                    let Some(h) = *handle else {
+                        facts.skipped_records += 1;
+                        continue;
+                    };
+                    machine.write(h, Some(offset), length, op.at);
+                    facts.replayed_requests += 1;
+                }
+                Step::Cleanup => {
+                    if let Some(h) = handle.take() {
+                        machine.close(h, op.at);
+                    }
+                }
+            }
         }
-        let now = SimTime::ZERO;
-        let Ok(parent) = vol.mkdir_all(&path.parent(), now) else {
-            return;
-        };
-        let Some(name) = path.file_name() else {
-            return;
-        };
-        if let Ok(node) = vol.create_file(parent, name, now) {
-            let _ = vol.set_file_size(node, size, now);
+        // Records after the last op, control traffic or skipped, still
+        // step the lazy writer to their arrival.
+        if let Some(at) = self.last_arrival {
+            machine.run_lazy_writer(at);
         }
-    }
 
-    fn synthesize_path(&mut self) -> NtPath {
-        // Records without a captured name still need a namespace slot.
-        self.file_seq += 1;
-        NtPath::parse(&format!(r"\replay\anon{:08}.dat", self.file_seq))
+        // Drain: give the lazy writer thirty scans past the last request,
+        // then pump outstanding completions so the counters quiesce.
+        let mut due = machine.next_lazy_scan();
+        for _ in 0..30 {
+            due = machine.run_lazy_writer(due);
+        }
+        machine.pump(due);
+
+        let io = machine.metrics();
+        let cache = machine.cache_metrics();
+        let vm = machine.vm_metrics();
+        facts.read_hits = cache.read_hits;
+        facts.read_misses = cache.read_misses;
+        facts.read_hit_bytes = cache.read_hit_bytes;
+        facts.demand_read_bytes = cache.demand_read_bytes;
+        facts.readahead_bytes = cache.readahead_bytes;
+        facts.readahead_ios = cache.readahead_ios;
+        facts.fastio_reads = io.fastio_reads;
+        facts.irp_reads = io.irp_reads;
+        facts.paging_reads = io.paging_reads;
+        facts.paging_writes = io.paging_writes;
+        facts.disk_busy_ticks = machine.disk_busy_ticks();
+
+        MachineVariantOutcome {
+            machine: self.machine,
+            facts,
+            io,
+            cache,
+            vm,
+            residual_dirty_bytes: machine.residual_dirty_bytes(),
+        }
     }
 }
 
-/// Replays one machine's stream under one policy variant.
+/// Parses `name` into `paths` and returns its index.
+fn push_path(paths: &mut Vec<NtPath>, name: &str) -> u32 {
+    paths.push(NtPath::parse(name));
+    (paths.len() - 1) as u32
+}
+
+/// Ensures the file exists at the recorded size; replayed traces may
+/// reference files created before the trace started.
+fn ensure_file(machine: &mut Machine<NullObserver>, volume: VolumeId, path: &NtPath, size: u64) {
+    let Ok(vol) = machine.namespace_mut().volume_mut(volume) else {
+        return;
+    };
+    if vol.lookup(path).is_ok() {
+        return;
+    }
+    let now = SimTime::ZERO;
+    let Ok(parent) = vol.mkdir_all(&path.parent(), now) else {
+        return;
+    };
+    let Some(name) = path.file_name() else {
+        return;
+    };
+    if let Ok(node) = vol.create_file(parent, name, now) {
+        let _ = vol.set_file_size(node, size, now);
+    }
+}
+
+/// Replays one machine's stream under one policy variant: compiles it,
+/// then runs the program.
 ///
 /// A pure function of its arguments: machine construction, record walk
-/// and drain all iterate in sorted order, and the stack's own RNG is
+/// and drain all iterate in stream order, and the stack's own RNG is
 /// seeded from the machine config, so the outcome is bit-identical
 /// wherever and however often it runs.
 /// Panics when `config.cache.lazy_write_interval` is zero, which a
 /// [`crate::WhatIfStudy`] reports as a [`crate::WhatIfError::Task`].
 pub fn replay_stream(stream: &ReplayStream, config: &ReplayConfig) -> MachineVariantOutcome {
-    let volumes_needed = stream
-        .records
-        .iter()
-        .map(|r| r.volume + 1)
-        .max()
-        .unwrap_or(1);
-    let mut mr = MachineReplay::new(config, volumes_needed);
-    let mut facts = ReplayFacts {
-        machine: stream.machine,
-        source_records: stream.records.len() as u64,
-        ..ReplayFacts::default()
-    };
-
-    for rec in &stream.records {
-        if rec.is_paging() {
-            facts.skipped_records += 1;
-            continue;
-        }
-        let now = SimTime::from_ticks(rec.start_ticks);
-        mr.machine.run_lazy_writer(now);
-        match rec.kind() {
-            EventKind::Irp(MajorFunction::Create) => {
-                if rec.status.is_error() {
-                    facts.skipped_records += 1;
-                    continue;
-                }
-                let volume = mr
-                    .volumes
-                    .get(rec.volume as usize)
-                    .copied()
-                    .unwrap_or(mr.volumes[0]);
-                let path = match stream.names.get(&rec.file_object) {
-                    Some(p) => NtPath::parse(p),
-                    None => mr.synthesize_path(),
-                };
-                let disposition = rec.disposition.unwrap_or(nt_io::Disposition::OpenIf);
-                if !disposition.truncates() {
-                    mr.ensure_file(volume, &path, rec.file_size);
-                } else {
-                    mr.ensure_file(volume, &path, 0);
-                }
-                let access = rec.access.unwrap_or(nt_io::AccessMode::ReadWrite);
-                // Replay with permissive sharing/access so the recorded
-                // data operations cannot be refused.
-                let access = match access {
-                    nt_io::AccessMode::Control | nt_io::AccessMode::Delete => access,
-                    _ => nt_io::AccessMode::ReadWrite,
-                };
-                let (reply, handle) = mr.machine.create(
-                    ProcessId(rec.process),
-                    volume,
-                    &path,
-                    access,
-                    if disposition.may_create() || disposition.truncates() {
-                        disposition
-                    } else {
-                        nt_io::Disposition::OpenIf
-                    },
-                    rec.options.unwrap_or_default(),
-                    now,
-                );
-                match handle {
-                    Some(h) if reply.status.is_success() => {
-                        mr.handles.insert(rec.file_object, h);
-                        facts.replayed_requests += 1;
-                    }
-                    _ => facts.skipped_records += 1,
-                }
-            }
-            k if k.is_read() => {
-                let Some(&h) = mr.handles.get(&rec.file_object) else {
-                    facts.skipped_records += 1;
-                    continue;
-                };
-                mr.machine.read(h, Some(rec.offset), rec.length, now);
-                facts.replayed_requests += 1;
-            }
-            k if k.is_write() => {
-                let Some(&h) = mr.handles.get(&rec.file_object) else {
-                    facts.skipped_records += 1;
-                    continue;
-                };
-                mr.machine.write(h, Some(rec.offset), rec.length, now);
-                facts.replayed_requests += 1;
-            }
-            EventKind::Irp(MajorFunction::Cleanup) => {
-                if let Some(h) = mr.handles.remove(&rec.file_object) {
-                    mr.machine.close(h, now);
-                }
-                facts.control_records += 1;
-            }
-            _ => {
-                // Control traffic does not interact with the cache
-                // policies under study.
-                facts.control_records += 1;
-            }
-        }
-    }
-
-    // Drain: give the lazy writer thirty scans past the last request,
-    // then pump outstanding completions so the counters quiesce.
-    let mut due = mr.machine.next_lazy_scan();
-    for _ in 0..30 {
-        due = mr.machine.run_lazy_writer(due);
-    }
-    mr.machine.pump(due);
-
-    let io = mr.machine.metrics();
-    let cache = mr.machine.cache_metrics();
-    let vm = mr.machine.vm_metrics();
-    facts.read_hits = cache.read_hits;
-    facts.read_misses = cache.read_misses;
-    facts.read_hit_bytes = cache.read_hit_bytes;
-    facts.demand_read_bytes = cache.demand_read_bytes;
-    facts.readahead_bytes = cache.readahead_bytes;
-    facts.readahead_ios = cache.readahead_ios;
-    facts.fastio_reads = io.fastio_reads;
-    facts.irp_reads = io.irp_reads;
-    facts.paging_reads = io.paging_reads;
-    facts.paging_writes = io.paging_writes;
-    facts.disk_busy_ticks = mr.machine.disk_busy_ticks();
-
-    MachineVariantOutcome {
-        machine: stream.machine,
-        facts,
-        io,
-        cache,
-        vm,
-        residual_dirty_bytes: mr.machine.residual_dirty_bytes(),
-    }
+    ReplayProgram::compile(stream).run(config)
 }
 
 #[cfg(test)]
@@ -633,5 +774,211 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.facts, y.facts, "machine {} drifted", x.machine);
         }
+    }
+
+    /// One record of the hand-built stream: a successful local request
+    /// of `kind` on file object `fo` by process 7, arriving at `at`.
+    fn rec(at: u64, kind: EventKind, fo: u64) -> TraceRecord {
+        TraceRecord {
+            code: kind.code(),
+            flags: TraceRecord::FLAG_LOCAL,
+            status: nt_io::NtStatus::Success,
+            set_info: None,
+            access: None,
+            disposition: None,
+            options: None,
+            file_object: fo,
+            fcb: u64::MAX,
+            process: 7,
+            volume: 0,
+            offset: 0,
+            length: 0,
+            transferred: 0,
+            file_size: 0,
+            byte_offset: 0,
+            start_ticks: at,
+            end_ticks: at + 10,
+        }
+    }
+
+    /// A create of `fo` that found a file of `size` bytes.
+    fn open(
+        at: u64,
+        fo: u64,
+        access: AccessMode,
+        disposition: Disposition,
+        size: u64,
+    ) -> TraceRecord {
+        TraceRecord {
+            access: Some(access),
+            disposition: Some(disposition),
+            options: Some(CreateOptions::default()),
+            file_size: size,
+            ..rec(at, EventKind::Irp(MajorFunction::Create), fo)
+        }
+    }
+
+    /// A read or write of `length` bytes at `offset`.
+    fn data(at: u64, kind: EventKind, fo: u64, offset: u64, length: u64) -> TraceRecord {
+        TraceRecord {
+            offset,
+            length,
+            transferred: length,
+            ..rec(at, kind, fo)
+        }
+    }
+
+    /// Every per-record rule of the replay on one hand-built stream,
+    /// pinned to the counters it replays to.
+    #[test]
+    fn every_replay_rule_on_one_stream() {
+        const SEC: u64 = 10_000_000;
+        let irp_read = EventKind::Irp(MajorFunction::Read);
+        let irp_write = EventKind::Irp(MajorFunction::Write);
+        let fast_read = EventKind::FastIo(nt_io::FastIoKind::Read);
+        let fast_write = EventKind::FastIo(nt_io::FastIoKind::Write);
+        let cleanup = EventKind::Irp(MajorFunction::Cleanup);
+        let paging = |r: TraceRecord| TraceRecord {
+            flags: r.flags | TraceRecord::FLAG_PAGING,
+            ..r
+        };
+        let mut stream = ReplayStream {
+            machine: 5,
+            records: vec![
+                open(1_000, 10, AccessMode::Read, Disposition::OpenIf, 100_000),
+                // Paging traffic is an output of the recorded policy.
+                paging(data(2_000, irp_read, 10, 0, 4096)),
+                data(3_000, irp_read, 10, 0, 4096),
+                // A failed create opens nothing, so the data requests on
+                // its file object find no handle.
+                TraceRecord {
+                    status: nt_io::NtStatus::ObjectNameNotFound,
+                    ..open(4_000, 40, AccessMode::Read, Disposition::Open, 0)
+                },
+                data(5_000, irp_read, 40, 0, 512),
+                data(6_000, irp_write, 40, 0, 512),
+                // No captured name: a synthesized path.
+                open(
+                    7_000,
+                    20,
+                    AccessMode::Write,
+                    Disposition::OverwriteIf,
+                    50_000,
+                ),
+                data(8_000, fast_write, 20, 0, 8192),
+                data(SEC / 2, irp_write, 20, 8192, 8192),
+                rec(SEC + SEC / 5, cleanup, 20),
+                // A cleanup with no open handle.
+                rec(SEC + 3 * SEC / 10, cleanup, 99),
+                TraceRecord {
+                    volume: 1,
+                    ..open(
+                        14 * SEC / 10,
+                        30,
+                        AccessMode::ReadWrite,
+                        Disposition::Open,
+                        1 << 20,
+                    )
+                },
+                TraceRecord {
+                    volume: 1,
+                    ..data(15 * SEC / 10, fast_read, 30, 65_536, 65_536)
+                },
+                rec(16 * SEC / 10, cleanup, 10),
+                // File object 10 again, reused after its cleanup.
+                open(
+                    17 * SEC / 10,
+                    10,
+                    AccessMode::Write,
+                    Disposition::Supersede,
+                    0,
+                ),
+                data(19 * SEC / 10, fast_write, 10, 0, 2 << 20),
+                rec(2 * SEC, cleanup, 30),
+                // Control traffic after the last data request: the drain
+                // starts from the lazy-writer step at its arrival.
+                rec(
+                    35 * SEC / 10,
+                    EventKind::Irp(MajorFunction::QueryInformation),
+                    10,
+                ),
+                rec(
+                    52 * SEC / 10,
+                    EventKind::Irp(MajorFunction::SetInformation),
+                    10,
+                ),
+                // A paging record is no arrival.
+                paging(data(6 * SEC, irp_write, 10, 0, 16_384)),
+            ],
+            names: BTreeMap::from([
+                (10, r"\docs\report.txt".to_string()),
+                (30, r"\data\big.bin".to_string()),
+                (40, r"\docs\missing.txt".to_string()),
+            ]),
+        };
+        stream.normalize();
+        let o = replay_stream(&stream, &ReplayConfig::default());
+        assert_eq!(
+            o.facts,
+            ReplayFacts {
+                machine: 5,
+                source_records: 20,
+                replayed_requests: 9,
+                skipped_records: 5,
+                control_records: 6,
+                read_misses: 2,
+                irp_reads: 2,
+                paging_reads: 2,
+                paging_writes: 58,
+                demand_read_bytes: 131_072,
+                disk_busy_ticks: 7_514_870,
+                ..ReplayFacts::default()
+            }
+        );
+        // More dirty data than the 34 scans from the last write on can
+        // drain: the residual reads how many the drain ran.
+        assert_eq!(o.residual_dirty_bytes, 21_045);
+        assert_eq!(
+            o.io,
+            IoMetrics {
+                opens: 4,
+                irp_reads: 2,
+                fastio_writes: 1,
+                irp_writes: 2,
+                paging_reads: 2,
+                paging_writes: 58,
+                control_ops: 1,
+                cleanups: 3,
+                closes: 3,
+                bytes_read: 69_632,
+                bytes_written: 2_113_536,
+                overwrite_truncates: 2,
+                read_dispatches: 2,
+                write_dispatches: 3,
+                paging_read_bytes: 131_072,
+                paging_write_bytes: 2_092_491,
+                cached_read_requested_bytes: 69_632,
+                events_emitted: 76,
+                ..IoMetrics::default()
+            }
+        );
+        assert_eq!(
+            o.cache,
+            CacheMetrics {
+                read_misses: 2,
+                requested_read_bytes: 69_632,
+                miss_pending_bytes: 69_632,
+                demand_read_bytes: 131_072,
+                demand_read_ios: 2,
+                cached_writes: 3,
+                dirtied_bytes: 2_113_536,
+                newly_dirtied_bytes: 2_113_536,
+                lazy_writes: 58,
+                lazy_write_bytes: 2_092_491,
+                purged_clean: 3,
+                cache_inits: 4,
+                ..CacheMetrics::default()
+            }
+        );
     }
 }

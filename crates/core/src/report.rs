@@ -32,15 +32,48 @@ fn render_cdf(out: &mut String, title: &str, unit: &str, cdf: &Cdf, points: usiz
     }
 }
 
+/// The batch analyses more than one section reads, each computed once
+/// for a full report.
+struct Shared {
+    ops: ops::OperationalStats,
+    paths: latency::PathLatencies,
+    lifetimes: lifetimes::Lifetimes,
+    activity: activity::UserActivity,
+    sessions: sessions::SessionDurations,
+    sizes: sizes::AccessedSizes,
+    /// Open arrival ticks, in fact-table order.
+    arrival_ticks: Vec<u64>,
+}
+
+impl Shared {
+    fn compute(ts: &nt_analysis::TraceSet) -> Shared {
+        Shared {
+            ops: ops::operational_stats(ts),
+            paths: latency::path_latencies(ts),
+            lifetimes: lifetimes::lifetimes(ts),
+            activity: activity::user_activity(ts),
+            sessions: sessions::session_durations(ts),
+            sizes: sizes::accessed_sizes(ts),
+            arrival_ticks: burstiness::open_arrival_ticks(ts),
+        }
+    }
+}
+
 /// Table 1: the summary of observations, computed from this run.
 pub fn table1(data: &StudyData) -> String {
-    let ts = &data.trace_set;
-    let o = ops::operational_stats(ts);
-    let l = latency::path_latencies(ts);
-    let lt = lifetimes::lifetimes(ts);
-    let act = activity::user_activity(ts);
-    let s = sessions::session_durations(ts);
-    let sz = sizes::accessed_sizes(ts);
+    render_table1(data, &Shared::compute(&data.trace_set))
+}
+
+fn render_table1(data: &StudyData, shared: &Shared) -> String {
+    let Shared {
+        ops: o,
+        paths: l,
+        lifetimes: lt,
+        activity: act,
+        sessions: s,
+        sizes: sz,
+        arrival_ticks,
+    } = shared;
     let cache_reads: (u64, u64) = data
         .machines
         .iter()
@@ -51,14 +84,12 @@ pub fn table1(data: &StudyData) -> String {
     } else {
         cache_reads.0 as f64 / (cache_reads.0 + cache_reads.1) as f64
     };
-    let arrival_ticks: Vec<f64> = {
-        let t = burstiness::open_arrival_ticks(ts);
-        t.windows(2)
-            .map(|w| (w[1].saturating_sub(w[0])) as f64)
-            .filter(|&g| g > 0.0)
-            .collect()
-    };
-    let alpha = tails::hill_alpha(&arrival_ticks);
+    let gaps: Vec<f64> = arrival_ticks
+        .windows(2)
+        .map(|w| (w[1].saturating_sub(w[0])) as f64)
+        .filter(|&g| g > 0.0)
+        .collect();
+    let alpha = tails::hill_alpha(&gaps);
     let mut out = String::new();
     let _ = writeln!(out, "Table 1 — summary of observations (this run)");
     let _ = writeln!(
@@ -119,8 +150,11 @@ pub fn table1(data: &StudyData) -> String {
 /// Table 2: user activity at 10-minute and 10-second intervals, with the
 /// BSD and Sprite baselines.
 pub fn table2(data: &StudyData) -> String {
+    render_table2(&activity::user_activity(&data.trace_set))
+}
+
+fn render_table2(a: &activity::UserActivity) -> String {
     use activity::baselines as b;
-    let a = activity::user_activity(&data.trace_set);
     let mut out = String::new();
     let _ = writeln!(out, "Table 2 — user activity (KB/s; stdev in parens)");
     let _ = writeln!(
@@ -313,7 +347,10 @@ pub fn fig_runs(data: &StudyData) -> String {
 
 /// Figures 3–4: accessed file-size CDFs.
 pub fn fig_sizes(data: &StudyData) -> String {
-    let s = sizes::accessed_sizes(&data.trace_set);
+    render_fig_sizes(&sizes::accessed_sizes(&data.trace_set))
+}
+
+fn render_fig_sizes(s: &sizes::AccessedSizes) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 3 — file size CDF, weighted by opens");
     render_cdf(&mut out, "read-only", "bytes", &s.read_only_by_opens, 12);
@@ -331,7 +368,10 @@ pub fn fig_sizes(data: &StudyData) -> String {
 
 /// Figure 5: open-duration CDF, all/local/network.
 pub fn fig5(data: &StudyData) -> String {
-    let s = sessions::session_durations(&data.trace_set);
+    render_fig5(&sessions::session_durations(&data.trace_set))
+}
+
+fn render_fig5(s: &sessions::SessionDurations) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 5 — file open time CDF (data sessions)");
     render_cdf(&mut out, "all files", "ms", &s.data, 12);
@@ -342,7 +382,10 @@ pub fn fig5(data: &StudyData) -> String {
 
 /// Figures 6–7: new-file lifetimes.
 pub fn fig_lifetimes(data: &StudyData) -> String {
-    let l = lifetimes::lifetimes(&data.trace_set);
+    render_fig_lifetimes(&lifetimes::lifetimes(&data.trace_set))
+}
+
+fn render_fig_lifetimes(l: &lifetimes::Lifetimes) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 6 — lifetime of new files by deletion method");
     render_cdf(&mut out, "overwrite/truncate", "ms", &l.overwrite_ms, 12);
@@ -359,7 +402,7 @@ pub fn fig_lifetimes(data: &StudyData) -> String {
     // immediately; explicit deletes take seconds.
     let after_close = |kind: lifetimes::DeathKind| {
         Cdf::from_samples(
-            lifetimes::deaths_of(&l, kind)
+            lifetimes::deaths_of(l, kind)
                 .filter_map(|de| de.after_close_ticks)
                 .map(|g| g as f64 / 10_000.0),
         )
@@ -423,7 +466,10 @@ pub fn fig8(data: &StudyData) -> String {
 
 /// Figure 9: QQ comparison of the arrival sample vs Normal and Pareto.
 pub fn fig9(data: &StudyData) -> String {
-    let ticks = burstiness::open_arrival_ticks(&data.trace_set);
+    render_fig9(&burstiness::open_arrival_ticks(&data.trace_set))
+}
+
+fn render_fig9(ticks: &[u64]) -> String {
     let gaps: Vec<f64> = ticks
         .windows(2)
         .map(|w| (w[1].saturating_sub(w[0])) as f64)
@@ -455,7 +501,10 @@ pub fn fig9(data: &StudyData) -> String {
 
 /// Figure 10: LLCD plot of the arrival tail with the alpha estimate.
 pub fn fig10(data: &StudyData) -> String {
-    let ticks = burstiness::open_arrival_ticks(&data.trace_set);
+    render_fig10(&burstiness::open_arrival_ticks(&data.trace_set))
+}
+
+fn render_fig10(ticks: &[u64]) -> String {
     let gaps: Vec<f64> = ticks
         .windows(2)
         .map(|w| (w[1].saturating_sub(w[0])) as f64 / 10_000.0)
@@ -498,7 +547,10 @@ pub fn fig11(data: &StudyData) -> String {
 
 /// Figure 12: session lifetime CDF per usage type.
 pub fn fig12(data: &StudyData) -> String {
-    let s = sessions::session_durations(&data.trace_set);
+    render_fig12(&sessions::session_durations(&data.trace_set))
+}
+
+fn render_fig12(s: &sessions::SessionDurations) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 12 — file session lifetimes");
     render_cdf(&mut out, "all usage types", "ms", &s.all, 12);
@@ -515,7 +567,10 @@ pub fn fig12(data: &StudyData) -> String {
 
 /// Figures 13–14: latency and size per request class.
 pub fn fig_paths(data: &StudyData) -> String {
-    let p = latency::path_latencies(&data.trace_set);
+    render_fig_paths(&latency::path_latencies(&data.trace_set))
+}
+
+fn render_fig_paths(p: &latency::PathLatencies) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 13 — request completion latency");
     render_cdf(&mut out, "FastIO read", "us", &p.fastio_read_latency, 12);
@@ -649,7 +704,10 @@ pub fn section5(data: &StudyData) -> String {
 
 /// §8: operational characteristics report.
 pub fn section8(data: &StudyData) -> String {
-    let o = ops::operational_stats(&data.trace_set);
+    render_section8(&ops::operational_stats(&data.trace_set))
+}
+
+fn render_section8(o: &ops::OperationalStats) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Section 8 — operational characteristics");
     let _ = writeln!(
@@ -772,7 +830,10 @@ pub fn section9(data: &StudyData) -> String {
 
 /// §10: the FastIO path report.
 pub fn section10(data: &StudyData) -> String {
-    let p = latency::path_latencies(&data.trace_set);
+    render_section10(&latency::path_latencies(&data.trace_set))
+}
+
+fn render_section10(p: &latency::PathLatencies) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Section 10 — FastIO");
     let _ = writeln!(
@@ -866,21 +927,18 @@ pub fn csv_series(data: &StudyData) -> Vec<(String, Vec<(f64, f64)>)> {
     push("fig14_irp_read_bytes", &pl.irp_read_size);
     push("fig14_irp_write_bytes", &pl.irp_write_size);
     // Figure 8's arrival counts per interval at the three scales.
-    {
-        let ticks = burstiness::open_arrival_ticks(ts);
-        for scale in [1u64, 10, 100] {
-            let binned = burstiness::bin_arrivals(&ticks, scale);
-            let series: Vec<(f64, f64)> = binned
-                .counts
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (i as f64, c as f64))
-                .collect();
-            out.push((format!("fig08_arrivals_per_{scale}s"), series));
-        }
+    let ticks = burstiness::open_arrival_ticks(ts);
+    for scale in [1u64, 10, 100] {
+        let binned = burstiness::bin_arrivals(&ticks, scale);
+        let series: Vec<(f64, f64)> = binned
+            .counts
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (i as f64, c as f64))
+            .collect();
+        out.push((format!("fig08_arrivals_per_{scale}s"), series));
     }
     // Figure 10's LLCD points.
-    let ticks = burstiness::open_arrival_ticks(ts);
     let gaps: Vec<f64> = ticks
         .windows(2)
         .map(|w| (w[1].saturating_sub(w[0])) as f64 / 10_000.0)
@@ -891,8 +949,10 @@ pub fn csv_series(data: &StudyData) -> Vec<(String, Vec<(f64, f64)>)> {
     out
 }
 
-/// The complete report: every table, figure and section.
+/// The complete report: every table, figure and section. Each batch
+/// analysis that several sections read runs once.
 pub fn full_report(data: &StudyData) -> String {
+    let shared = Shared::compute(&data.trace_set);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -904,25 +964,25 @@ pub fn full_report(data: &StudyData) -> String {
         data.stored_bytes as f64 / 1.0e6
     );
     for part in [
-        table1(data),
-        table2(data),
+        render_table1(data, &shared),
+        render_table2(&shared.activity),
         table3(data),
         section4(data),
         section7(data),
         fig_runs(data),
-        fig_sizes(data),
-        fig5(data),
-        fig_lifetimes(data),
+        render_fig_sizes(&shared.sizes),
+        render_fig5(&shared.sessions),
+        render_fig_lifetimes(&shared.lifetimes),
         fig8(data),
-        fig9(data),
-        fig10(data),
+        render_fig9(&shared.arrival_ticks),
+        render_fig10(&shared.arrival_ticks),
         fig11(data),
-        fig12(data),
-        fig_paths(data),
+        render_fig12(&shared.sessions),
+        render_fig_paths(&shared.paths),
         section5(data),
-        section8(data),
+        render_section8(&shared.ops),
         section9(data),
-        section10(data),
+        render_section10(&shared.paths),
         category_breakdown(data),
     ] {
         out.push_str(&part);

@@ -20,10 +20,13 @@
 //!   cache budget, and the disk latency-model axis (1998 IDE vs
 //!   SSD-class [`nt_io::DiskParams`]).
 //! * **Scheduling.** Extraction runs first, one task per machine (or
-//!   per segment file) on the `nt-trace` work-stealing pool; then every
-//!   (variant × machine) cell is one task on the same pool. Results land
-//!   in index-ordered slots, so worker count never changes a single
-//!   output bit.
+//!   per segment file) on the `nt-trace` work-stealing pool; each task
+//!   normalizes its stream and compiles it into the machine's replay
+//!   program, which does every per-record decision no policy changes.
+//!   Then every (variant × machine) cell is one task on the same pool
+//!   that runs its machine's program under its variant. Results land in
+//!   index-ordered slots, so worker count never changes a single output
+//!   bit.
 //! * **Audit.** Each variant's machines are reconciled by the `nt-audit`
 //!   conservation ledger; a drifting variant fails loudly, named by
 //!   variant, before any table is built.
@@ -45,7 +48,7 @@ use nt_obs::{Phase, RuntimeProfile, Telemetry};
 use nt_trace::steal::run_indexed;
 use nt_warehouse::{NttError, Segment};
 
-use crate::replay::{replay_stream, MachineVariantOutcome, ReplayConfig, ReplayStream};
+use crate::replay::{MachineVariantOutcome, ReplayConfig, ReplayProgram, ReplayStream};
 use crate::shard::host_workers;
 use crate::warehouse::visit_segments;
 
@@ -227,8 +230,10 @@ impl WhatIfStudy {
     /// [`NttError::DuplicateMachine`].
     pub fn run(&self, dir: &Path) -> Result<WhatIfReport, WhatIfError> {
         self.run_with(|workers| {
-            let parts = visit_segments(dir, workers, |segment, _| stored_stream(segment))
-                .map_err(WhatIfError::Source)?;
+            let parts = visit_segments(dir, workers, |segment, _| {
+                stored_stream(segment).map(|stream| ReplayProgram::compile(&stream))
+            })
+            .map_err(WhatIfError::Source)?;
             Ok(parts.into_iter().map(|part| part.value).collect())
         })
     }
@@ -238,26 +243,30 @@ impl WhatIfStudy {
     /// bit-identically to [`WhatIfStudy::run`] over the same trace
     /// stored in a warehouse.
     pub fn run_trace_set(&self, ts: &TraceSet) -> Result<WhatIfReport, WhatIfError> {
-        self.run_with(|workers| Ok(ReplayStream::extract(ts, workers)))
+        self.run_with(|workers| {
+            Ok(ReplayStream::extract(ts, workers, |stream| {
+                ReplayProgram::compile(&stream)
+            }))
+        })
     }
 
-    /// The study behind both entry points: `extract` builds the streams
-    /// on the given worker count under one `replay.extract` span, then
-    /// the grid replays them.
+    /// The study behind both entry points: `extract` builds and compiles
+    /// the streams on the given worker count under one `replay.extract`
+    /// span, then the grid runs each machine's program once per policy.
     fn run_with(
         &self,
-        extract: impl FnOnce(usize) -> Result<Vec<ReplayStream>, WhatIfError>,
+        extract: impl FnOnce(usize) -> Result<Vec<ReplayProgram>, WhatIfError>,
     ) -> Result<WhatIfReport, WhatIfError> {
         let workers = match self.workers {
             0 => host_workers(),
             n => n,
         };
         let telemetry = Telemetry::profiler();
-        let streams = {
+        let programs = {
             let _span = telemetry.span_child(Phase::Replay, "replay.extract");
             extract(workers)?
         };
-        let machines: Vec<u32> = streams.iter().map(|s| s.machine).collect();
+        let machines: Vec<u32> = programs.iter().map(ReplayProgram::machine).collect();
 
         // The task grid: variant-major, machine-minor; row 0 is the
         // baseline. Slot order is the result order, so scheduling can
@@ -268,14 +277,14 @@ impl WhatIfStudy {
             names.push(name);
             configs.push(config);
         }
-        let per_variant = streams.len();
+        let per_variant = programs.len();
         let tasks = configs.len() * per_variant;
 
         let (slots, panic) = run_indexed(tasks, workers, |i| {
             let task_telemetry = Telemetry::profiler();
             let outcome = {
                 let _span = task_telemetry.span_child(Phase::Replay, "replay.machine");
-                replay_stream(&streams[i % per_variant], configs[i / per_variant])
+                programs[i % per_variant].run(configs[i / per_variant])
             };
             let profile = task_telemetry
                 .report()
